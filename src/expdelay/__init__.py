@@ -11,7 +11,6 @@ problems and a CLI/CSV harness for convergence studies.
 from .history import DEGREE, HistorySegment, HistoryState, StageView, norm_diff
 from .phi import (
     PhiCombo,
-    phi_combo_eval,
     phi_dde_weight,
     phi_matrix_action,
     phi_re_weight,
@@ -46,7 +45,6 @@ __all__ = [
     "norm_diff",
     "PhiCombo",
     "phi_scalar",
-    "phi_combo_eval",
     "phi_dde_weight",
     "phi_re_weight",
     "phi_matrix_action",

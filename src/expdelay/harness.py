@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .history import norm_diff
+from .history import _SUP_S, norm_diff
 from .quadrature import gauss_legendre
 from .stepper import initial_state, integrate, observed_values, TrajectoryRecorder
 from .tableau import builtin
@@ -84,7 +84,7 @@ def _integrated_errors(state, exact, T, norm: str):
     if norm == "l1":
         q_x, q_w = gauss_legendre(4)
     else:
-        q_x = 0.5 * (1.0 - np.cos((2.0 * np.arange(16) + 1.0) * np.pi / 32.0))
+        q_x = _SUP_S
         q_w = None
     thetas = (lefts[:, None] + h * q_x[None, :]).ravel()
     u_state = state.j_integrate(thetas)

@@ -21,7 +21,6 @@ import scipy.linalg
 __all__ = [
     "PhiCombo",
     "phi_scalar",
-    "phi_combo_eval",
     "phi_dde_weight",
     "phi_re_weight",
     "phi_matrix_action",
@@ -104,11 +103,6 @@ class PhiCombo:
     @property
     def is_empty(self) -> bool:
         return not self.terms
-
-
-def phi_combo_eval(combo: PhiCombo, z: float) -> float:
-    """Evaluate a phi combination: sum of w * phi_k(gamma * z)."""
-    return combo.at(z)
 
 
 def phi_dde_weight(k: int, gh: float, theta: float) -> float:

@@ -8,14 +8,25 @@ w * phi_k(c_i h A0) applied to a stage value F contributes
     DDE:  head  h*w/k! * F,    tail  h*w * (c_i h + theta)^k / ((c_i h)^k k!) * F
     RE:   density  h*w * (c_i h + theta)^{k-1} / ((c_i h)^k (k-1)!) * F
 
-on [-c_i h, 0] and nothing older, which in the local segment coordinate is a
-plain monomial.  Stages are therefore lightweight views (shift + one overlay
-polynomial) and the appended segment is stored exactly; only the semilinear
-path, whose segments involve matrix exponentials, interpolates.
+on [-c_i h, 0] and nothing older, which in the local coordinate
+r = (theta + c_i h)/(c_i h) is a plain monomial.  Every problem kind runs one
+stage loop over a tuple of history components (an RE and a DDE one for
+coupled problems); the kinds differ only in the overlay rule that turns a
+tableau row into the polynomial on the newest interval:
+
+* DDE: head y plus h*w/k! on r^k, so the value at r = 1 is the new head;
+* RE: w/(c (k-1)!) on r^{k-1}, no head;
+* semilinear DDE: e^{r c h L} y + sum h*w*r^k phi_k(r c h L) F, sampled at
+  four Chebyshev-Lobatto points (r = 1 gives the exact head) and stored as
+  its cubic interpolant, the only rule that interpolates.
+
+Row i of ``a`` with c = c_i gives the stage views (a shift plus one overlay
+polynomial); row ``b`` with c = 1 gives the appended segment.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -23,7 +34,14 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .history import DEGREE, HistorySegment, HistoryState, StageView
+from .history import (
+    DEGREE,
+    _LOBATTO_S,
+    _LOBATTO_VINV,
+    HistorySegment,
+    HistoryState,
+    StageView,
+)
 from .phi import phi_matrix_action
 
 __all__ = [
@@ -42,12 +60,6 @@ __all__ = [
 ]
 
 _NCOEF = DEGREE + 1
-
-# Chebyshev-Lobatto nodes on [0, 1] and the matching interpolation matrix,
-# used to project semilinear segments (matrix-exponential profiles) onto the
-# cubic storage format.  Endpoint nodes keep head continuity exact.
-_LOBATTO_S = np.array([0.0, 0.25, 0.75, 1.0])
-_LOBATTO_VINV = np.linalg.inv(np.vander(_LOBATTO_S, _NCOEF, increasing=True))
 
 
 class MeshError(ValueError):
@@ -159,69 +171,90 @@ def _check_mesh(state, h: float):
         raise MeshError(f"state mesh width {state.h} does not match step {h}")
 
 
-def _dde_accumulate(coeffs: np.ndarray, combo, fval: np.ndarray, h: float):
-    # w * phi_k term -> h*w/k! on the r^k monomial (r local coordinate).
-    for k, _, w in combo.terms:
-        coeffs[:, k] += (h * w / math.factorial(k)) * fval
+def _dde_overlay(state, pairs, c: float, h: float):
+    coeffs = np.zeros((state.dim, _NCOEF))
+    coeffs[:, 0] = state.head
+    for combo, fval in pairs:
+        for k, _, w in combo.terms:
+            coeffs[:, k] += (h * w / math.factorial(k)) * fval
+    return coeffs, coeffs.sum(axis=1)
 
 
-def _re_accumulate(coeffs: np.ndarray, combo, fval: np.ndarray, scale: float):
-    # w * phi_k term -> scale*w/(k-1)! on the r^{k-1} monomial; scale is
-    # 1/c_i for stage rows and 1 for the update row.
-    for k, _, w in combo.terms:
-        coeffs[:, k - 1] += (scale * w / math.factorial(k - 1)) * fval
+def _re_overlay(state, pairs, c: float, h: float):
+    coeffs = np.zeros((state.dim, _NCOEF))
+    scale = 1.0 / c
+    for combo, fval in pairs:
+        for k, _, w in combo.terms:
+            coeffs[:, k - 1] += (scale * w / math.factorial(k - 1)) * fval
+    return coeffs, None
 
 
-def _dde_stage_values(problem, tab, state, t_n, h, rhs=None):
-    """Evaluate all stage values F_i for a DDE step; returns the list."""
-    rhs = rhs or problem.rhs
+def _expm(M: np.ndarray) -> np.ndarray:
+    if not M.any():
+        return np.eye(M.shape[0])
+    return scipy.linalg.expm(M)
+
+
+def _semilinear_overlay(L, state, pairs, c: float, h: float):
+    pairs = tuple(pairs)  # read once per node
     y = state.head
-    fvals = []
+    g = c * h
+    samples = np.empty((len(_LOBATTO_S), state.dim))
+    for q, r in enumerate(_LOBATTO_S):
+        if r == 0.0:
+            samples[q] = y  # e^0 y, and every r^k phi_k term vanishes
+            continue
+        M = r * g * L
+        val = _expm(M) @ y
+        for combo, fval in pairs:
+            for k, _, w in combo.terms:
+                val = val + (h * w * r**k) * phi_matrix_action(k, M, fval)
+        samples[q] = val
+    return samples.T @ _LOBATTO_VINV.T, samples[-1]
+
+
+def _step(tab, states, overlays, rhs, t_n: float, h: float) -> tuple:
+    """One explicit exponential RK step of a tuple of history components.
+
+    ``overlays[m](state, pairs, c, h)``, with ``pairs`` an iterator of
+    (combo, F), returns the coefficients and head (None for RE) of
+    component m on its newest interval.
+    ``rhs(t, *views)`` returns one value per component, or the bare value
+    for a single component.
+    """
+    for state in states:
+        _check_mesh(state, h)
+    single = len(states) == 1
+    whats = ["rhs"] if single else [f"rhs ({s.kind.upper()} component)" for s in states]
+    fvals = [[] for _ in states]
     for i in range(tab.nu):
         ci = tab.c[i]
-        if i == 0:
-            view = state
+        if ci == 0.0:
+            # a[i] is empty (node scales equal c_i > 0): the stage sees the
+            # current state itself.
+            views = states
         else:
-            coeffs = np.zeros((state.dim, _NCOEF))
-            coeffs[:, 0] = y
-            for j in range(i):
-                _dde_accumulate(coeffs, tab.a[i][j], fvals[j], h)
-            view = StageView(state, ci * h, coeffs, head=coeffs.sum(axis=1))
-        fval = _as_rhs_value(rhs(t_n + ci * h, view), state.dim, "rhs")
-        _require_finite(fval, i + 1, "stage value")
-        fvals.append(fval)
-    return fvals
+            views = []
+            for state, overlay, fv in zip(states, overlays, fvals):
+                coeffs, head = overlay(state, zip(tab.a[i], fv), ci, h)
+                views.append(StageView(state, ci * h, coeffs, head=head))
+        raw = rhs(t_n + ci * h, *views)
+        for r, state, what, fv in zip((raw,) if single else raw, states, whats, fvals):
+            val = _as_rhs_value(r, state.dim, what)
+            _require_finite(val, i + 1, "stage value")
+            fv.append(val)
+    new = []
+    for state, overlay, fv in zip(states, overlays, fvals):
+        coeffs, head = overlay(state, zip(tab.b, fv), 1.0, h)
+        if head is not None:
+            _require_finite(head, tab.nu, "update")
+        new.append(state.shift_append(HistorySegment(-h, h, coeffs), head=head))
+    return tuple(new)
 
 
 def step_dde(problem, tab, state, t_n: float, h: float) -> HistoryState:
     """One explicit exponential RK step for a plain DDE state."""
-    _check_mesh(state, h)
-    fvals = _dde_stage_values(problem, tab, state, t_n, h)
-    coeffs = np.zeros((state.dim, _NCOEF))
-    coeffs[:, 0] = state.head
-    for i in range(tab.nu):
-        _dde_accumulate(coeffs, tab.b[i], fvals[i], h)
-    y_new = coeffs.sum(axis=1)
-    _require_finite(y_new, tab.nu, "update")
-    return state.shift_append(HistorySegment(-h, h, coeffs), head=y_new)
-
-
-def _re_stage_values(problem, tab, state, t_n, h, rhs=None):
-    rhs = rhs or problem.rhs
-    fvals = []
-    for i in range(tab.nu):
-        ci = tab.c[i]
-        if i == 0:
-            view = state
-        else:
-            coeffs = np.zeros((state.dim, _NCOEF))
-            for j in range(i):
-                _re_accumulate(coeffs, tab.a[i][j], fvals[j], 1.0 / ci)
-            view = StageView(state, ci * h, coeffs)
-        fval = _as_rhs_value(rhs(t_n + ci * h, view), state.dim, "rhs")
-        _require_finite(fval, i + 1, "stage value")
-        fvals.append(fval)
-    return fvals
+    return _step(tab, (state,), (_dde_overlay,), problem.rhs, t_n, h)[0]
 
 
 def step_re(problem, tab, state, t_n: float, h: float) -> HistoryState:
@@ -232,39 +265,7 @@ def step_re(problem, tab, state, t_n: float, h: float) -> HistoryState:
     derived from eta by :meth:`HistoryState.j_integrate`, which reproduces
     the scheme's own recursion for it exactly.
     """
-    _check_mesh(state, h)
-    fvals = _re_stage_values(problem, tab, state, t_n, h)
-    coeffs = np.zeros((state.dim, _NCOEF))
-    for i in range(tab.nu):
-        _re_accumulate(coeffs, tab.b[i], fvals[i], 1.0)
-    return state.shift_append(HistorySegment(-h, h, coeffs))
-
-
-def _expm(M: np.ndarray) -> np.ndarray:
-    if not M.any():
-        return np.eye(M.shape[0])
-    return scipy.linalg.expm(M)
-
-
-def _semilinear_profile(L, y, combos_fvals, g: float, h: float) -> np.ndarray:
-    """Sample e^{r g L} y + sum h*w*r^k phi_k(r g L) F at the Lobatto nodes.
-
-    Returns samples of shape (nodes, dim); the r = 1 node is the exact head
-    value of the stage or update.
-    """
-    d = y.shape[0]
-    samples = np.empty((len(_LOBATTO_S), d))
-    for q, r in enumerate(_LOBATTO_S):
-        if r == 0.0:
-            samples[q] = y  # e^0 y, and every r^k phi_k term vanishes
-            continue
-        M = r * g * L
-        val = _expm(M) @ y
-        for combo, fval in combos_fvals:
-            for k, _, w in combo.terms:
-                val = val + (h * w * r**k) * phi_matrix_action(k, M, fval)
-        samples[q] = val
-    return samples
+    return _step(tab, (state,), (_re_overlay,), problem.rhs, t_n, h)[0]
 
 
 def step_semilinear_dde(problem, tab, state, t_n: float, h: float) -> HistoryState:
@@ -275,30 +276,10 @@ def step_semilinear_dde(problem, tab, state, t_n: float, h: float) -> HistorySta
     their cubic interpolant, an O(h^4) representation error below the order
     of any shipped method.  With L = 0 the step reduces to :func:`step_dde`.
     """
-    _check_mesh(state, h)
     if problem.L is None:
         raise ValueError("semilinear step requires the matrix L")
-    L = problem.L
-    y = state.head
-    fvals = []
-    for i in range(tab.nu):
-        ci = tab.c[i]
-        if i == 0:
-            view = state
-        else:
-            pairs = [(tab.a[i][j], fvals[j]) for j in range(i)]
-            samples = _semilinear_profile(L, y, pairs, ci * h, h)
-            coeffs = samples.T @ _LOBATTO_VINV.T
-            view = StageView(state, ci * h, coeffs, head=samples[-1])
-        fval = _as_rhs_value(problem.rhs(t_n + ci * h, view), state.dim, "rhs")
-        _require_finite(fval, i + 1, "stage value")
-        fvals.append(fval)
-    pairs = list(zip(tab.b, fvals))
-    samples = _semilinear_profile(L, y, pairs, h, h)
-    y_new = samples[-1]
-    _require_finite(y_new, tab.nu, "update")
-    coeffs = samples.T @ _LOBATTO_VINV.T
-    return state.shift_append(HistorySegment(-h, h, coeffs), head=y_new)
+    overlay = functools.partial(_semilinear_overlay, problem.L)
+    return _step(tab, (state,), (overlay,), problem.rhs, t_n, h)[0]
 
 
 def step_coupled(problem, tab, state_re, state_dde, t_n: float, h: float):
@@ -307,45 +288,9 @@ def step_coupled(problem, tab, state_re, state_dde, t_n: float, h: float):
     Each stage builds the RE and DDE views together and feeds both to the
     problem's rhs, which returns the (f_re, f_dde) pair.
     """
-    _check_mesh(state_re, h)
-    _check_mesh(state_dde, h)
-    y = state_dde.head
-    f_re_vals, f_dde_vals = [], []
-    for i in range(tab.nu):
-        ci = tab.c[i]
-        if i == 0:
-            view_re, view_dde = state_re, state_dde
-        else:
-            re_coeffs = np.zeros((state_re.dim, _NCOEF))
-            dde_coeffs = np.zeros((state_dde.dim, _NCOEF))
-            dde_coeffs[:, 0] = y
-            for j in range(i):
-                _re_accumulate(re_coeffs, tab.a[i][j], f_re_vals[j], 1.0 / ci)
-                _dde_accumulate(dde_coeffs, tab.a[i][j], f_dde_vals[j], h)
-            view_re = StageView(state_re, ci * h, re_coeffs)
-            view_dde = StageView(
-                state_dde, ci * h, dde_coeffs, head=dde_coeffs.sum(axis=1)
-            )
-        f_re, f_dde = problem.rhs(t_n + ci * h, view_re, view_dde)
-        f_re = _as_rhs_value(f_re, state_re.dim, "rhs (RE component)")
-        f_dde = _as_rhs_value(f_dde, state_dde.dim, "rhs (DDE component)")
-        _require_finite(f_re, i + 1, "stage value")
-        _require_finite(f_dde, i + 1, "stage value")
-        f_re_vals.append(f_re)
-        f_dde_vals.append(f_dde)
-    re_coeffs = np.zeros((state_re.dim, _NCOEF))
-    dde_coeffs = np.zeros((state_dde.dim, _NCOEF))
-    dde_coeffs[:, 0] = y
-    for i in range(tab.nu):
-        _re_accumulate(re_coeffs, tab.b[i], f_re_vals[i], 1.0)
-        _dde_accumulate(dde_coeffs, tab.b[i], f_dde_vals[i], h)
-    y_new = dde_coeffs.sum(axis=1)
-    _require_finite(y_new, tab.nu, "update")
-    new_re = state_re.shift_append(HistorySegment(-h, h, re_coeffs))
-    new_dde = state_dde.shift_append(
-        HistorySegment(-h, h, dde_coeffs), head=y_new
+    return _step(
+        tab, (state_re, state_dde), (_re_overlay, _dde_overlay), problem.rhs, t_n, h
     )
-    return new_re, new_dde
 
 
 def _check_multiple(value: float, h: float, what: str):

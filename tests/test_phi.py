@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from expdelay import (
     PhiCombo,
-    phi_combo_eval,
     phi_dde_weight,
     phi_matrix_action,
     phi_re_weight,
@@ -73,10 +72,10 @@ def test_phi_matches_integral_oracle(k, z):
 
 def test_combo_examples():
     combo = PhiCombo(((1, 1.0, 1.0), (2, 1.0, -1.0)))
-    assert phi_combo_eval(combo, 0.0) == pytest.approx(0.5, abs=1e-15)
+    assert combo.at(0.0) == pytest.approx(0.5, abs=1e-15)
     # Heun's first weight phi_1 - phi_2 at z = 1 collapses to 1
-    assert phi_combo_eval(combo, 1.0) == pytest.approx(1.0, abs=1e-14)
-    assert phi_combo_eval(PhiCombo(), 123.4) == 0.0
+    assert combo.at(1.0) == pytest.approx(1.0, abs=1e-14)
+    assert PhiCombo().at(123.4) == 0.0
 
 
 def test_combo_validation():

@@ -7,15 +7,22 @@ from expdelay import (
     HistoryState,
     IntegrationDiverged,
     MeshError,
+    PhiCombo,
     Problem,
+    Tableau,
     TrajectoryRecorder,
     belzen,
     builtin,
+    check_order,
     daphnia,
     initial_state,
     integrate,
     observed_values,
+    phi_dde_weight,
+    phi_re_weight,
+    quadratic_re,
 )
+from expdelay import stepper
 from expdelay.stepper import (
     step_coupled,
     step_dde,
@@ -157,6 +164,45 @@ def test_re_step_matches_handwritten_scheme(name):
         assert new.eval(th)[0] == pytest.approx(state.eval(th + h)[0], abs=1e-15)
 
 
+@pytest.mark.parametrize("name", ["expeuler", "heun", "expo3"])
+@pytest.mark.parametrize("kind", ["dde", "re"])
+def test_step_matches_phi_weights(kind, name):
+    """From a constant history, with the rhs returning fixed values F_i, the
+    new segment is the b row realised by the phi weights of the state space."""
+    tab = builtin(name)
+    h = 0.25
+    y = np.array([0.7, -1.2])
+    F = [np.array([1.3, -0.4]), np.array([-2.1, 0.9]), np.array([0.6, 1.7])]
+    calls = iter(F)
+    prob = Problem(
+        kind=kind,
+        dim=2,
+        tau=1.0,
+        rhs=lambda t, v: next(calls),
+        phi0=lambda th: np.tile(y, (np.size(th), 1)),
+        name="fixed",
+    )
+    state = initial_state(prob, h)
+    step = step_dde if kind == "dde" else step_re
+    new = step(prob, tab, state, 0.3, h)
+
+    def weighted(weight, theta):
+        return h * sum(
+            w * weight(k, h, theta) * F[i]
+            for i, combo in enumerate(tab.b)
+            for k, _, w in combo.terms
+        )
+
+    for th in np.linspace(-h, 0.0, 7):
+        if kind == "dde":
+            want, got = y + weighted(phi_dde_weight, th), new.eval(th)
+        else:
+            want, got = weighted(phi_re_weight, th), new.j_integrate(th)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+    if kind == "dde":
+        np.testing.assert_allclose(new.head, new.eval(0.0), rtol=0.0, atol=1e-13)
+
+
 def test_expeuler_belzen_single_step():
     prob = belzen(1.0)
     h = 0.1
@@ -286,6 +332,31 @@ def test_semigroup_composition_bitwise(kind):
         assert np.array_equal(
             once.coefficients(), _expected_pure_shift(state0, k + m)
         )
+
+
+_EXPEULER_C0 = Tableau(
+    name="expeuler_c0",
+    c=(0.0, 0.0),
+    a=((PhiCombo(), PhiCombo()), (PhiCombo(), PhiCombo())),
+    b=(PhiCombo(((1, 1.0, 1.0),)), PhiCombo()),
+    declared_order=1,
+)
+
+
+@pytest.mark.parametrize("make", [belzen, quadratic_re, daphnia])
+def test_zero_node_past_first_stage_sees_current_state(make):
+    # a later stage with c_i = 0 has an empty a row and evaluates the
+    # current state itself, so this tableau is expeuler with a wasted stage
+    assert check_order(_EXPEULER_C0, 1).passed
+    prob = make()
+    h = 0.1
+    final = integrate(prob, _EXPEULER_C0, h, 1.0)
+    want = integrate(prob, builtin("expeuler"), h, 1.0)
+    pairs = zip(final, want) if isinstance(final, tuple) else [(final, want)]
+    for got, ref in pairs:
+        assert np.array_equal(got.coefficients(), ref.coefficients())
+        if ref.head is not None:
+            assert np.array_equal(got.head, ref.head)
 
 
 def test_head_continuity_along_trajectory():
@@ -457,6 +528,23 @@ def test_observer_contract():
     assert times[-1] == pytest.approx(1.0)
     exact = prob.exact
     assert seen[-1][1][0] == pytest.approx(float(exact(1.0)), abs=5e-3)
+
+
+@pytest.mark.parametrize(
+    "make, entry", [(belzen, "step_dde"), (daphnia, "step_coupled")]
+)
+def test_step_dispatches_through_module_entry_points(monkeypatch, make, entry):
+    # profilers wrap the step_* module globals; every step must pass there
+    calls = []
+    original = vars(stepper)[entry]
+
+    def counting(*args):
+        calls.append(args[-2])
+        return original(*args)
+
+    monkeypatch.setattr(stepper, entry, counting)
+    integrate(make(), builtin("heun"), 0.1, 1.0)
+    assert calls == pytest.approx([0.1 * n for n in range(10)])
 
 
 def test_trajectory_recorder_sampling():
