@@ -8,7 +8,7 @@ explicit methods (orders 1-3), a stiff order-condition checker, benchmark
 problems and a CLI/CSV harness for convergence studies.
 """
 
-from .history import DEGREE, HistorySegment, HistoryState, StageView, norm_diff
+from .history import DEGREE, HistoryState, StageView, norm_diff
 from .phi import (
     PhiCombo,
     phi_dde_weight,
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEGREE",
-    "HistorySegment",
     "HistoryState",
     "StageView",
     "norm_diff",

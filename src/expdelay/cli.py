@@ -93,7 +93,7 @@ def _cmd_converge(args) -> int:
     problem = problems.make(args.problem)
     defaults = problems.CLI_DEFAULTS[args.problem]
     methods = args.method or list(builtin_names())
-    hs = args.hs or list(defaults["hs"])
+    hs = args.hs or list(defaults.get("hs", ()))
     T = args.T if args.T is not None else defaults["T"]
     norm = args.norm
     rows, slopes = converge(problem, methods, hs, T, norm=norm)

@@ -17,9 +17,11 @@ identical inputs produce identical files.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from .history import _SUP_S, norm_diff
+from .history import norm_diff
 from .quadrature import gauss_legendre
 from .stepper import initial_state, integrate, observed_values, TrajectoryRecorder
 from .tableau import builtin
@@ -81,30 +83,22 @@ def _integrated_errors(state, exact, T, norm: str):
     suffix = np.zeros((n + 1, state.dim))
     suffix[:-1] = seg_int[::-1].cumsum(axis=0)[::-1]
 
-    if norm == "l1":
-        q_x, q_w = gauss_legendre(4)
-    else:
-        q_x = _SUP_S
-        q_w = None
-    thetas = (lefts[:, None] + h * q_x[None, :]).ravel()
-    u_state = state.j_integrate(thetas)
+    def reference(thetas):
+        # suffix of full segments + the partial piece up to the segment's right
+        # knot; norm_diff only queries segment interiors
+        idx = np.floor((thetas - lefts[0]) / h).astype(np.intp)
+        widths = lefts[idx] + h - thetas
+        part_nodes = (thetas[:, None] + widths[:, None] * g8_x[None, :]).ravel()
+        part_vals = np.asarray(exact(T + part_nodes), dtype=float).reshape(
+            len(thetas), len(g8_x), -1
+        )
+        u_ref = widths[:, None] * np.einsum("q,mqd->md", g8_w, part_vals)
+        return u_ref + suffix[idx + 1]
 
-    # reference u at each query: suffix of full segments + partial piece
-    idx = np.repeat(np.arange(n), len(q_x))
-    rights = lefts[idx] + h
-    widths = rights - thetas
-    part_nodes = (thetas[:, None] + widths[:, None] * g8_x[None, :]).ravel()
-    part_vals = np.asarray(exact(T + part_nodes), dtype=float).reshape(
-        len(thetas), len(g8_x), -1
+    integrated = SimpleNamespace(
+        tau=state.tau, h=h, dim=state.dim, eval_many=state.j_integrate
     )
-    u_ref = widths[:, None] * np.einsum("q,mqd->md", g8_w, part_vals)
-    u_ref = u_ref + suffix[idx + 1]
-
-    diff = np.abs(u_state - u_ref)
-    if norm == "l1":
-        per_node = diff.sum(axis=1).reshape(n, len(q_x))
-        return float((per_node @ q_w).sum() * h)
-    return float(diff.max())
+    return norm_diff(integrated, reference, norm)
 
 
 def _errors(problem, state, T: float, norm: str | None):

@@ -6,11 +6,17 @@ mesh of width h (tau/h segments), plus a head value x(t) for the delay
 (DDE) flavour.  Renewal (RE) states are L^1 functions: no head, no
 continuity across mesh knots, left limits at knots.
 
+The packed (tau/h, dim, 4) coefficient array is the only representation of
+a history: segment i covers [(i - n) h, (i - n + 1) h], oldest first, in the
+local variable s = (theta - left)/h, lowest power first.  The mesh-size
+check, the knots and the per-segment node grids are derived from (tau, h)
+here, once each.
+
 Stepping never mutates a state: the shift-semigroup advance drops the oldest
-segment, re-indexes the rest, and appends a freshly built segment on [-h, 0].
-Stage values of a Runge-Kutta step are represented by :class:`StageView`,
-which overlays a single polynomial on [-shift, 0] over a shifted base state
-instead of materialising a full new history.
+segment, re-indexes the rest, and appends the (dim, 4) cubic of the newest
+interval [-h, 0].  Stage values of a Runge-Kutta step are represented by
+:class:`StageView`, which overlays a single polynomial on [-shift, 0] over a
+shifted base state instead of materialising a full new history.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "DEGREE",
-    "HistorySegment",
     "HistoryState",
     "StageView",
     "norm_diff",
@@ -59,9 +64,19 @@ def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
     return val
 
 
-def _fit_cubic(samples: np.ndarray, vinv: np.ndarray) -> np.ndarray:
-    # samples (..., nodes) -> power-basis coefficients (..., NCOEF)
-    return samples @ vinv.T
+def _mesh_size(tau: float, h: float) -> int:
+    """Number of segments n = tau/h; raises unless it is a positive integer."""
+    if tau <= 0.0 or h <= 0.0:
+        raise ValueError("tau and h must be positive")
+    n = int(round(tau / h))
+    if n < 1 or abs(n * h - tau) > _KNOT_RTOL * max(1.0, tau):
+        raise ValueError(f"tau/h = {tau / h} is not a positive integer")
+    return n
+
+
+def _grid(n: int, h: float, s: np.ndarray) -> np.ndarray:
+    # offsets of the local nodes s on each of the n segments, shape (n, len(s))
+    return ((np.arange(n) - n) * h)[:, None] + h * s[None, :]
 
 
 def _as_values(raw, m: int, d: int, what: str) -> np.ndarray:
@@ -74,43 +89,6 @@ def _as_values(raw, m: int, d: int, what: str) -> np.ndarray:
             f"systems or ({m}, {d})"
         )
     return vals
-
-
-class HistorySegment:
-    """One cubic piece of a history function on [left, left+width].
-
-    Coefficients are per component in the local variable
-    s = (theta - left)/width in [0, 1], lowest power first.
-    """
-
-    __slots__ = ("left", "width", "coeffs")
-
-    def __init__(self, left: float, width: float, coeffs: np.ndarray):
-        coeffs = np.array(coeffs, dtype=float, ndmin=2)
-        if width <= 0.0:
-            raise ValueError(f"segment width must be positive, got {width}")
-        if left + width > _KNOT_RTOL * max(1.0, abs(left)):
-            raise ValueError(f"segment [{left}, {left + width}] extends past 0")
-        if coeffs.ndim != 2 or coeffs.shape[1] != _NCOEF:
-            raise ValueError(
-                f"coeffs must have shape (dim, {_NCOEF}), got {coeffs.shape}"
-            )
-        coeffs.setflags(write=False)
-        self.left = float(left)
-        self.width = float(width)
-        self.coeffs = coeffs
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[0]
-
-    def value(self, s) -> np.ndarray:
-        """Evaluate at local coordinate(s) s in [0, 1]."""
-        s = np.asarray(s, dtype=float)
-        return _horner(self.coeffs, s)
-
-    def __repr__(self):
-        return f"HistorySegment(left={self.left}, width={self.width}, dim={self.dim})"
 
 
 class HistoryState:
@@ -127,11 +105,7 @@ class HistoryState:
             raise ValueError(f"kind must be 'dde' or 're', got {kind!r}")
         tau = float(tau)
         h = float(h)
-        if tau <= 0.0 or h <= 0.0:
-            raise ValueError("tau and h must be positive")
-        n = int(round(tau / h))
-        if n < 1 or abs(n * h - tau) > _KNOT_RTOL * max(1.0, tau):
-            raise ValueError(f"tau/h = {tau / h} is not a positive integer")
+        n = _mesh_size(tau, h)
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (n, dim, _NCOEF):
             raise ValueError(
@@ -161,7 +135,8 @@ class HistoryState:
             self.head = None
 
     def _check_continuity(self):
-        gap = np.max(np.abs(self.eval(0.0) - self.head))
+        newest_at_0 = _horner(self._coeffs[-1], np.float64(1.0))  # s = 1
+        gap = np.max(np.abs(newest_at_0 - self.head))
         tol = 1e-12 * (1.0 + float(np.max(np.abs(self.head))))
         if gap > tol:
             raise ValueError(
@@ -178,28 +153,15 @@ class HistoryState:
         points for RE states.  ``phi`` must accept an ndarray of offsets and
         return values of shape (m,) for dim == 1 or (m, dim).
         """
-        n = int(round(float(tau) / float(h)))
-        if n < 1 or abs(n * h - tau) > _KNOT_RTOL * max(1.0, tau):
-            raise ValueError(f"tau/h = {tau / h} is not a positive integer")
+        n = _mesh_size(float(tau), float(h))
         s_nodes = _LOBATTO_S if kind == "dde" else _CHEB_S
-        lefts = (np.arange(n) - n) * h
-        thetas = lefts[:, None] + h * s_nodes[None, :]
+        thetas = _grid(n, h, s_nodes)
         vals = _as_values(phi(thetas.ravel()), n * len(s_nodes), dim, "phi")
         vals = vals.reshape(n, len(s_nodes), dim)
-        coeffs = _fit_cubic(
-            np.swapaxes(vals, 1, 2), _LOBATTO_VINV if kind == "dde" else _CHEB_VINV
-        )
+        vinv = _LOBATTO_VINV if kind == "dde" else _CHEB_VINV
+        coeffs = np.swapaxes(vals, 1, 2) @ vinv.T
         head = vals[-1, -1, :] if kind == "dde" else None
         return cls(kind, dim, tau, h, coeffs, head=head, _copy=False)
-
-    @property
-    def segments(self) -> tuple:
-        """Segments oldest first; lefts derived from integer position."""
-        n = self.n_segments
-        return tuple(
-            HistorySegment((i - n) * self.h, self.h, self._coeffs[i])
-            for i in range(n)
-        )
 
     def coefficients(self) -> np.ndarray:
         """Packed (n_segments, dim, 4) coefficient array (read-only)."""
@@ -238,30 +200,23 @@ class HistoryState:
         """Evaluate at one offset theta in [-tau, 0]; returns shape (dim,)."""
         return self.eval_many(np.array([float(theta)]))[0]
 
-    def shift_append(self, segment: HistorySegment, head=None) -> "HistoryState":
+    def shift_append(self, coeffs, head=None) -> "HistoryState":
         """Advance by one mesh width: drop the oldest segment, shift the rest
-        one slot older, and install ``segment`` (covering [-h, 0]) as newest.
+        one slot older, and install ``coeffs``, the (dim, 4) cubic on [-h, 0]
+        in the local variable s = (theta + h)/h, as the newest segment.
 
         DDE states additionally replace the head, which must match the new
-        segment's value at theta = 0.
+        segment's value at theta = 0; RE states take no head.
         """
-        h = self.h
-        if abs(segment.left + h) > _KNOT_RTOL * max(1.0, h) or abs(
-            segment.width - h
-        ) > _KNOT_RTOL * max(1.0, h):
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape != (self.dim, _NCOEF):
             raise ValueError(
-                f"appended segment must cover [-{h}, 0], got "
-                f"[{segment.left}, {segment.left + segment.width}]"
+                f"appended segment must have shape ({self.dim}, {_NCOEF}), "
+                f"got {coeffs.shape}"
             )
-        if segment.dim != self.dim:
-            raise ValueError("segment dimension mismatch")
-        if self.kind == "dde" and head is None:
-            raise ValueError("appending to a DDE state requires a new head")
-        if self.kind == "re" and head is not None:
-            raise ValueError("RE states carry no head value")
-        coeffs = np.concatenate([self._coeffs[1:], segment.coeffs[None, :, :]])
+        coeffs = np.concatenate([self._coeffs[1:], coeffs[None, :, :]])
         return HistoryState(
-            self.kind, self.dim, self.tau, h, coeffs, head=head, _copy=False
+            self.kind, self.dim, self.tau, self.h, coeffs, head=head, _copy=False
         )
 
     def j_integrate(self, theta):
@@ -342,16 +297,10 @@ class StageView:
         return self.base.h
 
     def breakpoints(self) -> np.ndarray:
-        base_knots = self.base.breakpoints()[1:-1] - self.shift
-        knots = np.concatenate(
-            [[-self.tau], base_knots, [-self.shift, 0.0]]
-        )
-        knots = np.sort(knots)
-        keep = np.empty(knots.shape, dtype=bool)
-        keep[0] = True
-        keep[1:] = np.diff(knots) > _KNOT_RTOL * max(1.0, self.tau)
-        knots = knots[keep]
-        return knots[knots >= -self.tau - _KNOT_RTOL * max(1.0, self.tau)]
+        # base knots right of -tau, shifted: in order and ending at -shift
+        shifted = self.base.breakpoints()[1:] - self.shift
+        keep = shifted > -self.tau + _KNOT_RTOL * max(1.0, self.tau)
+        return np.concatenate([[-self.tau], shifted[keep], [0.0]])
 
     def eval_many(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
@@ -382,10 +331,9 @@ def norm_diff(state, reference, norm: str = "sup") -> float:
     """
     if norm not in ("sup", "l1"):
         raise ValueError(f"norm must be 'sup' or 'l1', got {norm!r}")
-    n = round(state.tau / state.h)
-    lefts = (np.arange(n) - n) * state.h
+    n = _mesh_size(state.tau, state.h)
     s_nodes = _SUP_S if norm == "sup" else _L1_S
-    thetas = (lefts[:, None] + state.h * s_nodes[None, :]).ravel()
+    thetas = _grid(n, state.h, s_nodes).ravel()
     got = state.eval_many(thetas)
     want = _as_values(reference(thetas), len(thetas), state.dim, "reference")
     diff = np.abs(got - want)

@@ -131,11 +131,12 @@ REGISTRY = {
     "daphnia": daphnia,
 }
 
-#: default horizons, step lists and history norms per problem for the CLI
+#: default horizons and step sizes per problem for the CLI; ``hs`` (the
+#: ``converge`` step list) only where an exact solution exists
 CLI_DEFAULTS = {
-    "belzen": {"T": 2.0, "hs": (1e-1, 1e-2, 1e-3, 1e-4), "norm": "sup", "h": 1e-2},
-    "quadratic_re": {"T": 4.0, "hs": (1e-1, 1e-2, 1e-3), "norm": "l1", "h": 1e-2},
-    "daphnia": {"T": 60.0, "hs": (2e-2, 1e-2, 5e-3), "norm": "l1", "h": 1e-2},
+    "belzen": {"T": 2.0, "hs": (1e-1, 1e-2, 1e-3, 1e-4), "h": 1e-2},
+    "quadratic_re": {"T": 4.0, "hs": (1e-1, 1e-2, 1e-3), "h": 1e-2},
+    "daphnia": {"T": 60.0, "h": 1e-2},
 }
 
 

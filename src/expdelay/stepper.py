@@ -38,7 +38,6 @@ from .history import (
     DEGREE,
     _LOBATTO_S,
     _LOBATTO_VINV,
-    HistorySegment,
     HistoryState,
     StageView,
 )
@@ -75,6 +74,21 @@ class IntegrationDiverged(RuntimeError):
         self.stage_index = stage_index
 
 
+def _check_fields(problem, dim_fields):
+    """Checks shared by every problem type: tau > 0, each named dimension
+    >= 1 and every distributed limit in [-tau, 0]."""
+    if not problem.tau > 0.0:
+        raise ValueError(f"tau must be positive, got {problem.tau}")
+    for field in dim_fields:
+        if getattr(problem, field) < 1:
+            raise ValueError(f"{field} must be >= 1, got {getattr(problem, field)}")
+    for lim in problem.distributed_limits:
+        if not -problem.tau - 1e-12 <= lim <= 1e-12:
+            raise ValueError(
+                f"distributed_limits entry {lim} outside [-tau, 0], tau = {problem.tau}"
+            )
+
+
 @dataclass(frozen=True)
 class Problem:
     """A delay or renewal equation with right-hand side F(t, history).
@@ -100,8 +114,7 @@ class Problem:
     def __post_init__(self):
         if self.kind not in ("dde", "re", "semilinear_dde"):
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        _check_fields(self, ("dim",))
         if self.kind == "semilinear_dde":
             if self.L is None:
                 raise ValueError("semilinear problems require the matrix L")
@@ -109,9 +122,6 @@ class Problem:
             if L.shape != (self.dim, self.dim):
                 raise ValueError(f"L must have shape ({self.dim}, {self.dim})")
             object.__setattr__(self, "L", L)
-        for lim in self.distributed_limits:
-            if not -self.tau - 1e-12 <= lim <= 1e-12:
-                raise ValueError(f"distributed limit {lim} outside [-tau, 0]")
         if not self.component_names:
             names = ("x",) if self.dim == 1 else tuple(
                 f"x{i + 1}" for i in range(self.dim)
@@ -141,8 +151,7 @@ class CoupledProblem:
     kind = "coupled"
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        _check_fields(self, ("dim_re", "dim_dde"))
         if not self.component_names:
             names = tuple(f"b{i + 1}" for i in range(self.dim_re)) + tuple(
                 f"x{i + 1}" for i in range(self.dim_dde)
@@ -248,7 +257,7 @@ def _step(tab, states, overlays, rhs, t_n: float, h: float) -> tuple:
         coeffs, head = overlay(state, zip(tab.b, fv), 1.0, h)
         if head is not None:
             _require_finite(head, tab.nu, "update")
-        new.append(state.shift_append(HistorySegment(-h, h, coeffs), head=head))
+        new.append(state.shift_append(coeffs, head=head))
     return tuple(new)
 
 
@@ -355,6 +364,8 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
     T = float(T)
     if h <= 0.0:
         raise MeshError("step size must be positive")
+    if T < 0.0:
+        raise MeshError(f"horizon T = {T} is negative")
     _check_multiple(T, h, "T")
     n_steps = int(round(T / h))
     state = initial_state(problem, h) if state0 is None else state0

@@ -151,7 +151,7 @@ def test_cli_reports_divergence_with_exit_3(capsys, monkeypatch):
 
     monkeypatch.setitem(REGISTRY, "diverging", diverging)
     monkeypatch.setitem(
-        CLI_DEFAULTS, "diverging", {"T": 1.0, "hs": (0.1,), "norm": "sup", "h": 0.1}
+        CLI_DEFAULTS, "diverging", {"T": 1.0, "hs": (0.1,), "h": 0.1}
     )
     code = main(
         ["converge", "--problem", "diverging", "--method", "expeuler", "--h", "0.1", "--T", "1.0"]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from expdelay import HistorySegment, HistoryState, StageView, integrate_view, norm_diff
+from expdelay import HistoryState, StageView, integrate_view, norm_diff
 
 from conftest import smooth_re_state
 
@@ -34,12 +34,8 @@ def test_eval_outside_domain_raises(dde_state):
 
 
 def test_tiling_and_breakpoints(dde_state):
-    segs = dde_state.segments
-    assert len(segs) == 4
-    np.testing.assert_allclose(
-        [s.left for s in segs], [-1.0, -0.75, -0.5, -0.25], atol=0
-    )
-    assert all(s.width == 0.25 for s in segs)
+    assert dde_state.n_segments == 4
+    assert dde_state.coefficients().shape == (4, 1, 4)
     np.testing.assert_allclose(
         dde_state.breakpoints(), [-1.0, -0.75, -0.5, -0.25, 0.0], atol=0
     )
@@ -59,21 +55,11 @@ def test_mesh_ratio_must_be_integer():
         HistoryState("re", 1, 1.0, 0.3, coeffs)
 
 
-def test_segment_validation():
-    with pytest.raises(ValueError):
-        HistorySegment(-0.5, -0.1, np.zeros((1, 4)))
-    with pytest.raises(ValueError):
-        HistorySegment(-0.5, 1.0, np.zeros((1, 4)))  # extends past 0
-    with pytest.raises(ValueError):
-        HistorySegment(-0.5, 0.5, np.zeros((1, 3)))
-
-
 def test_shift_append_dde():
     state = HistoryState.from_callable(
         lambda th: np.full(np.shape(th), 1.0), "dde", 1, 1.0, 0.5
     )
-    seg = HistorySegment(-0.5, 0.5, [[1.0, 1.0, 0.0, 0.0]])  # ramps 1 -> 2
-    new = state.shift_append(seg, head=[2.0])
+    new = state.shift_append([[1.0, 1.0, 0.0, 0.0]], head=[2.0])  # ramps 1 -> 2
     assert new.head[0] == 2.0
     assert new.eval(0.0)[0] == pytest.approx(2.0, abs=1e-15)
     assert new.eval(-0.75)[0] == pytest.approx(1.0, abs=1e-15)  # shifted old data
@@ -82,7 +68,7 @@ def test_shift_append_dde():
 
 
 def test_shift_append_contract_violations(dde_state, re_state):
-    seg = HistorySegment(-0.25, 0.25, [[1.0, 0.0, 0.0, 0.0]])
+    seg = np.array([[1.0, 0.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
         dde_state.shift_append(seg)  # missing head
     with pytest.raises(ValueError):
@@ -90,7 +76,7 @@ def test_shift_append_contract_violations(dde_state, re_state):
     with pytest.raises(ValueError):
         re_state.shift_append(seg, head=[1.0])  # RE states carry no head
     with pytest.raises(ValueError):
-        re_state.shift_append(HistorySegment(-0.5, 0.5, [[0.0, 0.0, 0.0, 0.0]]))
+        re_state.shift_append(np.zeros((1, 3)))  # not a (dim, 4) cubic
 
 
 def test_re_left_limit_at_knots():
@@ -127,6 +113,31 @@ def test_stage_view_matches_manual_composition(dde_state, rng):
         else:
             want = dde_state.eval(theta + shift)[0]
         assert abs(val[0] - want) <= 1e-14 * (1.0 + abs(want))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from([0.1, 1.0 / 3.0, 0.01, 0.7]),
+    st.integers(min_value=1, max_value=50),
+    st.one_of(
+        st.sampled_from([0.5, 2.0 / 3.0, 1.0]),
+        st.floats(min_value=0.01, max_value=0.99),
+    ),
+)
+@example(0.1, 30, 1.0)  # tau = 3
+@example(1.0 / 3.0, 3, 2.0 / 3.0)  # tau = 1
+@example(0.1, 3, 0.5)  # tau = 0.3
+def test_stage_view_breakpoints(h, n, c):
+    # tau is the decimal the user writes, so n * h matches it only to rounding
+    tau = round(n * h, 9)
+    base = HistoryState("re", 1, tau, h, np.zeros((n, 1, 4)))
+    knots = StageView(base, c * h, np.zeros((1, 4))).breakpoints()
+    assert np.all(np.diff(knots) > 0.0)
+    assert knots[0] == -base.tau
+    assert knots[-1] == 0.0
+    if n > 1 or c < 1.0:  # else -h is the knot -tau itself
+        assert -(c * h) in knots
+    assert len(knots) == (n + 1 if c == 1.0 else n + 2)
 
 
 def test_j_integrate_constant():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from expdelay import (
     MeshError,
     PhiCombo,
     Problem,
+    StageView,
     Tableau,
     TrajectoryRecorder,
     belzen,
@@ -22,7 +24,7 @@ from expdelay import (
     phi_re_weight,
     quadratic_re,
 )
-from expdelay import stepper
+from expdelay import harness, problems, stepper
 from expdelay.stepper import (
     step_coupled,
     step_dde,
@@ -268,10 +270,10 @@ def test_re_heun_segment_endpoint_identities():
 
     F2 = rhs(h, _View())[0]
     new = step_re(prob, builtin("heun"), state, 0.0, h)
-    seg = new.segments[-1]
+    seg = new.coefficients()[-1, 0]
     # endpoints of the linear stage polynomial: value F2 at 0, F1 at -h
-    assert seg.value(1.0)[0] == pytest.approx(F2, abs=1e-13)
-    assert seg.value(0.0)[0] == pytest.approx(F1, abs=1e-13)
+    assert seg.sum() == pytest.approx(F2, abs=1e-13)
+    assert seg[0] == pytest.approx(F1, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +441,26 @@ def test_semilinear_stiff_step_stays_bounded():
     assert abs(state.head[0]) <= 1.0 + h * sup_g
 
 
+def test_problem_rejects_empty_dimension():
+    with pytest.raises(ValueError, match="dim"):
+        Problem(
+            kind="dde",
+            dim=0,
+            tau=1.0,
+            rhs=lambda t, v: np.zeros(0),
+            phi0=lambda th: np.zeros((np.size(th), 0)),
+            name="empty",
+        )
+
+
+def test_coupled_problem_checks_limits_and_dims():
+    prob = daphnia()
+    with pytest.raises(ValueError, match="distributed_limits"):
+        dataclasses.replace(prob, distributed_limits=(-5.0, -3.0))  # tau = 4
+    with pytest.raises(ValueError, match="dim_re"):
+        dataclasses.replace(prob, dim_re=0)
+
+
 def test_semilinear_requires_matrix():
     with pytest.raises(ValueError):
         Problem(
@@ -511,6 +533,8 @@ def test_integrate_validates_mesh_ratios():
         integrate(prob, builtin("heun"), 0.3, 2.0)  # tau/h not integer
     with pytest.raises(MeshError):
         integrate(prob, builtin("heun"), 0.1, 2.05)  # T/h not integer
+    with pytest.raises(MeshError):
+        integrate(prob, builtin("heun"), 0.1, -1.0, state0=initial_state(prob, 0.1))
     from expdelay import quadratic_re
 
     with pytest.raises(MeshError):
@@ -545,6 +569,25 @@ def test_step_dispatches_through_module_entry_points(monkeypatch, make, entry):
     monkeypatch.setattr(stepper, entry, counting)
     integrate(make(), builtin("heun"), 0.1, 1.0)
     assert calls == pytest.approx([0.1 * n for n in range(10)])
+
+
+def test_traced_names_are_own_attributes():
+    # an outside-in tracer swaps these in place on their owners; a name that
+    # moved or became inherited would silently stop being traced
+    kinds = ("dde", "re", "semilinear_dde", "coupled")
+    targets = [(stepper, f"step_{kind}") for kind in kinds] + [
+        (stepper, "phi_matrix_action"),
+        (problems, "integrate_view"),
+        (HistoryState, "eval_many"),
+        (StageView, "eval_many"),
+        (HistoryState, "breakpoints"),
+        (StageView, "breakpoints"),
+        (HistoryState, "shift_append"),
+        (TrajectoryRecorder, "__call__"),
+        (harness, "format_csv"),
+    ]
+    missing = [(o.__name__, name) for o, name in targets if name not in vars(o)]
+    assert missing == []
 
 
 def test_trajectory_recorder_sampling():
