@@ -102,12 +102,7 @@ def _integrated_errors(state, exact, T, norm: str):
 
 
 def _errors(problem, state, T: float, norm: str | None):
-    exact = getattr(problem, "exact", None)
-    if exact is None:
-        raise ValueError(
-            f"problem {problem.name!r} has no exact solution; "
-            "convergence errors are undefined"
-        )
+    exact = problem.exact
     if problem.kind == "re":
         norm = norm or "l1"
         err_x = norm_diff(state, _shifted_exact(exact, T), norm)

@@ -79,6 +79,21 @@ def _grid(n: int, h: float, s: np.ndarray) -> np.ndarray:
     return ((np.arange(n) - n) * h)[:, None] + h * s[None, :]
 
 
+def _as_head(kind: str, dim: int, head):
+    """Read-only head of shape (dim,) for DDE kinds; RE kinds take none."""
+    if kind == "re":
+        if head is not None:
+            raise ValueError("RE states carry no head value")
+        return None
+    if head is None:
+        raise ValueError("DDE states require a head value")
+    head = np.array(head, dtype=float, ndmin=1)
+    if head.shape != (dim,):
+        raise ValueError(f"head must have shape ({dim},), got {head.shape}")
+    head.setflags(write=False)
+    return head
+
+
 def _as_values(raw, m: int, d: int, what: str) -> np.ndarray:
     vals = np.asarray(raw, dtype=float)
     if vals.shape == (m,) and d == 1:
@@ -120,19 +135,9 @@ class HistoryState:
         self.h = h
         self.n_segments = n
         self._coeffs = coeffs
+        self.head = _as_head(kind, self.dim, head)
         if kind == "dde":
-            if head is None:
-                raise ValueError("DDE states require a head value")
-            head = np.array(head, dtype=float, ndmin=1)
-            if head.shape != (dim,):
-                raise ValueError(f"head must have shape ({dim},), got {head.shape}")
-            head.setflags(write=False)
-            self.head = head
             self._check_continuity()
-        else:
-            if head is not None:
-                raise ValueError("RE states carry no head value")
-            self.head = None
 
     def _check_continuity(self):
         newest_at_0 = _horner(self._coeffs[-1], np.float64(1.0))  # s = 1
@@ -273,12 +278,7 @@ class StageView:
         self.base = base
         self.shift = float(shift)
         self.overlay_coeffs = overlay_coeffs
-        if base.kind == "dde":
-            head = np.array(head, dtype=float, ndmin=1)
-            head.setflags(write=False)
-            self.head = head
-        else:
-            self.head = None
+        self.head = _as_head(base.kind, base.dim, head)
 
     @property
     def kind(self):

@@ -7,7 +7,8 @@ phi_0 = exp and, for k >= 1,
 so phi_k(0) = 1/k! and phi_k(z) = z*phi_{k+1}(z) + 1/k!.  Besides the scalar
 functions this module provides weighted combinations (used as tableau
 coefficients), the scalar weights realising the phi operators on shift
-semigroups (delay and renewal flavours), and the matrix action phi_k(M) v.
+semigroups (delay and renewal flavours), and the matrix action
+sum_j phi_j(M) v_j from one augmented exponential.
 """
 
 from __future__ import annotations
@@ -78,27 +79,25 @@ def phi_scalar(k: int, z: float) -> float:
 
 @dataclass(frozen=True)
 class PhiCombo:
-    """Weighted sum of phi functions at scaled arguments.
+    """Weighted sum of phi functions: (k, w) pairs give sum w * phi_k(z).
 
-    ``terms`` holds (k, gamma, w) triples representing w * phi_k(gamma * z).
     Tableau coefficients are always of this shape with k >= 1; the empty
-    combination is the zero coefficient.
+    combination is the zero coefficient.  The node scale of the argument
+    belongs to the tableau row, not to the combination.
     """
 
-    terms: tuple[tuple[int, float, float], ...] = ()
+    terms: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
-        for k, gamma, _ in self.terms:
+        for k, _ in self.terms:
             if k < 1:
                 raise ValueError("phi combination terms need order k >= 1")
-            if not 0.0 < gamma <= 1.0:
-                raise ValueError(f"node scale must be in (0, 1], got {gamma}")
 
     def at(self, z: float) -> float:
-        return sum(w * phi_scalar(k, gamma * z) for k, gamma, w in self.terms)
+        return sum(w * phi_scalar(k, z) for k, w in self.terms)
 
     def at_zero(self) -> float:
-        return sum(w / math.factorial(k) for k, _, w in self.terms)
+        return sum(w / math.factorial(k) for k, w in self.terms)
 
     @property
     def is_empty(self) -> bool:
@@ -133,28 +132,29 @@ def phi_re_weight(k: int, gh: float, theta: float) -> float:
     return (gh**k - m**k) / (gh**k * math.factorial(k))
 
 
-def phi_matrix_action(k: int, M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Compute phi_k(M) @ v through an augmented-matrix exponential.
+def phi_matrix_action(M: np.ndarray, vs) -> np.ndarray:
+    """Compute sum_{j=0..p} phi_j(M) @ vs[j] through one augmented exponential.
 
-    M and v are embedded in a (d+k) x (d+k) block matrix whose exponential
-    carries phi_k(M) v in the top rows of its last column.  The exponential
-    is the scaling-and-squaring Pade evaluation of :func:`scipy.linalg.expm`.
-    Supports 1 <= k <= 4 (the largest order any shipped method needs).
+    With W = [vs[p], ..., vs[1]] and J the p x p shift (ones on the
+    superdiagonal), the top rows of exp([[M, W], [0, J]]) @ [vs[0]; e_p]
+    are the sum (Al-Mohy & Higham, SISC 2011, Thm 2.1).  The exponential is
+    the scaling-and-squaring Pade evaluation of :func:`scipy.linalg.expm`.
+    Supports p <= 4 (the largest order any shipped method needs).
     """
-    if not 1 <= k <= 4:
-        raise ValueError(f"matrix phi action supports 1 <= k <= 4, got {k}")
     M = np.asarray(M, dtype=float)
-    v = np.asarray(v, dtype=float)
+    vs = np.asarray(vs, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be square, got shape {M.shape}")
     d = M.shape[0]
-    if v.shape != (d,):
-        raise ValueError(f"v must have shape ({d},), got {v.shape}")
+    if vs.ndim != 2 or not 1 <= vs.shape[0] <= 5 or vs.shape[1] != d:
+        raise ValueError(f"vs must have shape (p + 1, {d}) with p <= 4, got {vs.shape}")
+    p = vs.shape[0] - 1
     if not M.any():
-        return v / math.factorial(k)
-    aug = np.zeros((d + k, d + k))
+        return sum(vs[j] / math.factorial(j) for j in range(p + 1))
+    aug = np.zeros((d + p, d + p))
     aug[:d, :d] = M
-    aug[:d, d] = v
-    for i in range(k - 1):
+    aug[:d, d:] = vs[:0:-1].T
+    for i in range(p - 1):
         aug[d + i, d + i + 1] = 1.0
-    return scipy.linalg.expm(aug)[:d, -1]
+    E = scipy.linalg.expm(aug)
+    return E[:d, :d] @ vs[0] + E[:d, -1] if p else E @ vs[0]

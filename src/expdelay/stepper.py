@@ -16,9 +16,11 @@ tableau row into the polynomial on the newest interval:
 
 * DDE: head y plus h*w/k! on r^k, so the value at r = 1 is the new head;
 * RE: w/(c (k-1)!) on r^{k-1}, no head;
-* semilinear DDE: e^{r c h L} y + sum h*w*r^k phi_k(r c h L) F, sampled at
-  four Chebyshev-Lobatto points (r = 1 gives the exact head) and stored as
-  its cubic interpolant, the only rule that interpolates.
+* semilinear DDE: e^{r c h L} y + sum_k r^k phi_k(r c h L) u_k with
+  u_k = sum h*w*F over the row's order-k terms, sampled at four
+  Chebyshev-Lobatto points with one augmented exponential each
+  (:func:`~expdelay.phi.phi_matrix_action`; r = 1 gives the exact head) and
+  stored as its cubic interpolant, the only rule that interpolates.
 
 Row i of ``a`` with c = c_i gives the stage views (a shift plus one overlay
 polynomial); row ``b`` with c = 1 gives the appended segment.
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .history import (
     DEGREE,
@@ -97,7 +98,8 @@ class Problem:
     ``eval``/``eval_many`` and, for DDE kinds, ``head``) and returns the
     d-dimensional value.  ``distributed_limits`` lists window offsets of
     distributed-delay terms; they must land on the mesh for any step size
-    used.  ``L`` is the stiff linear part of a semilinear DDE.
+    used.  ``L`` is the stiff linear part of a semilinear DDE and is
+    rejected for every other kind.
     """
 
     kind: str
@@ -122,6 +124,8 @@ class Problem:
             if L.shape != (self.dim, self.dim):
                 raise ValueError(f"L must have shape ({self.dim}, {self.dim})")
             object.__setattr__(self, "L", L)
+        elif self.L is not None:
+            raise ValueError(f"L is only used by semilinear_dde, not {self.kind!r}")
         if not self.component_names:
             names = ("x",) if self.dim == 1 else tuple(
                 f"x{i + 1}" for i in range(self.dim)
@@ -184,7 +188,7 @@ def _dde_overlay(state, pairs, c: float, h: float):
     coeffs = np.zeros((state.dim, _NCOEF))
     coeffs[:, 0] = state.head
     for combo, fval in pairs:
-        for k, _, w in combo.terms:
+        for k, w in combo.terms:
             coeffs[:, k] += (h * w / math.factorial(k)) * fval
     return coeffs, coeffs.sum(axis=1)
 
@@ -193,32 +197,24 @@ def _re_overlay(state, pairs, c: float, h: float):
     coeffs = np.zeros((state.dim, _NCOEF))
     scale = 1.0 / c
     for combo, fval in pairs:
-        for k, _, w in combo.terms:
+        for k, w in combo.terms:
             coeffs[:, k - 1] += (scale * w / math.factorial(k - 1)) * fval
     return coeffs, None
 
 
-def _expm(M: np.ndarray) -> np.ndarray:
-    if not M.any():
-        return np.eye(M.shape[0])
-    return scipy.linalg.expm(M)
-
-
 def _semilinear_overlay(L, state, pairs, c: float, h: float):
-    pairs = tuple(pairs)  # read once per node
-    y = state.head
-    g = c * h
-    samples = np.empty((len(_LOBATTO_S), state.dim))
-    for q, r in enumerate(_LOBATTO_S):
-        if r == 0.0:
-            samples[q] = y  # e^0 y, and every r^k phi_k term vanishes
-            continue
-        M = r * g * L
-        val = _expm(M) @ y
-        for combo, fval in pairs:
-            for k, _, w in combo.terms:
-                val = val + (h * w * r**k) * phi_matrix_action(k, M, fval)
-        samples[q] = val
+    us = np.zeros((_NCOEF, state.dim))
+    us[0] = state.head
+    p = 0
+    for combo, fval in pairs:
+        for k, w in combo.terms:
+            us[k] += (h * w) * fval
+            p = max(p, k)
+    us = us[: p + 1]
+    samples = np.array([
+        phi_matrix_action(r * (c * h) * L, r ** np.arange(p + 1)[:, None] * us)
+        for r in _LOBATTO_S
+    ])
     return samples.T @ _LOBATTO_VINV.T, samples[-1]
 
 
@@ -280,10 +276,11 @@ def step_re(problem, tab, state, t_n: float, h: float) -> HistoryState:
 def step_semilinear_dde(problem, tab, state, t_n: float, h: float) -> HistoryState:
     """One step for x' = L x + G(t, x_t) with the linear part treated exactly.
 
-    Heads use exact matrix phi actions; segment profiles (which involve
-    e^{(h+theta)L}) are sampled at 4 Chebyshev-Lobatto points and stored as
-    their cubic interpolant, an O(h^4) representation error below the order
-    of any shipped method.  With L = 0 the step reduces to :func:`step_dde`.
+    Each row takes one augmented exponential per Chebyshev-Lobatto point:
+    heads are exact matrix phi actions; segment profiles (which involve
+    e^{(h+theta)L}) are sampled at the 4 points and stored as their cubic
+    interpolant, an O(h^4) error below the order of any shipped method.
+    With L = 0 the step reduces to :func:`step_dde`.
     """
     if problem.L is None:
         raise ValueError("semilinear step requires the matrix L")

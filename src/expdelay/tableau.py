@@ -1,11 +1,12 @@
 """Butcher tableaux of explicit exponential Runge-Kutta methods.
 
-Coefficients a_ij and b_i are linear combinations of phi_k evaluated at
-scaled arguments (:class:`~expdelay.phi.PhiCombo`); they are kept in that
-symbolic form so the order-condition checker and the steppers share one
-source of truth.  The checker evaluates the stiff order conditions up to
-order 4 on a fixed sample of real arguments, in strong (operator-argument)
-or weak (frozen-argument) form.
+Coefficients a_ij and b_i are linear combinations of phi_k
+(:class:`~expdelay.phi.PhiCombo`) evaluated at the row's node: row i of
+``a`` at c_i z and ``b`` at z.  They are kept in that symbolic form so the
+order-condition checker and the steppers share one source of truth.  The
+checker evaluates the stiff order conditions up to order 4 on a fixed sample
+of real arguments, in strong (operator-argument) or weak (frozen-argument)
+form.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .history import DEGREE
 from .phi import PhiCombo, phi_scalar
 
 __all__ = [
@@ -53,9 +55,11 @@ _ROW_LABEL = {
 class Tableau:
     """Explicit exponential Runge-Kutta tableau.
 
-    ``a`` is strictly lower triangular; every combination in row i of ``a``
-    uses the node scale c_i (coefficients are built from phi_k(c_i h A0))
-    and every combination in ``b`` uses scale 1.
+    ``a`` is strictly lower triangular.  The tableau owns the node scale:
+    row i of ``a`` is evaluated at c_i z (coefficients built from
+    phi_k(c_i h A0)) and ``b`` at z.  Terms have order k <= DEGREE, the
+    degree of a stored history segment, so every method runs on every
+    problem kind.
     """
 
     name: str
@@ -79,16 +83,11 @@ class Tableau:
             for j, combo in enumerate(row):
                 if j >= i and not combo.is_empty:
                     raise ValueError(f"a[{i}][{j}] must be empty (explicit method)")
-                for _, gamma, _ in combo.terms:
-                    if gamma != self.c[i]:
-                        raise ValueError(
-                            f"a[{i}][{j}] has node scale {gamma}, expected c_{i + 1}"
-                            f" = {self.c[i]}"
-                        )
-        for combo in self.b:
-            for _, gamma, _ in combo.terms:
-                if gamma != 1.0:
-                    raise ValueError("b combinations must use node scale 1")
+            if any(combo.terms for combo in row) and not 0.0 < self.c[i] <= 1.0:
+                raise ValueError(f"a row with terms needs c_{i + 1} in (0, 1]")
+        terms = [t for row in (*self.a, self.b) for combo in row for t in combo.terms]
+        if any(k > DEGREE for k, _ in terms):
+            raise ValueError(f"phi orders above the segment degree {DEGREE}: {terms}")
 
     @property
     def nu(self) -> int:
@@ -105,7 +104,7 @@ _BUILTINS = {
         name="expeuler",
         c=(0.0,),
         a=((_combo(),),),
-        b=(_combo((1, 1.0, 1.0)),),
+        b=(_combo((1, 1.0)),),
         declared_order=1,
     ),
     # Two stages with c_2 = 1: a_21 = phi_1(z), b = [phi_1 - phi_2, phi_2];
@@ -115,11 +114,11 @@ _BUILTINS = {
         c=(0.0, 1.0),
         a=(
             (_combo(), _combo()),
-            (_combo((1, 1.0, 1.0)), _combo()),
+            (_combo((1, 1.0)), _combo()),
         ),
         b=(
-            _combo((1, 1.0, 1.0), (2, 1.0, -1.0)),
-            _combo((2, 1.0, 1.0)),
+            _combo((1, 1.0), (2, -1.0)),
+            _combo((2, 1.0)),
         ),
         declared_order=2,
     ),
@@ -130,17 +129,17 @@ _BUILTINS = {
         c=(0.0, 0.5, 2.0 / 3.0),
         a=(
             (_combo(), _combo(), _combo()),
-            (_combo((1, 0.5, 0.5)), _combo(), _combo()),
+            (_combo((1, 0.5)), _combo(), _combo()),
             (
-                _combo((1, 2.0 / 3.0, 2.0 / 3.0), (2, 2.0 / 3.0, -8.0 / 9.0)),
-                _combo((2, 2.0 / 3.0, 8.0 / 9.0)),
+                _combo((1, 2.0 / 3.0), (2, -8.0 / 9.0)),
+                _combo((2, 8.0 / 9.0)),
                 _combo(),
             ),
         ),
         b=(
-            _combo((1, 1.0, 1.0), (2, 1.0, -1.5)),
+            _combo((1, 1.0), (2, -1.5)),
             _combo(),
-            _combo((2, 1.0, 1.5)),
+            _combo((2, 1.5)),
         ),
         declared_order=3,
         declared_mode="weak",
@@ -191,7 +190,7 @@ def psi_a(tab: Tableau, j: int, stage: int, z: float) -> float:
     acc = ci**j * phi_scalar(j, ci * z)
     fac = math.factorial(j - 1)
     for k in range(i):
-        acc -= tab.a[i][k].at(z) * tab.c[k] ** (j - 1) / fac
+        acc -= tab.a[i][k].at(ci * z) * tab.c[k] ** (j - 1) / fac
     return acc
 
 
@@ -216,7 +215,7 @@ def _row_residual(tab: Tableau, row: int, z: float, weak_b: bool) -> float:
             sum(
                 bvals[i]
                 * sum(
-                    tab.a[i][j].at(z) * psi_a(tab, 2, j + 1, z)
+                    tab.a[i][j].at(tab.c[i] * z) * psi_a(tab, 2, j + 1, z)
                     for j in range(1, i)
                 )
                 for i in range(tab.nu)

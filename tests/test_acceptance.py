@@ -132,7 +132,9 @@ def test_criterion_4_phi_function_suite():
 
         for k in range(1, 5):
             for z in (-50.0, -1.0, 0.5, 20.0):
-                got = xd.phi_matrix_action(k, np.array([[z]]), np.array([1.0]))[0]
+                vs = np.zeros((k + 1, 1))
+                vs[k] = 1.0
+                got = xd.phi_matrix_action(np.array([[z]]), vs)[0]
                 want = xd.phi_scalar(k, z)
                 assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 

@@ -115,6 +115,22 @@ def test_stage_view_matches_manual_composition(dde_state, rng):
         assert abs(val[0] - want) <= 1e-14 * (1.0 + abs(want))
 
 
+def test_stage_view_head_contract(re_state):
+    # the same head rules and errors as HistoryState
+    dde2 = HistoryState.from_callable(
+        lambda th: np.stack([np.cos(th), np.sin(th)], axis=-1), "dde", 2, 1.0, 0.25
+    )
+    overlay = np.zeros((2, 4))
+    with pytest.raises(ValueError, match="require a head"):
+        StageView(dde2, 0.25, overlay)
+    with pytest.raises(ValueError, match=r"head must have shape \(2,\)"):
+        StageView(dde2, 0.25, overlay, head=[1.0])
+    assert StageView(dde2, 0.25, overlay, head=[1.0, 2.0]).head.shape == (2,)
+    with pytest.raises(ValueError, match="carry no head"):
+        StageView(re_state, 0.25, np.zeros((1, 4)), head=[1.0])
+    assert StageView(re_state, 0.25, np.zeros((1, 4))).head is None
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     st.sampled_from([0.1, 1.0 / 3.0, 0.01, 0.7]),

@@ -22,6 +22,7 @@ from expdelay import (
     observed_values,
     phi_dde_weight,
     phi_re_weight,
+    phi_scalar,
     quadratic_re,
 )
 from expdelay import harness, problems, stepper
@@ -192,7 +193,7 @@ def test_step_matches_phi_weights(kind, name):
         return h * sum(
             w * weight(k, h, theta) * F[i]
             for i, combo in enumerate(tab.b)
-            for k, _, w in combo.terms
+            for k, w in combo.terms
         )
 
     for th in np.linspace(-h, 0.0, 7):
@@ -340,7 +341,7 @@ _EXPEULER_C0 = Tableau(
     name="expeuler_c0",
     c=(0.0, 0.0),
     a=((PhiCombo(), PhiCombo()), (PhiCombo(), PhiCombo())),
-    b=(PhiCombo(((1, 1.0, 1.0),)), PhiCombo()),
+    b=(PhiCombo(((1, 1.0),)), PhiCombo()),
     declared_order=1,
 )
 
@@ -439,6 +440,56 @@ def test_semilinear_stiff_step_stays_bounded():
     h = 0.1
     state = step_semilinear_dde(prob, builtin("expeuler"), initial_state(prob, h), 0.0, h)
     assert abs(state.head[0]) <= 1.0 + h * sup_g
+
+
+@pytest.mark.parametrize("name", ["expeuler", "heun", "expo3"])
+@pytest.mark.parametrize("hl", [-1e3, -10.0, -1.0, -0.1, 0.0, 0.5])
+def test_semilinear_step_matches_scalar_phi(hl, name):
+    """From a constant history, with fixed F_i and diagonal L, the newest
+    segment at each Lobatto node r is
+    e^{r h lam} y + h sum w r^k phi_k(r h lam) F_i."""
+    tab = builtin(name)
+    h = 0.25
+    lams = np.array([hl, 0.5 * hl]) / h
+    y = np.array([0.7, -1.2])
+    F = [np.array([1.3, -0.4]), np.array([-2.1, 0.9]), np.array([0.6, 1.7])]
+    calls = iter(F)
+    prob = Problem(
+        kind="semilinear_dde",
+        dim=2,
+        tau=1.0,
+        rhs=lambda t, v: next(calls),
+        phi0=lambda th: np.tile(y, (np.size(th), 1)),
+        L=np.diag(lams),
+        name="fixed",
+    )
+    new = step_semilinear_dde(prob, tab, initial_state(prob, h), 0.3, h)
+    nodes = np.array([0.0, 0.25, 0.75, 1.0])
+    got = np.vander(nodes, 4, increasing=True) @ new.coefficients()[-1].T
+    for r, val in zip(nodes, got):
+        phi = lambda k: np.array([phi_scalar(k, r * h * lam) for lam in lams])
+        want = phi(0) * y + h * sum(
+            w * r**k * phi(k) * F[i]
+            for i, combo in enumerate(tab.b)
+            for k, w in combo.terms
+        )
+        atol = 1e-13 * (1.0 + np.max(np.abs(want)))
+        np.testing.assert_allclose(val, want, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(new.head, want, rtol=0.0, atol=atol)  # r = 1
+
+
+@pytest.mark.parametrize("kind", ["dde", "re"])
+def test_problem_rejects_matrix_outside_semilinear_kind(kind):
+    with pytest.raises(ValueError, match="semilinear_dde"):
+        Problem(
+            kind=kind,
+            dim=1,
+            tau=1.0,
+            rhs=lambda t, v: np.zeros(1),
+            phi0=lambda th: np.ones(np.shape(th)),
+            L=np.array([[-5.0]]),
+            name="stray_L",
+        )
 
 
 def test_problem_rejects_empty_dimension():

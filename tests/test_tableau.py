@@ -43,7 +43,7 @@ def test_tableau_validation():
             name="bad_c1",
             c=(0.5,),
             a=((PhiCombo(),),),
-            b=(PhiCombo(((1, 1.0, 1.0),)),),
+            b=(PhiCombo(((1, 1.0),)),),
             declared_order=1,
         )
     with pytest.raises(ValueError):
@@ -52,21 +52,41 @@ def test_tableau_validation():
             name="bad_a",
             c=(0.0, 1.0),
             a=(
-                (PhiCombo(), PhiCombo(((1, 1.0, 1.0),))),
-                (PhiCombo(((1, 1.0, 1.0),)), PhiCombo()),
+                (PhiCombo(), PhiCombo(((1, 1.0),))),
+                (PhiCombo(((1, 1.0),)), PhiCombo()),
             ),
             b=good.b,
             declared_order=2,
         )
-    with pytest.raises(ValueError):
-        # stage-row combinations must use the row's node scale
+    for c2 in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match=r"in \(0, 1\]"):
+            # a stage row with terms needs its node in (0, 1]
+            Tableau(
+                name="bad_node",
+                c=(0.0, c2),
+                a=good.a,
+                b=good.b,
+                declared_order=2,
+            )
+
+
+def test_tableau_rejects_orders_above_segment_degree():
+    # a phi_4 term would need a quartic overlay, which no history stores
+    good = builtin("heun")
+    phi4 = PhiCombo(((4, 1.0),))
+    with pytest.raises(ValueError, match="degree 3"):
         Tableau(
-            name="bad_gamma",
-            c=(0.0, 0.5),
-            a=(
-                (PhiCombo(), PhiCombo()),
-                (PhiCombo(((1, 1.0, 0.5),)), PhiCombo()),
-            ),
+            name="phi4_b",
+            c=good.c,
+            a=good.a,
+            b=(good.b[0], phi4),
+            declared_order=2,
+        )
+    with pytest.raises(ValueError, match="degree 3"):
+        Tableau(
+            name="phi4_a",
+            c=good.c,
+            a=((PhiCombo(), PhiCombo()), (phi4, PhiCombo())),
             b=good.b,
             declared_order=2,
         )
