@@ -57,6 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_conv = sub.add_parser("converge", help="error-vs-h study against the exact solution")
+    p_conv.set_defaults(run=_cmd_converge)
     _add_common(p_conv)
     p_conv.add_argument(
         "--h",
@@ -73,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_sim = sub.add_parser("simulate", help="single trajectory run")
+    p_sim.set_defaults(run=_cmd_simulate)
     _add_common(p_sim)
     p_sim.add_argument("--h", type=float, default=None, help="step size")
     p_sim.add_argument(
@@ -83,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_chk = sub.add_parser("check", help="stiff order-condition report")
+    p_chk.set_defaults(run=_cmd_check)
     p_chk.add_argument("--method", required=True, choices=builtin_names())
     p_chk.add_argument("--order", type=int, default=None, help="order to certify (1..4)")
     p_chk.add_argument("--mode", choices=("strong", "weak"), default=None)
@@ -131,23 +134,15 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "converge":
-            return _cmd_converge(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (MeshError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrationDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    return 2
 
 
 def entrypoint():

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .history import norm_diff
+from .history import _grid, norm_diff
 from .quadrature import gauss_legendre
 from .stepper import initial_state, integrate, observed_values, TrajectoryRecorder
 from .tableau import builtin
@@ -77,7 +77,7 @@ def _integrated_errors(state, exact, T, norm: str):
     h = state.h
     lefts = (np.arange(n) - n) * h
     g8_x, g8_w = gauss_legendre(8)
-    seg_nodes = (lefts[:, None] + h * g8_x[None, :]).ravel()
+    seg_nodes = _grid(n, h, g8_x).ravel()
     vals = np.asarray(exact(T + seg_nodes), dtype=float).reshape(n, len(g8_x), -1)
     seg_int = h * np.einsum("q,nqd->nd", g8_w, vals)
     suffix = np.zeros((n + 1, state.dim))

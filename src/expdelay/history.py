@@ -8,9 +8,13 @@ continuity across mesh knots, left limits at knots.
 
 The packed (tau/h, dim, 4) coefficient array is the only representation of
 a history: segment i covers [(i - n) h, (i - n + 1) h], oldest first, in the
-local variable s = (theta - left)/h, lowest power first.  The mesh-size
-check, the knots and the per-segment node grids are derived from (tau, h)
-here, once each.
+local variable s = (theta - left)/h, lowest power first.  The knots and the
+per-segment node grids are derived from (tau, h) here, once each.
+
+The mesh rule of the package lives here: tau, T or a delay bound is on the
+mesh when value/h is within the knot tolerance 1e-9 * max(1, |value/h|) of
+an integer (:func:`_steps`, else :class:`MeshError`), and an offset is in
+[-tau, 0] when within 1e-9 * max(1, tau) of it (:func:`_outside`).
 
 Stepping never mutates a state: the shift-semigroup advance drops the oldest
 segment, re-indexes the rest, and appends the (dim, 4) cubic of the newest
@@ -21,11 +25,14 @@ shifted base state instead of materialising a full new history.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
     "DEGREE",
     "HistoryState",
+    "MeshError",
     "StageView",
     "norm_diff",
 ]
@@ -33,7 +40,7 @@ __all__ = [
 DEGREE = 3
 _NCOEF = DEGREE + 1
 
-#: relative tolerance for snapping evaluation points to mesh knots
+#: relative knot tolerance: closer mesh positions count as one
 _KNOT_RTOL = 1e-9
 
 # Chebyshev-Lobatto points on [0, 1]: (1 - cos(j*pi/3))/2.  They include the
@@ -64,14 +71,38 @@ def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
     return val
 
 
+class MeshError(ValueError):
+    """A step size, horizon or delay bound violates the mesh constraints."""
+
+
+def _knot_tol(x: float) -> float:
+    return _KNOT_RTOL * max(1.0, abs(x))
+
+
+def _steps(value: float, h: float, what: str) -> int:
+    """value/h as an int; raises MeshError unless h > 0 and value/h is
+    within the knot tolerance of an integer."""
+    if not h > 0.0:
+        raise MeshError(f"step size h = {h} must be positive")
+    ratio = value / h
+    if not math.isfinite(ratio) or abs(ratio - round(ratio)) > _knot_tol(ratio):
+        raise MeshError(f"{what} = {value} is not an integer multiple of h = {h}")
+    return int(round(ratio))
+
+
 def _mesh_size(tau: float, h: float) -> int:
-    """Number of segments n = tau/h; raises unless it is a positive integer."""
-    if tau <= 0.0 or h <= 0.0:
-        raise ValueError("tau and h must be positive")
-    n = int(round(tau / h))
-    if n < 1 or abs(n * h - tau) > _KNOT_RTOL * max(1.0, tau):
-        raise ValueError(f"tau/h = {tau / h} is not a positive integer")
+    """Number of segments n = tau/h; raises MeshError unless n >= 1."""
+    n = _steps(tau, h, "tau")
+    if n < 1:
+        raise MeshError(f"tau = {tau} must be a positive multiple of h = {h}")
     return n
+
+
+def _outside(thetas: np.ndarray, tau: float) -> np.ndarray:
+    """Mask of offsets outside [-tau, 0] by more than the knot tolerance;
+    NaN counts as outside."""
+    tol = _knot_tol(tau)
+    return ~((thetas >= -tau - tol) & (thetas <= tol))
 
 
 def _grid(n: int, h: float, s: np.ndarray) -> np.ndarray:
@@ -142,7 +173,10 @@ class HistoryState:
     def _check_continuity(self):
         newest_at_0 = _horner(self._coeffs[-1], np.float64(1.0))  # s = 1
         gap = np.max(np.abs(newest_at_0 - self.head))
-        tol = 1e-12 * (1.0 + float(np.max(np.abs(self.head))))
+        # the value at s = 1 is a sum of coefficients and rounds at their
+        # scale, which exceeds the head's when the segment decays steeply
+        scale = max(np.max(np.abs(self.head)), np.max(np.abs(self._coeffs[-1])))
+        tol = 1e-12 * (1.0 + float(scale))
         if gap > tol:
             raise ValueError(
                 f"DDE head/value mismatch at theta=0: |gap| = {gap:.3e} > {tol:.3e}"
@@ -178,12 +212,11 @@ class HistoryState:
         return (np.arange(n + 1) - n) * self.h
 
     def _locate(self, thetas: np.ndarray):
-        lo = -self.tau - _KNOT_RTOL * max(1.0, self.tau)
-        hi = _KNOT_RTOL * max(1.0, self.tau)
-        if np.any(thetas < lo) or np.any(thetas > hi):
-            bad = thetas[(thetas < lo) | (thetas > hi)][0]
+        bad = _outside(thetas, self.tau)
+        if bad.any():
             raise ValueError(
-                f"history evaluated at theta = {bad}, outside [-{self.tau}, 0]"
+                f"history evaluated at theta = {thetas[bad][0]}, "
+                f"outside [-{self.tau}, 0]"
             )
         u = (thetas + self.tau) / self.h
         r = np.rint(u)
@@ -263,7 +296,7 @@ class StageView:
     r = (theta + shift)/shift in [0, 1].
     """
 
-    __slots__ = ("base", "shift", "overlay_coeffs", "head")
+    __slots__ = ("base", "kind", "dim", "tau", "h", "shift", "overlay_coeffs", "head")
 
     def __init__(self, base, shift: float, overlay_coeffs: np.ndarray, head=None):
         if shift <= 0.0:
@@ -276,36 +309,20 @@ class StageView:
             )
         overlay_coeffs.setflags(write=False)
         self.base = base
+        self.kind, self.dim, self.tau, self.h = base.kind, base.dim, base.tau, base.h
         self.shift = float(shift)
         self.overlay_coeffs = overlay_coeffs
         self.head = _as_head(base.kind, base.dim, head)
 
-    @property
-    def kind(self):
-        return self.base.kind
-
-    @property
-    def dim(self):
-        return self.base.dim
-
-    @property
-    def tau(self):
-        return self.base.tau
-
-    @property
-    def h(self):
-        return self.base.h
-
     def breakpoints(self) -> np.ndarray:
         # base knots right of -tau, shifted: in order and ending at -shift
         shifted = self.base.breakpoints()[1:] - self.shift
-        keep = shifted > -self.tau + _KNOT_RTOL * max(1.0, self.tau)
+        keep = shifted > -self.tau + _knot_tol(self.tau)
         return np.concatenate([[-self.tau], shifted[keep], [0.0]])
 
     def eval_many(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
-        tol = _KNOT_RTOL * max(1.0, self.shift)
-        over = thetas >= -self.shift - tol
+        over = thetas >= -self.shift - _knot_tol(self.shift)
         out = np.empty((len(thetas), self.dim))
         if np.any(over):
             r = np.clip((thetas[over] + self.shift) / self.shift, 0.0, 1.0)

@@ -6,6 +6,8 @@ fixed 4-node Gauss-Legendre rule applied piece by piece is exact for
 integrands that are polynomials of degree <= 7 in theta on each piece and
 of order 8 on smooth ones -- far beyond the order of any shipped method.
 
+The window range check and the knot tolerance are the history module's.
+
 An adaptive rule driven by an error tolerance (accepting that the final
 error then decays to the tolerance rather than to zero) would also serve;
 the fixed rule is kept for determinism.
@@ -15,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["integrate_view", "gauss_legendre"]
+from .history import _knot_tol, _outside
 
-_RTOL = 1e-12
+__all__ = ["integrate_view", "gauss_legendre"]
 
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -28,13 +30,6 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         x, w = np.polynomial.legendre.leggauss(n)
         _RULES[n] = (0.5 * (x + 1.0), 0.5 * w)
     return _RULES[n]
-
-
-def _pieces(view, a: float, b: float) -> np.ndarray:
-    tol = _RTOL * max(1.0, view.tau)
-    knots = view.breakpoints()
-    inner = knots[(knots > a + tol) & (knots < b - tol)]
-    return np.concatenate([[a], inner, [b]])
 
 
 def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
@@ -48,13 +43,15 @@ def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
     """
     a = float(a)
     b = float(b)
-    tol = _RTOL * max(1.0, view.tau)
     if a >= b:
         raise ValueError(f"empty or reversed window [{a}, {b}]")
-    if a < -view.tau - tol or b > tol:
+    if _outside(np.array([a, b]), view.tau).any():
         raise ValueError(f"window [{a}, {b}] outside [-{view.tau}, 0]")
+    tol = _knot_tol(view.tau)
+    knots = view.breakpoints()
+    inner = knots[(knots > a + tol) & (knots < b - tol)]
+    edges = np.concatenate([[a], inner, [b]])
     nodes, weights = gauss_legendre(4)
-    edges = _pieces(view, a, b)
     widths = np.diff(edges)
     thetas = (edges[:-1, None] + widths[:, None] * nodes[None, :]).ravel()
     w = (widths[:, None] * weights[None, :]).ravel()

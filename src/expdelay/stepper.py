@@ -40,7 +40,10 @@ from .history import (
     _LOBATTO_S,
     _LOBATTO_VINV,
     HistoryState,
+    MeshError,
     StageView,
+    _outside,
+    _steps,
 )
 from .phi import phi_matrix_action
 
@@ -62,10 +65,6 @@ __all__ = [
 _NCOEF = DEGREE + 1
 
 
-class MeshError(ValueError):
-    """A step size, horizon or delay bound violates the mesh constraints."""
-
-
 class IntegrationDiverged(RuntimeError):
     """A stage or update produced a non-finite value."""
 
@@ -83,11 +82,11 @@ def _check_fields(problem, dim_fields):
     for field in dim_fields:
         if getattr(problem, field) < 1:
             raise ValueError(f"{field} must be >= 1, got {getattr(problem, field)}")
-    for lim in problem.distributed_limits:
-        if not -problem.tau - 1e-12 <= lim <= 1e-12:
-            raise ValueError(
-                f"distributed_limits entry {lim} outside [-tau, 0], tau = {problem.tau}"
-            )
+    if _outside(np.asarray(problem.distributed_limits, dtype=float), problem.tau).any():
+        raise ValueError(
+            f"distributed_limits {problem.distributed_limits} outside [-tau, 0], "
+            f"tau = {problem.tau}"
+        )
 
 
 @dataclass(frozen=True)
@@ -299,18 +298,10 @@ def step_coupled(problem, tab, state_re, state_dde, t_n: float, h: float):
     )
 
 
-def _check_multiple(value: float, h: float, what: str):
-    ratio = value / h
-    if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
-        raise MeshError(f"{what} = {value} is not an integer multiple of h = {h}")
-
-
 def initial_state(problem, h: float):
     """Project the problem's initial history onto a mesh of width h."""
-    _check_multiple(problem.tau, h, "tau")
     for lim in problem.distributed_limits:
-        if lim != 0.0:
-            _check_multiple(lim, h, "distributed delay bound")
+        _steps(lim, h, "distributed delay bound")
     if problem.kind == "coupled":
         re0 = HistoryState.from_callable(
             problem.phi0_re, "re", problem.dim_re, problem.tau, h
@@ -358,13 +349,9 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
     carrying the step and stage indices.
     """
     h = float(h)
-    T = float(T)
-    if h <= 0.0:
-        raise MeshError("step size must be positive")
-    if T < 0.0:
+    n_steps = _steps(float(T), h, "T")
+    if n_steps < 0:
         raise MeshError(f"horizon T = {T} is negative")
-    _check_multiple(T, h, "T")
-    n_steps = int(round(T / h))
     state = initial_state(problem, h) if state0 is None else state0
     for n in range(n_steps):
         try:

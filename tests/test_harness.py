@@ -133,6 +133,11 @@ def test_cli_converge_rejects_misaligned_h(capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    for flag, value in (("--T", "inf"), ("--T", "nan"), ("--h", "nan"), ("--h", "inf")):
+        for command in ("converge", "simulate"):
+            code = main([command, "--problem", "belzen", "--method", "heun", flag, value])
+            assert code == 2
+            assert "error:" in capsys.readouterr().err
 
 
 def test_cli_reports_divergence_with_exit_3(capsys, monkeypatch):

@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from expdelay import HistoryState, StageView, integrate_view, norm_diff
+from expdelay import (
+    HistoryState,
+    MeshError,
+    Problem,
+    StageView,
+    builtin,
+    initial_state,
+    integrate,
+    integrate_view,
+    norm_diff,
+)
 
 from conftest import smooth_re_state
 
@@ -31,6 +41,12 @@ def test_eval_outside_domain_raises(dde_state):
         dde_state.eval(-1.5)
     with pytest.raises(ValueError):
         dde_state.eval(0.5)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="outside"):
+            dde_state.eval(bad)
+    for a, b in ((np.nan, 0.0), (-0.5, np.nan), (-np.inf, 0.0), (-0.5, np.inf)):
+        with pytest.raises(ValueError, match="outside"):
+            integrate_view(dde_state, a, b, lambda th, x: x[:, 0])
 
 
 def test_tiling_and_breakpoints(dde_state):
@@ -154,6 +170,56 @@ def test_stage_view_breakpoints(h, n, c):
     if n > 1 or c < 1.0:  # else -h is the knot -tau itself
         assert -(c * h) in knots
     assert len(knots) == (n + 1 if c == 1.0 else n + 2)
+
+
+def _mesh_problem(tau, limits=()):
+    return Problem(
+        kind="dde",
+        dim=1,
+        tau=tau,
+        rhs=lambda t, v: np.zeros(1),
+        phi0=lambda th: np.zeros(np.shape(th)),
+        distributed_limits=limits,
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from([0.1, 1.0 / 3.0, 0.01, 0.7, 2e-5]),
+    st.integers(min_value=1, max_value=60),
+)
+@example(0.1, 30)  # tau = 3
+@example(1.0 / 3.0, 3)  # tau = 1
+def test_one_mesh_rule(h, n):
+    # tau is the decimal the user writes, so n * h matches it only to rounding
+    tau = round(n * h, 9)
+    tol = 1e-9 * max(1.0, tau)
+    state = HistoryState("re", 1, tau, h, np.zeros((n, 1, 4)))
+    assert state.n_segments == n
+    # on the mesh: tau, and every bound -k h; half a step off: rejected
+    with pytest.raises(MeshError):
+        HistoryState("re", 1, tau + h / 2, h, np.zeros((n, 1, 4)))
+    with pytest.raises(MeshError):
+        integrate(_mesh_problem(tau + h / 2), builtin("heun"), h, h)
+    for k in range(n + 1):
+        initial_state(_mesh_problem(tau, (-round(k * h, 9),)), h)
+        if k < n:
+            with pytest.raises(MeshError):
+                initial_state(_mesh_problem(tau, (-(k + 0.5) * h,)), h)
+    # inside [-tau, 0]: one band for lookups, windows and declared bounds
+    for lo, hi in ((-tau - tol / 2, 0.0), (-tau, tol / 2)):
+        assert np.all(np.isfinite(state.eval_many(np.array([lo, hi]))))
+        integrate_view(state, lo, hi, lambda th, x: x[:, 0])
+        _mesh_problem(tau, (lo, hi))
+    beyond = (-tau - 2 * tol, 2 * tol, np.nan)
+    windows = ((-tau - 2 * tol, 0.0), (-tau, 2 * tol), (np.nan, 0.0))
+    for bad, (lo, hi) in zip(beyond, windows):
+        with pytest.raises(ValueError, match="outside"):
+            state.eval_many(np.array([bad]))
+        with pytest.raises(ValueError, match="outside"):
+            integrate_view(state, lo, hi, lambda th, x: x[:, 0])
+        with pytest.raises(ValueError, match="outside"):
+            _mesh_problem(tau, (bad,))
 
 
 def test_j_integrate_constant():

@@ -478,6 +478,24 @@ def test_semilinear_step_matches_scalar_phi(hl, name):
     np.testing.assert_allclose(new.head, want, rtol=0.0, atol=atol)  # r = 1
 
 
+@pytest.mark.parametrize("name", ["expeuler", "heun", "expo3"])
+@pytest.mark.parametrize("lam", [-10.0, -1e2, -1e3, -1e4])
+@pytest.mark.parametrize("y0", [1.0, 1e3, 1e6, 1e9, 1e12])
+def test_semilinear_decay_from_large_history(name, lam, y0):
+    # the stored newest segment has coefficients of about 6|y| while the head
+    # decays to e^{h lam}|y|: the continuity check must scale with both
+    prob = Problem(
+        kind="semilinear_dde",
+        dim=1,
+        tau=1.0,
+        rhs=lambda t, v: np.zeros(1),
+        phi0=lambda th: np.full(np.shape(th), y0),
+        L=np.array([[lam]]),
+    )
+    state = integrate(prob, builtin(name), 0.1, 1.0)
+    assert state.head[0] == pytest.approx(y0 * math.exp(lam), rel=1e-13, abs=0)
+
+
 @pytest.mark.parametrize("kind", ["dde", "re"])
 def test_problem_rejects_matrix_outside_semilinear_kind(kind):
     with pytest.raises(ValueError, match="semilinear_dde"):
@@ -590,6 +608,9 @@ def test_integrate_validates_mesh_ratios():
 
     with pytest.raises(MeshError):
         integrate(quadratic_re(4.0), builtin("heun"), 0.4, 4.0)  # window misaligned
+    for h, T in ((0.1, np.inf), (0.1, np.nan), (np.nan, 1.0), (np.inf, 1.0)):
+        with pytest.raises(MeshError):
+            integrate(prob, builtin("heun"), h, T)
 
 
 def test_observer_contract():
