@@ -105,6 +105,15 @@ def _outside(thetas: np.ndarray, tau: float) -> np.ndarray:
     return ~((thetas >= -tau - tol) & (thetas <= tol))
 
 
+def _check_inside(thetas: np.ndarray, tau: float):
+    """Raise the named ValueError for the first offset outside [-tau, 0]."""
+    bad = _outside(thetas, tau)
+    if bad.any():
+        raise ValueError(
+            f"history evaluated at theta = {thetas[bad][0]}, outside [-{tau}, 0]"
+        )
+
+
 def _grid(n: int, h: float, s: np.ndarray) -> np.ndarray:
     # offsets of the local nodes s on each of the n segments, shape (n, len(s))
     return ((np.arange(n) - n) * h)[:, None] + h * s[None, :]
@@ -212,12 +221,7 @@ class HistoryState:
         return (np.arange(n + 1) - n) * self.h
 
     def _locate(self, thetas: np.ndarray):
-        bad = _outside(thetas, self.tau)
-        if bad.any():
-            raise ValueError(
-                f"history evaluated at theta = {thetas[bad][0]}, "
-                f"outside [-{self.tau}, 0]"
-            )
+        _check_inside(thetas, self.tau)
         u = (thetas + self.tau) / self.h
         r = np.rint(u)
         on_knot = np.abs(u - r) <= _KNOT_RTOL * np.maximum(1.0, np.abs(u))
@@ -291,9 +295,9 @@ class StageView:
     """Stage value of an exponential RK step: a shifted base history with one
     polynomial overlaid on [-shift, 0].
 
-    eval(theta) is the overlay for theta >= -shift and base.eval(shift+theta)
-    below; the overlay is stored in the local variable
-    r = (theta + shift)/shift in [0, 1].
+    eval(theta), for theta in [-tau, 0] only, is the overlay for
+    theta >= -shift and base.eval(shift+theta) below; the overlay is stored
+    in the local variable r = (theta + shift)/shift in [0, 1].
     """
 
     __slots__ = ("base", "kind", "dim", "tau", "h", "shift", "overlay_coeffs", "head")
@@ -322,6 +326,7 @@ class StageView:
 
     def eval_many(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
+        _check_inside(thetas, self.tau)
         over = thetas >= -self.shift - _knot_tol(self.shift)
         out = np.empty((len(thetas), self.dim))
         if np.any(over):

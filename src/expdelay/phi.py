@@ -99,10 +99,6 @@ class PhiCombo:
     def at_zero(self) -> float:
         return sum(w / math.factorial(k) for k, w in self.terms)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.terms
-
 
 def phi_dde_weight(k: int, gh: float, theta: float) -> float:
     """Tail weight of phi_k(gh*A0) acting on a head-concentrated forcing (f; 0).

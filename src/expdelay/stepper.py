@@ -11,14 +11,16 @@ w * phi_k(c_i h A0) applied to a stage value F contributes
 on [-c_i h, 0] and nothing older, which in the local coordinate
 r = (theta + c_i h)/(c_i h) is a plain monomial.  Every problem kind runs one
 stage loop over a tuple of history components (an RE and a DDE one for
-coupled problems); the kinds differ only in the overlay rule that turns a
-tableau row into the polynomial on the newest interval:
+coupled problems), each with its stage values as the rows of a (nu, dim)
+array F.  Tableau row i reads them as u = W_i^T F (u_k sums w * F over the
+row's order-k terms; :attr:`~expdelay.tableau.Tableau.weights`), and the
+kinds differ only in the overlay rule that turns u into the polynomial on
+the newest interval:
 
-* DDE: head y plus h*w/k! on r^k, so the value at r = 1 is the new head;
-* RE: w/(c (k-1)!) on r^{k-1}, no head;
-* semilinear DDE: e^{r c h L} y + sum_k r^k phi_k(r c h L) u_k with
-  u_k = sum h*w*F over the row's order-k terms, sampled at four
-  Chebyshev-Lobatto points with one augmented exponential each
+* DDE: head y plus h*u_k/k! on r^k, so the value at r = 1 is the new head;
+* RE: u_k/(c (k-1)!) on r^{k-1}, no head;
+* semilinear DDE: e^{r c h L} y + sum_k r^k phi_k(r c h L) h*u_k, sampled
+  at four Chebyshev-Lobatto points with one augmented exponential each
   (:func:`~expdelay.phi.phi_matrix_action`; r = 1 gives the exact head) and
   stored as its cubic interpolant, the only rule that interpolates.
 
@@ -36,12 +38,12 @@ from typing import Callable
 import numpy as np
 
 from .history import (
-    DEGREE,
     _LOBATTO_S,
     _LOBATTO_VINV,
     HistoryState,
     MeshError,
     StageView,
+    _NCOEF,
     _outside,
     _steps,
 )
@@ -62,7 +64,7 @@ __all__ = [
     "TrajectoryRecorder",
 ]
 
-_NCOEF = DEGREE + 1
+_FACTORIAL = np.array([math.factorial(k) for k in range(_NCOEF)], dtype=float)
 
 
 class IntegrationDiverged(RuntimeError):
@@ -75,10 +77,10 @@ class IntegrationDiverged(RuntimeError):
 
 
 def _check_fields(problem, dim_fields):
-    """Checks shared by every problem type: tau > 0, each named dimension
-    >= 1 and every distributed limit in [-tau, 0]."""
-    if not problem.tau > 0.0:
-        raise ValueError(f"tau must be positive, got {problem.tau}")
+    """Checks shared by every problem type: tau positive and finite, each
+    named dimension >= 1 and every distributed limit in [-tau, 0]."""
+    if not 0.0 < problem.tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {problem.tau}")
     for field in dim_fields:
         if getattr(problem, field) < 1:
             raise ValueError(f"{field} must be >= 1, got {getattr(problem, field)}")
@@ -162,12 +164,13 @@ class CoupledProblem:
             object.__setattr__(self, "component_names", names)
 
 
-def _as_rhs_value(raw, dim: int, what: str) -> np.ndarray:
+def _as_rhs_value(raw, state, single: bool) -> np.ndarray:
     val = np.asarray(raw, dtype=float)
-    if val.ndim == 0 and dim == 1:
+    if val.ndim == 0 and state.dim == 1:
         val = val.reshape(1)
-    if val.shape != (dim,):
-        raise ValueError(f"{what} returned shape {val.shape}, expected ({dim},)")
+    if val.shape != (state.dim,):
+        what = "rhs" if single else f"rhs ({state.kind.upper()} component)"
+        raise ValueError(f"{what} returned shape {val.shape}, expected ({state.dim},)")
     return val
 
 
@@ -183,35 +186,24 @@ def _check_mesh(state, h: float):
         raise MeshError(f"state mesh width {state.h} does not match step {h}")
 
 
-def _dde_overlay(state, pairs, c: float, h: float):
+def _dde_overlay(state, u, c: float, h: float):
     coeffs = np.zeros((state.dim, _NCOEF))
     coeffs[:, 0] = state.head
-    for combo, fval in pairs:
-        for k, w in combo.terms:
-            coeffs[:, k] += (h * w / math.factorial(k)) * fval
+    coeffs[:, 1 : len(u)] = (h * u[1:] / _FACTORIAL[1 : len(u), None]).T
     return coeffs, coeffs.sum(axis=1)
 
 
-def _re_overlay(state, pairs, c: float, h: float):
+def _re_overlay(state, u, c: float, h: float):
     coeffs = np.zeros((state.dim, _NCOEF))
-    scale = 1.0 / c
-    for combo, fval in pairs:
-        for k, w in combo.terms:
-            coeffs[:, k - 1] += (scale * w / math.factorial(k - 1)) * fval
+    coeffs[:, : len(u) - 1] = (u[1:] / (c * _FACTORIAL[: len(u) - 1, None])).T
     return coeffs, None
 
 
-def _semilinear_overlay(L, state, pairs, c: float, h: float):
-    us = np.zeros((_NCOEF, state.dim))
+def _semilinear_overlay(L, state, u, c: float, h: float):
+    us = h * u
     us[0] = state.head
-    p = 0
-    for combo, fval in pairs:
-        for k, w in combo.terms:
-            us[k] += (h * w) * fval
-            p = max(p, k)
-    us = us[: p + 1]
     samples = np.array([
-        phi_matrix_action(r * (c * h) * L, r ** np.arange(p + 1)[:, None] * us)
+        phi_matrix_action(r * (c * h) * L, r ** np.arange(len(us))[:, None] * us)
         for r in _LOBATTO_S
     ])
     return samples.T @ _LOBATTO_VINV.T, samples[-1]
@@ -220,17 +212,17 @@ def _semilinear_overlay(L, state, pairs, c: float, h: float):
 def _step(tab, states, overlays, rhs, t_n: float, h: float) -> tuple:
     """One explicit exponential RK step of a tuple of history components.
 
-    ``overlays[m](state, pairs, c, h)``, with ``pairs`` an iterator of
-    (combo, F), returns the coefficients and head (None for RE) of
-    component m on its newest interval.
+    ``overlays[m](state, u, c, h)``, with ``u = W_i^T F`` the row's
+    (p_i + 1, dim) phi weights of component m's stage values, returns the
+    coefficients and head (None for RE) of component m on its newest
+    interval.
     ``rhs(t, *views)`` returns one value per component, or the bare value
     for a single component.
     """
     for state in states:
         _check_mesh(state, h)
     single = len(states) == 1
-    whats = ["rhs"] if single else [f"rhs ({s.kind.upper()} component)" for s in states]
-    fvals = [[] for _ in states]
+    F = [np.zeros((tab.nu, state.dim)) for state in states]
     for i in range(tab.nu):
         ci = tab.c[i]
         if ci == 0.0:
@@ -239,17 +231,16 @@ def _step(tab, states, overlays, rhs, t_n: float, h: float) -> tuple:
             views = states
         else:
             views = []
-            for state, overlay, fv in zip(states, overlays, fvals):
-                coeffs, head = overlay(state, zip(tab.a[i], fv), ci, h)
+            for state, overlay, f in zip(states, overlays, F):
+                coeffs, head = overlay(state, tab.weights[i].T @ f, ci, h)
                 views.append(StageView(state, ci * h, coeffs, head=head))
         raw = rhs(t_n + ci * h, *views)
-        for r, state, what, fv in zip((raw,) if single else raw, states, whats, fvals):
-            val = _as_rhs_value(r, state.dim, what)
-            _require_finite(val, i + 1, "stage value")
-            fv.append(val)
+        for r, state, f in zip((raw,) if single else raw, states, F):
+            f[i] = _as_rhs_value(r, state, single)
+            _require_finite(f[i], i + 1, "stage value")
     new = []
-    for state, overlay, fv in zip(states, overlays, fvals):
-        coeffs, head = overlay(state, zip(tab.b, fv), 1.0, h)
+    for state, overlay, f in zip(states, overlays, F):
+        coeffs, head = overlay(state, tab.weights[-1].T @ f, 1.0, h)
         if head is not None:
             _require_finite(head, tab.nu, "update")
         new.append(state.shift_append(coeffs, head=head))

@@ -2,17 +2,19 @@
 
 Coefficients a_ij and b_i are linear combinations of phi_k
 (:class:`~expdelay.phi.PhiCombo`) evaluated at the row's node: row i of
-``a`` at c_i z and ``b`` at z.  They are kept in that symbolic form so the
-order-condition checker and the steppers share one source of truth.  The
-checker evaluates the stiff order conditions up to order 4 on a fixed sample
-of real arguments, in strong (operator-argument) or weak (frozen-argument)
-form.
+``a`` at c_i z and ``b`` at z.  The symbolic (k, w) terms are what the
+order-condition checker reads; the steppers read the same terms as one
+weight matrix per row, built once with the tableau.  The checker evaluates
+the stiff order conditions up to order 4 on a fixed sample of real
+arguments, in strong (operator-argument) or weak (frozen-argument) form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .history import DEGREE
 from .phi import PhiCombo, phi_scalar
@@ -60,6 +62,10 @@ class Tableau:
     phi_k(c_i h A0)) and ``b`` at z.  Terms have order k <= DEGREE, the
     degree of a stored history segment, so every method runs on every
     problem kind.
+
+    ``weights`` holds one read-only matrix W_i per row, the rows of ``a``
+    and then ``b``, of shape (nu, p_i + 1) with p_i the row's highest phi
+    order: W_i[j, k] sums the weights of the order-k terms of entry (i, j).
     """
 
     name: str
@@ -68,6 +74,7 @@ class Tableau:
     b: tuple[PhiCombo, ...]
     declared_order: int
     declared_mode: str = "strong"
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nu = len(self.c)
@@ -79,19 +86,29 @@ class Tableau:
             raise ValueError("b must have one combination per stage")
         if self.declared_mode not in ("strong", "weak"):
             raise ValueError("declared_mode must be 'strong' or 'weak'")
-        for i, row in enumerate(self.a):
-            for j, combo in enumerate(row):
-                if j >= i and not combo.is_empty:
-                    raise ValueError(f"a[{i}][{j}] must be empty (explicit method)")
-            if any(combo.terms for combo in row) and not 0.0 < self.c[i] <= 1.0:
+        weights = tuple(_weight_matrix(row) for row in (*self.a, self.b))
+        for i, W in enumerate(weights[:nu]):
+            if W[i:].any():
+                raise ValueError(f"a[{i}][j] must be empty for j >= {i} (explicit method)")
+            if W.shape[1] > 1 and not 0.0 < self.c[i] <= 1.0:
                 raise ValueError(f"a row with terms needs c_{i + 1} in (0, 1]")
-        terms = [t for row in (*self.a, self.b) for combo in row for t in combo.terms]
-        if any(k > DEGREE for k, _ in terms):
-            raise ValueError(f"phi orders above the segment degree {DEGREE}: {terms}")
+        if max(W.shape[1] for W in weights) > DEGREE + 1:
+            raise ValueError(f"phi orders above the segment degree {DEGREE}")
+        object.__setattr__(self, "weights", weights)
 
     @property
     def nu(self) -> int:
         return len(self.c)
+
+
+def _weight_matrix(row) -> np.ndarray:
+    """Read-only (nu, p + 1) matrix of one row's term weights by phi order."""
+    W = np.zeros((len(row), 1 + max((k for e in row for k, _ in e.terms), default=0)))
+    for j, combo in enumerate(row):
+        for k, w in combo.terms:
+            W[j, k] += w
+    W.setflags(write=False)
+    return W
 
 
 def _combo(*terms) -> PhiCombo:
@@ -202,14 +219,9 @@ def _row_residual(tab: Tableau, row: int, z: float, weak_b: bool) -> float:
     if row == 3:
         return max(abs(psi_a(tab, 1, i, z)) for i in range(1, tab.nu + 1))
     bvals = [combo.at_zero() if weak_b else combo.at(z) for combo in tab.b]
-    if row == 5:
-        return abs(
-            sum(bvals[i] * psi_a(tab, 2, i + 1, z) for i in range(tab.nu))
-        )
-    if row == 7:
-        return abs(
-            sum(bvals[i] * psi_a(tab, 3, i + 1, z) for i in range(tab.nu))
-        )
+    if row in (5, 7):
+        j = 2 if row == 5 else 3
+        return abs(sum(b * psi_a(tab, j, i + 1, z) for i, b in enumerate(bvals)))
     if row == 8:
         return abs(
             sum(
@@ -222,12 +234,8 @@ def _row_residual(tab: Tableau, row: int, z: float, weak_b: bool) -> float:
             )
         )
     if row == 9:
-        return abs(
-            sum(
-                bvals[i] * tab.c[i] * psi_a(tab, 2, i + 1, z)
-                for i in range(tab.nu)
-            )
-        )
+        terms = zip(bvals, tab.c, range(1, tab.nu + 1))
+        return abs(sum(b * c * psi_a(tab, 2, i, z) for b, c, i in terms))
     raise ValueError(f"unknown condition row {row}")
 
 

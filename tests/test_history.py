@@ -47,6 +47,11 @@ def test_eval_outside_domain_raises(dde_state):
     for a, b in ((np.nan, 0.0), (-0.5, np.nan), (-np.inf, 0.0), (-0.5, np.inf)):
         with pytest.raises(ValueError, match="outside"):
             integrate_view(dde_state, a, b, lambda th, x: x[:, 0])
+    # a stage view is range-checked as a state, not clamped to its head
+    view = StageView(dde_state, 0.125, np.ones((1, 4)), head=[4.0])
+    for bad in (0.5, np.inf, -np.inf, np.nan, 2e-9, -1.0 - 2e-9):
+        with pytest.raises(ValueError, match="outside"):
+            view.eval(bad)
 
 
 def test_tiling_and_breakpoints(dde_state):

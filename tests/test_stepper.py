@@ -528,6 +528,10 @@ def test_coupled_problem_checks_limits_and_dims():
         dataclasses.replace(prob, distributed_limits=(-5.0, -3.0))  # tau = 4
     with pytest.raises(ValueError, match="dim_re"):
         dataclasses.replace(prob, dim_re=0)
+    for make in (daphnia, belzen):
+        for tau in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="tau must be positive and finite"):
+                dataclasses.replace(make(), tau=tau)
 
 
 def test_semilinear_requires_matrix():

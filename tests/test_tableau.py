@@ -70,6 +70,30 @@ def test_tableau_validation():
             )
 
 
+def test_weight_matrices():
+    # one read-only matrix per row, the rows of a and then b: W[j, k] sums
+    # the order-k weights of entry j, for the orders 0..p of the row
+    expo3 = builtin("expo3")
+    want = (
+        np.zeros((3, 1)),
+        [[0.0, 0.5], [0.0, 0.0], [0.0, 0.0]],
+        [[0.0, 2.0 / 3.0, -8.0 / 9.0], [0.0, 0.0, 8.0 / 9.0], [0.0, 0.0, 0.0]],
+        [[0.0, 1.0, -1.5], [0.0, 0.0, 0.0], [0.0, 0.0, 1.5]],
+    )
+    assert len(expo3.weights) == len(want)
+    for W, ref in zip(expo3.weights, want):
+        np.testing.assert_array_equal(W, ref)
+        assert not W.flags.writeable
+    repeated = Tableau(
+        name="repeated",
+        c=(0.0,),
+        a=((PhiCombo(),),),
+        b=(PhiCombo(((2, 0.25), (1, 0.5), (2, 0.25))),),
+        declared_order=1,
+    )
+    np.testing.assert_array_equal(repeated.weights[-1], [[0.0, 0.5, 0.5]])
+
+
 def test_tableau_rejects_orders_above_segment_degree():
     # a phi_4 term would need a quartic overlay, which no history stores
     good = builtin("heun")
