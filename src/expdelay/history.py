@@ -186,9 +186,10 @@ class HistoryState:
         # scale, which exceeds the head's when the segment decays steeply
         scale = max(np.max(np.abs(self.head)), np.max(np.abs(self._coeffs[-1])))
         tol = 1e-12 * (1.0 + float(scale))
-        if gap > tol:
+        if not gap <= tol:  # NaN in the head or the segment fails too
             raise ValueError(
-                f"DDE head/value mismatch at theta=0: |gap| = {gap:.3e} > {tol:.3e}"
+                f"DDE head {self.head} does not match the newest segment's value "
+                f"{newest_at_0} at theta=0: |gap| = {gap:.3e} > {tol:.3e}"
             )
 
     @classmethod
@@ -221,7 +222,7 @@ class HistoryState:
         return (np.arange(n + 1) - n) * self.h
 
     def _locate(self, thetas: np.ndarray):
-        _check_inside(thetas, self.tau)
+        """Segment index and local coordinate of range-checked offsets."""
         u = (thetas + self.tau) / self.h
         r = np.rint(u)
         on_knot = np.abs(u - r) <= _KNOT_RTOL * np.maximum(1.0, np.abs(u))
@@ -235,6 +236,11 @@ class HistoryState:
     def eval_many(self, thetas) -> np.ndarray:
         """Evaluate at an array of offsets; returns shape (len(thetas), dim)."""
         thetas = np.asarray(thetas, dtype=float)
+        _check_inside(thetas, self.tau)
+        return self._eval(thetas)
+
+    def _eval(self, thetas: np.ndarray) -> np.ndarray:
+        """eval_many for offsets the caller has range-checked."""
         idx, s = self._locate(thetas)
         return _horner(self._coeffs[idx], s)
 
@@ -272,6 +278,7 @@ class HistoryState:
             raise ValueError("j_integrate is defined for RE states only")
         scalar = np.isscalar(theta) or np.ndim(theta) == 0
         thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+        _check_inside(thetas, self.tau)
         idx, s = self._locate(thetas)
         inv = 1.0 / (1.0 + np.arange(_NCOEF))
         seg_int = self.h * (self._coeffs * inv).sum(axis=-1)  # (n, d)
@@ -333,7 +340,7 @@ class StageView:
             r = np.clip((thetas[over] + self.shift) / self.shift, 0.0, 1.0)
             out[over] = _horner(self.overlay_coeffs, r)
         if not np.all(over):
-            out[~over] = self.base.eval_many(thetas[~over] + self.shift)
+            out[~over] = self.base._eval(thetas[~over] + self.shift)
         return out
 
     def eval(self, theta: float) -> np.ndarray:

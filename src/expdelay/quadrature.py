@@ -56,9 +56,9 @@ def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
     thetas = (edges[:-1, None] + widths[:, None] * nodes[None, :]).ravel()
     w = (widths[:, None] * weights[None, :]).ravel()
     fv = np.asarray(integrand(thetas, view.eval_many(thetas)), dtype=float)
-    if fv.shape[0] != len(thetas):
+    if fv.ndim not in (1, 2) or fv.shape[0] != len(thetas):
         raise ValueError(
-            f"integrand returned leading size {fv.shape[0]}, "
-            f"expected {len(thetas)}"
+            f"integrand returned shape {fv.shape}, "
+            f"expected ({len(thetas)},) or ({len(thetas)}, q)"
         )
-    return np.tensordot(w, fv, axes=(0, 0))
+    return w @ fv

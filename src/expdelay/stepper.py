@@ -269,8 +269,11 @@ def step_semilinear_dde(problem, tab, state, t_n: float, h: float) -> HistorySta
     Each row takes one augmented exponential per Chebyshev-Lobatto point:
     heads are exact matrix phi actions; segment profiles (which involve
     e^{(h+theta)L}) are sampled at the 4 points and stored as their cubic
-    interpolant, an O(h^4) error below the order of any shipped method.
-    With L = 0 the step reduces to :func:`step_dde`.
+    interpolant.  That stored segment is not exact when hL is stiff: one
+    expeuler step of x' = lam x from x = 1 at h = 0.01 stores a segment with
+    max error 4e-4, 0.15 and 0.77 at h lam = -1, -10 and -100, and at -10 it
+    dips to -0.11 (ROADMAP.md, item 6).  With L = 0 the step reduces to
+    :func:`step_dde`.
     """
     if problem.L is None:
         raise ValueError("semilinear step requires the matrix L")

@@ -1,18 +1,22 @@
-"""Butcher tableaux of explicit exponential Runge-Kutta methods.
+"""Butcher tableaux of explicit exponential Runge-Kutta methods and the
+table of stiff order conditions they are checked against.
 
 Coefficients a_ij and b_i are linear combinations of phi_k
 (:class:`~expdelay.phi.PhiCombo`) evaluated at the row's node: row i of
-``a`` at c_i z and ``b`` at z.  The symbolic (k, w) terms are what the
-order-condition checker reads; the steppers read the same terms as one
-weight matrix per row, built once with the tableau.  The checker evaluates
-the stiff order conditions up to order 4 on a fixed sample of real
-arguments, in strong (operator-argument) or weak (frozen-argument) form.
+``a`` at c_i z and ``b`` at z.  The steppers read the (k, w) terms as one
+weight matrix per row, built once with the tableau.  The checker reads them
+as defects psi_j(z) = c^j phi_j(c z) - sum_k w_k c_k^{j-1}/(j-1)! of the
+rows of ``a`` and of ``b``, the row with c = 1.  ``_CONDITIONS`` holds one
+entry per row of the condition table up to order 4: the order it certifies,
+its label and its residual.  Residuals are evaluated on a fixed sample of
+real arguments in strong (operator-argument) or weak (frozen-argument) form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,25 +36,8 @@ __all__ = [
 #: sample arguments for operator-form condition checks
 Z_SAMPLES = (-20.0, -5.0, -1.0, 0.0, 0.5, 2.0, 10.0)
 
-#: pass threshold on the largest residual
+#: largest residual that still passes
 RESIDUAL_TOL = 1e-10
-
-# Table rows grouped by the order they certify.  Rows 5, 7, 8 and 9 involve
-# arbitrary bounded operators; they are checked with scalar placeholders
-# (J = K = 1), a necessary condition that is exact for the shipped methods.
-_ORDER_ROWS = {1: (1,), 2: (2, 3), 3: (4, 5), 4: (6, 7, 8, 9)}
-_PSI_ROW = {1: 1, 2: 2, 3: 4, 4: 6}
-_ROW_LABEL = {
-    1: "psi_1 = 0",
-    2: "psi_2 = 0",
-    3: "psi_1i = 0 for every stage i",
-    4: "psi_3 = 0",
-    5: "sum_i b_i J psi_2i = 0",
-    6: "psi_4 = 0",
-    7: "sum_i b_i J psi_3i = 0",
-    8: "sum_i b_i J sum_j a_ij J psi_2j = 0",
-    9: "sum_i b_i c_i K psi_2i = 0",
-}
 
 
 @dataclass(frozen=True)
@@ -96,6 +83,10 @@ class Tableau:
             raise ValueError(f"phi orders above the segment degree {DEGREE}")
         object.__setattr__(self, "weights", weights)
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through __post_init__: read-only weights
+        return Tableau, tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
     @property
     def nu(self) -> int:
         return len(self.c)
@@ -129,14 +120,8 @@ _BUILTINS = {
     "heun": Tableau(
         name="heun",
         c=(0.0, 1.0),
-        a=(
-            (_combo(), _combo()),
-            (_combo((1, 1.0)), _combo()),
-        ),
-        b=(
-            _combo((1, 1.0), (2, -1.0)),
-            _combo((2, 1.0)),
-        ),
+        a=((_combo(), _combo()), (_combo((1, 1.0)), _combo())),
+        b=(_combo((1, 1.0), (2, -1.0)), _combo((2, 1.0))),
         declared_order=2,
     ),
     # Three stages, c = (0, 1/2, 2/3); satisfies the order-3 conditions in
@@ -147,17 +132,9 @@ _BUILTINS = {
         a=(
             (_combo(), _combo(), _combo()),
             (_combo((1, 0.5)), _combo(), _combo()),
-            (
-                _combo((1, 2.0 / 3.0), (2, -8.0 / 9.0)),
-                _combo((2, 8.0 / 9.0)),
-                _combo(),
-            ),
+            (_combo((1, 2.0 / 3.0), (2, -8.0 / 9.0)), _combo((2, 8.0 / 9.0)), _combo()),
         ),
-        b=(
-            _combo((1, 1.0), (2, -1.5)),
-            _combo(),
-            _combo((2, 1.5)),
-        ),
+        b=(_combo((1, 1.0), (2, -1.5)), _combo(), _combo((2, 1.5))),
         declared_order=3,
         declared_mode="weak",
     ),
@@ -178,18 +155,26 @@ def builtin(name: str) -> Tableau:
         ) from None
 
 
+def _defect(j: int, c: float, z: float, coeffs) -> float:
+    """psi_j of one tableau row with node c and (c_k, w_k) pairs ``coeffs``."""
+    acc = c**j * phi_scalar(j, c * z)
+    fac = math.factorial(j - 1)
+    for ck, w in coeffs:
+        acc -= w * ck ** (j - 1) / fac
+    return acc
+
+
+def _update_weights(tab: Tableau, z: float, weak: bool) -> list[float]:
+    return [combo.at_zero() if weak else combo.at(z) for combo in tab.b]
+
+
 def psi_b(tab: Tableau, j: int, z: float, weak: bool = False) -> float:
     """Update-row defect psi_j(z) = phi_j(z) - sum_k B_k(z) c_k^{j-1}/(j-1)!.
 
     B_k is the full combination b_k(z) in strong form, or the frozen value
     b_k(0) when ``weak`` is set.
     """
-    acc = phi_scalar(j, z)
-    fac = math.factorial(j - 1)
-    for ck, combo in zip(tab.c, tab.b):
-        bk = combo.at_zero() if weak else combo.at(z)
-        acc -= bk * ck ** (j - 1) / fac
-    return acc
+    return _defect(j, 1.0, z, zip(tab.c, _update_weights(tab, z, weak)))
 
 
 def psi_a(tab: Tableau, j: int, stage: int, z: float) -> float:
@@ -204,39 +189,53 @@ def psi_a(tab: Tableau, j: int, stage: int, z: float) -> float:
         raise ValueError(f"stage must be in 1..{tab.nu}, got {stage}")
     i = stage - 1
     ci = tab.c[i]
-    acc = ci**j * phi_scalar(j, ci * z)
-    fac = math.factorial(j - 1)
-    for k in range(i):
-        acc -= tab.a[i][k].at(ci * z) * tab.c[k] ** (j - 1) / fac
-    return acc
+    return _defect(j, ci, z, ((tab.c[k], tab.a[i][k].at(ci * z)) for k in range(i)))
 
 
-def _row_residual(tab: Tableau, row: int, z: float, weak_b: bool) -> float:
-    """|residual| of one Table row at argument z; J = K = 1 placeholders."""
-    if row in (1, 2, 4, 6):
-        j = {1: 1, 2: 2, 4: 3, 6: 4}[row]
-        return abs(psi_b(tab, j, z, weak=weak_b))
-    if row == 3:
-        return max(abs(psi_a(tab, 1, i, z)) for i in range(1, tab.nu + 1))
-    bvals = [combo.at_zero() if weak_b else combo.at(z) for combo in tab.b]
-    if row in (5, 7):
-        j = 2 if row == 5 else 3
-        return abs(sum(b * psi_a(tab, j, i + 1, z) for i, b in enumerate(bvals)))
-    if row == 8:
-        return abs(
-            sum(
-                bvals[i]
-                * sum(
-                    tab.a[i][j].at(tab.c[i] * z) * psi_a(tab, 2, j + 1, z)
-                    for j in range(1, i)
-                )
-                for i in range(tab.nu)
-            )
-        )
-    if row == 9:
-        terms = zip(bvals, tab.c, range(1, tab.nu + 1))
-        return abs(sum(b * c * psi_a(tab, 2, i, z) for b, c, i in terms))
-    raise ValueError(f"unknown condition row {row}")
+class _Row(NamedTuple):
+    order: int  # the order the row certifies
+    label: str
+    residual: Callable  # (tab, z, B) -> |residual| at z, with update weights B
+    psi: bool = False  # the psi_order row, which weak form takes at z = 0
+
+
+def _dot(x, y) -> float:
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _psis(tab: Tableau, j: int, z: float) -> list[float]:
+    """psi_ji(z) of every stage row i."""
+    return [psi_a(tab, j, i, z) for i in range(1, tab.nu + 1)]
+
+
+def _psi_row(j: int) -> _Row:
+    """The psi_j row: the defect of the update row."""
+    return _Row(j, f"psi_{j} = 0",
+                lambda t, z, B: abs(_defect(j, 1.0, z, zip(t.c, B))), psi=True)
+
+
+def _nested(tab: Tableau, z: float, B) -> float:
+    d = _psis(tab, 2, z)
+    a = [[combo.at(c * z) for combo in row] for c, row in zip(tab.c, tab.a)]
+    return abs(_dot(B, [_dot(a[i][1:i], d[1:i]) for i in range(tab.nu)]))
+
+
+# The condition table by row number.  Rows 5, 7, 8 and 9 involve arbitrary
+# bounded operators; they are checked with scalar placeholders (J = K = 1), a
+# necessary condition that is exact for the shipped methods.
+_CONDITIONS = {
+    1: _psi_row(1),
+    2: _psi_row(2),
+    3: _Row(2, "psi_1i = 0 for every stage i",
+            lambda t, z, B: max(map(abs, _psis(t, 1, z)))),
+    4: _psi_row(3),
+    5: _Row(3, "sum_i b_i J psi_2i = 0", lambda t, z, B: abs(_dot(B, _psis(t, 2, z)))),
+    6: _psi_row(4),
+    7: _Row(4, "sum_i b_i J psi_3i = 0", lambda t, z, B: abs(_dot(B, _psis(t, 3, z)))),
+    8: _Row(4, "sum_i b_i J sum_j a_ij J psi_2j = 0", _nested),
+    9: _Row(4, "sum_i b_i c_i K psi_2i = 0",
+            lambda t, z, B: abs(_dot([b * c for b, c in zip(B, t.c)], _psis(t, 2, z)))),
+}
 
 
 @dataclass(frozen=True)
@@ -249,17 +248,13 @@ class OrderReport:
     passed: bool
     residuals: dict[int, float] = field(default_factory=dict)
     failed_conditions: tuple[int, ...] = ()
-    threshold: float = RESIDUAL_TOL
 
     def __str__(self):
-        lines = [
-            f"method {self.method}: order {self.order} conditions, "
-            f"{self.mode} form"
-        ]
+        lines = [f"method {self.method}: order {self.order} conditions, {self.mode} form"]
         for row in sorted(self.residuals):
             verdict = "FAIL" if row in self.failed_conditions else "pass"
             lines.append(
-                f"  row {row} [{_ROW_LABEL[row]}]: "
+                f"  row {row} [{_CONDITIONS[row].label}]: "
                 f"max residual {self.residuals[row]:.3e}  {verdict}"
             )
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
@@ -279,37 +274,19 @@ def check_order(tab: Tableau, p: int, mode: str = "strong") -> OrderReport:
         raise ValueError(f"order must be in 1..4, got {p}")
     if mode not in ("strong", "weak"):
         raise ValueError(f"mode must be 'strong' or 'weak', got {mode!r}")
-    residuals: dict[int, float] = {}
-
-    strong_orders = range(1, p + 1) if mode == "strong" else range(1, p)
-    for order in strong_orders:
-        for row in _ORDER_ROWS[order]:
-            residuals[row] = max(
-                _row_residual(tab, row, z, weak_b=False) for z in Z_SAMPLES
-            )
-
-    if mode == "weak":
-        quad = abs(
-            sum(combo.at_zero() * ck ** (p - 1) for ck, combo in zip(tab.c, tab.b))
-            - 1.0 / p
-        )
-        for row in _ORDER_ROWS[p]:
-            if row == _PSI_ROW[p]:
-                # Frozen-argument psi_p row, evaluated classically at z = 0;
-                # coincides with the quadrature identity up to 1/(p-1)!.
-                res = _row_residual(tab, row, 0.0, weak_b=True)
-                residuals[row] = max(res, quad)
-            else:
-                residuals[row] = max(
-                    _row_residual(tab, row, z, weak_b=True) for z in Z_SAMPLES
-                )
-
+    residuals = {}
+    for row, (order, _, residual, psi) in _CONDITIONS.items():
+        if order > p:
+            continue
+        weak = mode == "weak" and order == p
+        # weak form takes the psi_p row classically, at z = 0, together with
+        # the quadrature identity: the same condition scaled by (p-1)!
+        classical = weak and psi
+        zs = (0.0,) if classical else Z_SAMPLES
+        res = max(residual(tab, z, _update_weights(tab, z, weak)) for z in zs)
+        if classical:
+            quad = _dot(_update_weights(tab, 0.0, weak), [c ** (p - 1) for c in tab.c])
+            res = max(res, abs(quad - 1.0 / p))
+        residuals[row] = res
     failed = tuple(r for r in sorted(residuals) if residuals[r] > RESIDUAL_TOL)
-    return OrderReport(
-        method=tab.name,
-        order=p,
-        mode=mode,
-        passed=not failed,
-        residuals=residuals,
-        failed_conditions=failed,
-    )
+    return OrderReport(tab.name, p, mode, not failed, residuals, failed)

@@ -7,6 +7,7 @@ from expdelay import (
     MeshError,
     Problem,
     StageView,
+    belzen,
     builtin,
     initial_state,
     integrate,
@@ -36,7 +37,7 @@ def test_smooth_history_interpolation():
         assert state.eval(theta)[0] == pytest.approx(float(phi(theta)), abs=1e-4)
 
 
-def test_eval_outside_domain_raises(dde_state):
+def test_eval_outside_domain_raises(dde_state, re_state):
     with pytest.raises(ValueError):
         dde_state.eval(-1.5)
     with pytest.raises(ValueError):
@@ -52,6 +53,9 @@ def test_eval_outside_domain_raises(dde_state):
     for bad in (0.5, np.inf, -np.inf, np.nan, 2e-9, -1.0 - 2e-9):
         with pytest.raises(ValueError, match="outside"):
             view.eval(bad)
+    for bad in (0.5, -2.5, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            re_state.j_integrate(bad)
 
 
 def test_tiling_and_breakpoints(dde_state):
@@ -68,6 +72,12 @@ def test_dde_head_continuity_enforced():
     HistoryState("dde", 1, 1.0, 0.5, coeffs, head=[1.0])
     with pytest.raises(ValueError):
         HistoryState("dde", 1, 1.0, 0.5, coeffs, head=[2.0])
+    # a NaN head or segment is a mismatch, not a comparison that passes
+    state = initial_state(belzen(), 0.25)
+    with pytest.raises(ValueError, match=r"head \[nan\]"):
+        HistoryState("dde", 1, 1.0, 0.25, state.coefficients(), head=[np.nan])
+    with pytest.raises(ValueError, match=r"head \[nan\]"):
+        state.shift_append(np.full((1, 4), np.nan), head=[np.nan])
 
 
 def test_mesh_ratio_must_be_integer():

@@ -75,3 +75,7 @@ def test_vector_integrand_shape():
     assert val.shape == (2,)
     assert val[0] == pytest.approx(2.0, abs=1e-14)
     assert val[1] == pytest.approx(-1.0, abs=1e-14)
+    # only (m,) or (m, q) integrands: a matrix product would misread others
+    for bad in (lambda th, x: x[:, :, None], lambda th, x: x[1:], lambda th, x: 1.0):
+        with pytest.raises(ValueError, match="integrand returned shape"):
+            integrate_view(state, -1.0, 0.0, bad)

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ from expdelay import PhiCombo, Tableau, builtin, builtin_names, check_order, psi
 
 E = math.e
 Z_GRID = (-20.0, -5.0, -1.0, 0.0, 0.5, 2.0, 10.0)
+#: every ``expdelay check`` report: 3 builtins x orders 1-4 x both forms
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "check_reports.txt"
 
 
 def test_builtin_names_and_lookup_error():
@@ -94,6 +99,17 @@ def test_weight_matrices():
     np.testing.assert_array_equal(repeated.weights[-1], [[0.0, 0.5, 0.5]])
 
 
+def test_pickle_and_deepcopy_keep_weights_read_only():
+    for name in builtin_names():
+        tab = builtin(name)
+        for twin in (pickle.loads(pickle.dumps(tab)), copy.deepcopy(tab)):
+            assert twin == tab
+            assert len(twin.weights) == len(tab.weights)
+            for W, ref in zip(twin.weights, tab.weights):
+                np.testing.assert_array_equal(W, ref)
+                assert not W.flags.writeable
+
+
 def test_tableau_rejects_orders_above_segment_degree():
     # a phi_4 term would need a quartic overlay, which no history stores
     good = builtin("heun")
@@ -176,6 +192,17 @@ def test_order_condition_matrix():
     report = check_order(expo3, 3, "strong")
     assert not report.passed
     assert 4 in report.failed_conditions
+
+
+def test_check_reports_match_golden_file():
+    # byte-for-byte: no residual, verdict or label of any report may move
+    reports = [
+        str(check_order(builtin(name), p, mode))
+        for name in ("expeuler", "heun", "expo3")
+        for p in range(1, 5)
+        for mode in ("strong", "weak")
+    ]
+    assert "\n\n".join(reports) + "\n" == GOLDEN_REPORTS.read_text()
 
 
 def test_weak_quadrature_identity_expo3():
