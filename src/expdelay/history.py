@@ -1,8 +1,8 @@
 """Piecewise-polynomial history states for delay and renewal equations.
 
 The state of a delay equation at time t is the function theta -> x(t+theta)
-on [-tau, 0].  It is stored here as a ring of cubic segments over a uniform
-mesh of width h (tau/h segments), plus a head value x(t) for the delay
+on [-tau, 0].  It is stored here as cubic segments over a uniform mesh of
+width h (tau/h segments), plus a head value x(t) for the delay
 (DDE) flavour.  Renewal (RE) states are L^1 functions: no head, no
 continuity across mesh knots, left limits at knots.
 
@@ -16,16 +16,21 @@ mesh when value/h is within the knot tolerance 1e-9 * max(1, |value/h|) of
 an integer (:func:`_steps`, else :class:`MeshError`), and an offset is in
 [-tau, 0] when within 1e-9 * max(1, tau) of it (:func:`_outside`).
 
-Stepping never mutates a state: the shift-semigroup advance drops the oldest
-segment, re-indexes the rest, and appends the (dim, 4) cubic of the newest
-interval [-h, 0].  Stage values of a Runge-Kutta step are represented by
-:class:`StageView`, which overlays a single polynomial on [-shift, 0] over a
-shifted base state instead of materialising a full new history.
+Stepping never mutates a state.  A state is a window of n segments in an
+append-only log of capacity 2n that the states stepped from one another
+share.  The shift-semigroup advance writes the (dim, 4) cubic of the newest
+interval [-h, 0] into the log's next free slot in O(1), or, when that slot
+is taken or the log is full, into a fresh log copied from the window.
+Written slots are never rewritten.  Stage values of a Runge-Kutta step are
+represented by :class:`StageView`, which overlays a single polynomial on
+[-shift, 0] over a shifted base state instead of materialising a full new
+history.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -146,16 +151,55 @@ def _as_values(raw, m: int, d: int, what: str) -> np.ndarray:
     return vals
 
 
+def _check_continuity(newest: np.ndarray, head: np.ndarray):
+    """Raise unless a DDE head matches the newest (dim, 4) segment at 0."""
+    newest_at_0 = _horner(newest, np.float64(1.0))  # s = 1
+    gap = np.max(np.abs(newest_at_0 - head))
+    # the value at s = 1 is a sum of coefficients and rounds at their
+    # scale, which exceeds the head's when the segment decays steeply
+    scale = max(np.max(np.abs(head)), np.max(np.abs(newest)))
+    tol = 1e-12 * (1.0 + float(scale))
+    if not gap <= tol:  # NaN in the head or the segment fails too
+        raise ValueError(
+            f"DDE head {head} does not match the newest segment's value "
+            f"{newest_at_0} at theta=0: |gap| = {gap:.3e} > {tol:.3e}"
+        )
+
+
+class _Log:
+    """Append-only segment buffer of capacity 2n; slot ``end`` is next."""
+
+    __slots__ = ("buf", "end", "lock")
+
+    def __init__(self, window: np.ndarray):
+        n = len(window)
+        self.buf = np.empty((2 * n,) + window.shape[1:])
+        self.buf[:n] = window
+        self.end = n
+        self.lock = threading.Lock()
+
+    def claim(self, end: int, segment: np.ndarray) -> bool:
+        """Write ``segment`` to slot ``end`` if that slot is the next free one."""
+        with self.lock:
+            if end != self.end or end == len(self.buf):
+                return False
+            self.buf[end] = segment
+            self.end = end + 1
+            return True
+
+
 class HistoryState:
     """History function on [-tau, 0] as tau/h cubic segments, plus a DDE head.
 
     Value semantics: instances are immutable and safe to share across
-    threads; every operation returns a new state.
+    threads; every operation returns a new state.  A state reads the window
+    ``buf[end - n:end]`` of an append-only log; appends only write slots past
+    the log's written end, so a window's values never change.
     """
 
-    __slots__ = ("kind", "dim", "tau", "h", "n_segments", "head", "_coeffs")
+    __slots__ = ("kind", "dim", "tau", "h", "n_segments", "head", "_log", "_end", "_coeffs")
 
-    def __init__(self, kind, dim, tau, h, coeffs, head=None, _copy=True):
+    def __init__(self, kind, dim, tau, h, coeffs, head=None):
         if kind not in ("dde", "re"):
             raise ValueError(f"kind must be 'dde' or 're', got {kind!r}")
         tau = float(tau)
@@ -166,31 +210,19 @@ class HistoryState:
             raise ValueError(
                 f"coeffs must have shape ({n}, {dim}, {_NCOEF}), got {coeffs.shape}"
             )
-        if _copy:
-            coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
-        self.kind = kind
-        self.dim = int(dim)
-        self.tau = tau
-        self.h = h
-        self.n_segments = n
-        self._coeffs = coeffs
+        self.kind, self.dim, self.tau, self.h, self.n_segments = kind, int(dim), tau, h, n
         self.head = _as_head(kind, self.dim, head)
         if kind == "dde":
-            self._check_continuity()
+            _check_continuity(coeffs[-1], self.head)
+        self._window(_Log(coeffs), n)
 
-    def _check_continuity(self):
-        newest_at_0 = _horner(self._coeffs[-1], np.float64(1.0))  # s = 1
-        gap = np.max(np.abs(newest_at_0 - self.head))
-        # the value at s = 1 is a sum of coefficients and rounds at their
-        # scale, which exceeds the head's when the segment decays steeply
-        scale = max(np.max(np.abs(self.head)), np.max(np.abs(self._coeffs[-1])))
-        tol = 1e-12 * (1.0 + float(scale))
-        if not gap <= tol:  # NaN in the head or the segment fails too
-            raise ValueError(
-                f"DDE head {self.head} does not match the newest segment's value "
-                f"{newest_at_0} at theta=0: |gap| = {gap:.3e} > {tol:.3e}"
-            )
+    def _window(self, log: _Log, end: int):
+        self._log, self._end = log, end
+        self._coeffs = log.buf[end - self.n_segments : end]
+        self._coeffs.setflags(write=False)
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__: a fresh log
+        return HistoryState, (self.kind, self.dim, self.tau, self.h, self._coeffs, self.head)
 
     @classmethod
     def from_callable(cls, phi, kind, dim, tau, h) -> "HistoryState":
@@ -210,7 +242,7 @@ class HistoryState:
         vinv = _LOBATTO_VINV if kind == "dde" else _CHEB_VINV
         coeffs = np.swapaxes(vals, 1, 2) @ vinv.T
         head = vals[-1, -1, :] if kind == "dde" else None
-        return cls(kind, dim, tau, h, coeffs, head=head, _copy=False)
+        return cls(kind, dim, tau, h, coeffs, head=head)
 
     def coefficients(self) -> np.ndarray:
         """Packed (n_segments, dim, 4) coefficient array (read-only)."""
@@ -249,9 +281,9 @@ class HistoryState:
         return self.eval_many(np.array([float(theta)]))[0]
 
     def shift_append(self, coeffs, head=None) -> "HistoryState":
-        """Advance by one mesh width: drop the oldest segment, shift the rest
-        one slot older, and install ``coeffs``, the (dim, 4) cubic on [-h, 0]
-        in the local variable s = (theta + h)/h, as the newest segment.
+        """Advance by one mesh width: drop the oldest segment and append
+        ``coeffs``, the (dim, 4) cubic on [-h, 0] in the local variable
+        s = (theta + h)/h, as the newest one, in O(1) (see the module notes).
 
         DDE states additionally replace the head, which must match the new
         segment's value at theta = 0; RE states take no head.
@@ -262,10 +294,18 @@ class HistoryState:
                 f"appended segment must have shape ({self.dim}, {_NCOEF}), "
                 f"got {coeffs.shape}"
             )
-        coeffs = np.concatenate([self._coeffs[1:], coeffs[None, :, :]])
-        return HistoryState(
-            self.kind, self.dim, self.tau, self.h, coeffs, head=head, _copy=False
-        )
+        head = _as_head(self.kind, self.dim, head)
+        if self.kind == "dde":
+            _check_continuity(coeffs, head)
+        log, end = self._log, self._end
+        if not log.claim(end, coeffs):
+            log, end = _Log(self._coeffs), self.n_segments
+            log.claim(end, coeffs)
+        new = object.__new__(HistoryState)
+        new.kind, new.dim, new.tau, new.h = self.kind, self.dim, self.tau, self.h
+        new.n_segments, new.head = self.n_segments, head
+        new._window(log, end + 1)
+        return new
 
     def j_integrate(self, theta):
         """Integral of an RE history from theta up to 0, exact per segment.
@@ -334,6 +374,10 @@ class StageView:
     def eval_many(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
         _check_inside(thetas, self.tau)
+        return self._eval(thetas)
+
+    def _eval(self, thetas: np.ndarray) -> np.ndarray:
+        """eval_many for offsets the caller has range-checked."""
         over = thetas >= -self.shift - _knot_tol(self.shift)
         out = np.empty((len(thetas), self.dim))
         if np.any(over):

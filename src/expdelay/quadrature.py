@@ -55,7 +55,8 @@ def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
     widths = np.diff(edges)
     thetas = (edges[:-1, None] + widths[:, None] * nodes[None, :]).ravel()
     w = (widths[:, None] * weights[None, :]).ravel()
-    fv = np.asarray(integrand(thetas, view.eval_many(thetas)), dtype=float)
+    # the nodes lie in the window checked above
+    fv = np.asarray(integrand(thetas, view._eval(thetas)), dtype=float)
     if fv.ndim not in (1, 2) or fv.shape[0] != len(thetas):
         raise ValueError(
             f"integrand returned shape {fv.shape}, "

@@ -1,3 +1,8 @@
+import copy
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -108,6 +113,97 @@ def test_shift_append_contract_violations(dde_state, re_state):
         re_state.shift_append(seg, head=[1.0])  # RE states carry no head
     with pytest.raises(ValueError):
         re_state.shift_append(np.zeros((1, 3)))  # not a (dim, 4) cubic
+
+
+def _appended(window, seg):
+    # the shift-semigroup advance written as a plain copy: the oracle
+    return np.concatenate([window[1:], seg[None]])
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([1, 2, 5]),
+    st.lists(st.tuples(st.booleans(), st.integers(min_value=0)), max_size=40),
+)
+def test_log_appends_match_concatenate(n, picks):
+    # a random tree of appends: from the newest state (the log grows in
+    # place, fills and regrows) or from any earlier one (a branch)
+    rng = np.random.default_rng(n)
+    root = HistoryState("re", 2, 0.5 * n, 0.5, rng.standard_normal((n, 2, 4)))
+    states = [root]
+    oracle = [root.coefficients().tobytes()]
+    for newest, i in picks:
+        parent = len(states) - 1 if newest else i % len(states)
+        seg = rng.standard_normal((2, 4))
+        states.append(states[parent].shift_append(seg))
+        want = _appended(np.frombuffer(oracle[parent]).reshape(n, 2, 4), seg)
+        oracle.append(want.tobytes())
+        assert states[-1].coefficients().tobytes() == oracle[-1]
+    # later appends never rewrite what an earlier state sees
+    assert [s.coefficients().tobytes() for s in states] == oracle
+
+
+def test_append_from_newest_shares_its_log(re_state):
+    seg = np.ones((1, 4))
+    child = re_state.shift_append(seg)
+    assert np.shares_memory(child.coefficients(), re_state.coefficients())
+    before = child.coefficients().copy()
+    sibling = re_state.shift_append(2.0 * seg)  # slot already taken: a fresh log
+    assert not np.shares_memory(sibling.coefficients(), child.coefficients())
+    np.testing.assert_array_equal(child.coefficients(), before)
+    np.testing.assert_array_equal(sibling.coefficients()[-1], 2.0 * seg)
+    for state in (child, sibling):
+        assert not state.coefficients().flags.writeable
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_threads_branch_from_one_state(workers):
+    # each round every thread appends to the same newest state; one claims
+    # its log's next slot, the others copy, and all see the oracle values
+    rounds, n = 200, 4
+    root = HistoryState("re", 1, 1.0, 0.25, np.arange(16.0).reshape(n, 1, 4))
+    segs = np.random.default_rng(7).standard_normal((workers, rounds, 1, 4))
+    parents, children = [root], [[] for _ in range(workers)]
+    barrier = threading.Barrier(workers, timeout=60)
+
+    def branch(k):
+        for r in range(rounds):
+            children[k].append(parents[r].shift_append(segs[k, r]))
+            if k == 0:
+                parents.append(children[0][-1])
+            barrier.wait()
+
+    threads = [threading.Thread(target=branch, args=(k,)) for k in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    window = root.coefficients().copy()
+    for r in range(rounds):
+        for k in range(workers):
+            want = _appended(window, segs[k, r])
+            assert children[k][r].coefficients().tobytes() == want.tobytes()
+        window = _appended(window, segs[0, r])
+
+
+@pytest.mark.parametrize(
+    "round_trip", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy, copy.copy]
+)
+def test_copied_state_is_a_read_only_value(round_trip):
+    state = initial_state(belzen(), 0.25)
+    state = state.shift_append(state.coefficients()[-1], head=state.head)
+    back = round_trip(state)
+    for got, want in ((back.coefficients(), state.coefficients()), (back.head, state.head)):
+        assert not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(back.coefficients(), state.coefficients())
+    assert (back.kind, back.dim, back.tau, back.h) == (state.kind, state.dim, state.tau, state.h)
 
 
 def test_re_left_limit_at_knots():
