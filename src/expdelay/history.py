@@ -16,6 +16,11 @@ mesh when value/h is within the knot tolerance 1e-9 * max(1, |value/h|) of
 an integer (:func:`_steps`, else :class:`MeshError`), and an offset is in
 [-tau, 0] when within 1e-9 * max(1, tau) of it (:func:`_outside`).
 
+A scalar offset (``eval``, or a float or 0-d value to ``eval_many``) takes a
+point path: the same range check, knot snapping and float operations as the
+array path, in plain floats and one (dim, 4) Horner row, so both agree bit
+for bit; it returns shape (dim,) where an array of m offsets gives (m, dim).
+
 Stepping never mutates a state.  A state is a window of n segments in an
 append-only log of capacity 2n that the states stepped from one another
 share.  The shift-semigroup advance writes the (dim, 4) cubic of the newest
@@ -70,9 +75,10 @@ _L1_W = 0.5 * _GL4_W
 
 def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
     # coeffs (..., d, NCOEF), s (...,) -> values (..., d)
+    s = s[..., None]
     val = coeffs[..., -1]
     for p in range(_NCOEF - 2, -1, -1):
-        val = val * s[..., None] + coeffs[..., p]
+        val = val * s + coeffs[..., p]
     return val
 
 
@@ -117,6 +123,24 @@ def _check_inside(thetas: np.ndarray, tau: float):
         raise ValueError(
             f"history evaluated at theta = {thetas[bad][0]}, outside [-{tau}, 0]"
         )
+
+
+def _eval_many(self, thetas) -> np.ndarray:
+    """Evaluate at an array of offsets, shape (len(thetas), dim), or at a
+    scalar offset (a float or a 0-d value) by the point path, shape (dim,)."""
+    if isinstance(thetas, float) or np.ndim(thetas) == 0:
+        theta, tol = float(thetas), _knot_tol(self.tau)
+        if not -self.tau - tol <= theta <= tol:
+            _check_inside(np.array([theta]), self.tau)  # raises the array message
+        return self._eval_point(theta)
+    thetas = np.asarray(thetas, dtype=float)
+    _check_inside(thetas, self.tau)
+    return self._eval(thetas)
+
+
+def _eval_one(self, theta: float) -> np.ndarray:
+    """Evaluate at one offset theta in [-tau, 0]; returns shape (dim,)."""
+    return self.eval_many(float(theta))
 
 
 def _grid(n: int, h: float, s: np.ndarray) -> np.ndarray:
@@ -265,20 +289,27 @@ class HistoryState:
         s = np.clip(np.where(on_knot, r, u) - idx, 0.0, 1.0)
         return idx, s
 
-    def eval_many(self, thetas) -> np.ndarray:
-        """Evaluate at an array of offsets; returns shape (len(thetas), dim)."""
-        thetas = np.asarray(thetas, dtype=float)
-        _check_inside(thetas, self.tau)
-        return self._eval(thetas)
+    def _locate_point(self, theta: float):
+        """_locate for one range-checked offset, in plain floats."""
+        u = (theta + self.tau) / self.h
+        r = math.copysign(round(u), u)  # as np.rint, which keeps -0.0
+        on_knot = abs(u - r) <= _knot_tol(u)
+        idx = min(max(int(r) - 1 if on_knot else math.floor(u), 0), self.n_segments - 1)
+        return idx, min(max((r if on_knot else u) - idx, 0.0), 1.0)
+
+    # own attributes of each class, so that a tracer can wrap them per class
+    eval_many = _eval_many
+    eval = _eval_one
 
     def _eval(self, thetas: np.ndarray) -> np.ndarray:
         """eval_many for offsets the caller has range-checked."""
         idx, s = self._locate(thetas)
         return _horner(self._coeffs[idx], s)
 
-    def eval(self, theta: float) -> np.ndarray:
-        """Evaluate at one offset theta in [-tau, 0]; returns shape (dim,)."""
-        return self.eval_many(np.array([float(theta)]))[0]
+    def _eval_point(self, theta: float) -> np.ndarray:
+        """_eval for one range-checked offset: one segment, one Horner row."""
+        idx, s = self._locate_point(theta)
+        return _horner(self._coeffs[idx], np.float64(s))
 
     def shift_append(self, coeffs, head=None) -> "HistoryState":
         """Advance by one mesh width: drop the oldest segment and append
@@ -371,10 +402,11 @@ class StageView:
         keep = shifted > -self.tau + _knot_tol(self.tau)
         return np.concatenate([[-self.tau], shifted[keep], [0.0]])
 
-    def eval_many(self, thetas) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=float)
-        _check_inside(thetas, self.tau)
-        return self._eval(thetas)
+    def __reduce__(self):  # pickle and copy rebuild through __init__: read-only arrays
+        return StageView, (self.base, self.shift, self.overlay_coeffs, self.head)
+
+    eval_many = _eval_many
+    eval = _eval_one
 
     def _eval(self, thetas: np.ndarray) -> np.ndarray:
         """eval_many for offsets the caller has range-checked."""
@@ -387,8 +419,12 @@ class StageView:
             out[~over] = self.base._eval(thetas[~over] + self.shift)
         return out
 
-    def eval(self, theta: float) -> np.ndarray:
-        return self.eval_many(np.array([float(theta)]))[0]
+    def _eval_point(self, theta: float) -> np.ndarray:
+        """_eval for one range-checked offset: the overlay or base's point path."""
+        if theta >= -self.shift - _knot_tol(self.shift):
+            r = min(max((theta + self.shift) / self.shift, 0.0), 1.0)
+            return _horner(self.overlay_coeffs, np.float64(r))
+        return self.base._eval_point(theta + self.shift)
 
     def __repr__(self):
         return f"StageView(shift={self.shift}, base={self.base!r})"

@@ -121,9 +121,10 @@ class Problem:
         if self.kind == "semilinear_dde":
             if self.L is None:
                 raise ValueError("semilinear problems require the matrix L")
-            L = np.asarray(self.L, dtype=float)
+            L = np.array(self.L, dtype=float)  # a copy: later writes by the caller must not reach it
             if L.shape != (self.dim, self.dim):
                 raise ValueError(f"L must have shape ({self.dim}, {self.dim})")
+            L.setflags(write=False)
             object.__setattr__(self, "L", L)
         elif self.L is not None:
             raise ValueError(f"L is only used by semilinear_dde, not {self.kind!r}")

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import sys
 import threading
@@ -204,6 +205,101 @@ def test_copied_state_is_a_read_only_value(round_trip):
         assert got.tobytes() == want.tobytes()
     assert not np.shares_memory(back.coefficients(), state.coefficients())
     assert (back.kind, back.dim, back.tau, back.h) == (state.kind, state.dim, state.tau, state.h)
+
+
+@pytest.mark.parametrize(
+    "round_trip", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy, copy.copy]
+)
+def test_copied_stage_view_is_a_read_only_value(round_trip):
+    view = StageView(initial_state(belzen(), 0.25), 0.125, np.ones((1, 4)), head=[4.0])
+    back = round_trip(view)
+    for got, want in ((back.overlay_coeffs, view.overlay_coeffs), (back.head, view.head)):
+        assert not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
+    assert back.shift == view.shift
+    thetas = np.linspace(-1.0, 0.0, 9)
+    assert back.eval_many(thetas).tobytes() == view.eval_many(thetas).tobytes()
+
+
+def _stage_view_of(state, c, rng):
+    head = rng.normal(size=state.dim) if state.kind == "dde" else None
+    return StageView(state, c * state.h, rng.normal(size=(state.dim, 4)), head=head)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_scalar_offset_returns_one_row(dim, rng):
+    state = HistoryState.from_callable(
+        lambda th: np.cos(np.outer(th, np.arange(1, dim + 1))), "dde", dim, 1.0, 0.25
+    )
+    for target in (state, _stage_view_of(state, 0.5, rng)):
+        for theta in (-0.5, np.float64(-0.5), np.array(-0.5), -1, -0.05):
+            got = target.eval_many(theta)
+            assert got.shape == (dim,)
+            assert got.tobytes() == target.eval_many(np.array([theta]))[0].tobytes()
+            assert got.tobytes() == target.eval(theta).tobytes()
+
+
+def test_rhs_may_look_up_a_scalar_offset_at_every_stage():
+    # stage 1 hands the rhs the state itself, later stages a StageView
+    by_point = dataclasses.replace(belzen(), rhs=lambda t, v: v.head - v.eval_many(-1.0))
+    by_array = dataclasses.replace(
+        belzen(), rhs=lambda t, v: v.head - v.eval_many(np.array([-1.0]))[0]
+    )
+    for name in ("expeuler", "heun", "expo3"):
+        got = integrate(by_point, builtin(name), 0.125, 1.0)
+        want = integrate(by_array, builtin(name), 0.125, 1.0)
+        assert got.coefficients().tobytes() == want.coefficients().tobytes()
+
+
+def _outcome(lookup):
+    try:
+        return lookup().tobytes()
+    except ValueError as err:
+        return str(err)
+
+
+#: offsets around a knot in multiples of its tolerance 1e-9 * max(1, |u|),
+#: just inside and just outside the snapping band
+_BAND = (0.0, 0.5, -0.5, 0.99, -0.99, 1.01, -1.01, 2.0, -2.0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    kind=st.sampled_from(["dde", "re"]),
+    dim=st.sampled_from([1, 3]),
+    h=st.sampled_from([0.1, 1.0 / 3.0, 0.25, 2e-5]),
+    n=st.integers(min_value=1, max_value=40),
+    c=st.one_of(
+        st.none(), st.sampled_from([0.5, 2.0 / 3.0, 1.0]), st.floats(0.01, 1.0)
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_point_path_matches_array_path(kind, dim, h, n, c, seed, data):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(n, dim, 4))
+    coeffs[rng.random(coeffs.shape) < 0.2] = -0.0
+    head = coeffs[-1].sum(axis=-1) if kind == "dde" else None
+    tau = n * h
+    state = HistoryState(kind, dim, tau, h, coeffs, head=head)
+    target = state if c is None else _stage_view_of(state, c, rng)
+    tol = 1e-9 * max(1.0, tau)
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    shift = 0.0 if c is None else c * h
+    theta = data.draw(
+        st.one_of(
+            st.sampled_from(_BAND).map(lambda f: (k - n) * h + f * 1e-9 * max(1, k) * h),
+            st.sampled_from(_BAND).map(lambda f: -shift + f * 1e-9 * max(1.0, shift)),
+            st.floats(min_value=-tau, max_value=0.0),
+            st.sampled_from([-tau, 0.0, np.nan, np.inf, -np.inf, -tau - 2 * tol, 2 * tol]),
+        )
+    )
+    want = _outcome(lambda: target.eval_many(np.array([theta]))[0])
+    if not -tau - tol <= theta <= tol:
+        assert "outside" in want
+    assert _outcome(lambda: target.eval(theta)) == want
+    for point in (theta, np.float64(theta), np.array(theta)):
+        assert _outcome(lambda: target.eval_many(point)) == want
 
 
 def test_re_left_limit_at_knots():

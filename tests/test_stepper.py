@@ -534,6 +534,27 @@ def test_coupled_problem_checks_limits_and_dims():
                 dataclasses.replace(make(), tau=tau)
 
 
+def test_problem_keeps_a_read_only_copy_of_L():
+    L = np.array([[-5.0]])
+    prob = Problem(
+        kind="semilinear_dde",
+        dim=1,
+        tau=1.0,
+        rhs=lambda t, v: np.zeros(1),
+        phi0=lambda th: np.ones(np.shape(th)),
+        L=L,
+    )
+    assert prob.L is not L
+    L[0, 0] = 7.0  # the caller's array stays theirs
+    assert prob.L[0, 0] == -5.0
+    with pytest.raises(ValueError, match="read-only"):
+        prob.L[0, 0] = 1.0
+    # dataclasses.replace (used to wrap a problem's rhs) re-runs the check
+    again = dataclasses.replace(prob, name="renamed")
+    assert again.L.tobytes() == prob.L.tobytes()
+    assert not again.L.flags.writeable
+
+
 def test_semilinear_requires_matrix():
     with pytest.raises(ValueError):
         Problem(
