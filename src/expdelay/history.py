@@ -16,6 +16,11 @@ mesh when value/h is within the knot tolerance 1e-9 * max(1, |value/h|) of
 an integer (:func:`_steps`, else :class:`MeshError`), and an offset is in
 [-tau, 0] when within 1e-9 * max(1, tau) of it (:func:`_outside`).
 
+A distributed-delay window [a, b] is split here too (``_pieces``), at the
+knots strictly inside (a + tol, b - tol): into a contiguous run of whole
+segments and one or two partial pieces at its ends, one of them the stage
+overlay when a stage view's window reaches [-shift, 0].
+
 A scalar offset (``eval``, or a float or 0-d value to ``eval_many``) takes a
 point path: the same range check, knot snapping and float operations as the
 array path, in plain floats and one (dim, 4) Horner row, so both agree bit
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import math
 import threading
+from itertools import chain
 
 import numpy as np
 
@@ -177,17 +183,59 @@ def _as_values(raw, m: int, d: int, what: str) -> np.ndarray:
 
 def _check_continuity(newest: np.ndarray, head: np.ndarray):
     """Raise unless a DDE head matches the newest (dim, 4) segment at 0."""
-    newest_at_0 = _horner(newest, np.float64(1.0))  # s = 1
-    gap = np.max(np.abs(newest_at_0 - head))
+    rows, heads = newest.tolist(), head.tolist()
     # the value at s = 1 is a sum of coefficients and rounds at their
     # scale, which exceeds the head's when the segment decays steeply
-    scale = max(np.max(np.abs(head)), np.max(np.abs(newest)))
-    tol = 1e-12 * (1.0 + float(scale))
-    if not gap <= tol:  # NaN in the head or the segment fails too
-        raise ValueError(
-            f"DDE head {head} does not match the newest segment's value "
-            f"{newest_at_0} at theta=0: |gap| = {gap:.3e} > {tol:.3e}"
-        )
+    tol = 1e-12 * (1.0 + max(map(abs, chain(heads, *rows))))
+    for (c0, c1, c2, c3), x in zip(rows, heads):
+        # the Horner row at s = 1; NaN in the head or the segment fails too
+        if not abs(c3 + c2 + c1 + c0 - x) <= tol:
+            newest_at_0 = _horner(newest, np.float64(1.0))
+            gap = np.max(np.abs(newest_at_0 - head))
+            raise ValueError(
+                f"DDE head {head} does not match the newest segment's value "
+                f"{newest_at_0} at theta=0: |gap| = {gap:.3e} > {tol:.3e}"
+            )
+
+
+def _cut(coeffs, h, shift, overlay, a, b, lo, hi):
+    """Pieces of the window [a, b] cut at the knots (j - n) h - shift,
+    j in 0..n, strictly inside (lo, hi), with the knots computed in the
+    float operations of ``breakpoints``.  Returns ``(segs, left, ends)``.
+
+    ``segs`` is the (m, dim, 4) slice of the whole segments between the
+    first and the last cut, the first starting at offset ``left``.  ``ends``
+    holds the one or two partial pieces, the first before the whole
+    segments and the second after them, as ``(coeffs, s_lo, s_hi, t_lo,
+    t_hi)``: the (dim, 4) polynomial, its local interval and its offsets.
+    A piece right of knot n lies in ``overlay``, on [-shift, 0].
+    """
+    n = len(coeffs)
+
+    def knot(j):
+        return (j - n) * h - shift
+
+    def end(j, t_lo, t_hi):  # the piece [t_lo, t_hi] just left of knot j
+        if j > n and overlay is not None:
+            return overlay, (t_lo + shift) / shift, (t_hi + shift) / shift, t_lo, t_hi
+        i = min(max(j - 1, 0), n - 1)
+        return coeffs[i], (t_lo - knot(i)) / h, (t_hi - knot(i)) / h, t_lo, t_hi
+
+    # cuts at j0 <= j < j1: correct a float guess by exact knot comparisons
+    j0 = min(max(math.floor((lo + shift) / h) + n, 0), n + 1)
+    while j0 > 0 and knot(j0 - 1) > lo:
+        j0 -= 1
+    while j0 <= n and knot(j0) <= lo:
+        j0 += 1
+    j1 = min(max(math.floor((hi + shift) / h) + n, j0), n + 1)
+    while j1 > j0 and knot(j1 - 1) >= hi:
+        j1 -= 1
+    while j1 <= n and knot(j1) < hi:
+        j1 += 1
+    if j0 == j1:
+        return coeffs[:0], a, (end(j0, a, b),)
+    first, last = knot(j0), knot(j1 - 1)
+    return coeffs[j0 : j1 - 1], first, (end(j0, a, first), end(j1, last, b))
 
 
 class _Log:
@@ -276,6 +324,13 @@ class HistoryState:
         """Mesh knots in [-tau, 0], oldest first."""
         n = self.n_segments
         return (np.arange(n + 1) - n) * self.h
+
+    def _pieces(self, a: float, b: float):
+        """Split a range-checked window [a, b] at the knots strictly inside
+        (a + tol, b - tol): a contiguous run of whole segments plus the
+        partial pieces at the two ends, as :func:`_cut` returns them."""
+        tol = _knot_tol(self.tau)
+        return _cut(self._coeffs, self.h, 0.0, None, a, b, a + tol, b - tol)
 
     def _locate(self, thetas: np.ndarray):
         """Segment index and local coordinate of range-checked offsets."""
@@ -401,6 +456,16 @@ class StageView:
         shifted = self.base.breakpoints()[1:] - self.shift
         keep = shifted > -self.tau + _knot_tol(self.tau)
         return np.concatenate([[-self.tau], shifted[keep], [0.0]])
+
+    def _pieces(self, a: float, b: float):
+        """HistoryState._pieces on the view's knots: the base's segments
+        shifted by ``shift``, and the overlay piece on [-shift, 0] when the
+        window reaches it."""
+        tol = _knot_tol(self.tau)
+        lo = max(a + tol, -self.tau + tol)  # and only knots that breakpoints keeps
+        return _cut(
+            self.base._coeffs, self.h, self.shift, self.overlay_coeffs, a, b, lo, b - tol
+        )
 
     def __reduce__(self):  # pickle and copy rebuild through __init__: read-only arrays
         return StageView, (self.base, self.shift, self.overlay_coeffs, self.head)

@@ -176,7 +176,9 @@ def _as_rhs_value(raw, state, single: bool) -> np.ndarray:
 
 
 def _require_finite(val: np.ndarray, stage: int, what: str):
-    if not np.all(np.isfinite(val)):
+    # plain floats: cheaper than numpy for a (dim,) value, and no sum that
+    # could overflow on finite input
+    if not all(map(math.isfinite, val.tolist())):
         raise IntegrationDiverged(
             f"non-finite {what} at stage {stage}", stage_index=stage
         )

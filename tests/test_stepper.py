@@ -715,6 +715,32 @@ def test_divergence_reports_step_and_stage():
     assert "stage" in str(err.value)
 
 
+def _stage_values_problem(first, second):
+    # rhs value `first` at stage 1 of the first step, `second` at stage 2
+    return Problem(
+        kind="dde",
+        dim=3,
+        tau=1.0,
+        rhs=lambda t, v: np.full(3, first if t == 0.0 else second),
+        phi0=lambda th: np.ones((np.size(th), 3)),
+        name="near_overflow",
+    )
+
+
+def test_finite_values_near_overflow_pass():
+    # a check that sums the values would overflow here and misreport
+    state = integrate(_stage_values_problem(1e308, 0.0), builtin("heun"), 0.1, 0.1)
+    assert np.all(np.isfinite(state.head)) and state.head[0] > 1e306
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_stage_value_names_its_stage(bad):
+    with pytest.raises(IntegrationDiverged) as err:
+        integrate(_stage_values_problem(1e308, bad), builtin("heun"), 0.1, 0.1)
+    assert err.value.step_index == 0
+    assert err.value.stage_index == 2
+
+
 def test_observed_values_shapes():
     dde = initial_state(belzen(1.0), 0.1)
     assert observed_values(dde).shape == (1,)
