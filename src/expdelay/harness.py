@@ -84,9 +84,8 @@ def _integrated_errors(state, exact, T, norm: str):
     suffix[:-1] = seg_int[::-1].cumsum(axis=0)[::-1]
 
     def reference(thetas):
-        # suffix of full segments + the partial piece up to the segment's right
-        # knot; norm_diff only queries segment interiors
-        idx = np.floor((thetas - lefts[0]) / h).astype(np.intp)
+        # suffix of full segments + the partial piece up to the segment's right knot
+        idx = state._locate(thetas)[0]
         widths = lefts[idx] + h - thetas
         part_nodes = (thetas[:, None] + widths[:, None] * g8_x[None, :]).ravel()
         part_vals = np.asarray(exact(T + part_nodes), dtype=float).reshape(

@@ -6,15 +6,17 @@ width h (tau/h segments), plus a head value x(t) for the delay
 (DDE) flavour.  Renewal (RE) states are L^1 functions: no head, no
 continuity across mesh knots, left limits at knots.
 
-The packed (tau/h, dim, 4) coefficient array is the only representation of
+The packed (n, dim, 4) coefficient array is the only representation of
 a history: segment i covers [(i - n) h, (i - n + 1) h], oldest first, in the
-local variable s = (theta - left)/h, lowest power first.  The knots and the
-per-segment node grids are derived from (tau, h) here, once each.
+local variable s = (theta - left)/h, lowest power first.  A state keeps tau
+as n * h, the multiple of h that passed the mesh check, so -tau is its oldest
+knot bit for bit and lookups, window cuts and ``j_integrate`` share one frame.
 
 The mesh rule of the package lives here: tau, T or a delay bound is on the
 mesh when value/h is within the knot tolerance 1e-9 * max(1, |value/h|) of
 an integer (:func:`_steps`, else :class:`MeshError`), and an offset is in
-[-tau, 0] when within 1e-9 * max(1, tau) of it (:func:`_outside`).
+[-tau, 0] when within 1e-9 * max(1, tau) of it (:func:`_outside`).  That band
+is centred on -n * h; the tau passed in lies inside it, as |tau - n h| <= 1e-9 tau.
 
 A distributed-delay window [a, b] is split here too (``_pieces``), at the
 knots strictly inside (a + tol, b - tol): into a contiguous run of whole
@@ -221,15 +223,11 @@ def _cut(coeffs, h, shift, overlay, a, b, lo, hi):
         i = min(max(j - 1, 0), n - 1)
         return coeffs[i], (t_lo - knot(i)) / h, (t_hi - knot(i)) / h, t_lo, t_hi
 
-    # cuts at j0 <= j < j1: correct a float guess by exact knot comparisons
+    # cuts at j0 <= j < j1: the float guess is never past the first cut
     j0 = min(max(math.floor((lo + shift) / h) + n, 0), n + 1)
-    while j0 > 0 and knot(j0 - 1) > lo:
-        j0 -= 1
     while j0 <= n and knot(j0) <= lo:
         j0 += 1
     j1 = min(max(math.floor((hi + shift) / h) + n, j0), n + 1)
-    while j1 > j0 and knot(j1 - 1) >= hi:
-        j1 -= 1
     while j1 <= n and knot(j1) < hi:
         j1 += 1
     if j0 == j1:
@@ -282,7 +280,7 @@ class HistoryState:
             raise ValueError(
                 f"coeffs must have shape ({n}, {dim}, {_NCOEF}), got {coeffs.shape}"
             )
-        self.kind, self.dim, self.tau, self.h, self.n_segments = kind, int(dim), tau, h, n
+        self.kind, self.dim, self.tau, self.h, self.n_segments = kind, int(dim), n * h, h, n
         self.head = _as_head(kind, self.dim, head)
         if kind == "dde":
             _check_continuity(coeffs[-1], self.head)

@@ -275,8 +275,8 @@ def step_semilinear_dde(problem, tab, state, t_n: float, h: float) -> HistorySta
     interpolant.  That stored segment is not exact when hL is stiff: one
     expeuler step of x' = lam x from x = 1 at h = 0.01 stores a segment with
     max error 4e-4, 0.15 and 0.77 at h lam = -1, -10 and -100, and at -10 it
-    dips to -0.11 (ROADMAP.md, item 6).  With L = 0 the step reduces to
-    :func:`step_dde`.
+    dips to -0.11 (ROADMAP.md, stiff correctness).  With L = 0 the step
+    reduces to :func:`step_dde`.
     """
     if problem.L is None:
         raise ValueError("semilinear step requires the matrix L")

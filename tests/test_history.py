@@ -20,6 +20,7 @@ from expdelay import (
     integrate_view,
     norm_diff,
 )
+from expdelay.harness import _integrated_errors
 
 from conftest import smooth_re_state
 
@@ -280,8 +281,8 @@ def test_point_path_matches_array_path(kind, dim, h, n, c, seed, data):
     coeffs = rng.normal(size=(n, dim, 4))
     coeffs[rng.random(coeffs.shape) < 0.2] = -0.0
     head = coeffs[-1].sum(axis=-1) if kind == "dde" else None
-    tau = n * h
-    state = HistoryState(kind, dim, tau, h, coeffs, head=head)
+    state = HistoryState(kind, dim, round(n * h, 9), h, coeffs, head=head)
+    tau = state.tau  # n * h: the range band is centred on -n h
     target = state if c is None else _stage_view_of(state, c, rng)
     tol = 1e-9 * max(1.0, tau)
     k = data.draw(st.integers(min_value=0, max_value=n))
@@ -397,6 +398,8 @@ def _mesh_problem(tau, limits=()):
 )
 @example(0.1, 30)  # tau = 3
 @example(1.0 / 3.0, 3)  # tau = 1
+@example(1.0 / 3.0, 2)  # tau = 0.666666667 != n * h
+@example(1.0 / 3.0, 20)  # tau = 6.666666667 != n * h
 def test_one_mesh_rule(h, n):
     # tau is the decimal the user writes, so n * h matches it only to rounding
     tau = round(n * h, 9)
@@ -427,6 +430,32 @@ def test_one_mesh_rule(h, n):
             integrate_view(state, lo, hi, lambda th, x: x[:, 0])
         with pytest.raises(ValueError, match="outside"):
             _mesh_problem(tau, (bad,))
+    # one frame: lookups read segment j on the knots (j - n) h that built it
+    rng = np.random.default_rng(n)
+    coeffs = rng.normal(size=(n, 1, 4))
+    state = HistoryState("re", 1, tau, h, coeffs)
+    knots = (np.arange(n) - n) * h
+    thetas = knots[:, None] + h * np.array([0.01, 0.5, 0.99])
+    local = (thetas - knots[:, None]) / h
+    want = sum(coeffs[:, :1, p] * local**p for p in range(4))
+    # the offset's rounding grows with its distance from 0 in steps
+    scale = n * np.abs(coeffs[:, 0]).sum(axis=1)[:, None]
+    got_array = state.eval_many(thetas.ravel()).reshape(thetas.shape)
+    got_point = np.array([state.eval(th)[0] for th in thetas.ravel()]).reshape(thetas.shape)
+    for got in (got_array, got_point):
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+    # the identity history: its window integral and its integrated state
+    ident = HistoryState.from_callable(lambda th: th, "re", 1, tau, h)
+    whole = integrate_view(ident, -tau, 0.0, lambda th, x: x[:, 0])
+    assert float(whole) == pytest.approx(-(tau**2) / 2.0, rel=1e-14)
+    offsets = np.concatenate([thetas.ravel(), knots, [0.0]])
+    j = ident.j_integrate(offsets)[:, 0]
+    assert np.all(np.abs(j + offsets**2 / 2.0) <= 1e-14 * max(1.0, tau) ** 2)
+    # an exactly projected cubic reads back to roundoff, as do the harness errors
+    cubic = lambda th: np.polynomial.Polynomial([0.3, -0.8, 0.5, 0.2])(th / tau)
+    assert norm_diff(HistoryState.from_callable(cubic, "dde", 1, tau, h), cubic) <= 1e-13
+    re_cubic = HistoryState.from_callable(cubic, "re", 1, tau, h)
+    assert _integrated_errors(re_cubic, cubic, 0.0, "l1") <= 1e-13 * max(1.0, tau)
 
 
 def test_j_integrate_constant():

@@ -148,9 +148,7 @@ def test_window_matches_nodewise_reference(kind, dim, h, n, c, seed, ends):
     # within the knot tolerance of a knot, of -tau and of 0, inside one
     # piece, and across the overlay's knot -shift
     rng = np.random.default_rng(seed)
-    # breakpoints count from 0 and eval_many from -tau: the two agree to
-    # rounding only when tau is n * h in floats
-    tau = n * h
+    tau = round(n * h, 9)
     coeffs = rng.uniform(-1.0, 1.0, (n, dim, 4))
     head = coeffs[-1].sum(axis=1) if kind == "dde" else None
     view = HistoryState(kind, dim, tau, h, coeffs, head=head)
