@@ -11,7 +11,9 @@ problems and a CLI/CSV harness for convergence studies.
 from .history import DEGREE, HistoryState, StageView, norm_diff
 from .phi import (
     PhiCombo,
+    phi_combine,
     phi_dde_weight,
+    phi_matrices,
     phi_matrix_action,
     phi_re_weight,
     phi_scalar,
@@ -27,6 +29,7 @@ from .stepper import (
     initial_state,
     integrate,
     observed_values,
+    semilinear_plan,
     step_coupled,
     step_dde,
     step_re,
@@ -46,6 +49,8 @@ __all__ = [
     "phi_scalar",
     "phi_dde_weight",
     "phi_re_weight",
+    "phi_matrices",
+    "phi_combine",
     "phi_matrix_action",
     "integrate_view",
     "gauss_legendre",
@@ -68,6 +73,7 @@ __all__ = [
     "step_re",
     "step_semilinear_dde",
     "step_coupled",
+    "semilinear_plan",
     "belzen",
     "quadratic_re",
     "daphnia",

@@ -7,8 +7,9 @@ phi_0 = exp and, for k >= 1,
 so phi_k(0) = 1/k! and phi_k(z) = z*phi_{k+1}(z) + 1/k!.  Besides the scalar
 functions this module provides weighted combinations (used as tableau
 coefficients), the scalar weights realising the phi operators on shift
-semigroups (delay and renewal flavours), and the matrix action
-sum_j phi_j(M) v_j from one augmented exponential.
+semigroups (delay and renewal flavours), and the matrices phi_0(M), ...,
+phi_p(M) by scaling and modified squaring from one d x d exponential, with
+the rule that combines phi_k(aX) and phi_k(bX) into phi_k((a + b)X).
 """
 
 from __future__ import annotations
@@ -24,10 +25,14 @@ __all__ = [
     "phi_scalar",
     "phi_dde_weight",
     "phi_re_weight",
+    "phi_matrices",
+    "phi_combine",
     "phi_matrix_action",
 ]
 
 _SERIES_CUTOFF = 0.1
+#: scaling target of phi_matrices: ||M / 2^j||_1 <= _THETA
+_THETA = 2.0
 _RECURSION_LOSS_LIMIT = 1e-13
 _EPS = float(np.finfo(float).eps)
 
@@ -128,13 +133,71 @@ def phi_re_weight(k: int, gh: float, theta: float) -> float:
     return (gh**k - m**k) / (gh**k * math.factorial(k))
 
 
-def phi_matrix_action(M: np.ndarray, vs) -> np.ndarray:
-    """Compute sum_{j=0..p} phi_j(M) @ vs[j] through one augmented exponential.
+def phi_matrices(M: np.ndarray, p: int) -> np.ndarray:
+    """phi_0(M), ..., phi_p(M) as a (p + 1, d, d) array.
 
-    With W = [vs[p], ..., vs[1]] and J the p x p shift (ones on the
-    superdiagonal), the top rows of exp([[M, W], [0, J]]) @ [vs[0]; e_p]
-    are the sum (Al-Mohy & Higham, SISC 2011, Thm 2.1).  The exponential is
-    the scaling-and-squaring Pade evaluation of :func:`scipy.linalg.expm`.
+    Scaling and modified squaring (Skaflestad & Wright, Appl. Numer. Math.
+    59, 2009): with M' = M / 2^j and ||M'||_1 <= 2, e^{M'} comes from
+    :func:`scipy.linalg.expm`, phi_p(M') from its Taylor series by Horner
+    and the lower orders from phi_k = M' phi_{k+1} + I/k!; j doublings by
+    :func:`phi_combine` then return to M.  One d x d exponential per call.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"M must be square, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("M must be finite")
+    norm = float(np.abs(M).sum(axis=0).max(initial=0.0))
+    j = math.ceil(math.log2(norm / _THETA)) if norm > _THETA else 0
+    M = M / 2.0**j
+    norm /= 2.0**j
+    d = M.shape[0]
+    phis = np.empty((p + 1, d, d))
+    if p:
+        # degree m: the tail sum_{i > m} ||M||^i / (i + p)! is below eps/2 of
+        # the leading term 1/p!; it is at most twice its first term, since
+        # successive terms at least halve once m + p + 2 >= 2 ||M||
+        m = 0
+        while 4.0 * norm ** (m + 1) * math.factorial(p) > _EPS * math.factorial(m + 1 + p):
+            m += 1
+        acc = np.eye(d) / math.factorial(m + p)
+        for i in range(m - 1, -1, -1):
+            acc = M @ acc
+            acc.ravel()[:: d + 1] += 1.0 / math.factorial(i + p)
+        phis[p] = acc
+        for k in range(p - 1, 0, -1):
+            phis[k] = M @ phis[k + 1]
+            phis[k].ravel()[:: d + 1] += 1.0 / math.factorial(k)
+    phis[0] = scipy.linalg.expm(M)  # looked up at call time: profilers wrap it
+    for _ in range(j):
+        phis = phi_combine(phis, phis, 1.0, 1.0)
+    return phis
+
+
+def phi_combine(A: np.ndarray, B: np.ndarray, a: float, b: float) -> np.ndarray:
+    """phi_k((a + b) X) from A[k] = phi_k(a X) and B[k] = phi_k(b X), k <= p.
+
+    The top block row of E(t) = exp(t [[X, I, 0, ..], [0, 0, I, ..], ..])
+    is t^k phi_k(t X), and E(a + b) = E(b) E(a) gives
+
+        phi_k((a+b)X) = s^k e^{bX} phi_k(aX) + sum_{i=1..k} q^i s^{k-i} phi_i(bX) / (k-i)!
+
+    with s = a/(a + b) and q = b/(a + b); a = b is the doubling rule.
+    """
+    s, q = a / (a + b), b / (a + b)
+    products = B[0] @ A
+    out = np.empty_like(products)
+    for k in range(len(A)):
+        acc = s**k * products[k]
+        for i in range(1, k + 1):
+            acc += (q**i * s ** (k - i) / math.factorial(k - i)) * B[i]
+        out[k] = acc
+    return out
+
+
+def phi_matrix_action(M: np.ndarray, vs) -> np.ndarray:
+    """Compute sum_{j=0..p} phi_j(M) @ vs[j] from :func:`phi_matrices`.
+
     Supports p <= 4 (the largest order any shipped method needs).
     """
     M = np.asarray(M, dtype=float)
@@ -145,12 +208,5 @@ def phi_matrix_action(M: np.ndarray, vs) -> np.ndarray:
     if vs.ndim != 2 or not 1 <= vs.shape[0] <= 5 or vs.shape[1] != d:
         raise ValueError(f"vs must have shape (p + 1, {d}) with p <= 4, got {vs.shape}")
     p = vs.shape[0] - 1
-    if not M.any():
-        return sum(vs[j] / math.factorial(j) for j in range(p + 1))
-    aug = np.zeros((d + p, d + p))
-    aug[:d, :d] = M
-    aug[:d, d:] = vs[:0:-1].T
-    for i in range(p - 1):
-        aug[d + i, d + i + 1] = 1.0
-    E = scipy.linalg.expm(aug)
-    return E[:d, :d] @ vs[0] + E[:d, -1] if p else E @ vs[0]
+    phis = phi_matrices(M, p)
+    return sum(phis[j] @ vs[j] for j in range(p + 1))

@@ -20,9 +20,11 @@ the newest interval:
 * DDE: head y plus h*u_k/k! on r^k, so the value at r = 1 is the new head;
 * RE: u_k/(c (k-1)!) on r^{k-1}, no head;
 * semilinear DDE: e^{r c h L} y + sum_k r^k phi_k(r c h L) h*u_k, sampled
-  at four Chebyshev-Lobatto points with one augmented exponential each
-  (:func:`~expdelay.phi.phi_matrix_action`; r = 1 gives the exact head) and
-  stored as its cubic interpolant, the only rule that interpolates.
+  at four Chebyshev-Lobatto points r (r = 0 is y itself, r = 1 the exact
+  head) and stored as its cubic interpolant, the only rule that
+  interpolates.  The matrix functions depend only on L, h and the tableau,
+  so a :class:`SemilinearPlan` holds them, built once per solve, and each
+  sample is one matrix-vector product.
 
 Row i of ``a`` with c = c_i gives the stage views (a shift plus one overlay
 polynomial); row ``b`` with c = 1 gives the appended segment.
@@ -47,7 +49,12 @@ from .history import (
     _outside,
     _steps,
 )
-from .phi import phi_matrix_action
+# ``phi_matrix_action`` is bound here although no step calls it: the
+# outside-in tracer (bench/spans.py) wraps it by name in this module's
+# namespace, and a missing name fails every traced run.  Library-owned run
+# counters (ROADMAP.md, item 1) remove the need.
+from .phi import phi_combine, phi_matrices, phi_matrix_action  # noqa: F401
+from .tableau import Tableau
 
 __all__ = [
     "Problem",
@@ -58,6 +65,8 @@ __all__ = [
     "step_re",
     "step_semilinear_dde",
     "step_coupled",
+    "SemilinearPlan",
+    "semilinear_plan",
     "initial_state",
     "integrate",
     "observed_values",
@@ -65,6 +74,8 @@ __all__ = [
 ]
 
 _FACTORIAL = np.array([math.factorial(k) for k in range(_NCOEF)], dtype=float)
+#: r^k at the nonzero Chebyshev-Lobatto nodes r = 1/4, 3/4, 1
+_LOBATTO_POWERS = _LOBATTO_S[1:, None] ** np.arange(_NCOEF)
 
 
 class IntegrationDiverged(RuntimeError):
@@ -124,6 +135,8 @@ class Problem:
             L = np.array(self.L, dtype=float)  # a copy: later writes by the caller must not reach it
             if L.shape != (self.dim, self.dim):
                 raise ValueError(f"L must have shape ({self.dim}, {self.dim})")
+            if not np.isfinite(L).all():
+                raise ValueError("L must be finite")
             L.setflags(write=False)
             object.__setattr__(self, "L", L)
         elif self.L is not None:
@@ -202,13 +215,13 @@ def _re_overlay(state, u, c: float, h: float):
     return coeffs, None
 
 
-def _semilinear_overlay(L, state, u, c: float, h: float):
+def _semilinear_overlay(stacks, state, u, c: float, h: float):
     us = h * u
     us[0] = state.head
-    samples = np.array([
-        phi_matrix_action(r * (c * h) * L, r ** np.arange(len(us))[:, None] * us)
-        for r in _LOBATTO_S
-    ])
+    samples = np.empty((len(_LOBATTO_S), state.dim))
+    samples[0] = state.head
+    vecs = (_LOBATTO_POWERS[:, : len(us), None] * us).reshape(len(samples) - 1, -1, 1)
+    samples[1:] = (stacks[c][:, :, : us.size] @ vecs)[:, :, 0]
     return samples.T @ _LOBATTO_VINV.T, samples[-1]
 
 
@@ -266,21 +279,76 @@ def step_re(problem, tab, state, t_n: float, h: float) -> HistoryState:
     return _step(tab, (state,), (_re_overlay,), problem.rhs, t_n, h)[0]
 
 
-def step_semilinear_dde(problem, tab, state, t_n: float, h: float) -> HistoryState:
+@dataclass(frozen=True, eq=False)
+class SemilinearPlan:
+    """The matrix functions of semilinear steps with one (L, tableau, h).
+
+    ``stacks[c]``, for every nonzero row node c (stage rows, and the update
+    row at c = 1), is a read-only (3, d, (p + 1) d) array: for r = 1/4, 3/4
+    and 1 the stacked matrix [phi_0 | ... | phi_p](r c h L), with p the
+    highest phi order among the rows at c.
+    """
+
+    L: np.ndarray
+    tab: Tableau
+    h: float
+    stacks: dict
+
+    def fits(self, problem, tab, h: float) -> bool:
+        return (
+            self.h == h
+            and (self.tab is tab or self.tab == tab)
+            and (self.L is problem.L or np.array_equal(self.L, problem.L))
+        )
+
+
+def semilinear_plan(problem, tab, h: float) -> SemilinearPlan:
+    """Build the matrix functions of a semilinear problem's steps of width h.
+
+    One d x d :func:`scipy.linalg.expm` per distinct nonzero node c, inside
+    :func:`~expdelay.phi.phi_matrices` at (c/4) h L; the samples at c/2, 3c/4
+    and c follow by doubling, adding and doubling again
+    (:func:`~expdelay.phi.phi_combine`).
+    """
+    orders: dict[float, int] = {}
+    for c, W in zip((*tab.c, 1.0), tab.weights):
+        if c != 0.0:
+            orders[c] = max(orders.get(c, 0), W.shape[1] - 1)
+    d = problem.dim
+    stacks = {}
+    for c, p in orders.items():
+        quarter = phi_matrices((0.25 * (c * h)) * problem.L, p)
+        half = phi_combine(quarter, quarter, 1.0, 1.0)
+        three_quarters = phi_combine(quarter, half, 1.0, 2.0)
+        samples = (quarter, three_quarters, phi_combine(half, half, 1.0, 1.0))
+        stack = np.stack(samples).transpose(0, 2, 1, 3).reshape(3, d, (p + 1) * d)
+        stack.setflags(write=False)
+        stacks[c] = stack
+    return SemilinearPlan(problem.L, tab, float(h), stacks)
+
+
+def step_semilinear_dde(problem, tab, state, t_n: float, h: float, plan=None) -> HistoryState:
     """One step for x' = L x + G(t, x_t) with the linear part treated exactly.
 
-    Each row takes one augmented exponential per Chebyshev-Lobatto point:
-    heads are exact matrix phi actions; segment profiles (which involve
-    e^{(h+theta)L}) are sampled at the 4 points and stored as their cubic
-    interpolant.  That stored segment is not exact when hL is stiff: one
-    expeuler step of x' = lam x from x = 1 at h = 0.01 stores a segment with
-    max error 4e-4, 0.15 and 0.77 at h lam = -1, -10 and -100, and at -10 it
-    dips to -0.11 (ROADMAP.md, stiff correctness).  With L = 0 the step
-    reduces to :func:`step_dde`.
+    Every matrix function comes from ``plan``, a :func:`semilinear_plan` for
+    (problem, tab, h); without one the step builds its own, which costs one
+    d x d exponential per distinct nonzero node.  Each row then costs three
+    matrix-vector products: heads are exact matrix phi actions; segment
+    profiles (which involve e^{(h+theta)L}) are sampled at the 4
+    Chebyshev-Lobatto points and stored as their cubic interpolant.  That
+    stored segment is not exact when hL is stiff: one expeuler step of
+    x' = lam x from x = 1 at h = 0.01 stores a segment with max error 4e-4,
+    0.15 and 0.77 at h lam = -1, -10 and -100, and at -10 it dips to -0.11
+    (ROADMAP.md, stiff correctness).  With L = 0 the step reduces to
+    :func:`step_dde`.
     """
     if problem.L is None:
         raise ValueError("semilinear step requires the matrix L")
-    overlay = functools.partial(_semilinear_overlay, problem.L)
+    if plan is None:
+        plan = semilinear_plan(problem, tab, h)
+    elif not plan.fits(problem, tab, h):
+        raise ValueError("the step plan was built for another L, tableau or step")
+    overlay = functools.partial(_semilinear_overlay, plan.stacks)
     return _step(tab, (state,), (overlay,), problem.rhs, t_n, h)[0]
 
 
@@ -311,15 +379,15 @@ def initial_state(problem, h: float):
     return HistoryState.from_callable(problem.phi0, kind, problem.dim, problem.tau, h)
 
 
-def step(problem, tab, state, t_n: float, h: float):
+def step(problem, tab, state, t_n: float, h: float, plan=None):
     """Dispatch one step on the problem kind; ``state`` is a pair for
-    coupled problems."""
+    coupled problems.  ``plan`` is passed to semilinear steps only."""
     if problem.kind == "dde":
         return step_dde(problem, tab, state, t_n, h)
     if problem.kind == "re":
         return step_re(problem, tab, state, t_n, h)
     if problem.kind == "semilinear_dde":
-        return step_semilinear_dde(problem, tab, state, t_n, h)
+        return step_semilinear_dde(problem, tab, state, t_n, h, plan)
     if problem.kind == "coupled":
         return step_coupled(problem, tab, state[0], state[1], t_n, h)
     raise ValueError(f"unknown problem kind {problem.kind!r}")
@@ -339,9 +407,10 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
     """Advance from t = 0 to t = T in N = T/h constant steps.
 
     T and tau must be integer multiples of h, as must any distributed-delay
-    bounds the problem declares.  ``observer``, if given, is called exactly
-    once per step, in order, as observer(t_{n+1}, values) with the observable
-    of :func:`observed_values`.  Returns the final state (or pair).  A
+    bounds the problem declares.  A semilinear problem's matrix functions
+    are built once, as a :func:`semilinear_plan`.  ``observer``, if given, is
+    called exactly once per step, in order, as observer(t_{n+1}, values) with
+    the observable of :func:`observed_values`.  Returns the final state (or pair).  A
     non-finite stage or update aborts with :class:`IntegrationDiverged`
     carrying the step and stage indices.
     """
@@ -350,9 +419,10 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
     if n_steps < 0:
         raise MeshError(f"horizon T = {T} is negative")
     state = initial_state(problem, h) if state0 is None else state0
+    plan = semilinear_plan(problem, tab, h) if problem.kind == "semilinear_dde" else None
     for n in range(n_steps):
         try:
-            state = step(problem, tab, state, n * h, h)
+            state = step(problem, tab, state, n * h, h, plan)
         except IntegrationDiverged as exc:
             raise IntegrationDiverged(
                 f"integration aborted at step {n} (t = {n * h}), "

@@ -7,7 +7,9 @@ from scipy.integrate import quad
 
 from expdelay import (
     PhiCombo,
+    phi_combine,
     phi_dde_weight,
+    phi_matrices,
     phi_matrix_action,
     phi_re_weight,
     phi_scalar,
@@ -196,3 +198,48 @@ def test_matrix_action_contract_violations():
         phi_matrix_action(np.zeros((2, 2)), np.zeros((0, 2)))
     with pytest.raises(ValueError):
         phi_matrix_action(np.zeros((2, 2)), np.zeros(2))
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_phi_matrices_match_scalar(p):
+    for z in np.concatenate([-np.logspace(-4, 4), [0.5, 1.0]]):
+        got = phi_matrices(np.array([[z]]), p)
+        assert got.shape == (p + 1, 1, 1)
+        for k in range(p + 1):
+            want = phi_scalar(k, z)
+            assert abs(got[k, 0, 0] - want) <= 1e-13 * abs(want), (z, k)
+
+
+#: integer eigenvector matrix with 2-norm condition number 5.9
+_Q = np.array([[-1, 2, 1, 1], [2, 0, -2, -2], [-1, 1, -1, -1], [-2, 1, -2, 0]], dtype=float)
+
+
+@pytest.mark.parametrize("top", [1.0, 1e2, 1e3, 1e4])
+def test_phi_matrices_non_normal(top):
+    # M = Q diag(lam) Q^-1 with lam from -1e-3 to -top: compare phi_k(M) with
+    # Q diag(phi_k(lam)) Q^-1 relative to its largest entry
+    lams = -np.geomspace(1e-3, top, 4)
+    Qinv = np.linalg.inv(_Q)
+    M = _Q @ np.diag(lams) @ Qinv
+    tol = 1e-14 + 5e-15 * np.abs(M).sum(axis=0).max()
+    got = phi_matrices(M, 4)
+    for k in range(5):
+        want = _Q @ np.diag([phi_scalar(k, lam) for lam in lams]) @ Qinv
+        assert np.abs(got[k] - want).max() <= tol * np.abs(want).max(), k
+
+
+def test_phi_combine_adds_arguments(rng):
+    # phi_k(aX) and phi_k(bX) give phi_k((a + b)X); a = b is the doubling rule
+    X = rng.standard_normal((3, 3))
+    for a, b in ((1.0, 1.0), (1.0, 2.0), (0.3, 0.5)):
+        got = phi_combine(phi_matrices(a * X, 3), phi_matrices(b * X, 3), a, b)
+        want = phi_matrices((a + b) * X, 3)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_phi_matrices_reject_bad_input():
+    with pytest.raises(ValueError, match="square"):
+        phi_matrices(np.zeros((2, 3)), 1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            phi_matrices(np.array([[bad]]), 1)

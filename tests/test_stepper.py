@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from expdelay import (
     HistoryState,
@@ -27,6 +28,7 @@ from expdelay import (
 )
 from expdelay import harness, problems, stepper
 from expdelay.stepper import (
+    semilinear_plan,
     step_coupled,
     step_dde,
     step_re,
@@ -494,6 +496,90 @@ def test_semilinear_decay_from_large_history(name, lam, y0):
     )
     state = integrate(prob, builtin(name), 0.1, 1.0)
     assert state.head[0] == pytest.approx(y0 * math.exp(lam), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_non_finite_matrix(bad):
+    with pytest.raises(ValueError, match="L must be finite"):
+        Problem(
+            kind="semilinear_dde",
+            dim=2,
+            tau=1.0,
+            rhs=lambda t, v: np.zeros(2),
+            phi0=lambda th: np.ones((np.size(th), 2)),
+            L=np.array([[-1.0, 0.0], [bad, -2.0]]),
+        )
+
+
+def _semilinear2():
+    return Problem(
+        kind="semilinear_dde",
+        dim=2,
+        tau=1.0,
+        rhs=lambda t, v: 0.5 * v.eval(-1.0) + np.sin(t) + 0.1 * v.head[::-1],
+        phi0=lambda th: np.stack([np.cos(th), np.sin(th)], axis=-1),
+        L=np.array([[-30.0, 4.0], [1.0, -3.0]]),
+    )
+
+
+def _counting_expm(monkeypatch):
+    calls = []
+    original = scipy.linalg.expm
+
+    def counting(A):
+        calls.append(A.shape)
+        return original(A)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name, nodes", [("expeuler", 1), ("heun", 1), ("expo3", 3)])
+def test_semilinear_solve_calls_expm_once_per_node(monkeypatch, name, nodes):
+    # matrix functions are built once per solve: one d x d exponential per
+    # distinct nonzero node, none per step
+    calls = _counting_expm(monkeypatch)
+    for steps in (10, 100):
+        calls.clear()
+        integrate(_semilinear2(), builtin(name), 0.01, steps * 0.01)
+        assert calls == [(2, 2)] * nodes
+
+
+def test_other_kinds_call_no_matrix_function(monkeypatch):
+    calls = _counting_expm(monkeypatch)
+    integrate(belzen(), builtin("expo3"), 0.1, 1.0)
+    integrate(quadratic_re(), builtin("expo3"), 0.1, 1.0)
+    integrate(daphnia(), builtin("expo3"), 0.1, 1.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["expeuler", "heun", "expo3"])
+def test_semilinear_step_without_plan_matches_integrate(name):
+    prob, tab, h = _semilinear2(), builtin(name), 0.05
+    state = initial_state(prob, h)
+    plan = semilinear_plan(prob, tab, h)
+    planned = state
+    for n in range(20):
+        state = step_semilinear_dde(prob, tab, state, n * h, h)
+        planned = stepper.step(prob, tab, planned, n * h, h, plan)
+    final = integrate(prob, tab, h, 20 * h)
+    for got in (state, planned):
+        assert np.array_equal(got.coefficients(), final.coefficients())
+        assert np.array_equal(got.head, final.head)
+
+
+def test_semilinear_plan_must_fit_the_step():
+    prob, tab, h = _semilinear2(), builtin("heun"), 0.05
+    plan = semilinear_plan(prob, tab, h)
+    state = initial_state(prob, h)
+    # an equal copy of L (as dataclasses.replace makes) still fits
+    step_semilinear_dde(dataclasses.replace(prob, name="copy"), tab, state, 0.0, h, plan)
+    other_L = dataclasses.replace(prob, L=2.0 * prob.L)
+    for args in ((other_L, tab), (prob, builtin("expo3"))):
+        with pytest.raises(ValueError, match="step plan"):
+            step_semilinear_dde(*args, state, 0.0, h, plan)
+    with pytest.raises(ValueError, match="step plan"):
+        step_semilinear_dde(prob, tab, initial_state(prob, 0.1), 0.0, 0.1, plan)
 
 
 @pytest.mark.parametrize("kind", ["dde", "re"])
