@@ -6,79 +6,23 @@ forcing through phi-function weights, yielding methods whose convergence
 order is not degraded by the infinite-dimensional setting.  Ships three
 explicit methods (orders 1-3), a stiff order-condition checker, benchmark
 problems and a CLI/CSV harness for convergence studies.
+
+The package exports the names in each module's ``__all__``, and only those.
 """
 
-from .history import DEGREE, HistoryState, StageView, norm_diff
-from .phi import (
-    PhiCombo,
-    phi_combine,
-    phi_dde_weight,
-    phi_matrices,
-    phi_matrix_action,
-    phi_re_weight,
-    phi_scalar,
-)
-from .quadrature import gauss_legendre, integrate_view
-from .tableau import OrderReport, Tableau, builtin, builtin_names, check_order, psi_a, psi_b
-from .stepper import (
-    CoupledProblem,
-    IntegrationDiverged,
-    MeshError,
-    Problem,
-    TrajectoryRecorder,
-    initial_state,
-    integrate,
-    observed_values,
-    semilinear_plan,
-    step_coupled,
-    step_dde,
-    step_re,
-    step_semilinear_dde,
-)
-from .problems import belzen, daphnia, quadratic_re
-from .harness import converge, estimate_order, simulate
+from .history import *
+from .phi import *
+from .quadrature import *
+from .tableau import *
+from .stepper import *
+from .problems import *
+from .harness import *
+from . import harness, history, phi, problems, quadrature, stepper, tableau
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEGREE",
-    "HistoryState",
-    "StageView",
-    "norm_diff",
-    "PhiCombo",
-    "phi_scalar",
-    "phi_dde_weight",
-    "phi_re_weight",
-    "phi_matrices",
-    "phi_combine",
-    "phi_matrix_action",
-    "integrate_view",
-    "gauss_legendre",
-    "Tableau",
-    "OrderReport",
-    "builtin",
-    "builtin_names",
-    "check_order",
-    "psi_a",
-    "psi_b",
-    "Problem",
-    "CoupledProblem",
-    "MeshError",
-    "IntegrationDiverged",
-    "TrajectoryRecorder",
-    "initial_state",
-    "integrate",
-    "observed_values",
-    "step_dde",
-    "step_re",
-    "step_semilinear_dde",
-    "step_coupled",
-    "semilinear_plan",
-    "belzen",
-    "quadratic_re",
-    "daphnia",
-    "converge",
-    "estimate_order",
-    "simulate",
-    "__version__",
-]
+    name
+    for module in (history, phi, quadrature, tableau, stepper, problems, harness)
+    for name in module.__all__
+] + ["__version__"]

@@ -30,8 +30,6 @@ __all__ = [
     "estimate_order",
     "converge",
     "simulate",
-    "format_csv",
-    "CONVERGE_HEADER",
 ]
 
 CONVERGE_HEADER = "problem,method,h,err_x,err_u"

@@ -12,7 +12,8 @@ local variable s = (theta - left)/h, lowest power first.  A state keeps tau
 as n * h, the multiple of h that passed the mesh check, so -tau is its oldest
 knot bit for bit and lookups, window cuts and ``j_integrate`` share one frame.
 
-The mesh rule of the package lives here: tau, T or a delay bound is on the
+The package's node tables and Gauss-Legendre rules (:func:`gauss_legendre`)
+live here, and so does its mesh rule: tau, T or a delay bound is on the
 mesh when value/h is within the knot tolerance 1e-9 * max(1, |value/h|) of
 an integer (:func:`_steps`, else :class:`MeshError`), and an offset is in
 [-tau, 0] when within 1e-9 * max(1, tau) of it (:func:`_outside`).  That band
@@ -75,10 +76,23 @@ _CHEB_VINV = np.linalg.inv(np.vander(_CHEB_S, _NCOEF, increasing=True))
 # 16 first-kind Chebyshev points per segment: sampling grid for sup norms.
 _SUP_S = 0.5 * (1.0 - np.cos((2.0 * np.arange(16) + 1.0) * np.pi / 32.0))
 
+_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1],
+    shared and read-only."""
+    if n not in _RULES:
+        x, w = np.polynomial.legendre.leggauss(n)
+        rule = (0.5 * (x + 1.0), 0.5 * w)
+        for arr in rule:
+            arr.setflags(write=False)
+        _RULES[n] = rule
+    return _RULES[n]
+
+
 # 4-node Gauss-Legendre rule on [0, 1], used for L1 norms.
-_GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
-_L1_S = 0.5 * (_GL4_X + 1.0)
-_L1_W = 0.5 * _GL4_W
+_L1_S, _L1_W = gauss_legendre(4)
 
 
 def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -25,9 +25,6 @@ __all__ = [
     "belzen",
     "quadratic_re",
     "daphnia",
-    "REGISTRY",
-    "CLI_DEFAULTS",
-    "make",
 ]
 
 

@@ -15,7 +15,8 @@ are one product of a fixed 4x4 power matrix with the contiguous slice of
 their coefficients, with no per-node segment search; the partial pieces
 are evaluated together in one small batch.
 
-The window range check and the knot tolerance are the history module's.
+The window range check, the knot tolerance and the Gauss-Legendre rule are
+the history module's.
 
 An adaptive rule driven by an error tolerance (accepting that the final
 error then decays to the tolerance rather than to zero) would also serve;
@@ -26,24 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .history import _outside
+from .history import _outside, gauss_legendre
 
 __all__ = ["integrate_view", "gauss_legendre"]
-
-_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1],
-    shared and read-only."""
-    if n not in _RULES:
-        x, w = np.polynomial.legendre.leggauss(n)
-        rule = (0.5 * (x + 1.0), 0.5 * w)
-        for arr in rule:
-            arr.setflags(write=False)
-        _RULES[n] = rule
-    return _RULES[n]
-
 
 _X, _W = gauss_legendre(4)
 _EXPONENTS = np.arange(4.0)

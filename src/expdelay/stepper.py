@@ -23,8 +23,8 @@ the newest interval:
   at four Chebyshev-Lobatto points r (r = 0 is y itself, r = 1 the exact
   head) and stored as its cubic interpolant, the only rule that
   interpolates.  The matrix functions depend only on L, h and the tableau,
-  so a :class:`SemilinearPlan` holds them, built once per solve, and each
-  sample is one matrix-vector product.
+  so a :class:`SemilinearPlan`, built once per solve, holds them and is
+  itself this overlay rule; each sample is one matrix-vector product.
 
 Row i of ``a`` with c = c_i gives the stage views (a shift plus one overlay
 polynomial); row ``b`` with c = 1 gives the appended segment.
@@ -32,7 +32,6 @@ polynomial); row ``b`` with c = 1 gives the appended segment.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -59,13 +58,11 @@ from .tableau import Tableau
 __all__ = [
     "Problem",
     "CoupledProblem",
-    "MeshError",
     "IntegrationDiverged",
     "step_dde",
     "step_re",
     "step_semilinear_dde",
     "step_coupled",
-    "SemilinearPlan",
     "semilinear_plan",
     "initial_state",
     "integrate",
@@ -89,12 +86,16 @@ class IntegrationDiverged(RuntimeError):
 
 def _check_fields(problem, dim_fields):
     """Checks shared by every problem type: tau positive and finite, each
-    named dimension >= 1 and every distributed limit in [-tau, 0]."""
+    named dimension >= 1, one component name per dimension if any are given,
+    and every distributed limit in [-tau, 0]."""
     if not 0.0 < problem.tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {problem.tau}")
     for field in dim_fields:
         if getattr(problem, field) < 1:
             raise ValueError(f"{field} must be >= 1, got {getattr(problem, field)}")
+    dim, names = sum(getattr(problem, f) for f in dim_fields), problem.component_names
+    if names and len(names) != dim:
+        raise ValueError(f"component_names has {len(names)} entries, expected {dim}")
     if _outside(np.asarray(problem.distributed_limits, dtype=float), problem.tau).any():
         raise ValueError(
             f"distributed_limits {problem.distributed_limits} outside [-tau, 0], "
@@ -215,16 +216,6 @@ def _re_overlay(state, u, c: float, h: float):
     return coeffs, None
 
 
-def _semilinear_overlay(stacks, state, u, c: float, h: float):
-    us = h * u
-    us[0] = state.head
-    samples = np.empty((len(_LOBATTO_S), state.dim))
-    samples[0] = state.head
-    vecs = (_LOBATTO_POWERS[:, : len(us), None] * us).reshape(len(samples) - 1, -1, 1)
-    samples[1:] = (stacks[c][:, :, : us.size] @ vecs)[:, :, 0]
-    return samples.T @ _LOBATTO_VINV.T, samples[-1]
-
-
 def _step(tab, states, overlays, rhs, t_n: float, h: float) -> tuple:
     """One explicit exponential RK step of a tuple of history components.
 
@@ -251,7 +242,11 @@ def _step(tab, states, overlays, rhs, t_n: float, h: float) -> tuple:
                 coeffs, head = overlay(state, tab.weights[i].T @ f, ci, h)
                 views.append(StageView(state, ci * h, coeffs, head=head))
         raw = rhs(t_n + ci * h, *views)
-        for r, state, f in zip((raw,) if single else raw, states, F):
+        if single:
+            raw = (raw,)
+        elif len(raw) != len(states):
+            raise ValueError(f"rhs returned {len(raw)} values, expected {len(states)}")
+        for r, state, f in zip(raw, states, F):
             f[i] = _as_rhs_value(r, state, single)
             _require_finite(f[i], i + 1, "stage value")
     new = []
@@ -281,12 +276,14 @@ def step_re(problem, tab, state, t_n: float, h: float) -> HistoryState:
 
 @dataclass(frozen=True, eq=False)
 class SemilinearPlan:
-    """The matrix functions of semilinear steps with one (L, tableau, h).
+    """The overlay rule of semilinear steps with one (L, tableau, h), with
+    its matrix functions.
 
     ``stacks[c]``, for every nonzero row node c (stage rows, and the update
     row at c = 1), is a read-only (3, d, (p + 1) d) array: for r = 1/4, 3/4
     and 1 the stacked matrix [phi_0 | ... | phi_p](r c h L), with p the
-    highest phi order among the rows at c.
+    highest phi order among the rows at c.  Calling the plan as
+    ``plan(state, u, c, h)`` applies the rule to a row's phi weights u.
     """
 
     L: np.ndarray
@@ -300,6 +297,15 @@ class SemilinearPlan:
             and (self.tab is tab or self.tab == tab)
             and (self.L is problem.L or np.array_equal(self.L, problem.L))
         )
+
+    def __call__(self, state, u, c: float, h: float):
+        us = h * u
+        us[0] = state.head
+        samples = np.empty((len(_LOBATTO_S), state.dim))
+        samples[0] = state.head
+        vecs = (_LOBATTO_POWERS[:, : len(us), None] * us).reshape(len(samples) - 1, -1, 1)
+        samples[1:] = (self.stacks[c][:, :, : us.size] @ vecs)[:, :, 0]
+        return samples.T @ _LOBATTO_VINV.T, samples[-1]
 
 
 def semilinear_plan(problem, tab, h: float) -> SemilinearPlan:
@@ -348,8 +354,7 @@ def step_semilinear_dde(problem, tab, state, t_n: float, h: float, plan=None) ->
         plan = semilinear_plan(problem, tab, h)
     elif not plan.fits(problem, tab, h):
         raise ValueError("the step plan was built for another L, tableau or step")
-    overlay = functools.partial(_semilinear_overlay, plan.stacks)
-    return _step(tab, (state,), (overlay,), problem.rhs, t_n, h)[0]
+    return _step(tab, (state,), (plan,), problem.rhs, t_n, h)[0]
 
 
 def step_coupled(problem, tab, state_re, state_dde, t_n: float, h: float):

@@ -620,6 +620,35 @@ def test_coupled_problem_checks_limits_and_dims():
                 dataclasses.replace(make(), tau=tau)
 
 
+def test_coupled_rhs_returns_one_value_per_component():
+    prob = daphnia()
+
+    def final(rhs):
+        run = integrate(dataclasses.replace(prob, rhs=rhs), builtin("heun"), 0.1, 1.0)
+        return observed_values(run)
+
+    # a dropped or an extra value must raise, not vanish in a zip
+    with pytest.raises(ValueError, match="rhs returned 1 values, expected 2"):
+        final(lambda t, vb, vs: prob.rhs(t, vb, vs)[:1])
+    with pytest.raises(ValueError, match="rhs returned 3 values, expected 2"):
+        final(lambda t, vb, vs: (*prob.rhs(t, vb, vs), 0.0))
+    # one flat array with a value per component is still a value per component
+    flat = final(lambda t, vb, vs: np.concatenate([np.ravel(f) for f in prob.rhs(t, vb, vs)]))
+    assert np.array_equal(flat, final(prob.rhs))
+
+
+def test_component_names_match_the_dimension():
+    with pytest.raises(ValueError, match="component_names has 2 entries, expected 1"):
+        dataclasses.replace(belzen(), component_names=("a", "b"))
+    with pytest.raises(ValueError, match="component_names has 1 entries, expected 2"):
+        dataclasses.replace(belzen(), dim=2, component_names=("a",))
+    with pytest.raises(ValueError, match="component_names has 1 entries, expected 2"):
+        dataclasses.replace(daphnia(), component_names=("b",))
+    with pytest.raises(ValueError, match="component_names has 2 entries, expected 3"):
+        dataclasses.replace(daphnia(), dim_dde=2)  # the stored names no longer fit
+    assert dataclasses.replace(daphnia(), component_names=("B", "S")).component_names == ("B", "S")
+
+
 def test_problem_keeps_a_read_only_copy_of_L():
     L = np.array([[-5.0]])
     prob = Problem(
