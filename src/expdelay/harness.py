@@ -39,7 +39,7 @@ ORDER_FLOOR = 1e3 * float(np.finfo(float).eps)
 
 
 def estimate_order(hs, errs) -> float:
-    """Least-squares slope of log(err) against log(h).
+    """Least-squares slope of log(err) against log(h), for finite errors and h > 0.
 
     Pairs with an error under 1e3 machine epsilons sit on the roundoff floor
     and are excluded; at least two usable pairs must remain.
@@ -48,6 +48,8 @@ def estimate_order(hs, errs) -> float:
     errs = np.asarray(errs, dtype=float)
     if hs.shape != errs.shape or hs.ndim != 1:
         raise ValueError("hs and errs must be 1-d arrays of equal length")
+    if not (np.isfinite(hs).all() and (hs > 0.0).all() and np.isfinite(errs).all()):
+        raise ValueError(f"need positive finite hs and finite errs, got {hs}, {errs}")
     usable = errs >= ORDER_FLOOR
     if usable.sum() < 2:
         raise ValueError(

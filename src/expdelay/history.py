@@ -448,8 +448,8 @@ class StageView:
     __slots__ = ("base", "kind", "dim", "tau", "h", "shift", "overlay_coeffs", "head")
 
     def __init__(self, base, shift: float, overlay_coeffs: np.ndarray, head=None):
-        if shift <= 0.0:
-            raise ValueError("stage shift must be positive")
+        if not 0.0 < shift <= base.tau:
+            raise ValueError(f"stage shift must be in (0, tau = {base.tau}], got {shift}")
         overlay_coeffs = np.array(overlay_coeffs, dtype=float, ndmin=2)
         if overlay_coeffs.shape != (base.dim, _NCOEF):
             raise ValueError(

@@ -5,23 +5,21 @@ phi_0 = exp and, for k >= 1,
     phi_k(z) = int_0^1 e^{z(1-s)} s^{k-1}/(k-1)! ds,
 
 so phi_k(0) = 1/k! and phi_k(z) = z*phi_{k+1}(z) + 1/k!.  Besides the scalar
-functions this module provides weighted combinations (used as tableau
-coefficients), the scalar weights realising the phi operators on shift
-semigroups (delay and renewal flavours), and the matrices phi_0(M), ...,
-phi_p(M) by scaling and modified squaring from one d x d exponential, with
-the rule that combines phi_k(aX) and phi_k(bX) into phi_k((a + b)X).
+functions this module provides the scalar weights realising the phi
+operators on shift semigroups (delay and renewal flavours), and the matrices
+phi_0(M), ..., phi_p(M) by scaling and modified squaring from one d x d
+exponential, with the rule that combines phi_k(aX) and phi_k(bX) into
+phi_k((a + b)X).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 __all__ = [
-    "PhiCombo",
     "phi_scalar",
     "phi_dde_weight",
     "phi_re_weight",
@@ -82,27 +80,13 @@ def phi_scalar(k: int, z: float) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class PhiCombo:
-    """Weighted sum of phi functions: (k, w) pairs give sum w * phi_k(z).
-
-    Tableau coefficients are always of this shape with k >= 1; the empty
-    combination is the zero coefficient.  The node scale of the argument
-    belongs to the tableau row, not to the combination.
-    """
-
-    terms: tuple[tuple[int, float], ...] = ()
-
-    def __post_init__(self):
-        for k, _ in self.terms:
-            if k < 1:
-                raise ValueError("phi combination terms need order k >= 1")
-
-    def at(self, z: float) -> float:
-        return sum(w * phi_scalar(k, z) for k, w in self.terms)
-
-    def at_zero(self) -> float:
-        return sum(w / math.factorial(k) for k, w in self.terms)
+def _tail_power(k: int, gh: float, theta: float) -> float:
+    """max(0, gh + theta)^k, after checking k >= 1 and gh > 0."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not gh > 0.0:
+        raise ValueError("scaled step gh must be positive")
+    return max(0.0, gh + theta) ** k
 
 
 def phi_dde_weight(k: int, gh: float, theta: float) -> float:
@@ -111,12 +95,7 @@ def phi_dde_weight(k: int, gh: float, theta: float) -> float:
     The action is (f/k!; theta -> phi_dde_weight(k, gh, theta) * f): the head
     weight is 1/k! and the tail weight max(0, gh+theta)^k / (gh^k k!).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if gh <= 0.0:
-        raise ValueError("scaled step gh must be positive")
-    m = max(0.0, gh + theta)
-    return m**k / (gh**k * math.factorial(k))
+    return _tail_power(k, gh, theta) / (gh**k * math.factorial(k))
 
 
 def phi_re_weight(k: int, gh: float, theta: float) -> float:
@@ -125,12 +104,7 @@ def phi_re_weight(k: int, gh: float, theta: float) -> float:
     Equals (gh^k - max(0, gh+theta)^k) / (gh^k k!); complements
     phi_dde_weight so that the two scaled weights sum to gh^k.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if gh <= 0.0:
-        raise ValueError("scaled step gh must be positive")
-    m = max(0.0, gh + theta)
-    return (gh**k - m**k) / (gh**k * math.factorial(k))
+    return (gh**k - _tail_power(k, gh, theta)) / (gh**k * math.factorial(k))
 
 
 def phi_matrices(M: np.ndarray, p: int) -> np.ndarray:

@@ -33,6 +33,7 @@ polynomial); row ``b`` with c = 1 gives the appended segment.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -368,20 +369,35 @@ def step_coupled(problem, tab, state_re, state_dde, t_n: float, h: float):
     )
 
 
-def initial_state(problem, h: float):
-    """Project the problem's initial history onto a mesh of width h."""
+def _components(problem) -> tuple:
+    """(phi0, kind, dim) of each history component of the problem's state."""
+    if problem.kind == "coupled":
+        return (problem.phi0_re, "re", problem.dim_re), (problem.phi0_dde, "dde", problem.dim_dde)
+    return ((problem.phi0, "re" if problem.kind == "re" else "dde", problem.dim),)
+
+
+def _check_bounds(problem, h: float):
     for lim in problem.distributed_limits:
         _steps(lim, h, "distributed delay bound")
-    if problem.kind == "coupled":
-        re0 = HistoryState.from_callable(
-            problem.phi0_re, "re", problem.dim_re, problem.tau, h
-        )
-        dde0 = HistoryState.from_callable(
-            problem.phi0_dde, "dde", problem.dim_dde, problem.tau, h
-        )
-        return re0, dde0
-    kind = "re" if problem.kind == "re" else "dde"
-    return HistoryState.from_callable(problem.phi0, kind, problem.dim, problem.tau, h)
+
+
+def initial_state(problem, h: float):
+    """Project the problem's initial history onto a mesh of width h."""
+    _check_bounds(problem, h)
+    states = tuple(HistoryState.from_callable(*c, problem.tau, h) for c in _components(problem))
+    return states if problem.kind == "coupled" else states[0]
+
+
+def _check_state0(problem, state0, h: float):
+    """initial_state's checks for a given state0: bounds, then components."""
+    _check_bounds(problem, h)
+    states = state0 if problem.kind == "coupled" else (state0,)
+    want = [(kind, dim) for _, kind, dim in _components(problem)]
+    if not isinstance(states, tuple) or want != [
+        (s.kind, s.dim) for s in states if isinstance(s, HistoryState)
+    ]:
+        layout = ", ".join(f"{kind} HistoryState of dim {dim}" for kind, dim in want)
+        raise ValueError(f"state0 of a {problem.kind} problem must be ({layout})")
 
 
 def step(problem, tab, state, t_n: float, h: float, plan=None):
@@ -412,17 +428,20 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
     """Advance from t = 0 to t = T in N = T/h constant steps.
 
     T and tau must be integer multiples of h, as must any distributed-delay
-    bounds the problem declares.  A semilinear problem's matrix functions
-    are built once, as a :func:`semilinear_plan`.  ``observer``, if given, is
-    called exactly once per step, in order, as observer(t_{n+1}, values) with
-    the observable of :func:`observed_values`.  Returns the final state (or pair).  A
-    non-finite stage or update aborts with :class:`IntegrationDiverged`
-    carrying the step and stage indices.
+    bounds the problem declares, also for a given ``state0``, which must have
+    the structure :func:`initial_state` builds.  A semilinear problem's matrix
+    functions are built once, as a :func:`semilinear_plan`.  ``observer``, if
+    given, is called exactly once per step, in order, as observer(t_{n+1},
+    values) with the observable of :func:`observed_values`.  Returns the final
+    state (or pair).  A non-finite stage or update aborts with
+    :class:`IntegrationDiverged` carrying the step and stage indices.
     """
     h = float(h)
     n_steps = _steps(float(T), h, "T")
     if n_steps < 0:
         raise MeshError(f"horizon T = {T} is negative")
+    if state0 is not None:
+        _check_state0(problem, state0, h)
     state = initial_state(problem, h) if state0 is None else state0
     plan = semilinear_plan(problem, tab, h) if problem.kind == "semilinear_dde" else None
     for n in range(n_steps):
@@ -445,9 +464,9 @@ class TrajectoryRecorder:
     initial observable is passed at construction)."""
 
     def __init__(self, sample_every: int = 1, t0=None, values0=None):
-        if sample_every < 1:
+        self.sample_every = operator.index(sample_every)
+        if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        self.sample_every = int(sample_every)
         self._count = 0
         self.times: list[float] = []
         self.values: list[np.ndarray] = []

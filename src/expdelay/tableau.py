@@ -1,12 +1,11 @@
 """Butcher tableaux of explicit exponential Runge-Kutta methods and the
 table of stiff order conditions they are checked against.
 
-Coefficients a_ij and b_i are linear combinations of phi_k
-(:class:`~expdelay.phi.PhiCombo`) evaluated at the row's node: row i of
-``a`` at c_i z and ``b`` at z.  The steppers read the (k, w) terms as one
-weight matrix per row, built once with the tableau.  The checker reads them
-as defects psi_j(z) = c^j phi_j(c z) - sum_k w_k c_k^{j-1}/(j-1)! of the
-rows of ``a`` and of ``b``, the row with c = 1.  ``_CONDITIONS`` holds one
+Coefficients a_ij and b_i are sums of w * phi_k over (k, w) terms, read once
+into one weight matrix per row and evaluated at the row's node: row i of
+``a`` at c_i z and ``b`` at z.  Steppers and checker read only the matrices,
+the checker as defects psi_j(z) = c^j phi_j(c z) - sum_k w_k c_k^{j-1}/(j-1)!
+of the rows of ``a`` and of ``b``, the row with c = 1.  ``_CONDITIONS`` holds one
 entry per row of the condition table up to order 4: the order it certifies,
 its label and its residual.  Residuals are evaluated on a fixed sample of
 real arguments in strong (operator-argument) or weak (frozen-argument) form.
@@ -21,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .history import DEGREE
-from .phi import PhiCombo, phi_scalar
+from .phi import phi_scalar
 
 __all__ = [
     "Tableau",
@@ -44,21 +43,23 @@ RESIDUAL_TOL = 1e-10
 class Tableau:
     """Explicit exponential Runge-Kutta tableau.
 
-    ``a`` is strictly lower triangular.  The tableau owns the node scale:
-    row i of ``a`` is evaluated at c_i z (coefficients built from
-    phi_k(c_i h A0)) and ``b`` at z.  Terms have order k <= DEGREE, the
-    degree of a stored history segment, so every method runs on every
+    Entries of ``a`` and ``b`` are tuples of (k, w) terms, sum w * phi_k with
+    k >= 1 (() is zero).  ``a`` is strictly lower triangular.  The tableau
+    owns the node scale: row i of ``a`` is evaluated at c_i z (coefficients
+    built from phi_k(c_i h A0)) and ``b`` at z.  Terms have order k <= DEGREE,
+    the degree of a stored history segment, so every method runs on every
     problem kind.
 
     ``weights`` holds one read-only matrix W_i per row, the rows of ``a``
     and then ``b``, of shape (nu, p_i + 1) with p_i the row's highest phi
-    order: W_i[j, k] sums the weights of the order-k terms of entry (i, j).
+    order: W_i[j, k] sums the weights of the order-k terms of entry (i, j);
+    steps and order checks evaluate only these matrices.
     """
 
     name: str
     c: tuple[float, ...]
-    a: tuple[tuple[PhiCombo, ...], ...]
-    b: tuple[PhiCombo, ...]
+    a: tuple[tuple[tuple[tuple[int, float], ...], ...], ...]
+    b: tuple[tuple[tuple[int, float], ...], ...]
     declared_order: int
     declared_mode: str = "strong"
     weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
@@ -68,9 +69,9 @@ class Tableau:
         if self.c[0] != 0.0:
             raise ValueError("first node c_1 must be 0")
         if len(self.a) != nu or any(len(row) != nu for row in self.a):
-            raise ValueError("a must be a nu x nu matrix of combinations")
+            raise ValueError("a must be a nu x nu matrix of term tuples")
         if len(self.b) != nu:
-            raise ValueError("b must have one combination per stage")
+            raise ValueError("b must have one term tuple per stage")
         if self.declared_mode not in ("strong", "weak"):
             raise ValueError("declared_mode must be 'strong' or 'weak'")
         weights = tuple(_weight_matrix(row) for row in (*self.a, self.b))
@@ -94,16 +95,14 @@ class Tableau:
 
 def _weight_matrix(row) -> np.ndarray:
     """Read-only (nu, p + 1) matrix of one row's term weights by phi order."""
-    W = np.zeros((len(row), 1 + max((k for e in row for k, _ in e.terms), default=0)))
-    for j, combo in enumerate(row):
-        for k, w in combo.terms:
+    W = np.zeros((len(row), 1 + max((k for terms in row for k, _ in terms), default=0)))
+    for j, terms in enumerate(row):
+        for k, w in terms:
+            if k < 1:
+                raise ValueError(f"phi terms need order k >= 1, got {k}")
             W[j, k] += w
     W.setflags(write=False)
     return W
-
-
-def _combo(*terms) -> PhiCombo:
-    return PhiCombo(tuple(terms))
 
 
 _BUILTINS = {
@@ -111,8 +110,8 @@ _BUILTINS = {
     "expeuler": Tableau(
         name="expeuler",
         c=(0.0,),
-        a=((_combo(),),),
-        b=(_combo((1, 1.0)),),
+        a=(((),),),
+        b=(((1, 1.0),),),
         declared_order=1,
     ),
     # Two stages with c_2 = 1: a_21 = phi_1(z), b = [phi_1 - phi_2, phi_2];
@@ -120,8 +119,8 @@ _BUILTINS = {
     "heun": Tableau(
         name="heun",
         c=(0.0, 1.0),
-        a=((_combo(), _combo()), (_combo((1, 1.0)), _combo())),
-        b=(_combo((1, 1.0), (2, -1.0)), _combo((2, 1.0))),
+        a=(((), ()), (((1, 1.0),), ())),
+        b=(((1, 1.0), (2, -1.0)), ((2, 1.0),)),
         declared_order=2,
     ),
     # Three stages, c = (0, 1/2, 2/3); satisfies the order-3 conditions in
@@ -130,11 +129,11 @@ _BUILTINS = {
         name="expo3",
         c=(0.0, 0.5, 2.0 / 3.0),
         a=(
-            (_combo(), _combo(), _combo()),
-            (_combo((1, 0.5)), _combo(), _combo()),
-            (_combo((1, 2.0 / 3.0), (2, -8.0 / 9.0)), _combo((2, 8.0 / 9.0)), _combo()),
+            ((), (), ()),
+            (((1, 0.5),), (), ()),
+            (((1, 2.0 / 3.0), (2, -8.0 / 9.0)), ((2, 8.0 / 9.0),), ()),
         ),
-        b=(_combo((1, 1.0), (2, -1.5)), _combo(), _combo((2, 1.5))),
+        b=(((1, 1.0), (2, -1.5)), (), ((2, 1.5),)),
         declared_order=3,
         declared_mode="weak",
     ),
@@ -164,17 +163,23 @@ def _defect(j: int, c: float, z: float, coeffs) -> float:
     return acc
 
 
-def _update_weights(tab: Tableau, z: float, weak: bool) -> list[float]:
-    return [combo.at_zero() if weak else combo.at(z) for combo in tab.b]
+def _values(W: np.ndarray, z: float, weak: bool = False) -> list[float]:
+    """Row coefficients sum_k W[j, k] phi_k(z), over nonzero weights by
+    ascending k, or their frozen values sum_k W[j, k]/k! when ``weak``."""
+    return [
+        sum(w / math.factorial(k) if weak else w * phi_scalar(k, z)
+            for k, w in enumerate(Wj) if w)
+        for Wj in W.tolist()
+    ]
 
 
 def psi_b(tab: Tableau, j: int, z: float, weak: bool = False) -> float:
     """Update-row defect psi_j(z) = phi_j(z) - sum_k B_k(z) c_k^{j-1}/(j-1)!.
 
-    B_k is the full combination b_k(z) in strong form, or the frozen value
+    B_k is the full coefficient b_k(z) in strong form, or the frozen value
     b_k(0) when ``weak`` is set.
     """
-    return _defect(j, 1.0, z, zip(tab.c, _update_weights(tab, z, weak)))
+    return _defect(j, 1.0, z, zip(tab.c, _values(tab.weights[-1], z, weak)))
 
 
 def psi_a(tab: Tableau, j: int, stage: int, z: float) -> float:
@@ -187,9 +192,8 @@ def psi_a(tab: Tableau, j: int, stage: int, z: float) -> float:
     """
     if not 1 <= stage <= tab.nu:
         raise ValueError(f"stage must be in 1..{tab.nu}, got {stage}")
-    i = stage - 1
-    ci = tab.c[i]
-    return _defect(j, ci, z, ((tab.c[k], tab.a[i][k].at(ci * z)) for k in range(i)))
+    ci = tab.c[stage - 1]  # a is strictly lower triangular: later entries are 0
+    return _defect(j, ci, z, zip(tab.c, _values(tab.weights[stage - 1], ci * z)))
 
 
 class _Row(NamedTuple):
@@ -216,7 +220,7 @@ def _psi_row(j: int) -> _Row:
 
 def _nested(tab: Tableau, z: float, B) -> float:
     d = _psis(tab, 2, z)
-    a = [[combo.at(c * z) for combo in row] for c, row in zip(tab.c, tab.a)]
+    a = [_values(W, c * z) for c, W in zip(tab.c, tab.weights)]
     return abs(_dot(B, [_dot(a[i][1:i], d[1:i]) for i in range(tab.nu)]))
 
 
@@ -265,7 +269,7 @@ def check_order(tab: Tableau, p: int, mode: str = "strong") -> OrderReport:
     """Check the stiff order conditions for order ``p`` (1..4).
 
     Strong form requires every row of order <= p to vanish on the sample
-    arguments with the full combinations b_i(z).  Weak form requires rows of
+    arguments with the full coefficients b_i(z).  Weak form requires rows of
     order <= p-1 in strong form, the quadrature identity
     sum_i b_i(0) c_i^{p-1} = 1/p, and the order-p rows with b_i frozen at 0
     (for the psi_p row this is exactly the classical condition at z = 0).
@@ -283,9 +287,9 @@ def check_order(tab: Tableau, p: int, mode: str = "strong") -> OrderReport:
         # the quadrature identity: the same condition scaled by (p-1)!
         classical = weak and psi
         zs = (0.0,) if classical else Z_SAMPLES
-        res = max(residual(tab, z, _update_weights(tab, z, weak)) for z in zs)
+        res = max(residual(tab, z, _values(tab.weights[-1], z, weak)) for z in zs)
         if classical:
-            quad = _dot(_update_weights(tab, 0.0, weak), [c ** (p - 1) for c in tab.c])
+            quad = _dot(_values(tab.weights[-1], 0.0, weak), [c ** (p - 1) for c in tab.c])
             res = max(res, abs(quad - 1.0 / p))
         residuals[row] = res
     failed = tuple(r for r in sorted(residuals) if residuals[r] > RESIDUAL_TOL)

@@ -96,7 +96,9 @@ def test_criterion_3_order_condition_matrix():
         assert xd.check_order(expo3, 3, "weak").passed
 
         quad_id = sum(
-            combo.at_zero() * c**2 for c, combo in zip(expo3.c, expo3.b)
+            w / math.factorial(k) * c**2
+            for c, terms in zip(expo3.c, expo3.b)
+            for k, w in terms
         )
         assert abs(quad_id - 1.0 / 3.0) <= 1e-14
 

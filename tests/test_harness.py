@@ -26,6 +26,36 @@ def test_estimate_order_needs_two_usable_pairs():
         estimate_order([1e-1, 1e-2], [1e-2, 1e-16])
 
 
+@pytest.mark.parametrize(
+    "hs, errs",
+    [
+        ([0.1, 0.01, 0.001], [1.0, np.nan, 1e-3]),  # not dropped as if below the floor
+        ([0.1, 0.01, 0.001], [1.0, np.inf, 1e-3]),
+        ([0.1, 0.01, 0.001], [1.0, -np.inf, 1e-3]),
+        ([0.1, 0.0, 0.001], [1.0, 1e-2, 1e-3]),  # named, not a LinAlgError from the fit
+        ([0.1, -0.01, 0.001], [1.0, 1e-2, 1e-3]),
+        ([0.1, np.inf, 0.001], [1.0, 1e-2, 1e-3]),
+        ([0.1, np.nan, 0.001], [1.0, 1e-2, 1e-3]),
+    ],
+)
+def test_estimate_order_rejects_non_finite_input(hs, errs):
+    with pytest.raises(ValueError, match="need positive finite hs and finite errs"):
+        estimate_order(hs, errs)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: estimate_order([0.1, 0.01], [1.0, 0.1, 0.01]), "1-d arrays of equal length"),
+        (lambda: estimate_order([[0.1, 0.01]], [[1.0, 0.1]]), "1-d arrays of equal length"),
+        (lambda: format_csv("json", []), "unknown csv kind 'json'"),
+    ],
+)
+def test_harness_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 @settings(deadline=None, max_examples=50)
 @given(
     st.floats(min_value=0.25, max_value=4.0),
@@ -220,6 +250,22 @@ def test_cli_check_exit_codes(capsys):
     assert main(["check", "--method", "expo3", "--order", "3", "--mode", "strong"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "PASS" in out
+
+
+def test_cli_simulate_takes_one_method(capsys):
+    argv = ["simulate", "--problem", "belzen", "--method", "heun", "--method", "expo3"]
+    assert main(argv + ["--h", "0.1", "--T", "0.2"]) == 2
+    assert "simulate takes exactly one --method" in capsys.readouterr().err
+
+
+def test_cli_converge_out_dash_writes_stdout(capsys):
+    argv = ["converge", "--problem", "belzen", "--method", "heun", "--h", "0.1", "--h", "0.05"]
+    assert main(argv + ["--T", "0.2", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.strip().split("\n")
+    assert lines[0] == CONVERGE_HEADER
+    assert len(lines) == 3 and lines[1].startswith("belzen,heun,1.0000000000000001e-01,")
+    assert "slope belzen heun" in captured.err  # slopes go to stderr, off the CSV
 
 
 def test_cli_unknown_choices_exit_2():

@@ -355,6 +355,39 @@ def test_stage_view_head_contract(re_state):
     assert StageView(re_state, 0.25, np.zeros((1, 4))).head is None
 
 
+def test_stage_view_shift_in_range(re_state):
+    # 0 < shift <= tau, checked at construction: a NaN or inf shift would
+    # otherwise fail unnamed, or evaluate to NaN, only inside eval
+    tau = re_state.tau
+    for shift in (np.nan, np.inf, 0.0, -0.25, 1.5 * tau):
+        with pytest.raises(ValueError, match=r"stage shift must be in \(0, tau = 2.0\]"):
+            StageView(re_state, shift, np.zeros((1, 4)))
+    assert StageView(re_state, tau, np.zeros((1, 4))).shift == tau
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda s: HistoryState("ode", 1, 2.0, 0.25, s.coefficients()),
+         "kind must be 'dde' or 're', got 'ode'"),
+        (lambda s: HistoryState("re", 1, 2.0, 0.25, s.coefficients()[:, :, :3]),
+         r"coeffs must have shape \(8, 1, 4\), got \(8, 1, 3\)"),
+        (lambda s: HistoryState.from_callable(
+            lambda th: np.zeros((np.size(th), 3)), "re", 2, 2.0, 0.25),
+         r"phi returned shape \(32, 3\); expected \(32,\) for scalar systems or \(32, 2\)"),
+        (lambda s: norm_diff(s, lambda th: np.zeros((np.size(th), 2))),
+         r"reference returned shape \(128, 2\)"),
+        (lambda s: StageView(s, 0.25, np.zeros((1, 3))),
+         r"overlay must have shape \(1, 4\), got \(1, 3\)"),
+        (lambda s: StageView(s, 0.25, np.zeros((2, 4))),
+         r"overlay must have shape \(1, 4\), got \(2, 4\)"),
+    ],
+)
+def test_history_input_checks(re_state, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(re_state)
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     st.sampled_from([0.1, 1.0 / 3.0, 0.01, 0.7]),

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from expdelay import (
-    PhiCombo,
     phi_combine,
     phi_dde_weight,
     phi_matrices,
@@ -72,19 +71,6 @@ def test_phi_matches_integral_oracle(k, z):
     assert phi_scalar(k, z) == pytest.approx(val, abs=1e-10)
 
 
-def test_combo_examples():
-    combo = PhiCombo(((1, 1.0), (2, -1.0)))
-    assert combo.at(0.0) == pytest.approx(0.5, abs=1e-15)
-    # Heun's first weight phi_1 - phi_2 at z = 1 collapses to 1
-    assert combo.at(1.0) == pytest.approx(1.0, abs=1e-14)
-    assert PhiCombo().at(123.4) == 0.0
-
-
-def test_combo_validation():
-    with pytest.raises(ValueError):
-        PhiCombo(((0, 1.0),))
-
-
 def test_dde_weight_examples():
     for k in (1, 2, 3):
         assert phi_dde_weight(k, 0.3, 0.0) == pytest.approx(
@@ -93,6 +79,17 @@ def test_dde_weight_examples():
         assert phi_dde_weight(k, 0.3, -0.3) == 0.0
         assert phi_dde_weight(k, 0.3, -1.0) == 0.0
     assert phi_dde_weight(2, 0.1, -0.05) == pytest.approx(0.125, abs=1e-15)
+
+
+@pytest.mark.parametrize("weight", [phi_dde_weight, phi_re_weight])
+@pytest.mark.parametrize(
+    "k, gh, match",
+    [(0, 0.1, "k must be >= 1"), (-1, 0.1, "k must be >= 1"),
+     (1, 0.0, "gh must be positive"), (2, -0.1, "gh must be positive")],
+)
+def test_weight_argument_checks(weight, k, gh, match):
+    with pytest.raises(ValueError, match=match):
+        weight(k, gh, -0.05)
 
 
 def test_re_weight_examples():

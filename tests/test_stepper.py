@@ -9,7 +9,6 @@ from expdelay import (
     HistoryState,
     IntegrationDiverged,
     MeshError,
-    PhiCombo,
     Problem,
     StageView,
     Tableau,
@@ -194,8 +193,8 @@ def test_step_matches_phi_weights(kind, name):
     def weighted(weight, theta):
         return h * sum(
             w * weight(k, h, theta) * F[i]
-            for i, combo in enumerate(tab.b)
-            for k, w in combo.terms
+            for i, terms in enumerate(tab.b)
+            for k, w in terms
         )
 
     for th in np.linspace(-h, 0.0, 7):
@@ -342,8 +341,8 @@ def test_semigroup_composition_bitwise(kind):
 _EXPEULER_C0 = Tableau(
     name="expeuler_c0",
     c=(0.0, 0.0),
-    a=((PhiCombo(), PhiCombo()), (PhiCombo(), PhiCombo())),
-    b=(PhiCombo(((1, 1.0),)), PhiCombo()),
+    a=(((), ()), ((), ())),
+    b=(((1, 1.0),), ()),
     declared_order=1,
 )
 
@@ -472,8 +471,8 @@ def test_semilinear_step_matches_scalar_phi(hl, name):
         phi = lambda k: np.array([phi_scalar(k, r * h * lam) for lam in lams])
         want = phi(0) * y + h * sum(
             w * r**k * phi(k) * F[i]
-            for i, combo in enumerate(tab.b)
-            for k, w in combo.terms
+            for i, terms in enumerate(tab.b)
+            for k, w in terms
         )
         atol = 1e-13 * (1.0 + np.max(np.abs(want)))
         np.testing.assert_allclose(val, want, rtol=0.0, atol=atol)
@@ -753,6 +752,40 @@ def test_integrate_validates_mesh_ratios():
             integrate(prob, builtin("heun"), h, T)
 
 
+def _daphnia_pair(h):
+    prob = daphnia()
+    return tuple(
+        HistoryState.from_callable(phi0, kind, 1, prob.tau, h)
+        for phi0, kind in ((prob.phi0_re, "re"), (prob.phi0_dde, "dde"))
+    )
+
+
+@pytest.mark.parametrize(
+    "make, state0, h, error, match",
+    [
+        # a given state0 passes the delay-bound check that initial_state runs
+        (quadratic_re, lambda: HistoryState.from_callable(quadratic_re().phi0, "re", 1, 3.0, 0.3),
+         0.3, MeshError, r"distributed delay bound = -1.0 is not an integer multiple of h = 0.3"),
+        (daphnia, lambda: _daphnia_pair(0.4),
+         0.4, MeshError, r"distributed delay bound = -3.0 is not an integer multiple of h = 0.4"),
+        # and must have the components initial_state builds
+        (belzen, lambda: initial_state(quadratic_re(), 0.1),
+         0.1, ValueError, r"state0 of a dde problem must be \(dde HistoryState of dim 1\)"),
+        (daphnia, lambda: initial_state(belzen(), 0.1), 0.1, ValueError,
+         r"state0 of a coupled problem must be \(re HistoryState of dim 1, dde HistoryState"),
+        (belzen, lambda: _daphnia_pair(0.1),
+         0.1, ValueError, r"state0 of a dde problem must be"),
+        (daphnia, lambda: _daphnia_pair(0.1)[::-1], 0.1, ValueError, "coupled problem must be"),
+        (quadratic_re, lambda: HistoryState.from_callable(
+            lambda th: np.zeros((np.size(th), 2)), "re", 2, 3.0, 0.1),
+         0.1, ValueError, r"state0 of a re problem must be \(re HistoryState of dim 1\)"),
+    ],
+)
+def test_integrate_checks_a_given_state0(make, state0, h, error, match):
+    with pytest.raises(error, match=match):
+        integrate(make(), builtin("heun"), h, 2 * h, state0=state0())
+
+
 def test_observer_contract():
     prob = belzen(1.0)
     seen = []
@@ -809,6 +842,45 @@ def test_trajectory_recorder_sampling():
     ts, vals = rec.as_arrays()
     np.testing.assert_allclose(ts, [0.0, 0.5, 1.0])
     np.testing.assert_allclose(vals[:, 0], [1.0, 5.0, 10.0])
+
+
+def test_trajectory_recorder_needs_a_whole_interval():
+    # a fractional interval is refused, not truncated to every 2nd step
+    with pytest.raises(TypeError):
+        TrajectoryRecorder(2.7)
+    with pytest.raises(TypeError):
+        harness.simulate(belzen(), "heun", 0.1, 1.0, sample_every=2.7)
+    assert TrajectoryRecorder(np.int64(3)).sample_every == 3
+
+
+def _flat_dde(**fields):
+    base = dict(kind="dde", dim=1, tau=1.0, rhs=lambda t, v: 0.0, phi0=np.zeros_like)
+    return Problem(**{**base, **fields})
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: _flat_dde(kind="ode"), "unknown problem kind 'ode'"),
+        (lambda: _flat_dde(kind="semilinear_dde", dim=2, L=np.eye(3)),
+         r"L must have shape \(2, 2\)"),
+        (lambda: integrate(_flat_dde(rhs=lambda t, v: np.zeros(2)), builtin("heun"), 0.5, 1.0),
+         r"rhs returned shape \(2,\), expected \(1,\)"),
+        (lambda: integrate(dataclasses.replace(daphnia(), rhs=lambda t, b, s: (np.zeros(2), 0.0)),
+                           builtin("heun"), 0.5, 1.0),
+         r"rhs \(RE component\) returned shape \(2,\), expected \(1,\)"),
+        (lambda: integrate(dataclasses.replace(daphnia(), rhs=lambda t, b, s: (0.0, np.zeros(3))),
+                           builtin("heun"), 0.5, 1.0),
+         r"rhs \(DDE component\) returned shape \(3,\), expected \(1,\)"),
+        (lambda: step_semilinear_dde(belzen(), builtin("heun"), initial_state(belzen(), 0.5),
+                                     0.0, 0.5),
+         "semilinear step requires the matrix L"),
+        (lambda: TrajectoryRecorder(0), "sample_every must be >= 1"),
+    ],
+)
+def test_stepper_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_divergence_reports_step_and_stage():

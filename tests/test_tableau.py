@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 from pathlib import Path
@@ -6,12 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from expdelay import PhiCombo, Tableau, builtin, builtin_names, check_order, psi_a, psi_b
+from expdelay import Tableau, builtin, builtin_names, check_order, phi_scalar, psi_a, psi_b
 
 E = math.e
 Z_GRID = (-20.0, -5.0, -1.0, 0.0, 0.5, 2.0, 10.0)
 #: every ``expdelay check`` report: 3 builtins x orders 1-4 x both forms
 GOLDEN_REPORTS = Path(__file__).parent / "data" / "check_reports.txt"
+
+
+def at(terms, z):
+    """A coefficient's value sum w * phi_k(z) over its (k, w) terms."""
+    return sum(w * phi_scalar(k, z) for k, w in terms)
 
 
 def test_builtin_names_and_lookup_error():
@@ -23,21 +29,21 @@ def test_builtin_names_and_lookup_error():
 def test_expeuler_coefficients():
     tab = builtin("expeuler")
     assert tab.nu == 1
-    assert tab.b[0].at(0.0) == pytest.approx(1.0, abs=1e-15)
-    assert tab.b[0].at(1.0) == pytest.approx(E - 1.0, abs=1e-14)
+    assert at(tab.b[0], 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert at(tab.b[0], 1.0) == pytest.approx(E - 1.0, abs=1e-14)
 
 
 def test_heun_coefficients():
     tab = builtin("heun")
     assert tab.c == (0.0, 1.0)
-    assert tab.a[1][0].at(0.0) == pytest.approx(1.0, abs=1e-15)  # c_2 phi_1(0)
-    assert tab.b[0].at(1.0) == pytest.approx(1.0, abs=1e-14)  # (e-1)-(e-2)
-    assert tab.b[1].at(1.0) == pytest.approx(E - 2.0, abs=1e-14)
+    assert at(tab.a[1][0], 0.0) == pytest.approx(1.0, abs=1e-15)  # c_2 phi_1(0)
+    assert at(tab.b[0], 1.0) == pytest.approx(1.0, abs=1e-14)  # (e-1)-(e-2)
+    assert at(tab.b[1], 1.0) == pytest.approx(E - 2.0, abs=1e-14)
 
 
 def test_expo3_weights_at_zero():
     tab = builtin("expo3")
-    got = [combo.at_zero() for combo in tab.b]
+    got = [at(terms, 0.0) for terms in tab.b]
     np.testing.assert_allclose(got, [0.25, 0.0, 0.75], atol=1e-15)
 
 
@@ -47,8 +53,8 @@ def test_tableau_validation():
         Tableau(
             name="bad_c1",
             c=(0.5,),
-            a=((PhiCombo(),),),
-            b=(PhiCombo(((1, 1.0),)),),
+            a=(((),),),
+            b=(((1, 1.0),),),
             declared_order=1,
         )
     with pytest.raises(ValueError):
@@ -57,12 +63,15 @@ def test_tableau_validation():
             name="bad_a",
             c=(0.0, 1.0),
             a=(
-                (PhiCombo(), PhiCombo(((1, 1.0),))),
-                (PhiCombo(((1, 1.0),)), PhiCombo()),
+                ((), ((1, 1.0),)),
+                (((1, 1.0),), ()),
             ),
             b=good.b,
             declared_order=2,
         )
+    with pytest.raises(ValueError, match="order k >= 1, got 0"):
+        # a phi_0 term is no exponential Runge-Kutta coefficient
+        Tableau(name="phi0_term", c=(0.0,), a=(((),),), b=(((0, 1.0),),), declared_order=1)
     for c2 in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError, match=r"in \(0, 1\]"):
             # a stage row with terms needs its node in (0, 1]
@@ -73,6 +82,23 @@ def test_tableau_validation():
                 b=good.b,
                 declared_order=2,
             )
+
+
+_HEUN = builtin("heun")
+
+
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        ({"a": _HEUN.a[:1]}, "a must be a nu x nu matrix"),
+        ({"a": (((), ()), (((1, 1.0),),))}, "a must be a nu x nu matrix"),
+        ({"b": _HEUN.b[:1]}, "b must have one term tuple per stage"),
+        ({"declared_mode": "classical"}, "declared_mode must be 'strong' or 'weak'"),
+    ],
+)
+def test_tableau_shape_and_mode_checks(fields, match):
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(_HEUN, **fields)
 
 
 def test_weight_matrices():
@@ -92,8 +118,8 @@ def test_weight_matrices():
     repeated = Tableau(
         name="repeated",
         c=(0.0,),
-        a=((PhiCombo(),),),
-        b=(PhiCombo(((2, 0.25), (1, 0.5), (2, 0.25))),),
+        a=(((),),),
+        b=(((2, 0.25), (1, 0.5), (2, 0.25)),),
         declared_order=1,
     )
     np.testing.assert_array_equal(repeated.weights[-1], [[0.0, 0.5, 0.5]])
@@ -113,7 +139,7 @@ def test_pickle_and_deepcopy_keep_weights_read_only():
 def test_tableau_rejects_orders_above_segment_degree():
     # a phi_4 term would need a quartic overlay, which no history stores
     good = builtin("heun")
-    phi4 = PhiCombo(((4, 1.0),))
+    phi4 = ((4, 1.0),)
     with pytest.raises(ValueError, match="degree 3"):
         Tableau(
             name="phi4_b",
@@ -126,7 +152,7 @@ def test_tableau_rejects_orders_above_segment_degree():
         Tableau(
             name="phi4_a",
             c=good.c,
-            a=((PhiCombo(), PhiCombo()), (phi4, PhiCombo())),
+            a=(((), ()), (phi4, ())),
             b=good.b,
             declared_order=2,
         )
@@ -207,7 +233,7 @@ def test_check_reports_match_golden_file():
 
 def test_weak_quadrature_identity_expo3():
     tab = builtin("expo3")
-    total = sum(combo.at_zero() * c**2 for c, combo in zip(tab.c, tab.b))
+    total = sum(at(terms, 0.0) * c**2 for c, terms in zip(tab.c, tab.b))
     assert total == pytest.approx(1.0 / 3.0, abs=1e-14)
 
 
