@@ -9,8 +9,8 @@ Subcommands::
     expdelay check --method expo3 --order 3 --mode weak
 
 Exit codes: 0 success (and, for ``check``, all conditions satisfied),
-2 constraint or lookup failure, 3 divergence (non-finite values) during
-integration.
+2 constraint or lookup failure or an output file that cannot be written,
+3 divergence (non-finite values) during integration.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 
 from . import problems
 from .harness import converge, format_csv, simulate
-from .stepper import IntegrationDiverged, MeshError
+from .stepper import IntegrationDiverged
 from .tableau import builtin, builtin_names, check_order
 
 
@@ -137,7 +137,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (MeshError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # MeshError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrationDiverged as exc:

@@ -123,9 +123,14 @@ def _steps(value: float, h: float, what: str) -> int:
     return int(round(ratio))
 
 
-def _mesh_size(tau: float, h: float) -> int:
-    """Number of segments n = tau/h; raises MeshError unless n >= 1."""
-    n = _steps(tau, h, "tau")
+def _layout(kind, dim: int, tau: float, h: float) -> int:
+    """Number of segments n = tau/h of a history of this kind and dim; raises
+    unless the kind is 'dde' or 're', dim >= 1 and n >= 1 (MeshError)."""
+    if kind not in ("dde", "re"):
+        raise ValueError(f"kind must be 'dde' or 're', got {kind!r}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    n = _steps(float(tau), float(h), "tau")
     if n < 1:
         raise MeshError(f"tau = {tau} must be a positive multiple of h = {h}")
     return n
@@ -284,11 +289,8 @@ class HistoryState:
     __slots__ = ("kind", "dim", "tau", "h", "n_segments", "head", "_log", "_end", "_coeffs")
 
     def __init__(self, kind, dim, tau, h, coeffs, head=None):
-        if kind not in ("dde", "re"):
-            raise ValueError(f"kind must be 'dde' or 're', got {kind!r}")
-        tau = float(tau)
+        n = _layout(kind, dim, tau, h)
         h = float(h)
-        n = _mesh_size(tau, h)
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (n, dim, _NCOEF):
             raise ValueError(
@@ -318,7 +320,7 @@ class HistoryState:
         points for RE states.  ``phi`` must accept an ndarray of offsets and
         return values of shape (m,) for dim == 1 or (m, dim).
         """
-        n = _mesh_size(float(tau), float(h))
+        n = _layout(kind, dim, tau, h)
         s_nodes = _LOBATTO_S if kind == "dde" else _CHEB_S
         thetas = _grid(n, h, s_nodes)
         vals = _as_values(phi(thetas.ravel()), n * len(s_nodes), dim, "phi")
@@ -517,7 +519,7 @@ def norm_diff(state, reference, norm: str = "sup") -> float:
     """
     if norm not in ("sup", "l1"):
         raise ValueError(f"norm must be 'sup' or 'l1', got {norm!r}")
-    n = _mesh_size(state.tau, state.h)
+    n = _steps(state.tau, state.h, "tau")
     s_nodes = _SUP_S if norm == "sup" else _L1_S
     thetas = _grid(n, state.h, s_nodes).ravel()
     got = state.eval_many(thetas)

@@ -1,7 +1,8 @@
 """Exponential Runge-Kutta steps and constant-step time integration.
 
-One step advances the full history state: the shift semigroup translates the
-old history by h while the stage and update rows add polynomial corrections
+One step advances the full history state, as :func:`initial_state` builds it,
+by the state's own mesh width h: the shift semigroup translates the old
+history by h while the stage and update rows add polynomial corrections
 supported on the newest interval.  Written out, a coefficient term
 w * phi_k(c_i h A0) applied to a stage value F contributes
 
@@ -199,37 +200,32 @@ def _require_finite(val: np.ndarray, stage: int, what: str):
         )
 
 
-def _check_mesh(state, h: float):
-    if abs(state.h - h) > 1e-12 * max(1.0, h):
-        raise MeshError(f"state mesh width {state.h} does not match step {h}")
-
-
-def _dde_overlay(state, u, c: float, h: float):
+def _dde_overlay(state, u, c: float):
     coeffs = np.zeros((state.dim, _NCOEF))
     coeffs[:, 0] = state.head
-    coeffs[:, 1 : len(u)] = (h * u[1:] / _FACTORIAL[1 : len(u), None]).T
+    coeffs[:, 1 : len(u)] = (state.h * u[1:] / _FACTORIAL[1 : len(u), None]).T
     return coeffs, coeffs.sum(axis=1)
 
 
-def _re_overlay(state, u, c: float, h: float):
+def _re_overlay(state, u, c: float):
     coeffs = np.zeros((state.dim, _NCOEF))
     coeffs[:, : len(u) - 1] = (u[1:] / (c * _FACTORIAL[: len(u) - 1, None])).T
     return coeffs, None
 
 
-def _step(tab, states, overlays, rhs, t_n: float, h: float) -> tuple:
-    """One explicit exponential RK step of a tuple of history components.
+def _step(tab, states, overlays, rhs, t_n: float) -> tuple:
+    """One explicit exponential RK step of history components on one mesh.
 
-    ``overlays[m](state, u, c, h)``, with ``u = W_i^T F`` the row's
+    ``overlays[m](state, u, c)``, with ``u = W_i^T F`` the row's
     (p_i + 1, dim) phi weights of component m's stage values, returns the
     coefficients and head (None for RE) of component m on its newest
     interval.
     ``rhs(t, *views)`` returns one value per component, or the bare value
     for a single component.
     """
-    for state in states:
-        _check_mesh(state, h)
-    single = len(states) == 1
+    single, h = len(states) == 1, states[0].h
+    if not single and any(state.h != h for state in states):
+        raise MeshError(f"history components on mesh widths {[s.h for s in states]}")
     F = [np.zeros((tab.nu, state.dim)) for state in states]
     for i in range(tab.nu):
         ci = tab.c[i]
@@ -240,7 +236,7 @@ def _step(tab, states, overlays, rhs, t_n: float, h: float) -> tuple:
         else:
             views = []
             for state, overlay, f in zip(states, overlays, F):
-                coeffs, head = overlay(state, tab.weights[i].T @ f, ci, h)
+                coeffs, head = overlay(state, tab.weights[i].T @ f, ci)
                 views.append(StageView(state, ci * h, coeffs, head=head))
         raw = rhs(t_n + ci * h, *views)
         if single:
@@ -252,19 +248,19 @@ def _step(tab, states, overlays, rhs, t_n: float, h: float) -> tuple:
             _require_finite(f[i], i + 1, "stage value")
     new = []
     for state, overlay, f in zip(states, overlays, F):
-        coeffs, head = overlay(state, tab.weights[-1].T @ f, 1.0, h)
+        coeffs, head = overlay(state, tab.weights[-1].T @ f, 1.0)
         if head is not None:
             _require_finite(head, tab.nu, "update")
         new.append(state.shift_append(coeffs, head=head))
     return tuple(new)
 
 
-def step_dde(problem, tab, state, t_n: float, h: float) -> HistoryState:
+def step_dde(problem, tab, state, t_n: float) -> HistoryState:
     """One explicit exponential RK step for a plain DDE state."""
-    return _step(tab, (state,), (_dde_overlay,), problem.rhs, t_n, h)[0]
+    return _step(tab, (state,), (_dde_overlay,), problem.rhs, t_n)[0]
 
 
-def step_re(problem, tab, state, t_n: float, h: float) -> HistoryState:
+def step_re(problem, tab, state, t_n: float) -> HistoryState:
     """One explicit exponential RK step for a renewal-equation state.
 
     The density state eta is advanced: its tail is the pure shift and the
@@ -272,7 +268,7 @@ def step_re(problem, tab, state, t_n: float, h: float) -> HistoryState:
     derived from eta by :meth:`HistoryState.j_integrate`, which reproduces
     the scheme's own recursion for it exactly.
     """
-    return _step(tab, (state,), (_re_overlay,), problem.rhs, t_n, h)[0]
+    return _step(tab, (state,), (_re_overlay,), problem.rhs, t_n)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +280,7 @@ class SemilinearPlan:
     row at c = 1), is a read-only (3, d, (p + 1) d) array: for r = 1/4, 3/4
     and 1 the stacked matrix [phi_0 | ... | phi_p](r c h L), with p the
     highest phi order among the rows at c.  Calling the plan as
-    ``plan(state, u, c, h)`` applies the rule to a row's phi weights u.
+    ``plan(state, u, c)`` applies the rule to a row's phi weights u.
     """
 
     L: np.ndarray
@@ -299,8 +295,8 @@ class SemilinearPlan:
             and (self.L is problem.L or np.array_equal(self.L, problem.L))
         )
 
-    def __call__(self, state, u, c: float, h: float):
-        us = h * u
+    def __call__(self, state, u, c: float):
+        us = state.h * u
         us[0] = state.head
         samples = np.empty((len(_LOBATTO_S), state.dim))
         samples[0] = state.head
@@ -334,11 +330,11 @@ def semilinear_plan(problem, tab, h: float) -> SemilinearPlan:
     return SemilinearPlan(problem.L, tab, float(h), stacks)
 
 
-def step_semilinear_dde(problem, tab, state, t_n: float, h: float, plan=None) -> HistoryState:
+def step_semilinear_dde(problem, tab, state, t_n: float, plan=None) -> HistoryState:
     """One step for x' = L x + G(t, x_t) with the linear part treated exactly.
 
     Every matrix function comes from ``plan``, a :func:`semilinear_plan` for
-    (problem, tab, h); without one the step builds its own, which costs one
+    (problem, tab, state.h); without one the step builds its own, which costs one
     d x d exponential per distinct nonzero node.  Each row then costs three
     matrix-vector products: heads are exact matrix phi actions; segment
     profiles (which involve e^{(h+theta)L}) are sampled at the 4
@@ -352,65 +348,63 @@ def step_semilinear_dde(problem, tab, state, t_n: float, h: float, plan=None) ->
     if problem.L is None:
         raise ValueError("semilinear step requires the matrix L")
     if plan is None:
-        plan = semilinear_plan(problem, tab, h)
-    elif not plan.fits(problem, tab, h):
+        plan = semilinear_plan(problem, tab, state.h)
+    elif not plan.fits(problem, tab, state.h):
         raise ValueError("the step plan was built for another L, tableau or step")
-    return _step(tab, (state,), (plan,), problem.rhs, t_n, h)[0]
+    return _step(tab, (state,), (plan,), problem.rhs, t_n)[0]
 
 
-def step_coupled(problem, tab, state_re, state_dde, t_n: float, h: float):
-    """One joint step for a coupled RE/DDE pair sharing mesh and tableau.
+def step_coupled(problem, tab, state, t_n: float):
+    """One joint step for a coupled (re, dde) pair on one mesh width.
 
     Each stage builds the RE and DDE views together and feeds both to the
     problem's rhs, which returns the (f_re, f_dde) pair.
     """
-    return _step(
-        tab, (state_re, state_dde), (_re_overlay, _dde_overlay), problem.rhs, t_n, h
-    )
+    return _step(tab, state, (_re_overlay, _dde_overlay), problem.rhs, t_n)
 
 
-def _components(problem) -> tuple:
-    """(phi0, kind, dim) of each history component of the problem's state."""
+def _components(problem, h: float) -> tuple:
+    """(phi0, kind, dim) of each history component of the problem's state;
+    raises unless every distributed-delay bound lies on the mesh of width h."""
+    for lim in problem.distributed_limits:
+        _steps(lim, h, "distributed delay bound")
     if problem.kind == "coupled":
         return (problem.phi0_re, "re", problem.dim_re), (problem.phi0_dde, "dde", problem.dim_dde)
     return ((problem.phi0, "re" if problem.kind == "re" else "dde", problem.dim),)
 
 
-def _check_bounds(problem, h: float):
-    for lim in problem.distributed_limits:
-        _steps(lim, h, "distributed delay bound")
-
-
 def initial_state(problem, h: float):
     """Project the problem's initial history onto a mesh of width h."""
-    _check_bounds(problem, h)
-    states = tuple(HistoryState.from_callable(*c, problem.tau, h) for c in _components(problem))
-    return states if problem.kind == "coupled" else states[0]
+    states = [HistoryState.from_callable(*c, problem.tau, h) for c in _components(problem, h)]
+    return tuple(states) if problem.kind == "coupled" else states[0]
 
 
 def _check_state0(problem, state0, h: float):
-    """initial_state's checks for a given state0: bounds, then components."""
-    _check_bounds(problem, h)
+    """state0, after initial_state's checks: bounds, then components, each
+    tau/h segments of width h exactly."""
     states = state0 if problem.kind == "coupled" else (state0,)
-    want = [(kind, dim) for _, kind, dim in _components(problem)]
-    if not isinstance(states, tuple) or want != [
-        (s.kind, s.dim) for s in states if isinstance(s, HistoryState)
+    components, n = _components(problem, h), _steps(problem.tau, h, "tau")
+    if not isinstance(states, tuple) or [(k, d, n, h) for _, k, d in components] != [
+        (s.kind, s.dim, s.n_segments, s.h) for s in states if isinstance(s, HistoryState)
     ]:
-        layout = ", ".join(f"{kind} HistoryState of dim {dim}" for kind, dim in want)
-        raise ValueError(f"state0 of a {problem.kind} problem must be ({layout})")
+        layout = ", ".join(f"{kind} HistoryState of dim {dim}" for _, kind, dim in components)
+        raise ValueError(
+            f"state0 of a {problem.kind} problem must be ({layout}) on {n} segments of width {h}"
+        )
+    return state0
 
 
-def step(problem, tab, state, t_n: float, h: float, plan=None):
-    """Dispatch one step on the problem kind; ``state`` is a pair for
-    coupled problems.  ``plan`` is passed to semilinear steps only."""
+def step(problem, tab, state, t_n: float, plan=None):
+    """Dispatch one step of ``state``, as :func:`initial_state` builds it, on
+    the problem kind; ``plan`` is passed to semilinear steps only."""
     if problem.kind == "dde":
-        return step_dde(problem, tab, state, t_n, h)
+        return step_dde(problem, tab, state, t_n)
     if problem.kind == "re":
-        return step_re(problem, tab, state, t_n, h)
+        return step_re(problem, tab, state, t_n)
     if problem.kind == "semilinear_dde":
-        return step_semilinear_dde(problem, tab, state, t_n, h, plan)
+        return step_semilinear_dde(problem, tab, state, t_n, plan)
     if problem.kind == "coupled":
-        return step_coupled(problem, tab, state[0], state[1], t_n, h)
+        return step_coupled(problem, tab, state, t_n)
     raise ValueError(f"unknown problem kind {problem.kind!r}")
 
 
@@ -428,25 +422,24 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
     """Advance from t = 0 to t = T in N = T/h constant steps.
 
     T and tau must be integer multiples of h, as must any distributed-delay
-    bounds the problem declares, also for a given ``state0``, which must have
-    the structure :func:`initial_state` builds.  A semilinear problem's matrix
-    functions are built once, as a :func:`semilinear_plan`.  ``observer``, if
-    given, is called exactly once per step, in order, as observer(t_{n+1},
-    values) with the observable of :func:`observed_values`.  Returns the final
-    state (or pair).  A non-finite stage or update aborts with
-    :class:`IntegrationDiverged` carrying the step and stage indices.
+    bounds the problem declares, also for a given ``state0``, which must be
+    laid out as :func:`initial_state` builds it: tau/h segments of width h in
+    each component.  A semilinear problem's matrix functions are built once,
+    as a :func:`semilinear_plan`.  ``observer``, if given, is called exactly
+    once per step, in order, as observer(t_{n+1}, values) with the observable
+    of :func:`observed_values`.  Returns the final state (or pair).  A
+    non-finite stage or update aborts with :class:`IntegrationDiverged`
+    carrying the step and stage indices.
     """
     h = float(h)
     n_steps = _steps(float(T), h, "T")
     if n_steps < 0:
         raise MeshError(f"horizon T = {T} is negative")
-    if state0 is not None:
-        _check_state0(problem, state0, h)
-    state = initial_state(problem, h) if state0 is None else state0
+    state = initial_state(problem, h) if state0 is None else _check_state0(problem, state0, h)
     plan = semilinear_plan(problem, tab, h) if problem.kind == "semilinear_dde" else None
     for n in range(n_steps):
         try:
-            state = step(problem, tab, state, n * h, h, plan)
+            state = step(problem, tab, state, n * h, plan)
         except IntegrationDiverged as exc:
             raise IntegrationDiverged(
                 f"integration aborted at step {n} (t = {n * h}), "

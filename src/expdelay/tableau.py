@@ -76,6 +76,8 @@ class Tableau:
             raise ValueError("declared_mode must be 'strong' or 'weak'")
         weights = tuple(_weight_matrix(row) for row in (*self.a, self.b))
         for i, W in enumerate(weights[:nu]):
+            if not math.isfinite(self.c[i]):
+                raise ValueError(f"node c_{i + 1} = {self.c[i]} is not finite")
             if W[i:].any():
                 raise ValueError(f"a[{i}][j] must be empty for j >= {i} (explicit method)")
             if W.shape[1] > 1 and not 0.0 < self.c[i] <= 1.0:
@@ -100,6 +102,8 @@ def _weight_matrix(row) -> np.ndarray:
         for k, w in terms:
             if k < 1:
                 raise ValueError(f"phi terms need order k >= 1, got {k}")
+            if not math.isfinite(w):
+                raise ValueError(f"phi term ({k}, {w}) has a non-finite weight")
             W[j, k] += w
     W.setflags(write=False)
     return W

@@ -167,8 +167,8 @@ def test_criterion_5_structural_properties():
         run_dde = s_dde
         run_re = s_re
         for n in range(3):
-            run_dde = step_dde(zero_dde, tab, run_dde, n * h, h)
-            run_re = step_re(zero_re, tab, run_re, n * h, h)
+            run_dde = step_dde(zero_dde, tab, run_dde, n * h)
+            run_re = step_re(zero_re, tab, run_re, n * h)
         assert np.array_equal(run_dde.coefficients(), shift_oracle(s_dde, 3))
         assert np.array_equal(run_dde.head, s_dde.head)
         assert np.array_equal(run_re.coefficients(), shift_oracle(s_re, 3))
@@ -177,19 +177,19 @@ def test_criterion_5_structural_properties():
         k, m = 2, 3
         a = s_dde
         for n in range(k + m):
-            a = step_dde(zero_dde, tab, a, n * h, h)
+            a = step_dde(zero_dde, tab, a, n * h)
         b = s_dde
         for n in range(k):
-            b = step_dde(zero_dde, tab, b, n * h, h)
+            b = step_dde(zero_dde, tab, b, n * h)
         for n in range(k, k + m):
-            b = step_dde(zero_dde, tab, b, n * h, h)
+            b = step_dde(zero_dde, tab, b, n * h)
         assert np.array_equal(a.coefficients(), b.coefficients())
 
         # head continuity along a real trajectory
         prob = xd.belzen(1.0)
         state = xd.initial_state(prob, 0.02)
         for n in range(100):
-            state = step_dde(prob, xd.builtin("expo3"), state, n * 0.02, 0.02)
+            state = step_dde(prob, xd.builtin("expo3"), state, n * 0.02)
             gap = abs(state.eval(0.0)[0] - state.head[0])
             assert gap <= 1e-12 * (1.0 + abs(state.head[0]))
 
@@ -201,8 +201,8 @@ def test_criterion_5_structural_properties():
         plain = xd.initial_state(prob, 0.01)
         lifted = xd.initial_state(semi, 0.01)
         for n in range(100):
-            plain = step_dde(prob, tab, plain, n * 0.01, 0.01)
-            lifted = step_semilinear_dde(semi, tab, lifted, n * 0.01, 0.01)
+            plain = step_dde(prob, tab, plain, n * 0.01)
+            lifted = step_semilinear_dde(semi, tab, lifted, n * 0.01)
         assert np.max(np.abs(plain.head - lifted.head)) <= 1e-12
         assert np.max(np.abs(plain.coefficients() - lifted.coefficients())) <= 1e-12
 

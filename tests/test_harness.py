@@ -268,6 +268,22 @@ def test_cli_converge_out_dash_writes_stdout(capsys):
     assert "slope belzen heun" in captured.err  # slopes go to stderr, off the CSV
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--problem", "belzen", "--method", "heun", "--h", "0.1", "--h", "0.05"],
+        ["simulate", "--problem", "belzen", "--h", "0.1"],
+    ],
+)
+def test_cli_unwritable_out_exits_2(tmp_path, capsys, argv):
+    # exit 1 means a failed order check; a path that cannot be opened is a
+    # named error with code 2, not a traceback
+    out = tmp_path / "missing" / "x.csv"
+    assert main(argv + ["--T", "0.2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_cli_unknown_choices_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["converge", "--problem", "unknown"])

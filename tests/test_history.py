@@ -381,6 +381,13 @@ def test_stage_view_shift_in_range(re_state):
          r"overlay must have shape \(1, 4\), got \(1, 3\)"),
         (lambda s: StageView(s, 0.25, np.zeros((2, 4))),
          r"overlay must have shape \(1, 4\), got \(2, 4\)"),
+        # dim 0 is refused by name before anything else is checked or run
+        (lambda s: HistoryState("dde", 0, 1.0, 0.5, np.zeros((2, 0, 4)), head=[]),
+         r"dim must be >= 1, got 0"),
+        (lambda s: HistoryState("re", 0, 1.0, 0.5, np.zeros((2, 0, 4))),
+         r"dim must be >= 1, got 0"),
+        (lambda s: HistoryState.from_callable(np.zeros_like, "re", 0, 1.0, 0.5),
+         r"dim must be >= 1, got 0"),
     ],
 )
 def test_history_input_checks(re_state, call, match):
@@ -576,7 +583,7 @@ def test_integrated_state_after_one_euler_re_step():
         name="const",
     )
     state = HistoryState.from_callable(prob.phi0, "re", 1, tau, h)
-    new = step_re(prob, builtin("expeuler"), state, 0.0, h)
+    new = step_re(prob, builtin("expeuler"), state, 0.0)
     for theta in (-0.2, -0.1, 0.0):
         assert new.j_integrate(theta)[0] == pytest.approx(-theta * F_val, abs=1e-14)
     for theta in (-1.0, -0.7, -0.3):

@@ -137,7 +137,7 @@ def test_dde_step_matches_handwritten_scheme(name):
         return 0.6 * v.head - 1.3 * v.eval(-0.37) + math.sin(t_)
 
     prob = Problem(kind="dde", dim=1, tau=1.0, rhs=rhs, phi0=lambda th: th, name="x")
-    new = step_dde(prob, builtin(name), state, t, h)
+    new = step_dde(prob, builtin(name), state, t)
 
     F_hand = lambda t_, head, ev: 0.6 * head - 1.3 * ev(-0.37) + math.sin(t_)
     y1, seg, _ = _hand_dde_step(name, F_hand, state, t, h)
@@ -158,7 +158,7 @@ def test_re_step_matches_handwritten_scheme(name):
         return 0.8 * v.eval(-0.51) - 0.2 * v.eval(-1.23) ** 2 + math.cos(t_)
 
     prob = Problem(kind="re", dim=1, tau=2.0, rhs=rhs, phi0=lambda th: th, name="x")
-    new = step_re(prob, builtin(name), state, t, h)
+    new = step_re(prob, builtin(name), state, t)
 
     F_hand = lambda t_, ev: 0.8 * ev(-0.51) - 0.2 * ev(-1.23) ** 2 + math.cos(t_)
     seg, _ = _hand_re_step(name, F_hand, state, t, h)
@@ -188,7 +188,7 @@ def test_step_matches_phi_weights(kind, name):
     )
     state = initial_state(prob, h)
     step = step_dde if kind == "dde" else step_re
-    new = step(prob, tab, state, 0.3, h)
+    new = step(prob, tab, state, 0.3)
 
     def weighted(weight, theta):
         return h * sum(
@@ -211,7 +211,7 @@ def test_expeuler_belzen_single_step():
     prob = belzen(1.0)
     h = 0.1
     state = initial_state(prob, h)
-    new = step_dde(prob, builtin("expeuler"), state, 0.0, h)
+    new = step_dde(prob, builtin("expeuler"), state, 0.0)
     F0 = 0.5 * math.pi
     assert new.head[0] == pytest.approx(h * F0, abs=1e-12)
     # fresh segment is the linear ramp y_0 + (h+theta) F
@@ -238,7 +238,7 @@ def test_heun_head_is_trapezoidal_combination():
             return np.array([stage(th)])
 
     F2 = rhs(h, _View())[0]
-    new = step_dde(prob, builtin("heun"), state, 0.0, h)
+    new = step_dde(prob, builtin("heun"), state, 0.0)
     assert new.head[0] == pytest.approx(y + 0.5 * h * (F1 + F2), abs=1e-13)
 
 
@@ -248,7 +248,7 @@ def test_re_euler_step_from_fixed_point_history():
     prob = quadratic_re(4.0)
     h = 0.005
     state = initial_state(prob, h)
-    new = step_re(prob, builtin("expeuler"), state, 0.0, h)
+    new = step_re(prob, builtin("expeuler"), state, 0.0)
     c = 0.5 + math.pi / 16.0
     # the new segment is constant F(0, phi) = c up to projection/quadrature error
     for th in (-0.004, -0.002, -0.0005):
@@ -271,7 +271,7 @@ def test_re_heun_segment_endpoint_identities():
             return np.array([stage(th)])
 
     F2 = rhs(h, _View())[0]
-    new = step_re(prob, builtin("heun"), state, 0.0, h)
+    new = step_re(prob, builtin("heun"), state, 0.0)
     seg = new.coefficients()[-1, 0]
     # endpoints of the linear stage polynomial: value F2 at 0, F1 at -h
     assert seg.sum() == pytest.approx(F2, abs=1e-13)
@@ -304,9 +304,7 @@ def test_zero_forcing_is_pure_shift_bitwise(kind, name):
     expected_head = None if kind == "re" else state.head.copy()
     stepped = state
     for n in range(3):
-        stepped = step_dde(prob, tab, stepped, n * h, h) if kind == "dde" else step_re(
-            prob, tab, stepped, n * h, h
-        )
+        stepped = (step_dde if kind == "dde" else step_re)(prob, tab, stepped, n * h)
     assert np.array_equal(stepped.coefficients(), _expected_pure_shift(state, 3))
     if kind == "dde":
         assert np.array_equal(stepped.head, expected_head)
@@ -321,11 +319,7 @@ def test_semigroup_composition_bitwise(kind):
     def run(state, steps, start):
         for n in range(steps):
             t = (start + n) * h
-            state = (
-                step_dde(prob, tab, state, t, h)
-                if kind == "dde"
-                else step_re(prob, tab, state, t, h)
-            )
+            state = (step_dde if kind == "dde" else step_re)(prob, tab, state, t)
         return state
 
     state0 = initial_state(prob, h)
@@ -369,16 +363,16 @@ def test_head_continuity_along_trajectory():
     h = 0.05
     state = initial_state(prob, h)
     for n in range(40):
-        state = step_dde(prob, tab, state, n * h, h)
+        state = step_dde(prob, tab, state, n * h)
         gap = abs(state.eval(0.0)[0] - state.head[0])
         assert gap <= 1e-12 * (1.0 + abs(state.head[0]))
 
 
 def test_step_rejects_mismatched_mesh():
-    prob = belzen(1.0)
-    state = initial_state(prob, 0.1)
-    with pytest.raises(MeshError):
-        step_dde(prob, builtin("heun"), state, 0.0, 0.05)
+    # a step reads h from its state; a coupled pair on two widths has none
+    pair = (_daphnia_pair(0.1)[0], _daphnia_pair(0.05)[1])
+    with pytest.raises(MeshError, match=r"mesh widths \[0.1, 0.05\]"):
+        step_coupled(daphnia(), builtin("heun"), pair, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +396,8 @@ def test_semilinear_zero_matrix_reduces_to_plain_dde():
     plain = initial_state(base, h)
     lifted = initial_state(semi, h)
     for n in range(100):
-        plain = step_dde(base, tab, plain, n * h, h)
-        lifted = step_semilinear_dde(semi, tab, lifted, n * h, h)
+        plain = step_dde(base, tab, plain, n * h)
+        lifted = step_semilinear_dde(semi, tab, lifted, n * h)
     assert np.max(np.abs(plain.head - lifted.head)) <= 1e-12
     assert np.max(np.abs(plain.coefficients() - lifted.coefficients())) <= 1e-12
 
@@ -419,7 +413,7 @@ def test_semilinear_pure_decay():
         name="decay",
     )
     h = 0.1
-    state = step_semilinear_dde(prob, builtin("expeuler"), initial_state(prob, h), 0.0, h)
+    state = step_semilinear_dde(prob, builtin("expeuler"), initial_state(prob, h), 0.0)
     assert state.head[0] == pytest.approx(math.exp(-h), rel=1e-12)
     # segment carries e^{(h+theta) L} y_0 up to cubic interpolation error
     for th in (-0.075, -0.05, -0.025):
@@ -439,7 +433,7 @@ def test_semilinear_stiff_step_stays_bounded():
         name="stiff",
     )
     h = 0.1
-    state = step_semilinear_dde(prob, builtin("expeuler"), initial_state(prob, h), 0.0, h)
+    state = step_semilinear_dde(prob, builtin("expeuler"), initial_state(prob, h), 0.0)
     assert abs(state.head[0]) <= 1.0 + h * sup_g
 
 
@@ -464,7 +458,7 @@ def test_semilinear_step_matches_scalar_phi(hl, name):
         L=np.diag(lams),
         name="fixed",
     )
-    new = step_semilinear_dde(prob, tab, initial_state(prob, h), 0.3, h)
+    new = step_semilinear_dde(prob, tab, initial_state(prob, h), 0.3)
     nodes = np.array([0.0, 0.25, 0.75, 1.0])
     got = np.vander(nodes, 4, increasing=True) @ new.coefficients()[-1].T
     for r, val in zip(nodes, got):
@@ -559,8 +553,8 @@ def test_semilinear_step_without_plan_matches_integrate(name):
     plan = semilinear_plan(prob, tab, h)
     planned = state
     for n in range(20):
-        state = step_semilinear_dde(prob, tab, state, n * h, h)
-        planned = stepper.step(prob, tab, planned, n * h, h, plan)
+        state = step_semilinear_dde(prob, tab, state, n * h)
+        planned = stepper.step(prob, tab, planned, n * h, plan)
     final = integrate(prob, tab, h, 20 * h)
     for got in (state, planned):
         assert np.array_equal(got.coefficients(), final.coefficients())
@@ -572,13 +566,13 @@ def test_semilinear_plan_must_fit_the_step():
     plan = semilinear_plan(prob, tab, h)
     state = initial_state(prob, h)
     # an equal copy of L (as dataclasses.replace makes) still fits
-    step_semilinear_dde(dataclasses.replace(prob, name="copy"), tab, state, 0.0, h, plan)
+    step_semilinear_dde(dataclasses.replace(prob, name="copy"), tab, state, 0.0, plan)
     other_L = dataclasses.replace(prob, L=2.0 * prob.L)
     for args in ((other_L, tab), (prob, builtin("expo3"))):
         with pytest.raises(ValueError, match="step plan"):
-            step_semilinear_dde(*args, state, 0.0, h, plan)
+            step_semilinear_dde(*args, state, 0.0, plan)
     with pytest.raises(ValueError, match="step plan"):
-        step_semilinear_dde(prob, tab, initial_state(prob, 0.1), 0.0, 0.1, plan)
+        step_semilinear_dde(prob, tab, initial_state(prob, 0.1), 0.0, plan)
 
 
 @pytest.mark.parametrize("kind", ["dde", "re"])
@@ -699,7 +693,7 @@ def test_daphnia_single_euler_step():
     prob = daphnia(beta=3.02)
     h = 0.01
     pair = initial_state(prob, h)
-    new_re, new_dde = step_coupled(prob, builtin("expeuler"), pair[0], pair[1], 0.0, h)
+    new_re, new_dde = step_coupled(prob, builtin("expeuler"), pair, 0.0)
     assert new_dde.head[0] == pytest.approx(0.35 + h * (-0.0175), abs=1e-12)
     assert new_re.eval(-0.004)[0] == pytest.approx(3.02 * 0.35 * 0.7, abs=1e-12)
 
@@ -717,7 +711,7 @@ def test_coupled_zero_forcing_shifts_both():
     )
     h = 0.5
     b0, s0 = initial_state(zero, h)
-    b1, s1 = step_coupled(zero, builtin("expo3"), b0, s0, 0.0, h)
+    b1, s1 = step_coupled(zero, builtin("expo3"), (b0, s0), 0.0)
     assert np.array_equal(b1.coefficients(), _expected_pure_shift(b0, 1))
     assert np.array_equal(s1.coefficients(), _expected_pure_shift(s0, 1))
     assert np.array_equal(s1.head, s0.head)
@@ -779,11 +773,31 @@ def _daphnia_pair(h):
         (quadratic_re, lambda: HistoryState.from_callable(
             lambda th: np.zeros((np.size(th), 2)), "re", 2, 3.0, 0.1),
          0.1, ValueError, r"state0 of a re problem must be \(re HistoryState of dim 1\)"),
+        # on initial_state's mesh: tau/h segments of width h
+        (belzen, lambda: HistoryState.from_callable(belzen().phi0, "dde", 1, 2.0, 0.1),
+         0.1, ValueError, r"\(dde HistoryState of dim 1\) on 10 segments of width 0.1"),
+        (daphnia, lambda: (_daphnia_pair(0.1)[0], _daphnia_pair(0.05)[1]),
+         0.1, ValueError, r"\) on \d+ segments of width 0.1"),
     ],
 )
 def test_integrate_checks_a_given_state0(make, state0, h, error, match):
     with pytest.raises(error, match=match):
         integrate(make(), builtin("heun"), h, 2 * h, state0=state0())
+
+
+@pytest.mark.parametrize(
+    "state0",
+    [
+        lambda: HistoryState.from_callable(belzen().phi0, "dde", 1, 2.0, 0.1),  # tau = 2
+        lambda: initial_state(belzen(), 0.05),  # width 0.05
+    ],
+)
+def test_integrate_checks_state0_mesh_at_T_0(state0):
+    # steps read h from the state, so a state0 off the mesh would step by its
+    # own width while the observer reports multiples of h; a run of no steps
+    # must not hand it back unchecked either
+    with pytest.raises(ValueError, match="on 10 segments of width 0.1"):
+        integrate(belzen(), builtin("heun"), 0.1, 0.0, state0=state0())
 
 
 def test_observer_contract():
@@ -808,7 +822,7 @@ def test_step_dispatches_through_module_entry_points(monkeypatch, make, entry):
     original = vars(stepper)[entry]
 
     def counting(*args):
-        calls.append(args[-2])
+        calls.append(args[3])
         return original(*args)
 
     monkeypatch.setattr(stepper, entry, counting)
@@ -872,8 +886,7 @@ def _flat_dde(**fields):
         (lambda: integrate(dataclasses.replace(daphnia(), rhs=lambda t, b, s: (0.0, np.zeros(3))),
                            builtin("heun"), 0.5, 1.0),
          r"rhs \(DDE component\) returned shape \(3,\), expected \(1,\)"),
-        (lambda: step_semilinear_dde(belzen(), builtin("heun"), initial_state(belzen(), 0.5),
-                                     0.0, 0.5),
+        (lambda: step_semilinear_dde(belzen(), builtin("heun"), initial_state(belzen(), 0.5), 0.0),
          "semilinear step requires the matrix L"),
         (lambda: TrajectoryRecorder(0), "sample_every must be >= 1"),
     ],

@@ -94,6 +94,10 @@ _HEUN = builtin("heun")
         ({"a": (((), ()), (((1, 1.0),),))}, "a must be a nu x nu matrix"),
         ({"b": _HEUN.b[:1]}, "b must have one term tuple per stage"),
         ({"declared_mode": "classical"}, "declared_mode must be 'strong' or 'weak'"),
+        # non-finite nodes and weights are named: a NaN residual compares as a pass
+        ({"b": (((1, math.nan),), ((2, 1.0),))}, r"phi term \(1, nan\) has a non-finite weight"),
+        ({"a": (((), ()), (((1, math.inf),), ()))}, r"phi term \(1, inf\) has a non-finite"),
+        ({"c": (0.0, math.nan), "a": (((), ()), ((), ()))}, "node c_2 = nan is not finite"),
     ],
 )
 def test_tableau_shape_and_mode_checks(fields, match):
