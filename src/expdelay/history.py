@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from itertools import chain
 
 import numpy as np
@@ -222,14 +223,14 @@ def _check_continuity(newest: np.ndarray, head: np.ndarray):
 def _cut(coeffs, h, shift, overlay, a, b, lo, hi):
     """Pieces of the window [a, b] cut at the knots (j - n) h - shift,
     j in 0..n, strictly inside (lo, hi), with the knots computed in the
-    float operations of ``breakpoints``.  Returns ``(segs, left, ends)``.
+    float operations of ``breakpoints``.  Returns ``(first, segs, left, ends)``.
 
-    ``segs`` is the (m, dim, 4) slice of the whole segments between the
-    first and the last cut, the first starting at offset ``left``.  ``ends``
-    holds the one or two partial pieces, the first before the whole
-    segments and the second after them, as ``(coeffs, s_lo, s_hi, t_lo,
-    t_hi)``: the (dim, 4) polynomial, its local interval and its offsets.
-    A piece right of knot n lies in ``overlay``, on [-shift, 0].
+    ``segs`` is the (m, dim, 4) slice ``coeffs[first:first + m]`` of the whole
+    segments between the first and the last cut, the first starting at offset
+    ``left``.  ``ends`` holds the one or two partial pieces, before and after
+    them, as ``(coeffs, s_lo, s_hi, t_lo, t_hi)``: the (dim, 4) polynomial,
+    its local interval and its offsets.  A piece right of knot n lies in
+    ``overlay``, on [-shift, 0].
     """
     n = len(coeffs)
 
@@ -250,15 +251,15 @@ def _cut(coeffs, h, shift, overlay, a, b, lo, hi):
     while j1 <= n and knot(j1) < hi:
         j1 += 1
     if j0 == j1:
-        return coeffs[:0], a, (end(j0, a, b),)
+        return j0, coeffs[:0], a, (end(j0, a, b),)
     first, last = knot(j0), knot(j1 - 1)
-    return coeffs[j0 : j1 - 1], first, (end(j0, a, first), end(j1, last, b))
+    return j0, coeffs[j0 : j1 - 1], first, (end(j0, a, first), end(j1, last, b))
 
 
 class _Log:
     """Append-only segment buffer of capacity 2n; slot ``end`` is next."""
 
-    __slots__ = ("buf", "end", "lock")
+    __slots__ = ("buf", "end", "lock", "sums")
 
     def __init__(self, window: np.ndarray):
         n = len(window)
@@ -266,6 +267,19 @@ class _Log:
         self.buf[:n] = window
         self.end = n
         self.lock = threading.Lock()
+        self.sums = weakref.WeakKeyDictionary()
+
+    def slot_sums(self, key, end: int, rule) -> np.ndarray:
+        """The per-slot values ``sums`` holds for ``key`` (weakly), slot last, filled
+        through ``end`` by one call ``rule(buf[filled:end])``; slots never change."""
+        with self.lock:
+            store, filled = self.sums.get(key, (None, 0))
+            if filled < end:
+                new = rule(self.buf[filled:end])
+                store = np.empty(new.shape[:-1] + (len(self.buf),)) if store is None else store
+                store[..., filled:end] = new
+                self.sums[key] = store, end
+            return store
 
     def claim(self, end: int, segment: np.ndarray) -> bool:
         """Write ``segment`` to slot ``end`` if that slot is the next free one."""
@@ -345,6 +359,11 @@ class HistoryState:
         partial pieces at the two ends, as :func:`_cut` returns them."""
         tol = _knot_tol(self.tau)
         return _cut(self._coeffs, self.h, 0.0, None, a, b, a + tol, b - tol)
+
+    def _segment_sum(self, key, rule, first: int, m: int) -> np.ndarray:
+        """Pairwise (numpy) sum of ``rule``'s stored sums on window segments [first, first + m)."""
+        lo = self._end - self.n_segments + first
+        return self._log.slot_sums(key, self._end, rule)[..., lo : lo + m].sum(axis=-1)
 
     def _locate(self, thetas: np.ndarray):
         """Segment index and local coordinate of range-checked offsets."""

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .quadrature import integrate_view
+from .quadrature import Pointwise, integrate_view
 from .stepper import CoupledProblem, Problem
 
 __all__ = [
@@ -69,8 +69,10 @@ def quadratic_re(gamma: float = 4.0) -> Problem:
         t = np.asarray(t, dtype=float)
         return c + amp * np.sin(0.5 * np.pi * t)
 
+    kernel = Pointwise(lambda x: x * (1.0 - x))
+
     def rhs(t, v):
-        return 0.5 * gamma * integrate_view(v, -3.0, -1.0, lambda th, x: x * (1.0 - x))
+        return 0.5 * gamma * integrate_view(v, -3.0, -1.0, kernel)
 
     return Problem(
         kind="re",
@@ -102,8 +104,10 @@ def daphnia(
     if not 0.0 < abar < amax:
         raise ValueError(f"need 0 < abar < amax, got abar={abar}, amax={amax}")
 
+    kernel = Pointwise(lambda x: x)
+
     def rhs(t, vb, vs):
-        births = integrate_view(vb, -amax, -abar, lambda th, x: x)
+        births = integrate_view(vb, -amax, -abar, kernel)
         S = vs.head
         f_re = beta * S * births
         f_dde = r * S * (1.0 - S / K) - gamma * S * births

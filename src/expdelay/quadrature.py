@@ -15,6 +15,13 @@ are one product of a fixed 4x4 power matrix with the contiguous slice of
 their coefficients, with no per-node segment search; the partial pieces
 are evaluated together in one small batch.
 
+A :class:`Pointwise` integrand g(x) ignores theta, so the rule's sum
+h sum_k W_k g(p_j(X_k)) on a whole segment p_j is fixed once p_j is written.
+The history log stores it per slot and integrand (held weakly), filling new
+slots with one call of g; a window is the numpy (pairwise) sum of its stored
+sums plus the rule on its end pieces, so a step calls g on O(1) values.  A
+fresh log (a branch, a pickle) fills once.  Other integrands see every node.
+
 The window range check, the knot tolerance and the Gauss-Legendre rule are
 the history module's.
 
@@ -29,7 +36,7 @@ import numpy as np
 
 from .history import _outside, gauss_legendre
 
-__all__ = ["integrate_view", "gauss_legendre"]
+__all__ = ["integrate_view", "gauss_legendre", "Pointwise"]
 
 _X, _W = gauss_legendre(4)
 _EXPONENTS = np.arange(4.0)
@@ -46,6 +53,40 @@ for _arr in (_POWERS, _ENDS):
     _arr.setflags(write=False)
 
 
+class Pointwise:
+    """The integrand ``(theta, x) -> g(x)``, g vectorised from (m, dim) to (m,) or (m, q);
+    :func:`integrate_view` caches its segment sums, so build it once and reuse it."""
+
+    def __init__(self, g):
+        if not callable(g):
+            raise TypeError(f"Pointwise needs a callable, got {g!r}")
+        self.g = g
+
+    def __call__(self, theta, x):
+        return self.g(x)
+
+
+def _checked(fv, m: int) -> np.ndarray:
+    fv = np.asarray(fv, dtype=float)
+    if fv.ndim not in (1, 2) or fv.shape[0] != m:
+        raise ValueError(f"integrand returned shape {fv.shape}, expected ({m},) or ({m}, q)")
+    return fv
+
+
+def _segment_sums(g, h: float, coeffs: np.ndarray) -> np.ndarray:
+    """h sum_k W_k g(p(X_k)) of each (dim, 4) cubic p of ``coeffs``, p last."""
+    k, dim = coeffs.shape[:2]
+    fv = _checked(g((_POWERS @ coeffs.reshape(-1, 4).T).reshape(4 * k, dim)), 4 * k)
+    return ((h * _W) @ fv.reshape(4, -1)).reshape((k,) + fv.shape[1:]).T
+
+
+def _end_nodes(ends, dim: int):
+    """Offsets, weights and values at the nodes of the partial end pieces."""
+    nodes = np.array([bounds for _, *bounds in ends]) @ _ENDS
+    vals = nodes[:, :4, None] ** _EXPONENTS @ np.array([c for c, *_ in ends]).transpose(0, 2, 1)
+    return nodes[:, 4:8].ravel(), nodes[:, 8:].ravel(), vals.reshape(-1, dim)
+
+
 def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
     """Integrate ``integrand(theta, x(theta))`` over [a, b] along a view.
 
@@ -54,16 +95,22 @@ def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
     vectorised: it receives the flat node array ``theta`` of shape (m,)
     and the view values of shape (m, dim), and returns shape (m,) or
     (m, q).  The result has the integrand's trailing shape: () for scalar
-    densities.
+    densities.  A :class:`Pointwise` integrand takes its whole segments'
+    sums from the history log and is called on the end pieces only.
     """
-    a = float(a)
-    b = float(b)
+    a, b = float(a), float(b)
     if a >= b:
         raise ValueError(f"empty or reversed window [{a}, {b}]")
     if _outside(np.array([a, b]), view.tau).any():
         raise ValueError(f"window [{a}, {b}] outside [-{view.tau}, 0]")
-    segs, left, ends = view._pieces(a, b)
+    first, segs, left, ends = view._pieces(a, b)
     m, dim, h = len(segs), view.dim, view.h
+    if m and isinstance(integrand, Pointwise):
+        _, w, vals = _end_nodes(ends, dim)
+        rule = lambda c: _segment_sums(integrand.g, h, c)  # noqa: E731
+        # a stage view's whole segments are its base's, and so are their sums
+        whole = getattr(view, "base", view)._segment_sum(integrand, rule, first, m)
+        return w @ _checked(integrand.g(vals), len(w)) + whole
     whole = 4 * m
     thetas = np.empty(whole + 4 * len(ends))
     w = np.empty_like(thetas)
@@ -73,16 +120,5 @@ def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
     np.matmul(_POWERS, segs.reshape(-1, 4).T, out=vals[:whole].reshape(4, -1))
     np.add.outer(left + h * _X, h * np.arange(m), out=thetas[:whole].reshape(4, m))
     w[:whole].reshape(4, m)[:] = (h * _W)[:, None]
-    # the one or two partial pieces at the window ends in one small batch
-    nodes = np.array([bounds for _, *bounds in ends]) @ _ENDS
-    powers = nodes[:, :4, None] ** _EXPONENTS
-    vals[whole:] = (powers @ np.array([c for c, *_ in ends]).transpose(0, 2, 1)).reshape(-1, dim)
-    thetas[whole:] = nodes[:, 4:8].ravel()
-    w[whole:] = nodes[:, 8:].ravel()
-    fv = np.asarray(integrand(thetas, vals), dtype=float)
-    if fv.ndim not in (1, 2) or fv.shape[0] != len(thetas):
-        raise ValueError(
-            f"integrand returned shape {fv.shape}, "
-            f"expected ({len(thetas)},) or ({len(thetas)}, q)"
-        )
-    return w @ fv
+    thetas[whole:], w[whole:], vals[whole:] = _end_nodes(ends, dim)
+    return w @ _checked(integrand(thetas, vals), len(thetas))

@@ -223,9 +223,10 @@ def _step(tab, states, overlays, rhs, t_n: float) -> tuple:
     ``rhs(t, *views)`` returns one value per component, or the bare value
     for a single component.
     """
-    single, h = len(states) == 1, states[0].h
-    if not single and any(state.h != h for state in states):
-        raise MeshError(f"history components on mesh widths {[s.h for s in states]}")
+    single, h, n = len(states) == 1, states[0].h, states[0].n_segments
+    if not single and any((s.h, s.n_segments) != (h, n) for s in states):
+        widths, horizons = [s.h for s in states], [s.tau for s in states]
+        raise MeshError(f"history components on mesh widths {widths} and horizons {horizons}")
     F = [np.zeros((tab.nu, state.dim)) for state in states]
     for i in range(tab.nu):
         ci = tab.c[i]

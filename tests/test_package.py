@@ -14,7 +14,7 @@ MODULES = ("history", "phi", "quadrature", "tableau", "stepper", "problems", "ha
 def test_public_surface_is_pinned():
     assert sorted(expdelay.__all__) == [
         "CoupledProblem", "DEGREE", "HistoryState", "IntegrationDiverged", "MeshError",
-        "OrderReport", "Problem", "StageView", "Tableau", "TrajectoryRecorder",
+        "OrderReport", "Pointwise", "Problem", "StageView", "Tableau", "TrajectoryRecorder",
         "__version__", "belzen", "builtin", "builtin_names", "check_order", "converge",
         "daphnia", "estimate_order", "gauss_legendre", "initial_state", "integrate",
         "integrate_view", "norm_diff", "observed_values", "phi_combine", "phi_dde_weight",

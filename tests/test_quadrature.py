@@ -1,9 +1,25 @@
+import gc
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from expdelay import HistoryState, StageView, gauss_legendre, integrate_view, quadratic_re
+from expdelay import (
+    HistoryState,
+    Pointwise,
+    StageView,
+    builtin,
+    gauss_legendre,
+    initial_state,
+    integrate_view,
+    quadratic_re,
+)
+from expdelay import problems
 from expdelay.history import _knot_tol
+from expdelay.stepper import step_re
 
 
 def _const_state(value, tau, h, kind="re"):
@@ -183,3 +199,197 @@ def test_degree_seven_is_exact_over_partial_pieces(shift):
     got = integrate_view(view, a, b, lambda th, x: x[:, 0] ** 2 * th)
     antiderivative = (cubic**2 * np.polynomial.Polynomial([0.0, 1.0])).integ()
     assert float(got) == pytest.approx(antiderivative(b) - antiderivative(a), rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# value-only integrands: whole-segment sums stored on the history log
+# ---------------------------------------------------------------------------
+
+#: g(x) of shape (m,) and of shape (m, q)
+_KERNELS = (
+    lambda x: (x * (1.0 - x)).sum(axis=1),
+    lambda x: np.concatenate([x, np.sin(x) * x], axis=1),
+)
+
+
+def _random_view(kind, dim, h, n, c, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(-1.0, 1.0, (n, dim, 4))
+    head = coeffs[-1].sum(axis=1) if kind == "dde" else None
+    view = HistoryState(kind, dim, round(n * h, 9), h, coeffs, head=head)
+    if c is not None:
+        overlay = rng.uniform(-1.0, 1.0, (dim, 4))
+        head = overlay.sum(axis=1) if kind == "dde" else None
+        view = StageView(view, c * h, overlay, head=head)
+    return view
+
+
+def _assert_matches_per_call_path(view, a, b, kernel, got):
+    want = integrate_view(view, a, b, lambda th, x: kernel.g(x))
+    _, scale = _reference(view, a, b, lambda th, x: kernel.g(x))
+    assert np.shape(got) == np.shape(want)
+    assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + scale))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    kind=st.sampled_from(["re", "dde"]),
+    dim=st.sampled_from([1, 3]),
+    h=st.sampled_from([0.25, 0.5, 1.0 / 3.0]),
+    n=st.integers(min_value=1, max_value=8),
+    c=st.one_of(st.none(), st.just(1.0), st.floats(min_value=0.01, max_value=0.99)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    ends=st.tuples(_ends, _ends),
+    g=st.sampled_from(_KERNELS),
+)
+@example(kind="re", dim=1, h=0.25, n=8, c=None, seed=0, ends=((0, 0.0, 0.0), (8, 1.0, 0.0)), g=_KERNELS[0])
+@example(kind="re", dim=3, h=0.5, n=8, c=0.5, seed=1, ends=((0, 0.0, 0.0), (4, 0.0, 0.0)), g=_KERNELS[1])
+@example(kind="dde", dim=3, h=0.5, n=4, c=None, seed=2, ends=((1, 0.2, 0.0), (1, 0.7, 0.0)), g=_KERNELS[1])
+@example(kind="dde", dim=1, h=0.25, n=6, c=0.3, seed=3, ends=((2, 0.4, 0.0), (5, 0.6, 0.0)), g=_KERNELS[0])
+def test_pointwise_matches_the_per_call_path(kind, dim, h, n, c, seed, ends, g):
+    # HistoryState and StageView, RE and DDE, dim 1 and 3, g of shape (m,)
+    # and (m, q): windows on and off the mesh, across the overlay's knot, and
+    # inside one piece (no whole segment); a second call reads the store
+    view = _random_view(kind, dim, h, n, c, seed)
+    knots, tol = view.breakpoints(), _knot_tol(view.tau)
+    a, b = sorted(_window_end(knots, *end, tol) for end in ends)
+    a, b = max(a, -view.tau - 0.9 * tol), min(b, 0.9 * tol)
+    if b - a < 1e-3 * h:
+        return
+    kernel = Pointwise(g)
+    got = integrate_view(view, a, b, kernel)
+    _assert_matches_per_call_path(view, a, b, kernel, got)
+    assert np.array_equal(integrate_view(view, a, b, kernel), got)
+
+
+def _append(state, rng, k):
+    for _ in range(k):
+        state = state.shift_append(rng.uniform(-1.0, 1.0, (state.dim, 4)))
+    return state
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_pointwise_store_follows_the_log(dim):
+    # each state reads its own window's sums: after k appends, after a branch
+    # from an older state (a fresh log), after a pickle round trip (a fresh
+    # log), and as an older state sharing its log with a newer one
+    rng = np.random.default_rng(dim)
+    kernel = Pointwise(_KERNELS[1])
+    old = _random_view("re", dim, 0.25, 12, None, dim)
+    windows = ((-3.0, -0.5), (-2.9, -0.1), (-1.3, 0.0))
+
+    def check(state):
+        for a, b in windows:
+            _assert_matches_per_call_path(state, a, b, kernel, integrate_view(state, a, b, kernel))
+            view = StageView(state, 0.1, rng.uniform(-1.0, 1.0, (dim, 4)))
+            _assert_matches_per_call_path(view, a, b, kernel, integrate_view(view, a, b, kernel))
+
+    check(old)
+    new = _append(old, rng, 5)
+    assert new._log is old._log
+    check(new)
+    branch = _append(old, rng, 3)
+    assert branch._log is not old._log
+    check(branch)
+    copy = pickle.loads(pickle.dumps(new))
+    assert copy._log is not new._log
+    check(copy)
+    newest = _append(new, rng, 4)
+    assert newest._log is old._log
+    check(newest)
+    check(old)  # the store now reaches past old's window
+
+
+def test_threads_share_one_store():
+    # threads read windows through one kernel on states that share one log,
+    # each thread in its own order of older and newer states, while the
+    # store fills; every state reads its own window's sums
+    workers, rng = 4, np.random.default_rng(11)
+    chain = [_random_view("re", 2, 0.01, 200, None, 11)]
+    for _ in range(150):
+        chain.append(chain[-1].shift_append(rng.uniform(-1.0, 1.0, (2, 4))))
+    assert chain[-1]._log is chain[0]._log
+    kernel = Pointwise(_KERNELS[1])
+    orders = [rng.permutation(len(chain)) for _ in range(workers)]
+    got = [{} for _ in range(workers)]
+    barrier = threading.Barrier(workers, timeout=60)
+
+    def read(k):
+        barrier.wait()
+        for i in orders[k]:
+            got[k][i] = integrate_view(chain[i], -1.95, -0.05, kernel)
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, state in enumerate(chain):
+        for k in range(workers):
+            _assert_matches_per_call_path(state, -1.95, -0.05, kernel, got[k][i])
+
+
+def _kernel_calls(monkeypatch):
+    """quadratic_re built by its factory with a kernel that records the
+    number of values each call receives."""
+    counts = []
+
+    def counting(g):
+        def counted(x):
+            counts.append(len(x))
+            return g(x)
+
+        return Pointwise(counted)
+
+    monkeypatch.setattr(problems, "Pointwise", counting)
+    return problems.quadratic_re(), counts
+
+
+def test_window_cost_per_step_does_not_grow_with_tau_over_h(monkeypatch):
+    # after the first step, which fills the log's sums, an expo3 step hands
+    # the kernel the same number of values at n = tau/h = 300 and 6000
+    prob, counts = _kernel_calls(monkeypatch)
+    tab, steps = builtin("expo3"), 5
+    per_step = {}
+    for n in (300, 6000):
+        h = 3.0 / n
+        state = step_re(prob, tab, initial_state(prob, h), 0.0)
+        counts.clear()
+        for k in range(1, steps + 1):
+            state = step_re(prob, tab, state, k * h)
+        per_step[n] = sum(counts) / steps
+    assert per_step[300] == per_step[6000] <= 40
+
+
+def test_pointwise_store_keeps_no_dropped_integrand():
+    # the log holds its integrands by weak reference: one made afresh on
+    # every call leaves no entry once dropped, and a kept one stays
+    state = _random_view("re", 1, 0.25, 12, None, 0)
+    for _ in range(3):
+        integrate_view(state, -3.0, -1.0, Pointwise(lambda x: x))
+    gc.collect()
+    assert len(state._log.sums) == 0
+    kept = Pointwise(lambda x: x)
+    integrate_view(state, -3.0, -1.0, kept)
+    assert list(state._log.sums) == [kept]
+    del kept
+    gc.collect()
+    assert len(state._log.sums) == 0
+
+
+def test_pointwise_checks_its_input():
+    state = _random_view("re", 1, 0.25, 12, None, 0)
+    with pytest.raises(TypeError, match="Pointwise needs a callable"):
+        Pointwise(1.0)
+    # the kernel's shape is checked on the whole segments and the end pieces
+    with pytest.raises(ValueError, match="integrand returned shape"):
+        integrate_view(state, -3.0, -1.0, Pointwise(lambda x: x[:, :, None]))
+    with pytest.raises(ValueError, match="integrand returned shape"):
+        integrate_view(state, -2.9, -2.8, Pointwise(lambda x: x[1:]))
+    assert len(state._log.sums) == 0

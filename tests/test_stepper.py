@@ -375,6 +375,18 @@ def test_step_rejects_mismatched_mesh():
         step_coupled(daphnia(), builtin("heun"), pair, 0.0)
 
 
+def test_step_rejects_a_pair_on_two_horizons():
+    # both components of a coupled problem share one delay horizon; the
+    # same width with tau = 4 and tau = 8 is two meshes
+    const = lambda value: lambda th: np.full(np.shape(th), value)
+    pair = (
+        HistoryState.from_callable(const(0.7), "re", 1, 4.0, 0.1),
+        HistoryState.from_callable(const(0.35), "dde", 1, 8.0, 0.1),
+    )
+    with pytest.raises(MeshError, match=r"mesh widths \[0.1, 0.1\] and horizons \[4.0, 8.0\]"):
+        step_coupled(daphnia(), builtin("heun"), pair, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # semilinear path
 # ---------------------------------------------------------------------------
