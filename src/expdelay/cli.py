@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_converge(args) -> int:
-    problem = problems.make(args.problem)
+    problem = problems.REGISTRY[args.problem]()
     defaults = problems.CLI_DEFAULTS[args.problem]
     methods = args.method or list(builtin_names())
     hs = args.hs or list(defaults.get("hs", ()))
@@ -111,7 +111,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    problem = problems.make(args.problem)
+    problem = problems.REGISTRY[args.problem]()
     defaults = problems.CLI_DEFAULTS[args.problem]
     methods = args.method or ["expo3"]
     if len(methods) != 1:

@@ -140,13 +140,3 @@ CLI_DEFAULTS = {
     "daphnia": {"T": 60.0, "h": 1e-2},
 }
 
-
-def make(name: str):
-    """Instantiate a registered benchmark problem by name."""
-    try:
-        factory = REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown problem {name!r}; available: {', '.join(REGISTRY)}"
-        ) from None
-    return factory()

@@ -1,9 +1,10 @@
 """Exponential Runge-Kutta steps and constant-step time integration.
 
-One step advances the full history state, as :func:`initial_state` builds it,
-by the state's own mesh width h: the shift semigroup translates the old
-history by h while the stage and update rows add polynomial corrections
-supported on the newest interval.  Written out, a coefficient term
+:func:`step` is the one step for every problem kind.  It advances the full
+history state, as :func:`initial_state` builds it, by the state's own mesh
+width h: the shift semigroup translates the old history by h while the
+stage and update rows add polynomial corrections supported on the newest
+interval.  Written out, a coefficient term
 w * phi_k(c_i h A0) applied to a stage value F contributes
 
     DDE:  head  h*w/k! * F,    tail  h*w * (c_i h + theta)^k / ((c_i h)^k k!) * F
@@ -28,7 +29,8 @@ the newest interval:
   itself this overlay rule; each sample is one matrix-vector product.
 
 Row i of ``a`` with c = c_i gives the stage views (a shift plus one overlay
-polynomial); row ``b`` with c = 1 gives the appended segment.
+polynomial); row ``b`` with c = 1 gives the appended segment.  Every stage
+value and every appended segment must be finite.
 """
 
 from __future__ import annotations
@@ -61,10 +63,7 @@ __all__ = [
     "Problem",
     "CoupledProblem",
     "IntegrationDiverged",
-    "step_dde",
-    "step_re",
-    "step_semilinear_dde",
-    "step_coupled",
+    "step",
     "semilinear_plan",
     "initial_state",
     "integrate",
@@ -191,10 +190,9 @@ def _as_rhs_value(raw, state, single: bool) -> np.ndarray:
     return val
 
 
-def _require_finite(val: np.ndarray, stage: int, what: str):
-    # plain floats: cheaper than numpy for a (dim,) value, and no sum that
-    # could overflow on finite input
-    if not all(map(math.isfinite, val.tolist())):
+def _require_finite(values, stage: int, what: str):
+    # plain floats: cheaper than numpy for a few values
+    if not all(map(math.isfinite, values)):
         raise IntegrationDiverged(
             f"non-finite {what} at stage {stage}", stage_index=stage
         )
@@ -213,20 +211,26 @@ def _re_overlay(state, u, c: float):
     return coeffs, None
 
 
-def _step(tab, states, overlays, rhs, t_n: float) -> tuple:
+def _step(problem, tab, states, overlays, t_n: float) -> tuple:
     """One explicit exponential RK step of history components on one mesh.
 
-    ``overlays[m](state, u, c)``, with ``u = W_i^T F`` the row's
+    Every component must be on the mesh of width h = ``states[0].h`` over
+    ``problem.tau``, and every stage value and appended segment must be
+    finite.  ``overlays[m](state, u, c)``, with ``u = W_i^T F`` the row's
     (p_i + 1, dim) phi weights of component m's stage values, returns the
     coefficients and head (None for RE) of component m on its newest
-    interval.
-    ``rhs(t, *views)`` returns one value per component, or the bare value
-    for a single component.
+    interval.  ``problem.rhs(t, *views)`` returns one value per component,
+    or the bare value for a single component.
     """
-    single, h, n = len(states) == 1, states[0].h, states[0].n_segments
-    if not single and any((s.h, s.n_segments) != (h, n) for s in states):
-        widths, horizons = [s.h for s in states], [s.tau for s in states]
-        raise MeshError(f"history components on mesh widths {widths} and horizons {horizons}")
+    single, h = len(states) == 1, states[0].h
+    n = _steps(problem.tau, h, "tau")
+    for state in states:
+        if state.h != h or state.n_segments != n:
+            widths, horizons = [s.h for s in states], [s.tau for s in states]
+            raise MeshError(
+                f"history components on mesh widths {widths} and horizons {horizons}; "
+                f"a step needs one mesh of width {h} over the problem's tau = {problem.tau}"
+            )
     F = [np.zeros((tab.nu, state.dim)) for state in states]
     for i in range(tab.nu):
         ci = tab.c[i]
@@ -239,37 +243,32 @@ def _step(tab, states, overlays, rhs, t_n: float) -> tuple:
             for state, overlay, f in zip(states, overlays, F):
                 coeffs, head = overlay(state, tab.weights[i].T @ f, ci)
                 views.append(StageView(state, ci * h, coeffs, head=head))
-        raw = rhs(t_n + ci * h, *views)
+        raw = problem.rhs(t_n + ci * h, *views)
         if single:
             raw = (raw,)
         elif len(raw) != len(states):
             raise ValueError(f"rhs returned {len(raw)} values, expected {len(states)}")
         for r, state, f in zip(raw, states, F):
             f[i] = _as_rhs_value(r, state, single)
-            _require_finite(f[i], i + 1, "stage value")
+            _require_finite(f[i].tolist(), i + 1, "stage value")
     new = []
     for state, overlay, f in zip(states, overlays, F):
         coeffs, head = overlay(state, tab.weights[-1].T @ f, 1.0)
-        if head is not None:
-            _require_finite(head, tab.nu, "update")
+        # the new segment's value at theta = 0 (a DDE's head), which is
+        # non-finite whenever one of its coefficients is
+        _require_finite(map(sum, coeffs.tolist()), tab.nu, "update")
         new.append(state.shift_append(coeffs, head=head))
     return tuple(new)
 
 
 def step_dde(problem, tab, state, t_n: float) -> HistoryState:
-    """One explicit exponential RK step for a plain DDE state."""
-    return _step(tab, (state,), (_dde_overlay,), problem.rhs, t_n)[0]
+    """:func:`step` for a plain DDE."""
+    return _step(problem, tab, (state,), (_dde_overlay,), t_n)[0]
 
 
 def step_re(problem, tab, state, t_n: float) -> HistoryState:
-    """One explicit exponential RK step for a renewal-equation state.
-
-    The density state eta is advanced: its tail is the pure shift and the
-    new segment carries the update-row polynomial.  The integrated state is
-    derived from eta by :meth:`HistoryState.j_integrate`, which reproduces
-    the scheme's own recursion for it exactly.
-    """
-    return _step(tab, (state,), (_re_overlay,), problem.rhs, t_n)[0]
+    """:func:`step` for a renewal equation."""
+    return _step(problem, tab, (state,), (_re_overlay,), t_n)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,36 +331,19 @@ def semilinear_plan(problem, tab, h: float) -> SemilinearPlan:
 
 
 def step_semilinear_dde(problem, tab, state, t_n: float, plan=None) -> HistoryState:
-    """One step for x' = L x + G(t, x_t) with the linear part treated exactly.
-
-    Every matrix function comes from ``plan``, a :func:`semilinear_plan` for
-    (problem, tab, state.h); without one the step builds its own, which costs one
-    d x d exponential per distinct nonzero node.  Each row then costs three
-    matrix-vector products: heads are exact matrix phi actions; segment
-    profiles (which involve e^{(h+theta)L}) are sampled at the 4
-    Chebyshev-Lobatto points and stored as their cubic interpolant.  That
-    stored segment is not exact when hL is stiff: one expeuler step of
-    x' = lam x from x = 1 at h = 0.01 stores a segment with max error 4e-4,
-    0.15 and 0.77 at h lam = -1, -10 and -100, and at -10 it dips to -0.11
-    (ROADMAP.md, stiff correctness).  With L = 0 the step reduces to
-    :func:`step_dde`.
-    """
+    """:func:`step` for a semilinear DDE."""
     if problem.L is None:
         raise ValueError("semilinear step requires the matrix L")
     if plan is None:
         plan = semilinear_plan(problem, tab, state.h)
     elif not plan.fits(problem, tab, state.h):
         raise ValueError("the step plan was built for another L, tableau or step")
-    return _step(tab, (state,), (plan,), problem.rhs, t_n)[0]
+    return _step(problem, tab, (state,), (plan,), t_n)[0]
 
 
 def step_coupled(problem, tab, state, t_n: float):
-    """One joint step for a coupled (re, dde) pair on one mesh width.
-
-    Each stage builds the RE and DDE views together and feeds both to the
-    problem's rhs, which returns the (f_re, f_dde) pair.
-    """
-    return _step(tab, state, (_re_overlay, _dde_overlay), problem.rhs, t_n)
+    """:func:`step` for a coupled problem's (re, dde) pair."""
+    return _step(problem, tab, state, (_re_overlay, _dde_overlay), t_n)
 
 
 def _components(problem, h: float) -> tuple:
@@ -396,8 +378,31 @@ def _check_state0(problem, state0, h: float):
 
 
 def step(problem, tab, state, t_n: float, plan=None):
-    """Dispatch one step of ``state``, as :func:`initial_state` builds it, on
-    the problem kind; ``plan`` is passed to semilinear steps only."""
+    """One explicit exponential RK step from t_n to t_n + h, for every kind.
+
+    ``state`` is laid out as :func:`initial_state` builds it: one
+    :class:`~expdelay.history.HistoryState`, or the (re, dde) pair of a
+    coupled problem.  The step reads h from it.  Every component must hold
+    tau/h segments of width h, with tau the problem's horizon; otherwise
+    the step raises :class:`~expdelay.history.MeshError` naming the widths
+    and horizons.  A non-finite stage value, or a new segment whose value
+    at theta = 0 is non-finite, raises :class:`IntegrationDiverged` with
+    its stage index.  Returns the new state (or pair).
+
+    An RE state is the density eta.  The integrated state is derived from
+    it by :meth:`~expdelay.history.HistoryState.j_integrate`, which
+    reproduces the scheme's own recursion for it exactly.
+
+    ``plan`` is used by semilinear problems only: a :func:`semilinear_plan`
+    for (problem, tab, h).  Without one the step builds its own, at one
+    d x d exponential per distinct nonzero node.  A semilinear step's heads
+    are exact; its newest segment is a cubic interpolant, which is not
+    exact when hL is stiff (README, "Semilinear problems and plans").
+
+    The step dispatches through the module globals ``step_dde``,
+    ``step_re``, ``step_semilinear_dde`` and ``step_coupled``, which are not
+    exported: an outside-in tracer (bench/spans.py) wraps them by name.
+    """
     if problem.kind == "dde":
         return step_dde(problem, tab, state, t_n)
     if problem.kind == "re":

@@ -5,15 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from expdelay import belzen, daphnia, initial_state, quadratic_re
-from expdelay.problems import CLI_DEFAULTS, REGISTRY, make
+from expdelay.problems import CLI_DEFAULTS, REGISTRY
 
 
 def test_registry_contents():
     assert set(REGISTRY) == {"belzen", "quadratic_re", "daphnia"}
     assert set(CLI_DEFAULTS) == set(REGISTRY)
-    assert make("belzen").name == "belzen"
-    with pytest.raises(KeyError):
-        make("lorenz")
 
 
 def test_belzen_values():

@@ -24,6 +24,7 @@ from expdelay import (
     phi_re_weight,
     phi_scalar,
     quadratic_re,
+    step,
 )
 from expdelay import harness, problems, stepper
 from expdelay.stepper import (
@@ -385,6 +386,21 @@ def test_step_rejects_a_pair_on_two_horizons():
     )
     with pytest.raises(MeshError, match=r"mesh widths \[0.1, 0.1\] and horizons \[4.0, 8.0\]"):
         step_coupled(daphnia(), builtin("heun"), pair, 0.0)
+
+
+@pytest.mark.parametrize(
+    "make, kind, match",
+    [
+        (belzen, "dde", r"horizons \[2.0\]; .* tau = 1.0"),
+        (quadratic_re, "re", r"horizons \[6.0\]; .* tau = 3.0"),
+    ],
+)
+def test_step_rejects_a_state_on_another_horizon(make, kind, match):
+    # a single component is held to the problem's horizon, as a pair is
+    prob = make()
+    state = HistoryState.from_callable(prob.phi0, kind, 1, 2.0 * prob.tau, 0.1)
+    with pytest.raises(MeshError, match=match):
+        step(prob, builtin("heun"), state, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +842,13 @@ def test_observer_contract():
 
 
 @pytest.mark.parametrize(
-    "make, entry", [(belzen, "step_dde"), (daphnia, "step_coupled")]
+    "make, entry",
+    [
+        (belzen, "step_dde"),
+        (daphnia, "step_coupled"),
+        (quadratic_re, "step_re"),
+        (_semilinear2, "step_semilinear_dde"),
+    ],
 )
 def test_step_dispatches_through_module_entry_points(monkeypatch, make, entry):
     # profilers wrap the step_* module globals; every step must pass there
@@ -949,6 +971,17 @@ def test_finite_values_near_overflow_pass():
 def test_non_finite_stage_value_names_its_stage(bad):
     with pytest.raises(IntegrationDiverged) as err:
         integrate(_stage_values_problem(1e308, bad), builtin("heun"), 0.1, 0.1)
+    assert err.value.step_index == 0
+    assert err.value.stage_index == 2
+
+
+@pytest.mark.parametrize("kind", ["re", "dde"])
+def test_overflowing_update_names_its_stage(kind):
+    # finite stage values whose update row overflows: an RE segment is
+    # checked as a DDE head is
+    prob = dataclasses.replace(_stage_values_problem(-1.5e308, 1.5e308), kind=kind)
+    with np.errstate(over="ignore"), pytest.raises(IntegrationDiverged) as err:
+        integrate(prob, builtin("heun"), 0.5, 0.5)
     assert err.value.step_index == 0
     assert err.value.stage_index == 2
 
