@@ -310,6 +310,11 @@ class HistoryState:
             raise ValueError(
                 f"coeffs must have shape ({n}, {dim}, {_NCOEF}), got {coeffs.shape}"
             )
+        if not np.isfinite(coeffs).all():
+            i = int(np.argmin(np.isfinite(coeffs).all(axis=(1, 2))))
+            raise ValueError(
+                f"history segment {i} on [{(i - n) * h}, {(i + 1 - n) * h}] is not finite"
+            )
         self.kind, self.dim, self.tau, self.h, self.n_segments = kind, int(dim), n * h, h, n
         self.head = _as_head(kind, self.dim, head)
         if kind == "dde":

@@ -35,6 +35,7 @@ value and every appended segment must be finite.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -74,6 +75,7 @@ __all__ = [
 _FACTORIAL = np.array([math.factorial(k) for k in range(_NCOEF)], dtype=float)
 #: r^k at the nonzero Chebyshev-Lobatto nodes r = 1/4, 3/4, 1
 _LOBATTO_POWERS = _LOBATTO_S[1:, None] ** np.arange(_NCOEF)
+_tau_steps = functools.lru_cache(maxsize=64)(_steps)  # every step asks for the same tau/h
 
 
 class IntegrationDiverged(RuntimeError):
@@ -85,10 +87,15 @@ class IntegrationDiverged(RuntimeError):
         self.stage_index = stage_index
 
 
-def _check_fields(problem, dim_fields):
-    """Checks shared by every problem type: tau positive and finite, each
-    named dimension >= 1, one component name per dimension if any are given,
-    and every distributed limit in [-tau, 0]."""
+def _check_fields(problem, dim_fields, callables):
+    """Checks shared by every problem type: each named callable field
+    callable (``exact`` may be None), tau positive and finite, each named
+    dimension >= 1, one component name per dimension if any are given, and
+    distributed limits a 1-d sequence in [-tau, 0]."""
+    for field in callables:
+        value = getattr(problem, field)
+        if not callable(value) and not (field == "exact" and value is None):
+            raise TypeError(f"{field} must be callable, got {value!r}")
     if not 0.0 < problem.tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {problem.tau}")
     for field in dim_fields:
@@ -97,7 +104,12 @@ def _check_fields(problem, dim_fields):
     dim, names = sum(getattr(problem, f) for f in dim_fields), problem.component_names
     if names and len(names) != dim:
         raise ValueError(f"component_names has {len(names)} entries, expected {dim}")
-    if _outside(np.asarray(problem.distributed_limits, dtype=float), problem.tau).any():
+    limits = np.asarray(problem.distributed_limits, dtype=float)
+    if limits.ndim != 1:
+        raise ValueError(
+            f"distributed_limits must be a 1-d sequence, got {problem.distributed_limits!r}"
+        )
+    if _outside(limits, problem.tau).any():
         raise ValueError(
             f"distributed_limits {problem.distributed_limits} outside [-tau, 0], "
             f"tau = {problem.tau}"
@@ -130,7 +142,7 @@ class Problem:
     def __post_init__(self):
         if self.kind not in ("dde", "re", "semilinear_dde"):
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        _check_fields(self, ("dim",))
+        _check_fields(self, ("dim",), ("rhs", "phi0", "exact"))
         if self.kind == "semilinear_dde":
             if self.L is None:
                 raise ValueError("semilinear problems require the matrix L")
@@ -172,7 +184,7 @@ class CoupledProblem:
     kind = "coupled"
 
     def __post_init__(self):
-        _check_fields(self, ("dim_re", "dim_dde"))
+        _check_fields(self, ("dim_re", "dim_dde"), ("rhs", "phi0_re", "phi0_dde"))
         if not self.component_names:
             names = tuple(f"b{i + 1}" for i in range(self.dim_re)) + tuple(
                 f"x{i + 1}" for i in range(self.dim_dde)
@@ -211,26 +223,18 @@ def _re_overlay(state, u, c: float):
     return coeffs, None
 
 
-def _step(problem, tab, states, overlays, t_n: float) -> tuple:
-    """One explicit exponential RK step of history components on one mesh.
+def _step(problem, tab, state, overlays, t_n: float) -> tuple:
+    """One explicit exponential RK step of a state that passes :func:`_check_state`.
 
-    Every component must be on the mesh of width h = ``states[0].h`` over
-    ``problem.tau``, and every stage value and appended segment must be
-    finite.  ``overlays[m](state, u, c)``, with ``u = W_i^T F`` the row's
-    (p_i + 1, dim) phi weights of component m's stage values, returns the
-    coefficients and head (None for RE) of component m on its newest
-    interval.  ``problem.rhs(t, *views)`` returns one value per component,
-    or the bare value for a single component.
+    Every stage value and appended segment must be finite.
+    ``overlays[m](state, u, c)``, with ``u = W_i^T F`` the row's (p_i + 1, dim)
+    phi weights of component m's stage values, returns the coefficients and
+    head (None for RE) of component m on its newest interval.
+    ``problem.rhs(t, *views)`` returns one value per component, or the bare
+    value for a single component.
     """
+    states = _check_state(problem, state)
     single, h = len(states) == 1, states[0].h
-    n = _steps(problem.tau, h, "tau")
-    for state in states:
-        if state.h != h or state.n_segments != n:
-            widths, horizons = [s.h for s in states], [s.tau for s in states]
-            raise MeshError(
-                f"history components on mesh widths {widths} and horizons {horizons}; "
-                f"a step needs one mesh of width {h} over the problem's tau = {problem.tau}"
-            )
     F = [np.zeros((tab.nu, state.dim)) for state in states]
     for i in range(tab.nu):
         ci = tab.c[i]
@@ -263,12 +267,12 @@ def _step(problem, tab, states, overlays, t_n: float) -> tuple:
 
 def step_dde(problem, tab, state, t_n: float) -> HistoryState:
     """:func:`step` for a plain DDE."""
-    return _step(problem, tab, (state,), (_dde_overlay,), t_n)[0]
+    return _step(problem, tab, state, (_dde_overlay,), t_n)[0]
 
 
 def step_re(problem, tab, state, t_n: float) -> HistoryState:
     """:func:`step` for a renewal equation."""
-    return _step(problem, tab, (state,), (_re_overlay,), t_n)[0]
+    return _step(problem, tab, state, (_re_overlay,), t_n)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,11 +338,12 @@ def step_semilinear_dde(problem, tab, state, t_n: float, plan=None) -> HistorySt
     """:func:`step` for a semilinear DDE."""
     if problem.L is None:
         raise ValueError("semilinear step requires the matrix L")
+    h = (state if isinstance(state, HistoryState) else _check_state(problem, state)[0]).h
     if plan is None:
-        plan = semilinear_plan(problem, tab, state.h)
-    elif not plan.fits(problem, tab, state.h):
+        plan = semilinear_plan(problem, tab, h)
+    elif not plan.fits(problem, tab, h):
         raise ValueError("the step plan was built for another L, tableau or step")
-    return _step(problem, tab, (state,), (plan,), t_n)[0]
+    return _step(problem, tab, state, (plan,), t_n)[0]
 
 
 def step_coupled(problem, tab, state, t_n: float):
@@ -346,10 +351,9 @@ def step_coupled(problem, tab, state, t_n: float):
     return _step(problem, tab, state, (_re_overlay, _dde_overlay), t_n)
 
 
-def _components(problem, h: float) -> tuple:
-    """(phi0, kind, dim) of each history component of the problem's state;
-    raises unless every distributed-delay bound lies on the mesh of width h."""
-    for lim in problem.distributed_limits:
+def _components(problem, h=None) -> tuple:
+    """(phi0, kind, dim) per state component; given h, bounds must be on its mesh."""
+    for lim in problem.distributed_limits if h is not None else ():
         _steps(lim, h, "distributed delay bound")
     if problem.kind == "coupled":
         return (problem.phi0_re, "re", problem.dim_re), (problem.phi0_dde, "dde", problem.dim_dde)
@@ -362,32 +366,37 @@ def initial_state(problem, h: float):
     return tuple(states) if problem.kind == "coupled" else states[0]
 
 
-def _check_state0(problem, state0, h: float):
-    """state0, after initial_state's checks: bounds, then components, each
-    tau/h segments of width h exactly."""
-    states = state0 if problem.kind == "coupled" else (state0,)
-    components, n = _components(problem, h), _steps(problem.tau, h, "tau")
-    if not isinstance(states, tuple) or [(k, d, n, h) for _, k, d in components] != [
-        (s.kind, s.dim, s.n_segments, s.h) for s in states if isinstance(s, HistoryState)
-    ]:
-        layout = ", ".join(f"{kind} HistoryState of dim {dim}" for _, kind, dim in components)
-        raise ValueError(
-            f"state0 of a {problem.kind} problem must be ({layout}) on {n} segments of width {h}"
-        )
-    return state0
+def _check_state(problem, state, h=None, name="state") -> tuple:
+    """The components of ``state`` if laid out as ``initial_state(problem, h)``
+    builds them, h defaulting to the first one's width; else raises as :func:`step` says."""
+    components = _components(problem, h)
+    given = state if isinstance(state, tuple) and state else (state,)
+    h = given[0].h if h is None and isinstance(given[0], HistoryState) else h
+    n = None if h is None else _tau_steps(float(problem.tau), h, "tau")
+    want = [(kind, dim, n, h) for _, kind, dim in components]
+    got = [isinstance(s, HistoryState) and (s.kind, s.dim, s.n_segments, s.h) for s in given]
+    boxed = isinstance(state, tuple) == (problem.kind == "coupled")
+    if boxed and got == want:
+        return given
+    layout = ", ".join(f"{kind} HistoryState of dim {dim}" for _, kind, dim in components)
+    kinds, dims, hs, taus = ([getattr(s, f, None) for s in given] for f in "kind dim h tau".split())
+    mesh_only = boxed and [g and g[:2] for g in got] == [w[:2] for w in want]
+    raise (MeshError if mesh_only else ValueError)(
+        f"{name} of a {problem.kind} problem must be ({layout}) on {n or 'tau/h'} segments of "
+        f"width {h or 'h'}; got {type(state).__name__} of kinds {kinds}, dims {dims}, mesh "
+        f"widths {hs} and horizons {taus}; the problem's tau = {problem.tau}"
+    )
 
 
 def step(problem, tab, state, t_n: float, plan=None):
     """One explicit exponential RK step from t_n to t_n + h, for every kind.
 
-    ``state`` is laid out as :func:`initial_state` builds it: one
-    :class:`~expdelay.history.HistoryState`, or the (re, dde) pair of a
-    coupled problem.  The step reads h from it.  Every component must hold
-    tau/h segments of width h, with tau the problem's horizon; otherwise
-    the step raises :class:`~expdelay.history.MeshError` naming the widths
-    and horizons.  A non-finite stage value, or a new segment whose value
-    at theta = 0 is non-finite, raises :class:`IntegrationDiverged` with
-    its stage index.  Returns the new state (or pair).
+    ``state`` must be laid out as :func:`initial_state` builds it for the h
+    of its first component; otherwise the step raises one ValueError naming
+    both layouts, a :class:`~expdelay.history.MeshError` if only the mesh
+    differs.  A non-finite stage value, or a new segment whose value at
+    theta = 0 is non-finite, raises :class:`IntegrationDiverged` with its
+    stage index.  Returns the new state (or pair).
 
     An RE state is the density eta.  The integrated state is derived from
     it by :meth:`~expdelay.history.HistoryState.j_integrate`, which
@@ -427,10 +436,9 @@ def observed_values(state) -> np.ndarray:
 def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
     """Advance from t = 0 to t = T in N = T/h constant steps.
 
-    T and tau must be integer multiples of h, as must any distributed-delay
-    bounds the problem declares, also for a given ``state0``, which must be
-    laid out as :func:`initial_state` builds it: tau/h segments of width h in
-    each component.  A semilinear problem's matrix functions are built once,
+    T, tau and any distributed-delay bounds must be integer multiples of h,
+    and a given ``state0`` is held to :func:`step`'s layout rule with this h,
+    also when T = 0.  A semilinear problem's matrix functions are built once,
     as a :func:`semilinear_plan`.  ``observer``, if given, is called exactly
     once per step, in order, as observer(t_{n+1}, values) with the observable
     of :func:`observed_values`.  Returns the final state (or pair).  A
@@ -441,7 +449,8 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
     n_steps = _steps(float(T), h, "T")
     if n_steps < 0:
         raise MeshError(f"horizon T = {T} is negative")
-    state = initial_state(problem, h) if state0 is None else _check_state0(problem, state0, h)
+    state = initial_state(problem, h) if state0 is None else state0
+    _check_state(problem, state, h, "state0")
     plan = semilinear_plan(problem, tab, h) if problem.kind == "semilinear_dde" else None
     for n in range(n_steps):
         try:

@@ -242,3 +242,116 @@ def test_criterion_7_desk_scale_note():
         # not reproduced; the slope windows of criteria 1 and 2 stand in for
         # them.  Nothing to compute here.
         pass
+
+
+HS_HALVING = [0.1 * 2.0**-k for k in range(5)]
+METHODS = ["expeuler", "heun", "expo3"]
+
+
+def _one(th):
+    return np.ones(np.shape(th))
+
+
+def _steps_exact(t):
+    """x' = -x(t-1), x = 1 on [-1, 0], by the method of steps:
+    sum_k (-1)^k (t - k + 1)^k / k! over k <= floor(t) + 1."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    for k in range(int(np.floor(t.max())) + 2):
+        term = (-1.0) ** k * (t - k + 1.0) ** k / math.factorial(k)
+        out = out + np.where(t >= k - 1.0, term, 0.0)
+    return out
+
+
+def _linear_re_exact():
+    """x(t) = 0.75 int_{t-3}^{t-1} x, x = 1 on [-3, 0): one polynomial per
+    unit interval, the piece on (j, j+1] giving the left limit at j + 1."""
+    P = np.polynomial.Polynomial
+    pieces, anti, total = {}, {}, 0.0
+    for j in range(-3, 4):
+        # anti[j](t) = int_{-3}^t x on [j, j+1]; the density jumps at t = 0
+        pieces[j] = P([1.0]) if j < 0 else 0.75 * (
+            anti[j - 1](P([-1.0, 1.0])) - anti[j - 3](P([-3.0, 1.0]))
+        )
+        anti[j] = pieces[j].integ(lbnd=j, k=total)
+        total = anti[j](j + 1.0)
+
+    def exact(t):
+        t = np.asarray(t, dtype=float)
+        idx = np.clip(np.ceil(t) - 1.0, -3, 3)
+        out = np.empty_like(t)
+        for j, piece in pieces.items():
+            out[idx == j] = piece(t[idx == j])
+        return out
+
+    return exact
+
+
+def _assert_slopes(slopes, targets, which, what):
+    for method, target in zip(METHODS, targets):
+        got = slopes[method][which]
+        assert abs(got - target) <= 0.1, f"{method} {what} slope {got:.3f}, want {target}"
+
+
+def test_criterion_8_non_smooth_dde_on_the_mesh():
+    with criterion(8, "non-smooth DDE data, delay on the mesh: slopes 1/2/3"):
+        # phi = 1 makes x' jump at t = 0; the jump travels to t = 1, 2, ...,
+        # which every h = 0.1 * 2^-k puts on a knot.  At T = 6, h = 0.1 is not
+        # yet asymptotic for expeuler (head slope 1.23).
+        prob = xd.Problem(
+            kind="dde", dim=1, tau=1.0, rhs=lambda t, v: -v.eval(-1.0), phi0=_one,
+            exact=_steps_exact, name="steps_dde",
+        )
+        _, slopes = xd.converge(prob, METHODS, HS_HALVING, 7.0)
+        _assert_slopes(slopes, (1.0, 2.0, 3.0), 0, "head")
+        _assert_slopes(slopes, (1.0, 2.0, 3.0), 1, "history")
+
+
+def test_criterion_8_non_smooth_re_on_the_mesh():
+    with criterion(8, "non-smooth RE data, delays on the mesh: slopes 1/2/2 and 1/2/3"):
+        value = xd.Pointwise(lambda x: x)
+        prob = xd.Problem(
+            kind="re", dim=1, tau=3.0,
+            rhs=lambda t, v: 0.75 * xd.integrate_view(v, -3.0, -1.0, value),
+            phi0=_one, exact=_linear_re_exact(), distributed_limits=(-3.0, -1.0),
+            name="linear_re",
+        )
+        _, slopes = xd.converge(prob, METHODS, HS_HALVING, 4.0)
+        _assert_slopes(slopes, (1.0, 2.0, 2.0), 0, "density")
+        _assert_slopes(slopes, (1.0, 2.0, 3.0), 1, "integrated-state")
+
+
+def _parabolic(n):
+    """u_t = u_xx + 0.5 u(x, t-1) + g on n interior points of (0, 1), zero at
+    both ends, with exact solution x(1 - x) cos t: the second difference is
+    exact on that quadratic, so g drives the semi-discrete system exactly."""
+    x = np.arange(1, n + 1) / (n + 1.0)
+    w = x * (1.0 - x)
+    L = (np.diag(np.full(n - 1, 1.0), -1) - 2.0 * np.eye(n)
+         + np.diag(np.full(n - 1, 1.0), 1)) * (n + 1.0) ** 2
+
+    def exact(t):
+        return np.cos(np.asarray(t, dtype=float))[..., None] * w
+
+    def rhs(t, v):
+        g = -w * math.sin(t) + 2.0 * math.cos(t) - 0.5 * w * math.cos(t - 1.0)
+        return 0.5 * v.eval(-1.0) + g
+
+    return xd.Problem(
+        kind="semilinear_dde", dim=n, tau=1.0, rhs=rhs, phi0=exact, L=L, exact=exact,
+        name=f"parabolic_{n}",
+    )
+
+
+def test_criterion_9_stiff_parabolic_orders():
+    with criterion(9, "parabolic DDE, |hL| up to 1.7e3: slopes 1/2/3, errors independent of N"):
+        runs = {n: xd.converge(_parabolic(n), METHODS, HS_HALVING, 2.0) for n in (16, 64)}
+        for _, slopes in runs.values():
+            _assert_slopes(slopes, (1.0, 2.0, 3.0), 0, "head")
+            _assert_slopes(slopes, (1.0, 2.0, 3.0), 1, "history")
+        # the error bound does not grow with the stiffness of L
+        for coarse, fine in zip(runs[16][0], runs[64][0]):
+            for err in ("err_x", "err_u"):
+                gap = abs(fine[err] / coarse[err] - 1.0)
+                where = f"{coarse['method']} h={coarse['h']} {err}"
+                assert gap <= 0.1, f"{where}: N = 16 and 64 differ by {gap:.1%}"

@@ -87,6 +87,22 @@ def test_dde_head_continuity_enforced():
         state.shift_append(np.full((1, 4), np.nan), head=[np.nan])
 
 
+@pytest.mark.parametrize("kind", ["dde", "re"])
+def test_non_finite_history_fails_when_built(kind):
+    # an input error, not a divergence at step 0: the state names the segment
+    prob = Problem(
+        kind=kind, dim=1, tau=1.0, rhs=lambda t, v: np.zeros(1),
+        phi0=lambda th: np.where(th < -0.5, np.nan, 1.0),
+    )
+    with pytest.raises(ValueError, match=r"history segment 0 on \[-1.0, -0.75\] is not finite"):
+        initial_state(prob, 0.25)
+    coeffs = np.zeros((4, 1, 4))
+    coeffs[2, 0, 3] = np.inf
+    head = None if kind == "re" else [0.0]
+    with pytest.raises(ValueError, match=r"history segment 2 on \[-0.5, -0.25\] is not finite"):
+        HistoryState(kind, 1, 1.0, 0.25, coeffs, head=head)
+
+
 def test_mesh_ratio_must_be_integer():
     coeffs = np.zeros((3, 1, 4))
     with pytest.raises(ValueError):

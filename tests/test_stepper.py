@@ -403,6 +403,38 @@ def test_step_rejects_a_state_on_another_horizon(make, kind, match):
         step(prob, builtin("heun"), state, 0.0)
 
 
+@pytest.mark.parametrize(
+    "make, state, layout",
+    [
+        (belzen, lambda: HistoryState.from_callable(
+            lambda th: np.zeros((np.size(th), 2)), "dde", 2, 1.0, 0.1),
+         r"\(dde HistoryState of dim 1\) on 10 segments of width 0.1; got HistoryState of "
+         r"kinds \['dde'\], dims \[2\]"),
+        (belzen, lambda: HistoryState.from_callable(np.ones_like, "re", 1, 1.0, 0.1),
+         r"\(dde HistoryState of dim 1\) on 10 segments .* kinds \['re'\], dims \[1\]"),
+        (daphnia, lambda: _daphnia_pair(0.1)[1],
+         r"\(re HistoryState of dim 1, dde HistoryState of dim 1\) on 40 segments of width 0.1; "
+         r"got HistoryState of kinds \['dde'\]"),
+        (daphnia, lambda: _daphnia_pair(0.1)[::-1],
+         r"\(re HistoryState of dim 1, dde HistoryState of dim 1\) .* got tuple of kinds "
+         r"\['dde', 're'\]"),
+        (belzen, lambda: _daphnia_pair(0.1),
+         r"\(dde HistoryState of dim 1\) on 10 segments .* got tuple of kinds \['re', 'dde'\]"),
+    ],
+    ids=["dim_2_on_belzen", "re_on_belzen", "single_on_daphnia", "swapped_pair", "pair_on_belzen"],
+)
+def test_step_and_integrate_check_one_layout(make, state, layout):
+    # a state that initial_state would not build fails before any stage, with
+    # one message naming both layouts; integrate refuses it as state0 alike
+    prob = make()
+    with pytest.raises(ValueError, match="state of a .* problem must be " + layout) as stepped:
+        step(prob, builtin("heun"), state(), 0.0)
+    assert not isinstance(stepped.value, MeshError)  # the kind, dim or count differs
+    with pytest.raises(ValueError) as integrated:
+        integrate(prob, builtin("heun"), 0.1, 0.1, state0=state())
+    assert str(integrated.value) == str(stepped.value).replace("state ", "state0 ", 1)
+
+
 # ---------------------------------------------------------------------------
 # semilinear path
 # ---------------------------------------------------------------------------
@@ -627,6 +659,27 @@ def test_problem_rejects_empty_dimension():
             phi0=lambda th: np.zeros((np.size(th), 0)),
             name="empty",
         )
+
+
+@pytest.mark.parametrize(
+    "make, field, value, error, match",
+    [
+        (belzen, "rhs", None, TypeError, "rhs must be callable, got None"),
+        (belzen, "phi0", 1.0, TypeError, "phi0 must be callable, got 1.0"),
+        (belzen, "exact", "x", TypeError, "exact must be callable, got 'x'"),
+        (daphnia, "rhs", None, TypeError, "rhs must be callable, got None"),
+        (daphnia, "phi0_re", None, TypeError, "phi0_re must be callable, got None"),
+        (daphnia, "phi0_dde", 0.35, TypeError, "phi0_dde must be callable, got 0.35"),
+        (quadratic_re, "distributed_limits", -1.0, ValueError,
+         r"distributed_limits must be a 1-d sequence, got -1.0"),
+        (daphnia, "distributed_limits", ((-4.0, -3.0),), ValueError,
+         r"distributed_limits must be a 1-d sequence"),
+    ],
+)
+def test_problem_fields_fail_fast(make, field, value, error, match):
+    # refused at construction, not as a TypeError from inside the first step
+    with pytest.raises(error, match=match):
+        dataclasses.replace(make(), **{field: value})
 
 
 def test_coupled_problem_checks_limits_and_dims():
