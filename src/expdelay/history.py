@@ -22,7 +22,10 @@ is centred on -n * h; the tau passed in lies inside it, as |tau - n h| <= 1e-9 t
 A distributed-delay window [a, b] is split here too (``_pieces``), at the
 knots strictly inside (a + tol, b - tol): into a contiguous run of whole
 segments and one or two partial pieces at its ends, one of them the stage
-overlay when a stage view's window reaches [-shift, 0].
+overlay when a stage view's window reaches [-shift, 0].  That geometry, with
+the end pieces' Gauss-Legendre nodes, is a read-only plan computed once per
+(tau/h, h, shift, a, b) and shared by every view on that mesh
+(:func:`_window_plan`).
 
 A scalar offset (``eval``, or a float or 0-d value to ``eval_many``) takes a
 point path: the same range check, knot snapping and float operations as the
@@ -42,10 +45,12 @@ history.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import weakref
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +97,15 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _RULES[n]
 
 
-# 4-node Gauss-Legendre rule on [0, 1], used for L1 norms.
+# 4-node Gauss-Legendre rule on [0, 1], used for L1 norms and window pieces.
 _L1_S, _L1_W = gauss_legendre(4)
+# a partial window piece's (s_lo, s_hi, t_lo, t_hi) times this matrix gives
+# its local nodes, its offset nodes and its weights
+_ENDS = np.zeros((4, 12))
+_ENDS[0, :4] = _ENDS[2, 4:8] = 1.0 - _L1_S
+_ENDS[1, :4] = _ENDS[3, 4:8] = _L1_S
+_ENDS[2, 8:], _ENDS[3, 8:] = -_L1_W, _L1_W
+_ENDS.setflags(write=False)
 
 
 def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -220,28 +232,47 @@ def _check_continuity(newest: np.ndarray, head: np.ndarray):
             )
 
 
-def _cut(coeffs, h, shift, overlay, a, b, lo, hi):
-    """Pieces of the window [a, b] cut at the knots (j - n) h - shift,
-    j in 0..n, strictly inside (lo, hi), with the knots computed in the
-    float operations of ``breakpoints``.  Returns ``(first, segs, left, ends)``.
+class _Plan(NamedTuple):
+    """The geometry of a window on a view's mesh (:func:`_window_plan`)."""
 
-    ``segs`` is the (m, dim, 4) slice ``coeffs[first:first + m]`` of the whole
-    segments between the first and the last cut, the first starting at offset
-    ``left``.  ``ends`` holds the one or two partial pieces, before and after
-    them, as ``(coeffs, s_lo, s_hi, t_lo, t_hi)``: the (dim, 4) polynomial,
-    its local interval and its offsets.  A piece right of knot n lies in
-    ``overlay``, on [-shift, 0].
+    first: int  # the first whole segment
+    m: int  # the number of whole segments
+    left: float  # the offset where the first whole segment starts
+    ends: tuple  # the segment of each partial end piece, -1 for the overlay
+    thetas: np.ndarray  # the end pieces' node offsets, 4 per piece (read-only)
+    weights: np.ndarray  # their Gauss-Legendre weights (read-only)
+    powers: np.ndarray  # (pieces, 4, 4) local node powers, lowest first (read-only)
+
+
+@functools.lru_cache(maxsize=256)  # a run asks for a handful of windows, one per stage shift
+def _window_plan(n: int, h: float, shift: float, overlay: bool, a: float, b: float) -> _Plan:
+    """Cut the window [a, b] at the knots (j - n) h - shift, j in 0..n, strictly
+    inside (lo, hi) = (a + tol, b - tol), tol the knot tolerance of tau = n h,
+    with the knots computed in the float operations of ``breakpoints``; a stage
+    view (``overlay``) also keeps lo above -tau + tol, the knots its
+    ``breakpoints`` keep.
+
+    The whole segments are ``coeffs[first:first + m]``, the first starting at
+    offset ``left``.  One or two partial pieces remain, before and after them;
+    a piece right of knot n lies in the overlay, on [-shift, 0].  Each gets
+    the 4-node Gauss-Legendre rule: node offsets, weights and the powers of
+    its local nodes, which times the piece's coefficients give its values.
+    The geometry depends on these arguments only, so it is computed once and
+    its arrays are shared, read-only.
     """
-    n = len(coeffs)
+    tol = _knot_tol(n * h)
+    lo, hi = a + tol, b - tol
+    if overlay:
+        lo = max(lo, -(n * h) + tol)
 
     def knot(j):
         return (j - n) * h - shift
 
     def end(j, t_lo, t_hi):  # the piece [t_lo, t_hi] just left of knot j
-        if j > n and overlay is not None:
-            return overlay, (t_lo + shift) / shift, (t_hi + shift) / shift, t_lo, t_hi
+        if j > n and overlay:
+            return -1, (t_lo + shift) / shift, (t_hi + shift) / shift, t_lo, t_hi
         i = min(max(j - 1, 0), n - 1)
-        return coeffs[i], (t_lo - knot(i)) / h, (t_hi - knot(i)) / h, t_lo, t_hi
+        return i, (t_lo - knot(i)) / h, (t_hi - knot(i)) / h, t_lo, t_hi
 
     # cuts at j0 <= j < j1: the float guess is never past the first cut
     j0 = min(max(math.floor((lo + shift) / h) + n, 0), n + 1)
@@ -251,9 +282,16 @@ def _cut(coeffs, h, shift, overlay, a, b, lo, hi):
     while j1 <= n and knot(j1) < hi:
         j1 += 1
     if j0 == j1:
-        return j0, coeffs[:0], a, (end(j0, a, b),)
-    first, last = knot(j0), knot(j1 - 1)
-    return j0, coeffs[j0 : j1 - 1], first, (end(j0, a, first), end(j1, last, b))
+        m, left, ends = 0, a, (end(j0, a, b),)
+    else:
+        m, left, last = j1 - 1 - j0, knot(j0), knot(j1 - 1)
+        ends = (end(j0, a, left), end(j1, last, b))
+    nodes = np.array([bounds for _, *bounds in ends]) @ _ENDS
+    thetas, weights = nodes[:, 4:8].ravel(), nodes[:, 8:].ravel()
+    powers = nodes[:, :4, None] ** np.arange(float(_NCOEF))
+    for arr in (thetas, weights, powers):
+        arr.setflags(write=False)
+    return _Plan(j0, m, left, tuple(i for i, *_ in ends), thetas, weights, powers)
 
 
 class _Log:
@@ -359,11 +397,10 @@ class HistoryState:
         return (np.arange(n + 1) - n) * self.h
 
     def _pieces(self, a: float, b: float):
-        """Split a range-checked window [a, b] at the knots strictly inside
-        (a + tol, b - tol): a contiguous run of whole segments plus the
-        partial pieces at the two ends, as :func:`_cut` returns them."""
-        tol = _knot_tol(self.tau)
-        return _cut(self._coeffs, self.h, 0.0, None, a, b, a + tol, b - tol)
+        """The :func:`_window_plan` of a range-checked window [a, b], cut at the
+        knots strictly inside (a + tol, b - tol), with the coefficients its
+        segment indices read and the overlay (None) its index -1 reads."""
+        return _window_plan(self.n_segments, self.h, 0.0, False, a, b), self._coeffs, None
 
     def _segment_sum(self, key, rule, first: int, m: int) -> np.ndarray:
         """Pairwise (numpy) sum of ``rule``'s stored sums on window segments [first, first + m)."""
@@ -499,11 +536,9 @@ class StageView:
         """HistoryState._pieces on the view's knots: the base's segments
         shifted by ``shift``, and the overlay piece on [-shift, 0] when the
         window reaches it."""
-        tol = _knot_tol(self.tau)
-        lo = max(a + tol, -self.tau + tol)  # and only knots that breakpoints keeps
-        return _cut(
-            self.base._coeffs, self.h, self.shift, self.overlay_coeffs, a, b, lo, b - tol
-        )
+        base = self.base
+        plan = _window_plan(base.n_segments, self.h, self.shift, True, a, b)
+        return plan, base._coeffs, self.overlay_coeffs
 
     def __reduce__(self):  # pickle and copy rebuild through __init__: read-only arrays
         return StageView, (self.base, self.shift, self.overlay_coeffs, self.head)

@@ -15,6 +15,13 @@ are one product of a fixed 4x4 power matrix with the contiguous slice of
 their coefficients, with no per-node segment search; the partial pieces
 are evaluated together in one small batch.
 
+That cut, and the end pieces' node offsets, weights and node powers, depend
+only on the mesh (tau/h and h), the view's stage shift and the bounds, which
+take a handful of values in a run.  The history module computes them once
+per such key, in one bounded cache, as a read-only window plan; a call then
+reads only coefficients: it slices the whole segments, gathers the one or
+two end polynomials and multiplies them by the plan's node powers.
+
 A :class:`Pointwise` integrand g(x) ignores theta, so the rule's sum
 h sum_k W_k g(p_j(X_k)) on a whole segment p_j is fixed once p_j is written.
 The history log stores it per slot and integrand (held weakly), filling new
@@ -22,8 +29,8 @@ slots with one call of g; a window is the numpy (pairwise) sum of its stored
 sums plus the rule on its end pieces, so a step calls g on O(1) values.  A
 fresh log (a branch, a pickle) fills once.  Other integrands see every node.
 
-The window range check, the knot tolerance and the Gauss-Legendre rule are
-the history module's.
+The knot tolerance of the window range check, the window plans and the
+Gauss-Legendre rule are the history module's.
 
 An adaptive rule driven by an error tolerance (accepting that the final
 error then decays to the tolerance rather than to zero) would also serve;
@@ -34,23 +41,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .history import _outside, gauss_legendre
+from .history import _knot_tol, gauss_legendre
 
 __all__ = ["integrate_view", "gauss_legendre", "Pointwise"]
 
 _X, _W = gauss_legendre(4)
-_EXPONENTS = np.arange(4.0)
 # (node, power): this matrix times a cubic's coefficients, lowest power
 # first, gives its values at the 4 nodes
-_POWERS = _X[:, None] ** _EXPONENTS
-# a partial piece's (s_lo, s_hi, t_lo, t_hi) times this matrix gives its local
-# nodes, its offset nodes and its weights
-_ENDS = np.zeros((4, 12))
-_ENDS[0, :4] = _ENDS[2, 4:8] = 1.0 - _X
-_ENDS[1, :4] = _ENDS[3, 4:8] = _X
-_ENDS[2, 8:], _ENDS[3, 8:] = -_W, _W
-for _arr in (_POWERS, _ENDS):
-    _arr.setflags(write=False)
+_POWERS = _X[:, None] ** np.arange(4.0)
+_POWERS.setflags(write=False)
 
 
 class Pointwise:
@@ -80,13 +79,6 @@ def _segment_sums(g, h: float, coeffs: np.ndarray) -> np.ndarray:
     return ((h * _W) @ fv.reshape(4, -1)).reshape((k,) + fv.shape[1:]).T
 
 
-def _end_nodes(ends, dim: int):
-    """Offsets, weights and values at the nodes of the partial end pieces."""
-    nodes = np.array([bounds for _, *bounds in ends]) @ _ENDS
-    vals = nodes[:, :4, None] ** _EXPONENTS @ np.array([c for c, *_ in ends]).transpose(0, 2, 1)
-    return nodes[:, 4:8].ravel(), nodes[:, 8:].ravel(), vals.reshape(-1, dim)
-
-
 def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
     """Integrate ``integrand(theta, x(theta))`` over [a, b] along a view.
 
@@ -101,24 +93,28 @@ def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
     a, b = float(a), float(b)
     if a >= b:
         raise ValueError(f"empty or reversed window [{a}, {b}]")
-    if _outside(np.array([a, b]), view.tau).any():
+    tol = _knot_tol(view.tau)
+    if not (-view.tau - tol <= a <= tol and -view.tau - tol <= b <= tol):  # NaN fails too
         raise ValueError(f"window [{a}, {b}] outside [-{view.tau}, 0]")
-    first, segs, left, ends = view._pieces(a, b)
-    m, dim, h = len(segs), view.dim, view.h
+    plan, coeffs, overlay = view._pieces(a, b)
+    m, dim, h = plan.m, view.dim, view.h
+    # the end pieces' values: their polynomials times their node powers
+    rows = np.array([overlay if i < 0 else coeffs[i] for i in plan.ends])
+    end_vals = (plan.powers @ rows.transpose(0, 2, 1)).reshape(-1, dim)
     if m and isinstance(integrand, Pointwise):
-        _, w, vals = _end_nodes(ends, dim)
         rule = lambda c: _segment_sums(integrand.g, h, c)  # noqa: E731
         # a stage view's whole segments are its base's, and so are their sums
-        whole = getattr(view, "base", view)._segment_sum(integrand, rule, first, m)
-        return w @ _checked(integrand.g(vals), len(w)) + whole
+        whole = getattr(view, "base", view)._segment_sum(integrand, rule, plan.first, m)
+        return plan.weights @ _checked(integrand.g(end_vals), len(end_vals)) + whole
     whole = 4 * m
-    thetas = np.empty(whole + 4 * len(ends))
+    thetas = np.empty(whole + len(end_vals))
     w = np.empty_like(thetas)
     vals = np.empty((len(thetas), dim))
     # the whole segments node by node (node k of segment j at k m + j): one
     # product of the power matrix with the contiguous coefficient slice
+    segs = coeffs[plan.first : plan.first + m]
     np.matmul(_POWERS, segs.reshape(-1, 4).T, out=vals[:whole].reshape(4, -1))
-    np.add.outer(left + h * _X, h * np.arange(m), out=thetas[:whole].reshape(4, m))
+    np.add.outer(plan.left + h * _X, h * np.arange(m), out=thetas[:whole].reshape(4, m))
     w[:whole].reshape(4, m)[:] = (h * _W)[:, None]
-    thetas[whole:], w[whole:], vals[whole:] = _end_nodes(ends, dim)
+    thetas[whole:], w[whole:], vals[whole:] = plan.thetas, plan.weights, end_vals
     return w @ _checked(integrand(thetas, vals), len(thetas))

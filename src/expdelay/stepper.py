@@ -75,7 +75,6 @@ __all__ = [
 _FACTORIAL = np.array([math.factorial(k) for k in range(_NCOEF)], dtype=float)
 #: r^k at the nonzero Chebyshev-Lobatto nodes r = 1/4, 3/4, 1
 _LOBATTO_POWERS = _LOBATTO_S[1:, None] ** np.arange(_NCOEF)
-_tau_steps = functools.lru_cache(maxsize=64)(_steps)  # every step asks for the same tau/h
 
 
 class IntegrationDiverged(RuntimeError):
@@ -338,7 +337,10 @@ def step_semilinear_dde(problem, tab, state, t_n: float, plan=None) -> HistorySt
     """:func:`step` for a semilinear DDE."""
     if problem.L is None:
         raise ValueError("semilinear step requires the matrix L")
-    h = (state if isinstance(state, HistoryState) else _check_state(problem, state)[0]).h
+    # without a plan, check the state before building one (an expm per node);
+    # with one, _step checks it and only the width is read here
+    given = plan is not None and isinstance(state, HistoryState)
+    h = (state if given else _check_state(problem, state)[0]).h
     if plan is None:
         plan = semilinear_plan(problem, tab, h)
     elif not plan.fits(problem, tab, h):
@@ -352,18 +354,30 @@ def step_coupled(problem, tab, state, t_n: float):
 
 
 def _components(problem, h=None) -> tuple:
-    """(phi0, kind, dim) per state component; given h, bounds must be on its mesh."""
+    """(kind, dim) per state component; given h, bounds must be on its mesh."""
     for lim in problem.distributed_limits if h is not None else ():
         _steps(lim, h, "distributed delay bound")
     if problem.kind == "coupled":
-        return (problem.phi0_re, "re", problem.dim_re), (problem.phi0_dde, "dde", problem.dim_dde)
-    return ((problem.phi0, "re" if problem.kind == "re" else "dde", problem.dim),)
+        return ("re", problem.dim_re), ("dde", problem.dim_dde)
+    return (("re" if problem.kind == "re" else "dde", problem.dim),)
 
 
 def initial_state(problem, h: float):
     """Project the problem's initial history onto a mesh of width h."""
-    states = [HistoryState.from_callable(*c, problem.tau, h) for c in _components(problem, h)]
+    phi0s = (problem.phi0_re, problem.phi0_dde) if problem.kind == "coupled" else (problem.phi0,)
+    states = [
+        HistoryState.from_callable(phi0, kind, dim, problem.tau, h)
+        for phi0, (kind, dim) in zip(phi0s, _components(problem, h))
+    ]
     return tuple(states) if problem.kind == "coupled" else states[0]
+
+
+@functools.lru_cache(maxsize=64)  # every step of a run checks against one layout
+def _layout(components: tuple, tau: float, h) -> tuple:
+    """(kind, dim, n, h) per component of the state :func:`initial_state`
+    builds at width h, n = tau/h by the mesh rule (None, as h, when h is)."""
+    n = None if h is None else _steps(tau, h, "tau")
+    return tuple((kind, dim, n, h) for kind, dim in components)
 
 
 def _check_state(problem, state, h=None, name="state") -> tuple:
@@ -372,15 +386,15 @@ def _check_state(problem, state, h=None, name="state") -> tuple:
     components = _components(problem, h)
     given = state if isinstance(state, tuple) and state else (state,)
     h = given[0].h if h is None and isinstance(given[0], HistoryState) else h
-    n = None if h is None else _tau_steps(float(problem.tau), h, "tau")
-    want = [(kind, dim, n, h) for _, kind, dim in components]
-    got = [isinstance(s, HistoryState) and (s.kind, s.dim, s.n_segments, s.h) for s in given]
+    want = _layout(components, float(problem.tau), h)
+    got = tuple([isinstance(s, HistoryState) and (s.kind, s.dim, s.n_segments, s.h) for s in given])
     boxed = isinstance(state, tuple) == (problem.kind == "coupled")
     if boxed and got == want:
         return given
-    layout = ", ".join(f"{kind} HistoryState of dim {dim}" for _, kind, dim in components)
+    layout = ", ".join(f"{kind} HistoryState of dim {dim}" for kind, dim in components)
     kinds, dims, hs, taus = ([getattr(s, f, None) for s in given] for f in "kind dim h tau".split())
     mesh_only = boxed and [g and g[:2] for g in got] == [w[:2] for w in want]
+    n = want[0][2]
     raise (MeshError if mesh_only else ValueError)(
         f"{name} of a {problem.kind} problem must be ({layout}) on {n or 'tau/h'} segments of "
         f"width {h or 'h'}; got {type(state).__name__} of kinds {kinds}, dims {dims}, mesh "

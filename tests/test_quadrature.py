@@ -12,13 +12,15 @@ from expdelay import (
     Pointwise,
     StageView,
     builtin,
+    daphnia,
     gauss_legendre,
     initial_state,
+    integrate,
     integrate_view,
     quadratic_re,
 )
 from expdelay import problems
-from expdelay.history import _knot_tol
+from expdelay.history import _knot_tol, _window_plan
 from expdelay.stepper import step_re
 
 
@@ -393,3 +395,110 @@ def test_pointwise_checks_its_input():
     with pytest.raises(ValueError, match="integrand returned shape"):
         integrate_view(state, -2.9, -2.8, Pointwise(lambda x: x[1:]))
     assert len(state._log.sums) == 0
+
+
+# ---------------------------------------------------------------------------
+# window plans: the geometry of a window, computed once per mesh, shift and bounds
+# ---------------------------------------------------------------------------
+
+
+def _plan_key(view, a, b):
+    base = getattr(view, "base", view)
+    return base.n_segments, view.h, getattr(view, "shift", 0.0), view is not base, a, b
+
+
+def _same_bits(x, y):
+    return type(x) is type(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    kind=st.sampled_from(["re", "dde"]),
+    h=st.sampled_from([0.25, 0.5, 1.0 / 3.0]),
+    n=st.integers(min_value=1, max_value=8),
+    c=st.one_of(st.none(), st.just(1.0), st.floats(min_value=0.01, max_value=0.99)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    ends=st.tuples(_ends, _ends),
+)
+@example(kind="re", h=0.25, n=8, c=None, seed=0, ends=((0, 0.0, 0.0), (7, 1.0, 0.0)))
+@example(kind="re", h=0.5, n=8, c=0.5, seed=1, ends=((0, 0.3, 0.0), (8, 1.0, 0.0)))
+@example(kind="dde", h=0.5, n=4, c=None, seed=2, ends=((1, 0.2, 0.0), (1, 0.7, 0.0)))
+@example(kind="re", h=0.25, n=6, c=None, seed=5, ends=((2, 0.5, 0.0), (3, 0.5, 0.0)))
+@example(kind="dde", h=0.25, n=6, c=0.3, seed=3, ends=((6, 0.2, 0.0), (6, 0.6, 0.0)))
+@example(kind="re", h=1.0 / 3.0, n=5, c=0.5, seed=4, ends=((1, 0.0, 1.0), (5, 1.0, -1.0)))
+def test_cached_window_plan_equals_a_fresh_one(kind, h, n, c, seed, ends):
+    # HistoryState and StageView windows, on and off the mesh, within the knot
+    # tolerance of a knot, across the overlay, and inside one piece (no whole
+    # segment): the plan a window reads, after a call has cached it, is bit for
+    # bit the one computed afresh, and its arrays are read-only
+    view = _random_view(kind, 1, h, n, c, seed)
+    knots, tol = view.breakpoints(), _knot_tol(view.tau)
+    a, b = sorted(_window_end(knots, *end, tol) for end in ends)
+    a, b = float(max(a, -view.tau - 0.9 * tol)), float(min(b, 0.9 * tol))
+    if b - a < 1e-3 * h:
+        return
+    integrate_view(view, a, b, lambda th, x: x)
+    plan = view._pieces(a, b)[0]
+    assert plan is _window_plan(*_plan_key(view, a, b))
+    fresh = _window_plan.__wrapped__(*_plan_key(view, a, b))
+    assert plan._fields == fresh._fields
+    for got, want in zip(plan, fresh):
+        assert _same_bits(got, want)
+    for arr in plan[4:]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    # the pieces tile the window: whole segments between one or two end pieces
+    assert len(plan.ends) == (1 if plan.m == 0 and plan.left == a else 2)
+    assert plan.weights.sum() + plan.m * h == pytest.approx(b - a, rel=1e-12)
+
+
+@pytest.mark.parametrize("shift", [None, 0.1])
+def test_one_plan_serves_states_with_their_own_values(shift):
+    # two views on the same mesh, shift and window share one plan and each
+    # gets the integral of its own coefficients (and overlay), on both paths
+    kernel = Pointwise(_KERNELS[1])
+    views = [_random_view("re", 2, 0.25, 12, None, seed) for seed in (5, 6)]
+    if shift is not None:
+        rng = np.random.default_rng(7)
+        views = [StageView(v, shift, rng.uniform(-1.0, 1.0, (2, 4))) for v in views]
+    got = {}
+    for a, b in ((-3.0, -0.5), (-2.9, -0.05), (-0.2, -0.01)):
+        plans = {id(v._pieces(a, b)[0]) for v in views}
+        assert len(plans) == 1
+        for i, view in enumerate(views):
+            got[i] = integrate_view(view, a, b, kernel)
+            _assert_matches_per_call_path(view, a, b, kernel, got[i])
+            want, scale = _reference(view, a, b, lambda th, x: kernel.g(x) * (1.0 + th)[:, None])
+            per_call = integrate_view(view, a, b, lambda th, x: kernel.g(x) * (1.0 + th)[:, None])
+            assert np.all(np.abs(per_call - want) <= 1e-14 * (1.0 + scale))
+        assert not np.array_equal(got[0], got[1])
+
+
+def _final_states(prob, h, T):
+    final = integrate(prob, builtin("expo3"), h, T)
+    return [(s.coefficients(), s.head) for s in (final if isinstance(final, tuple) else (final,))]
+
+
+@pytest.mark.parametrize("make, h, T", [(quadratic_re, 0.01, 1.0), (daphnia, 0.05, 2.0)])
+def test_cold_and_warm_plan_cache_give_the_same_run(make, h, T):
+    _window_plan.cache_clear()
+    cold = _final_states(make(), h, T)
+    assert _window_plan.cache_info().hits > 0
+    warm = _final_states(make(), h, T)
+    for (c0, h0), (c1, h1) in zip(cold, warm):
+        assert np.array_equal(c0, c1)
+        assert (h0 is None and h1 is None) or np.array_equal(h0, h1)
+
+
+def test_plan_cache_stays_within_its_bound():
+    bound = _window_plan.cache_info().maxsize
+    assert bound is not None
+    for k in range(1, bound + 50):
+        h = 1.0 / k
+        state = _const_state(1.0, 1.0, h)
+        view = StageView(state, h / 3.0, np.ones((1, 4)))
+        for v in (state, view):
+            assert integrate_view(v, -1.0, -0.5 * h, lambda th, x: x)[0] == pytest.approx(
+                1.0 - 0.5 * h, rel=1e-12
+            )
+    assert _window_plan.cache_info().currsize <= bound

@@ -598,6 +598,37 @@ def test_semilinear_solve_calls_expm_once_per_node(monkeypatch, name, nodes):
         assert calls == [(2, 2)] * nodes
 
 
+@pytest.mark.parametrize(
+    "make_state, error",
+    [
+        (lambda prob: HistoryState.from_callable(
+            lambda th: np.ones((np.size(th), 8)), "re", 8, 1.0, 0.1), ValueError),
+        (lambda prob: HistoryState.from_callable(
+            lambda th: np.ones((np.size(th), 3)), "dde", 3, 1.0, 0.1), ValueError),
+        (lambda prob: HistoryState.from_callable(prob.phi0, "dde", 8, 2.0, 0.1), MeshError),
+    ],
+    ids=["re_state", "dim_3", "other_horizon"],
+)
+def test_semilinear_step_refuses_a_state_before_building_its_plan(monkeypatch, make_state, error):
+    # a step without a plan checks the state's layout before it builds one,
+    # so a refused state costs no matrix exponential
+    prob = Problem(
+        kind="semilinear_dde",
+        dim=8,
+        tau=1.0,
+        rhs=lambda t, v: v.eval(-1.0),
+        phi0=lambda th: np.ones((np.size(th), 8)),
+        L=-np.eye(8),
+    )
+    calls = _counting_expm(monkeypatch)
+    for run in (step_semilinear_dde, stepper.step):
+        with pytest.raises(error, match="state of a semilinear_dde problem must be"):
+            run(prob, builtin("expo3"), make_state(prob), 0.0)
+    assert calls == []
+    step_semilinear_dde(prob, builtin("expo3"), initial_state(prob, 0.1), 0.0)
+    assert calls == [(8, 8)] * 3
+
+
 def test_other_kinds_call_no_matrix_function(monkeypatch):
     calls = _counting_expm(monkeypatch)
     integrate(belzen(), builtin("expo3"), 0.1, 1.0)
