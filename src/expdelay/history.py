@@ -29,8 +29,13 @@ the end pieces' Gauss-Legendre nodes, is a read-only plan computed once per
 
 A scalar offset (``eval``, or a float or 0-d value to ``eval_many``) takes a
 point path: the same range check, knot snapping and float operations as the
-array path, in plain floats and one (dim, 4) Horner row, so both agree bit
-for bit; it returns shape (dim,) where an array of m offsets gives (m, dim).
+array path, in plain floats, down to the Horner row of its one (dim, 4)
+segment (:func:`_horner_point`), so both agree bit for bit; it returns shape
+(dim,) where an array of m offsets gives (m, dim).
+
+Values that the package reads from user callables (a history, a reference,
+an rhs, an integrand) pass :func:`_as_float`: complex values raise a
+TypeError rather than lose their imaginary parts.
 
 Stepping never mutates a state.  A state is a window of n segments in an
 append-only log of capacity 2n that the states stepped from one another
@@ -115,6 +120,28 @@ def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
     for p in range(_NCOEF - 2, -1, -1):
         val = val * s + coeffs[..., p]
     return val
+
+
+def _horner_point(row: np.ndarray, s: float) -> np.ndarray:
+    """_horner of one (dim, 4) row at one s, in plain floats: the same
+    operations in the same order, so the same bits (NaN signs aside, which
+    numpy's vector loops may take from either operand)."""
+    return np.array([((c3 * s + c2) * s + c1) * s + c0 for c0, c1, c2, c3 in row.tolist()])
+
+
+_FLOAT = np.dtype(float)
+
+
+def _as_float(raw, what: str) -> np.ndarray:
+    """``raw`` as a float64 array, returned as is when it is one; complex
+    values raise a TypeError naming ``what`` instead of losing their
+    imaginary parts to the cast."""
+    if type(raw) is np.ndarray and raw.dtype is _FLOAT:
+        return raw
+    vals = np.asarray(raw)
+    if vals.dtype.kind == "c":
+        raise TypeError(f"{what} returned complex values (dtype {vals.dtype}); expected real ones")
+    return np.asarray(vals, dtype=float)
 
 
 class MeshError(ValueError):
@@ -204,7 +231,7 @@ def _as_head(kind: str, dim: int, head):
 
 
 def _as_values(raw, m: int, d: int, what: str) -> np.ndarray:
-    vals = np.asarray(raw, dtype=float)
+    vals = _as_float(raw, what)
     if vals.shape == (m,) and d == 1:
         vals = vals[:, None]
     if vals.shape != (m, d):
@@ -419,14 +446,6 @@ class HistoryState:
         s = np.clip(np.where(on_knot, r, u) - idx, 0.0, 1.0)
         return idx, s
 
-    def _locate_point(self, theta: float):
-        """_locate for one range-checked offset, in plain floats."""
-        u = (theta + self.tau) / self.h
-        r = math.copysign(round(u), u)  # as np.rint, which keeps -0.0
-        on_knot = abs(u - r) <= _knot_tol(u)
-        idx = min(max(int(r) - 1 if on_knot else math.floor(u), 0), self.n_segments - 1)
-        return idx, min(max((r if on_knot else u) - idx, 0.0), 1.0)
-
     # own attributes of each class, so that a tracer can wrap them per class
     eval_many = _eval_many
     eval = _eval_one
@@ -437,9 +456,18 @@ class HistoryState:
         return _horner(self._coeffs[idx], s)
 
     def _eval_point(self, theta: float) -> np.ndarray:
-        """_eval for one range-checked offset: one segment, one Horner row."""
-        idx, s = self._locate_point(theta)
-        return _horner(self._coeffs[idx], np.float64(s))
+        """_eval for one range-checked offset in plain floats: the segment
+        and local coordinate that _locate finds, and one Horner row."""
+        u = (theta + self.tau) / self.h
+        r = math.copysign(round(u), u)  # as np.rint, which keeps -0.0
+        if abs(u - r) <= _knot_tol(u):
+            i, s = int(r) - 1, r
+        else:
+            i, s = math.floor(u), u
+        last = self.n_segments - 1
+        i = 0 if i < 0 else last if i > last else i
+        s -= i
+        return _horner_point(self._coeffs[i], 0.0 if s < 0.0 else 1.0 if s > 1.0 else s)
 
     def shift_append(self, coeffs, head=None) -> "HistoryState":
         """Advance by one mesh width: drop the oldest segment and append
@@ -511,20 +539,30 @@ class StageView:
     __slots__ = ("base", "kind", "dim", "tau", "h", "shift", "overlay_coeffs", "head")
 
     def __init__(self, base, shift: float, overlay_coeffs: np.ndarray, head=None):
-        if not 0.0 < shift <= base.tau:
-            raise ValueError(f"stage shift must be in (0, tau = {base.tau}], got {shift}")
-        overlay_coeffs = np.array(overlay_coeffs, dtype=float, ndmin=2)
+        overlay_coeffs = np.array(overlay_coeffs, dtype=float, ndmin=2)  # a copy
         if overlay_coeffs.shape != (base.dim, _NCOEF):
             raise ValueError(
                 f"overlay must have shape ({base.dim}, {_NCOEF}), "
                 f"got {overlay_coeffs.shape}"
             )
+        self._set(base, float(shift), overlay_coeffs, _as_head(base.kind, base.dim, head))
+
+    @classmethod
+    def _of(cls, base, shift: float, overlay_coeffs: np.ndarray, head) -> "StageView":
+        """A view that keeps the fresh arrays it is given, a float (dim, 4)
+        overlay and a (dim,) head (None for RE kinds), and makes them
+        read-only instead of copying and checking them; the shift is checked."""
+        return object.__new__(cls)._set(base, shift, overlay_coeffs, head)
+
+    def _set(self, base, shift: float, overlay_coeffs: np.ndarray, head) -> "StageView":
+        if not 0.0 < shift <= base.tau:
+            raise ValueError(f"stage shift must be in (0, tau = {base.tau}], got {shift}")
         overlay_coeffs.setflags(write=False)
-        self.base = base
+        if head is not None:
+            head.setflags(write=False)
+        self.base, self.shift, self.overlay_coeffs, self.head = base, shift, overlay_coeffs, head
         self.kind, self.dim, self.tau, self.h = base.kind, base.dim, base.tau, base.h
-        self.shift = float(shift)
-        self.overlay_coeffs = overlay_coeffs
-        self.head = _as_head(base.kind, base.dim, head)
+        return self
 
     def breakpoints(self) -> np.ndarray:
         # base knots right of -tau, shifted: in order and ending at -shift
@@ -561,7 +599,7 @@ class StageView:
         """_eval for one range-checked offset: the overlay or base's point path."""
         if theta >= -self.shift - _knot_tol(self.shift):
             r = min(max((theta + self.shift) / self.shift, 0.0), 1.0)
-            return _horner(self.overlay_coeffs, np.float64(r))
+            return _horner_point(self.overlay_coeffs, r)
         return self.base._eval_point(theta + self.shift)
 
     def __repr__(self):

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .history import _knot_tol, gauss_legendre
+from .history import _as_float, _knot_tol, gauss_legendre
 
 __all__ = ["integrate_view", "gauss_legendre", "Pointwise"]
 
@@ -66,7 +66,7 @@ class Pointwise:
 
 
 def _checked(fv, m: int) -> np.ndarray:
-    fv = np.asarray(fv, dtype=float)
+    fv = _as_float(fv, "integrand")
     if fv.ndim not in (1, 2) or fv.shape[0] != m:
         raise ValueError(f"integrand returned shape {fv.shape}, expected ({m},) or ({m}, q)")
     return fv

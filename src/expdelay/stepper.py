@@ -24,9 +24,17 @@ the newest interval:
 * semilinear DDE: e^{r c h L} y + sum_k r^k phi_k(r c h L) h*u_k, sampled
   at four Chebyshev-Lobatto points r (r = 0 is y itself, r = 1 the exact
   head) and stored as its cubic interpolant, the only rule that
-  interpolates.  The matrix functions depend only on L, h and the tableau,
-  so a :class:`SemilinearPlan`, built once per solve, holds them and is
-  itself this overlay rule; each sample is one matrix-vector product.
+  interpolates.
+
+Everything in these rules but the stage values depends only on the tableau
+and h (and L), so a step plan, built once per solve, holds it and applies
+the rules: ``plan.dde(state, F, i)`` and ``plan.re(state, F, i)`` return a
+component's polynomial on the newest interval for row i.  For DDE and RE
+components the plan holds each row's W_i padded to four columns and the
+constants h/k! and c (k-1)!, so an overlay is one product F^T W_i, one
+scale and the head column; a step without a plan takes it from a small
+cache keyed on (tableau, h).  A :class:`SemilinearPlan` also holds the
+matrix functions, and each of its samples is one matrix-vector product.
 
 Row i of ``a`` with c = c_i gives the stage views (a shift plus one overlay
 polynomial); row ``b`` with c = 1 gives the appended segment.  Every stage
@@ -50,6 +58,7 @@ from .history import (
     MeshError,
     StageView,
     _NCOEF,
+    _as_float,
     _outside,
     _steps,
 )
@@ -72,7 +81,6 @@ __all__ = [
     "TrajectoryRecorder",
 ]
 
-_FACTORIAL = np.array([math.factorial(k) for k in range(_NCOEF)], dtype=float)
 #: r^k at the nonzero Chebyshev-Lobatto nodes r = 1/4, 3/4, 1
 _LOBATTO_POWERS = _LOBATTO_S[1:, None] ** np.arange(_NCOEF)
 
@@ -192,11 +200,11 @@ class CoupledProblem:
 
 
 def _as_rhs_value(raw, state, single: bool) -> np.ndarray:
-    val = np.asarray(raw, dtype=float)
+    what = "rhs" if single else f"rhs ({state.kind.upper()} component)"
+    val = _as_float(raw, what)
     if val.ndim == 0 and state.dim == 1:
         val = val.reshape(1)
     if val.shape != (state.dim,):
-        what = "rhs" if single else f"rhs ({state.kind.upper()} component)"
         raise ValueError(f"{what} returned shape {val.shape}, expected ({state.dim},)")
     return val
 
@@ -209,54 +217,114 @@ def _require_finite(values, stage: int, what: str):
         )
 
 
-def _dde_overlay(state, u, c: float):
-    coeffs = np.zeros((state.dim, _NCOEF))
-    coeffs[:, 0] = state.head
-    coeffs[:, 1 : len(u)] = (state.h * u[1:] / _FACTORIAL[1 : len(u), None]).T
-    return coeffs, coeffs.sum(axis=1)
+@dataclass(frozen=True, eq=False)
+class _StepPlan:
+    """The DDE and RE overlay rules of steps with one (tableau, h), with
+    their per-row constants (:func:`_step_plan`).
+
+    Row i is a row of ``a`` at c = c_i, or ``b`` (i = nu) at c = 1.
+    ``weights[i]`` is W_i padded with zero columns to (nu, 4), column k
+    the order-k weights, and ``re_weights[i]`` the same shifted one column
+    left; ``re_div[i]`` holds c k! for column k of an RE overlay.  The
+    constants multiply the weighted sums after they are formed, so a sum
+    that overflows is not hidden by a small constant.
+    """
+
+    tab: Tableau
+    h: float
+    weights: tuple
+    dde_scale: np.ndarray  # h/k! for column k
+    re_weights: tuple
+    re_div: tuple
+
+    def fits(self, problem, tab, h: float) -> bool:
+        return (
+            self.h == h
+            and (self.tab is tab or self.tab == tab)
+            and getattr(problem, "L", None) is None
+        )
+
+    def dde(self, state, f, i: int):
+        """The head y on r^0 and h u_k/k! on r^k, u = W_i^T f; and the value at r = 1."""
+        coeffs = f.T.dot(self.weights[i])  # .dot: less call overhead than @ at this size
+        coeffs *= self.dde_scale
+        coeffs[:, 0] = state.head
+        return coeffs, coeffs.sum(axis=1)
+
+    def re(self, state, f, i: int):
+        """u_k/(c (k-1)!) on r^{k-1}, u = W_i^T f; no head."""
+        coeffs = f.T.dot(self.re_weights[i])
+        coeffs /= self.re_div[i]
+        return coeffs, None
 
 
-def _re_overlay(state, u, c: float):
-    coeffs = np.zeros((state.dim, _NCOEF))
-    coeffs[:, : len(u) - 1] = (u[1:] / (c * _FACTORIAL[: len(u) - 1, None])).T
-    return coeffs, None
+@functools.lru_cache(maxsize=32)  # a run steps with one (tableau, h)
+def _step_plan(tab: Tableau, h: float) -> _StepPlan:
+    """The :class:`_StepPlan` of (tab, h); its arrays are read-only."""
+    factorial = np.array([math.factorial(k) for k in range(_NCOEF)], dtype=float)
+    weights, re_weights, re_div = [], [], []
+    for c, W in zip((*tab.c, 1.0), tab.weights):
+        padded = np.zeros((tab.nu, _NCOEF))
+        padded[:, : W.shape[1]] = W
+        weights.append(padded)
+        re_weights.append(np.roll(padded, -1, axis=1))  # column 0 holds no weight
+        re_div.append(c * factorial)
+    dde_scale = h / factorial
+    arrays = (dde_scale, *weights, *re_weights, *re_div)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return _StepPlan(tab, float(h), tuple(weights), dde_scale, tuple(re_weights), tuple(re_div))
 
 
-def _step(problem, tab, state, overlays, t_n: float) -> tuple:
+def _plan(problem, tab, h: float):
+    """The step plan of (problem, tab, h), which :func:`integrate` fetches
+    once per solve: a new :func:`semilinear_plan` for a semilinear problem,
+    the cached :class:`_StepPlan` of (tab, h) for every other kind."""
+    if problem.kind == "semilinear_dde":
+        return semilinear_plan(problem, tab, h)
+    try:
+        return _step_plan(tab, h)
+    except TypeError:  # a tableau holding lists is unhashable: no cache
+        return _step_plan.__wrapped__(tab, h)
+
+
+def _step(problem, tab, state, t_n: float, plan) -> tuple:
     """One explicit exponential RK step of a state that passes :func:`_check_state`.
 
-    Every stage value and appended segment must be finite.
-    ``overlays[m](state, u, c)``, with ``u = W_i^T F`` the row's (p_i + 1, dim)
-    phi weights of component m's stage values, returns the coefficients and
-    head (None for RE) of component m on its newest interval.
-    ``problem.rhs(t, *views)`` returns one value per component, or the bare
-    value for a single component.
+    Every stage value and appended segment must be finite.  ``plan`` (None:
+    :func:`_plan`'s) must fit (problem, tab, h); ``plan.dde``/``plan.re``
+    ``(state, F, i)``, F the component's (nu, dim) stage values, return the
+    coefficients and head (None for RE) of a component of that kind on its
+    newest interval for row i.  ``problem.rhs(t, *views)`` returns one value
+    per component, or the bare value for a single component.
     """
     states = _check_state(problem, state)
-    single, h = len(states) == 1, states[0].h
-    F = [np.zeros((tab.nu, state.dim)) for state in states]
-    for i in range(tab.nu):
-        ci = tab.c[i]
-        if ci == 0.0:
-            # a[i] is empty (node scales equal c_i > 0): the stage sees the
-            # current state itself.
-            views = states
-        else:
-            views = []
-            for state, overlay, f in zip(states, overlays, F):
-                coeffs, head = overlay(state, tab.weights[i].T @ f, ci)
-                views.append(StageView(state, ci * h, coeffs, head=head))
+    h = states[0].h
+    if plan is None:
+        plan = _plan(problem, tab, h)
+    elif not plan.fits(problem, tab, h):
+        raise ValueError("the step plan was built for another L, tableau or step")
+    # per component: its state, its overlay rule and its stage values F
+    parts = [(state, getattr(plan, state.kind), np.zeros((tab.nu, state.dim))) for state in states]
+    single = len(parts) == 1
+    for i, ci in enumerate(tab.c):
+        # a row with c_i = 0 is empty (node scales equal c_i > 0): the stage
+        # sees the current state itself
+        views = states if ci == 0.0 else [
+            StageView._of(state, ci * h, *rule(state, f, i)) for state, rule, f in parts
+        ]
         raw = problem.rhs(t_n + ci * h, *views)
         if single:
             raw = (raw,)
-        elif len(raw) != len(states):
-            raise ValueError(f"rhs returned {len(raw)} values, expected {len(states)}")
-        for r, state, f in zip(raw, states, F):
-            f[i] = _as_rhs_value(r, state, single)
-            _require_finite(f[i].tolist(), i + 1, "stage value")
+        elif len(raw) != len(parts):
+            raise ValueError(f"rhs returned {len(raw)} values, expected {len(parts)}")
+        for r, (state, _, f) in zip(raw, parts):
+            value = _as_rhs_value(r, state, single)
+            _require_finite(value.tolist(), i + 1, "stage value")
+            f[i] = value
     new = []
-    for state, overlay, f in zip(states, overlays, F):
-        coeffs, head = overlay(state, tab.weights[-1].T @ f, 1.0)
+    for state, rule, f in parts:
+        coeffs, head = rule(state, f, tab.nu)
         # the new segment's value at theta = 0 (a DDE's head), which is
         # non-finite whenever one of its coefficients is
         _require_finite(map(sum, coeffs.tolist()), tab.nu, "update")
@@ -264,14 +332,14 @@ def _step(problem, tab, state, overlays, t_n: float) -> tuple:
     return tuple(new)
 
 
-def step_dde(problem, tab, state, t_n: float) -> HistoryState:
+def step_dde(problem, tab, state, t_n: float, plan=None) -> HistoryState:
     """:func:`step` for a plain DDE."""
-    return _step(problem, tab, state, (_dde_overlay,), t_n)[0]
+    return _step(problem, tab, state, t_n, plan)[0]
 
 
-def step_re(problem, tab, state, t_n: float) -> HistoryState:
+def step_re(problem, tab, state, t_n: float, plan=None) -> HistoryState:
     """:func:`step` for a renewal equation."""
-    return _step(problem, tab, state, (_re_overlay,), t_n)[0]
+    return _step(problem, tab, state, t_n, plan)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,8 +350,8 @@ class SemilinearPlan:
     ``stacks[c]``, for every nonzero row node c (stage rows, and the update
     row at c = 1), is a read-only (3, d, (p + 1) d) array: for r = 1/4, 3/4
     and 1 the stacked matrix [phi_0 | ... | phi_p](r c h L), with p the
-    highest phi order among the rows at c.  Calling the plan as
-    ``plan(state, u, c)`` applies the rule to a row's phi weights u.
+    highest phi order among the rows at c.  ``plan.dde(state, f, i)`` applies
+    the rule of row i to stage values f, as a :class:`_StepPlan` does.
     """
 
     L: np.ndarray
@@ -298,8 +366,10 @@ class SemilinearPlan:
             and (self.L is problem.L or np.array_equal(self.L, problem.L))
         )
 
-    def __call__(self, state, u, c: float):
-        us = state.h * u
+    def dde(self, state, f, i: int):
+        tab = self.tab
+        c = tab.c[i] if i < tab.nu else 1.0
+        us = state.h * (tab.weights[i].T @ f)
         us[0] = state.head
         samples = np.empty((len(_LOBATTO_S), state.dim))
         samples[0] = state.head
@@ -334,23 +404,16 @@ def semilinear_plan(problem, tab, h: float) -> SemilinearPlan:
 
 
 def step_semilinear_dde(problem, tab, state, t_n: float, plan=None) -> HistoryState:
-    """:func:`step` for a semilinear DDE."""
+    """:func:`step` for a semilinear DDE; without a plan, the state is
+    checked before one is built (an expm per node)."""
     if problem.L is None:
         raise ValueError("semilinear step requires the matrix L")
-    # without a plan, check the state before building one (an expm per node);
-    # with one, _step checks it and only the width is read here
-    given = plan is not None and isinstance(state, HistoryState)
-    h = (state if given else _check_state(problem, state)[0]).h
-    if plan is None:
-        plan = semilinear_plan(problem, tab, h)
-    elif not plan.fits(problem, tab, h):
-        raise ValueError("the step plan was built for another L, tableau or step")
-    return _step(problem, tab, state, (plan,), t_n)[0]
+    return _step(problem, tab, state, t_n, plan)[0]
 
 
-def step_coupled(problem, tab, state, t_n: float):
+def step_coupled(problem, tab, state, t_n: float, plan=None):
     """:func:`step` for a coupled problem's (re, dde) pair."""
-    return _step(problem, tab, state, (_re_overlay, _dde_overlay), t_n)
+    return _step(problem, tab, state, t_n, plan)
 
 
 def _components(problem, h=None) -> tuple:
@@ -416,24 +479,27 @@ def step(problem, tab, state, t_n: float, plan=None):
     it by :meth:`~expdelay.history.HistoryState.j_integrate`, which
     reproduces the scheme's own recursion for it exactly.
 
-    ``plan`` is used by semilinear problems only: a :func:`semilinear_plan`
-    for (problem, tab, h).  Without one the step builds its own, at one
-    d x d exponential per distinct nonzero node.  A semilinear step's heads
-    are exact; its newest segment is a cubic interpolant, which is not
-    exact when hL is stiff (README, "Semilinear problems and plans").
+    ``plan`` is the step plan that :func:`integrate` builds once per solve:
+    for a semilinear problem a :func:`semilinear_plan` for (problem, tab, h),
+    and a plan that does not fit raises a ValueError.  Without one, a
+    semilinear step builds its own, at one d x d exponential per distinct
+    nonzero node, and every other kind takes the per-row constants of
+    (tab, h) from a small cache.  A semilinear step's heads are exact; its
+    newest segment is a cubic interpolant, which is not exact when hL is
+    stiff (README, "Semilinear problems and plans").
 
     The step dispatches through the module globals ``step_dde``,
     ``step_re``, ``step_semilinear_dde`` and ``step_coupled``, which are not
     exported: an outside-in tracer (bench/spans.py) wraps them by name.
     """
     if problem.kind == "dde":
-        return step_dde(problem, tab, state, t_n)
+        return step_dde(problem, tab, state, t_n, plan)
     if problem.kind == "re":
-        return step_re(problem, tab, state, t_n)
+        return step_re(problem, tab, state, t_n, plan)
     if problem.kind == "semilinear_dde":
         return step_semilinear_dde(problem, tab, state, t_n, plan)
     if problem.kind == "coupled":
-        return step_coupled(problem, tab, state, t_n)
+        return step_coupled(problem, tab, state, t_n, plan)
     raise ValueError(f"unknown problem kind {problem.kind!r}")
 
 
@@ -452,8 +518,9 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
 
     T, tau and any distributed-delay bounds must be integer multiples of h,
     and a given ``state0`` is held to :func:`step`'s layout rule with this h,
-    also when T = 0.  A semilinear problem's matrix functions are built once,
-    as a :func:`semilinear_plan`.  ``observer``, if given, is called exactly
+    also when T = 0.  The step plan is fetched once (:func:`step`); a
+    semilinear problem's matrix functions are built once, as a
+    :func:`semilinear_plan`.  ``observer``, if given, is called exactly
     once per step, in order, as observer(t_{n+1}, values) with the observable
     of :func:`observed_values`.  Returns the final state (or pair).  A
     non-finite stage or update aborts with :class:`IntegrationDiverged`
@@ -465,7 +532,7 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
         raise MeshError(f"horizon T = {T} is negative")
     state = initial_state(problem, h) if state0 is None else state0
     _check_state(problem, state, h, "state0")
-    plan = semilinear_plan(problem, tab, h) if problem.kind == "semilinear_dde" else None
+    plan = _plan(problem, tab, h)
     for n in range(n_steps):
         try:
             state = step(problem, tab, state, n * h, plan)

@@ -605,3 +605,93 @@ def test_integrated_state_after_one_euler_re_step():
     for theta in (-1.0, -0.7, -0.3):
         want = -(h + theta) * phi_c + h * F_val
         assert new.j_integrate(theta)[0] == pytest.approx(want, abs=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["dde", "re"])
+def test_complex_history_raises(kind):
+    # the imaginary part is not dropped by a cast to float
+    with pytest.raises(TypeError, match="phi returned complex values"):
+        HistoryState.from_callable(lambda th: np.exp(1j * th), kind, 1, 1.0, 0.25)
+    prob = Problem(kind=kind, dim=1, tau=1.0, rhs=lambda t, v: 0.0, phi0=lambda th: th + 0j)
+    with pytest.raises(TypeError, match="phi returned complex values"):
+        initial_state(prob, 0.25)
+
+
+def test_complex_reference_raises():
+    state = initial_state(belzen(), 0.25)
+    for norm in ("sup", "l1"):
+        with pytest.raises(TypeError, match="reference returned complex values"):
+            norm_diff(state, lambda th: np.sin(th) + 0j, norm)
+
+
+def _counting_eval_many(monkeypatch):
+    calls = []
+    for cls in (HistoryState, StageView):
+        def counting(self, thetas, original=vars(cls)["eval_many"]):
+            calls.append((type(self), thetas))
+            return original(self, thetas)
+
+        monkeypatch.setattr(cls, "eval_many", counting)
+    return calls
+
+
+def test_eval_goes_through_eval_many(monkeypatch):
+    # an outside-in tracer counts lookups by wrapping eval_many: a point path
+    # that bypassed it would go uncounted
+    calls = _counting_eval_many(monkeypatch)
+    state = initial_state(belzen(), 0.25)
+    view = StageView(state, 0.125, np.ones((1, 4)), head=[4.0])
+    state.eval(-0.5)
+    view.eval(-0.5)
+    view.eval(-0.0625)
+    assert calls == [(HistoryState, -0.5), (StageView, -0.5), (StageView, -0.0625)]
+    calls.clear()
+    # belzen reads one delayed value per stage: 3 lookups per expo3 step,
+    # a stage view's read of its base not counted again
+    integrate(belzen(), builtin("expo3"), 0.1, 1.0)
+    assert len(calls) == 3 * 10
+    assert all(theta == -1.0 for _, theta in calls)
+
+
+#: extreme coefficients: a state's must be finite, an overlay's need not be
+_EXTREME = (-0.0, 1e308, -1e308)
+_SPECIAL = _EXTREME + (np.nan, np.inf, -np.inf)
+
+
+def _nan_as_one(x):
+    # numpy's vector loops may take a NaN's sign from either operand, so NaNs
+    # compare as one value; every other bit must agree
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    c=st.one_of(st.none(), st.floats(0.01, 1.0)),
+    data=st.data(),
+)
+def test_point_path_matches_one_element_array_at_dim_20(seed, c, data):
+    rng = np.random.default_rng(seed)
+    n, h, dim = 8, 0.125, 20  # dim 20: the width of the semilinear benchmark
+    coeffs = rng.normal(size=(n, dim, 4))
+    mask = rng.random(coeffs.shape) < 0.3
+    coeffs[mask] = rng.choice(_EXTREME, size=mask.sum())
+    state = HistoryState("re", dim, 1.0, h, coeffs)
+    target, shift = state, 0.0
+    if c is not None:
+        overlay = rng.normal(size=(dim, 4))
+        mask = rng.random(overlay.shape) < 0.4
+        overlay[mask] = rng.choice(_SPECIAL, size=mask.sum())
+        target, shift = StageView(state, c * h, overlay), c * h
+    theta = data.draw(
+        st.one_of(
+            st.floats(min_value=-1.0, max_value=0.0),
+            st.floats(min_value=-shift, max_value=0.0),
+            st.sampled_from([-1.0, 0.0, -shift, -0.5, -0.375]),
+        )
+    )
+    with np.errstate(all="ignore"):
+        want = target.eval_many(np.array([theta]))[0]
+        got = target.eval(theta)
+    assert got.shape == (dim,)
+    assert _nan_as_one(got) == _nan_as_one(want)

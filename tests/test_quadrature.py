@@ -502,3 +502,14 @@ def test_plan_cache_stays_within_its_bound():
                 1.0 - 0.5 * h, rel=1e-12
             )
     assert _window_plan.cache_info().currsize <= bound
+
+
+@pytest.mark.parametrize("pointwise", [False, True], ids=["per_call", "pointwise"])
+def test_complex_integrand_raises(pointwise):
+    # the imaginary part is not dropped by a cast to float
+    state = _const_state(1.0, 3.0, 0.5)
+    g = lambda x: x[:, 0] + 1j  # noqa: E731
+    integrand = Pointwise(g) if pointwise else (lambda th, x: g(x))
+    for view in (state, StageView(state, 0.25, np.ones((1, 4)))):
+        with pytest.raises(TypeError, match="integrand returned complex values"):
+            integrate_view(view, -3.0, -0.2, integrand)

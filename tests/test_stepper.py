@@ -1091,3 +1091,160 @@ def test_locality_no_access_beyond_domain():
     )
     with pytest.raises(ValueError):
         integrate(prob, builtin("expeuler"), 0.1, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# step plans: per-row overlay constants built once per (tableau, h)
+# ---------------------------------------------------------------------------
+
+
+def _plan_components(make, h):
+    prob = make()
+    state = initial_state(prob, h)
+    return prob, state if isinstance(state, tuple) else (state,)
+
+
+@pytest.mark.parametrize("name", ["expeuler", "heun", "expo3"])
+@pytest.mark.parametrize("make", [belzen, quadratic_re, daphnia], ids=["dde", "re", "coupled"])
+def test_plan_overlays_match_the_unfolded_rules(make, name, rng):
+    tab, h = builtin(name), 0.05
+    prob, states = _plan_components(make, h)
+    plan = stepper._plan(prob, tab, h)
+    for state in states:
+        F = rng.normal(size=(tab.nu, state.dim)) * 10.0 ** rng.integers(-3, 4, size=(tab.nu, 1))
+        for i, (c, W) in enumerate(zip((*tab.c, 1.0), tab.weights)):
+            if c == 0.0:
+                continue  # a row at c = 0 has no terms and no overlay
+            u = W.T @ F
+            want = np.zeros((state.dim, 4))
+            for k in range(1, len(u)):
+                if state.kind == "dde":
+                    want[:, k] = h * u[k] / math.factorial(k)
+                else:
+                    want[:, k - 1] = u[k] / (c * math.factorial(k - 1))
+            if state.kind == "dde":
+                want[:, 0] = state.head
+            coeffs, head = getattr(plan, state.kind)(state, F, i)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(coeffs - want)) <= 1e-15 * scale
+            if state.kind == "dde":
+                assert np.array_equal(head, coeffs.sum(axis=1))
+            else:
+                assert head is None
+
+
+@pytest.mark.parametrize("name", ["expeuler", "heun", "expo3"])
+@pytest.mark.parametrize("make", [belzen, quadratic_re, daphnia], ids=["dde", "re", "coupled"])
+def test_step_without_plan_matches_integrate(make, name):
+    prob, tab, h = make(), builtin(name), 0.1
+    state = initial_state(prob, h)
+    for n in range(15):
+        state = step(prob, tab, state, n * h)
+    final = integrate(prob, tab, h, 15 * h)
+    pairs = zip(state, final) if isinstance(state, tuple) else [(state, final)]
+    for got, want in pairs:
+        assert np.array_equal(got.coefficients(), want.coefficients())
+        assert (got.head is None and want.head is None) or np.array_equal(got.head, want.head)
+
+
+def _run_states(make, tab, h, steps):
+    final = integrate(make(), tab, h, steps * h)
+    return [(s.coefficients().tobytes(), s.head) for s in (final if isinstance(final, tuple) else (final,))]
+
+
+@pytest.mark.parametrize("make", [belzen, quadratic_re, daphnia], ids=["dde", "re", "coupled"])
+def test_cold_and_warm_step_plan_cache_give_the_same_run(make):
+    tab, h = builtin("expo3"), 0.05
+    stepper._step_plan.cache_clear()
+    cold = _run_states(make, tab, h, 20)
+    # an equal tableau that is another object, on a warm cache
+    warm = _run_states(make, dataclasses.replace(tab), h, 20)
+    assert stepper._step_plan.cache_info().hits > 0
+    for (c0, h0), (c1, h1) in zip(cold, warm):
+        assert c0 == c1
+        assert (h0 is None and h1 is None) or h0.tobytes() == h1.tobytes()
+
+
+def test_step_plan_cache_stays_within_its_bound():
+    prob, tab = belzen(), builtin("heun")
+    bound = stepper._step_plan.cache_info().maxsize
+    assert bound is not None
+    for k in range(1, bound + 10):
+        h = 1.0 / k
+        step(prob, tab, initial_state(prob, h), 0.0)
+    assert stepper._step_plan.cache_info().currsize <= bound
+
+
+def test_unhashable_tableau_steps_without_the_cache():
+    # a tableau written with lists is valid but cannot key the cache
+    listed = Tableau(name="listed", c=[0.0], a=[[()]], b=[((1, 1.0),)], declared_order=1)
+    prob, h = belzen(), 0.1
+    got = integrate(prob, listed, h, 1.0)
+    want = integrate(prob, builtin("expeuler"), h, 1.0)
+    assert np.array_equal(got.coefficients(), want.coefficients())
+    assert np.array_equal(got.head, want.head)
+
+
+@pytest.mark.parametrize(
+    "make, tab, h",
+    [
+        (belzen, builtin("heun"), 0.05),  # another step width
+        (belzen, builtin("expo3"), 0.1),  # another tableau
+        (_semilinear2, builtin("heun"), 0.1),  # a semilinear problem needs L's plan
+    ],
+)
+def test_step_refuses_a_plan_built_for_another_step(make, tab, h):
+    plan = stepper._plan(belzen(), builtin("heun"), 0.1)
+    prob = make()
+    with pytest.raises(ValueError, match="step plan"):
+        step(prob, tab, initial_state(prob, h), 0.0, plan)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (belzen, "overlay_coeffs"),
+        (belzen, "head"),
+        (quadratic_re, "overlay_coeffs"),  # an RE view has no head
+        (daphnia, "overlay_coeffs"),
+        (daphnia, "head"),
+    ],
+)
+def test_stage_views_are_read_only(make, field):
+    prob = make()
+    seen = []
+
+    def writer(t, *views):
+        for view in views:
+            if isinstance(view, StageView) and getattr(view, field) is not None:
+                seen.append(view)
+                getattr(view, field)[0] = 0.0
+        return prob.rhs(t, *views)
+
+    with pytest.raises(ValueError, match="read-only"):
+        integrate(dataclasses.replace(prob, rhs=writer), builtin("heun"), 0.1, 0.2)
+    assert seen
+
+
+@pytest.mark.parametrize("value", [1j, np.array([0.5 + 0.0j])])
+def test_complex_rhs_value_raises(value):
+    prob = Problem(
+        kind="dde",
+        dim=1,
+        tau=1.0,
+        rhs=lambda t, v: -v.head + value,
+        phi0=lambda th: np.ones(np.shape(th)),
+    )
+    with pytest.raises(TypeError, match="rhs returned complex values"):
+        integrate(prob, builtin("heun"), 0.1, 0.1)
+
+
+def test_complex_coupled_rhs_value_names_its_component():
+    prob = daphnia()
+
+    def rhs(t, re, dde):
+        b, x = prob.rhs(t, re, dde)
+        return b, x + 0j
+
+    with pytest.raises(TypeError, match=r"rhs \(DDE component\) returned complex values"):
+        integrate(dataclasses.replace(prob, rhs=rhs), builtin("heun"), 0.1, 0.1)
