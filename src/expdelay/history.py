@@ -34,8 +34,9 @@ segment (:func:`_horner_point`), so both agree bit for bit; it returns shape
 (dim,) where an array of m offsets gives (m, dim).
 
 Values that the package reads from user callables (a history, a reference,
-an rhs, an integrand) pass :func:`_as_float`: complex values raise a
-TypeError rather than lose their imaginary parts.
+an rhs, an integrand), and the arrays given to :class:`HistoryState`,
+``shift_append`` and :class:`StageView`, pass :func:`_as_float`: complex
+values raise a TypeError rather than lose their imaginary parts.
 
 Stepping never mutates a state.  A state is a window of n segments in an
 append-only log of capacity 2n that the states stepped from one another
@@ -134,13 +135,14 @@ _FLOAT = np.dtype(float)
 
 def _as_float(raw, what: str) -> np.ndarray:
     """``raw`` as a float64 array, returned as is when it is one; complex
-    values raise a TypeError naming ``what`` instead of losing their
-    imaginary parts to the cast."""
+    values raise a TypeError "<what> complex values", ``what`` naming their
+    source with its verb ("rhs returned", "coeffs holds"), instead of losing
+    their imaginary parts to the cast."""
     if type(raw) is np.ndarray and raw.dtype is _FLOAT:
         return raw
     vals = np.asarray(raw)
     if vals.dtype.kind == "c":
-        raise TypeError(f"{what} returned complex values (dtype {vals.dtype}); expected real ones")
+        raise TypeError(f"{what} complex values (dtype {vals.dtype}); expected real ones")
     return np.asarray(vals, dtype=float)
 
 
@@ -223,7 +225,7 @@ def _as_head(kind: str, dim: int, head):
         return None
     if head is None:
         raise ValueError("DDE states require a head value")
-    head = np.array(head, dtype=float, ndmin=1)
+    head = np.array(_as_float(head, "head holds"), ndmin=1)  # a copy
     if head.shape != (dim,):
         raise ValueError(f"head must have shape ({dim},), got {head.shape}")
     head.setflags(write=False)
@@ -231,7 +233,7 @@ def _as_head(kind: str, dim: int, head):
 
 
 def _as_values(raw, m: int, d: int, what: str) -> np.ndarray:
-    vals = _as_float(raw, what)
+    vals = _as_float(raw, f"{what} returned")
     if vals.shape == (m,) and d == 1:
         vals = vals[:, None]
     if vals.shape != (m, d):
@@ -272,12 +274,12 @@ class _Plan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=256)  # a run asks for a handful of windows, one per stage shift
-def _window_plan(n: int, h: float, shift: float, overlay: bool, a: float, b: float) -> _Plan:
+def _window_plan(n: int, h: float, shift: float, a: float, b: float) -> _Plan:
     """Cut the window [a, b] at the knots (j - n) h - shift, j in 0..n, strictly
     inside (lo, hi) = (a + tol, b - tol), tol the knot tolerance of tau = n h,
     with the knots computed in the float operations of ``breakpoints``; a stage
-    view (``overlay``) also keeps lo above -tau + tol, the knots its
-    ``breakpoints`` keep.
+    view (shift > 0, with an overlay on [-shift, 0]) also keeps lo above
+    -tau + tol, the knots its ``breakpoints`` keep.
 
     The whole segments are ``coeffs[first:first + m]``, the first starting at
     offset ``left``.  One or two partial pieces remain, before and after them;
@@ -289,6 +291,7 @@ def _window_plan(n: int, h: float, shift: float, overlay: bool, a: float, b: flo
     """
     tol = _knot_tol(n * h)
     lo, hi = a + tol, b - tol
+    overlay = shift > 0.0
     if overlay:
         lo = max(lo, -(n * h) + tol)
 
@@ -370,7 +373,7 @@ class HistoryState:
     def __init__(self, kind, dim, tau, h, coeffs, head=None):
         n = _layout(kind, dim, tau, h)
         h = float(h)
-        coeffs = np.asarray(coeffs, dtype=float)
+        coeffs = _as_float(coeffs, "coeffs holds")
         if coeffs.shape != (n, dim, _NCOEF):
             raise ValueError(
                 f"coeffs must have shape ({n}, {dim}, {_NCOEF}), got {coeffs.shape}"
@@ -427,7 +430,7 @@ class HistoryState:
         """The :func:`_window_plan` of a range-checked window [a, b], cut at the
         knots strictly inside (a + tol, b - tol), with the coefficients its
         segment indices read and the overlay (None) its index -1 reads."""
-        return _window_plan(self.n_segments, self.h, 0.0, False, a, b), self._coeffs, None
+        return _window_plan(self.n_segments, self.h, 0.0, a, b), self._coeffs, None
 
     def _segment_sum(self, key, rule, first: int, m: int) -> np.ndarray:
         """Pairwise (numpy) sum of ``rule``'s stored sums on window segments [first, first + m)."""
@@ -477,7 +480,7 @@ class HistoryState:
         DDE states additionally replace the head, which must match the new
         segment's value at theta = 0; RE states take no head.
         """
-        coeffs = np.asarray(coeffs, dtype=float)
+        coeffs = _as_float(coeffs, "coeffs holds")
         if coeffs.shape != (self.dim, _NCOEF):
             raise ValueError(
                 f"appended segment must have shape ({self.dim}, {_NCOEF}), "
@@ -539,7 +542,8 @@ class StageView:
     __slots__ = ("base", "kind", "dim", "tau", "h", "shift", "overlay_coeffs", "head")
 
     def __init__(self, base, shift: float, overlay_coeffs: np.ndarray, head=None):
-        overlay_coeffs = np.array(overlay_coeffs, dtype=float, ndmin=2)  # a copy
+        # a copy
+        overlay_coeffs = np.array(_as_float(overlay_coeffs, "overlay_coeffs holds"), ndmin=2)
         if overlay_coeffs.shape != (base.dim, _NCOEF):
             raise ValueError(
                 f"overlay must have shape ({base.dim}, {_NCOEF}), "
@@ -575,7 +579,7 @@ class StageView:
         shifted by ``shift``, and the overlay piece on [-shift, 0] when the
         window reaches it."""
         base = self.base
-        plan = _window_plan(base.n_segments, self.h, self.shift, True, a, b)
+        plan = _window_plan(base.n_segments, self.h, self.shift, a, b)
         return plan, base._coeffs, self.overlay_coeffs
 
     def __reduce__(self):  # pickle and copy rebuild through __init__: read-only arrays

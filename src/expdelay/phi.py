@@ -5,11 +5,10 @@ phi_0 = exp and, for k >= 1,
     phi_k(z) = int_0^1 e^{z(1-s)} s^{k-1}/(k-1)! ds,
 
 so phi_k(0) = 1/k! and phi_k(z) = z*phi_{k+1}(z) + 1/k!.  Besides the scalar
-functions this module provides the scalar weights realising the phi
-operators on shift semigroups (delay and renewal flavours), and the matrices
-phi_0(M), ..., phi_p(M) by scaling and modified squaring from one d x d
-exponential, with the rule that combines phi_k(aX) and phi_k(bX) into
-phi_k((a + b)X).
+functions this module provides the matrices phi_0(M), ..., phi_p(M) by
+scaling and modified squaring from one d x d exponential, with the rule that
+combines phi_k(aX) and phi_k(bX) into phi_k((a + b)X).  The phi operators on
+the history space itself are the stepper's overlay rules.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ import scipy.linalg
 
 __all__ = [
     "phi_scalar",
-    "phi_dde_weight",
-    "phi_re_weight",
     "phi_matrices",
     "phi_combine",
     "phi_matrix_action",
@@ -78,33 +75,6 @@ def phi_scalar(k: int, z: float) -> float:
         v = (v - 1.0 / fact) / z
         fact *= j + 1
     return v
-
-
-def _tail_power(k: int, gh: float, theta: float) -> float:
-    """max(0, gh + theta)^k, after checking k >= 1 and gh > 0."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not gh > 0.0:
-        raise ValueError("scaled step gh must be positive")
-    return max(0.0, gh + theta) ** k
-
-
-def phi_dde_weight(k: int, gh: float, theta: float) -> float:
-    """Tail weight of phi_k(gh*A0) acting on a head-concentrated forcing (f; 0).
-
-    The action is (f/k!; theta -> phi_dde_weight(k, gh, theta) * f): the head
-    weight is 1/k! and the tail weight max(0, gh+theta)^k / (gh^k k!).
-    """
-    return _tail_power(k, gh, theta) / (gh**k * math.factorial(k))
-
-
-def phi_re_weight(k: int, gh: float, theta: float) -> float:
-    """Weight of phi_k(gh*A0) acting on f*H in the renewal-equation state space.
-
-    Equals (gh^k - max(0, gh+theta)^k) / (gh^k k!); complements
-    phi_dde_weight so that the two scaled weights sum to gh^k.
-    """
-    return (gh**k - _tail_power(k, gh, theta)) / (gh**k * math.factorial(k))
 
 
 def phi_matrices(M: np.ndarray, p: int) -> np.ndarray:

@@ -66,7 +66,7 @@ class Pointwise:
 
 
 def _checked(fv, m: int) -> np.ndarray:
-    fv = _as_float(fv, "integrand")
+    fv = _as_float(fv, "integrand returned")
     if fv.ndim not in (1, 2) or fv.shape[0] != m:
         raise ValueError(f"integrand returned shape {fv.shape}, expected ({m},) or ({m}, q)")
     return fv

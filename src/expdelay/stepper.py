@@ -201,7 +201,7 @@ class CoupledProblem:
 
 def _as_rhs_value(raw, state, single: bool) -> np.ndarray:
     what = "rhs" if single else f"rhs ({state.kind.upper()} component)"
-    val = _as_float(raw, what)
+    val = _as_float(raw, f"{what} returned")
     if val.ndim == 0 and state.dim == 1:
         val = val.reshape(1)
     if val.shape != (state.dim,):
@@ -282,14 +282,12 @@ def _plan(problem, tab, h: float):
     the cached :class:`_StepPlan` of (tab, h) for every other kind."""
     if problem.kind == "semilinear_dde":
         return semilinear_plan(problem, tab, h)
-    try:
-        return _step_plan(tab, h)
-    except TypeError:  # a tableau holding lists is unhashable: no cache
-        return _step_plan.__wrapped__(tab, h)
+    return _step_plan(tab, h)
 
 
-def _step(problem, tab, state, t_n: float, plan) -> tuple:
-    """One explicit exponential RK step of a state that passes :func:`_check_state`.
+def _step(problem, tab, state, t_n: float, plan=None):
+    """One explicit exponential RK step of a state that passes :func:`_check_state`;
+    returns the new state, or the new pair of a coupled problem.
 
     Every stage value and appended segment must be finite.  ``plan`` (None:
     :func:`_plan`'s) must fit (problem, tab, h); ``plan.dde``/``plan.re``
@@ -329,17 +327,12 @@ def _step(problem, tab, state, t_n: float, plan) -> tuple:
         # non-finite whenever one of its coefficients is
         _require_finite(map(sum, coeffs.tolist()), tab.nu, "update")
         new.append(state.shift_append(coeffs, head=head))
-    return tuple(new)
+    return new[0] if single else tuple(new)
 
 
-def step_dde(problem, tab, state, t_n: float, plan=None) -> HistoryState:
-    """:func:`step` for a plain DDE."""
-    return _step(problem, tab, state, t_n, plan)[0]
-
-
-def step_re(problem, tab, state, t_n: float, plan=None) -> HistoryState:
-    """:func:`step` for a renewal equation."""
-    return _step(problem, tab, state, t_n, plan)[0]
+# the names :func:`step` looks up, kept for the outside-in tracer
+# (bench/spans.py); library-owned run counters (ROADMAP.md, item 1) remove them
+step_dde = step_re = step_semilinear_dde = step_coupled = _step
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,19 +396,6 @@ def semilinear_plan(problem, tab, h: float) -> SemilinearPlan:
     return SemilinearPlan(problem.L, tab, float(h), stacks)
 
 
-def step_semilinear_dde(problem, tab, state, t_n: float, plan=None) -> HistoryState:
-    """:func:`step` for a semilinear DDE; without a plan, the state is
-    checked before one is built (an expm per node)."""
-    if problem.L is None:
-        raise ValueError("semilinear step requires the matrix L")
-    return _step(problem, tab, state, t_n, plan)[0]
-
-
-def step_coupled(problem, tab, state, t_n: float, plan=None):
-    """:func:`step` for a coupled problem's (re, dde) pair."""
-    return _step(problem, tab, state, t_n, plan)
-
-
 def _components(problem, h=None) -> tuple:
     """(kind, dim) per state component; given h, bounds must be on its mesh."""
     for lim in problem.distributed_limits if h is not None else ():
@@ -436,7 +416,7 @@ def initial_state(problem, h: float):
 
 
 @functools.lru_cache(maxsize=64)  # every step of a run checks against one layout
-def _layout(components: tuple, tau: float, h) -> tuple:
+def _expected_layout(components: tuple, tau: float, h) -> tuple:
     """(kind, dim, n, h) per component of the state :func:`initial_state`
     builds at width h, n = tau/h by the mesh rule (None, as h, when h is)."""
     n = None if h is None else _steps(tau, h, "tau")
@@ -449,7 +429,7 @@ def _check_state(problem, state, h=None, name="state") -> tuple:
     components = _components(problem, h)
     given = state if isinstance(state, tuple) and state else (state,)
     h = given[0].h if h is None and isinstance(given[0], HistoryState) else h
-    want = _layout(components, float(problem.tau), h)
+    want = _expected_layout(components, float(problem.tau), h)
     got = tuple([isinstance(s, HistoryState) and (s.kind, s.dim, s.n_segments, s.h) for s in given])
     boxed = isinstance(state, tuple) == (problem.kind == "coupled")
     if boxed and got == want:
@@ -488,19 +468,15 @@ def step(problem, tab, state, t_n: float, plan=None):
     newest segment is a cubic interpolant, which is not exact when hL is
     stiff (README, "Semilinear problems and plans").
 
-    The step dispatches through the module globals ``step_dde``,
-    ``step_re``, ``step_semilinear_dde`` and ``step_coupled``, which are not
-    exported: an outside-in tracer (bench/spans.py) wraps them by name.
+    Every kind runs one function, which this module binds under four
+    unexported names, ``step_dde``, ``step_re``, ``step_semilinear_dde`` and
+    ``step_coupled``.  The step looks up ``step_<kind>`` at call time, so an
+    outside-in tracer (bench/spans.py) that wraps those names sees every step.
     """
-    if problem.kind == "dde":
-        return step_dde(problem, tab, state, t_n, plan)
-    if problem.kind == "re":
-        return step_re(problem, tab, state, t_n, plan)
-    if problem.kind == "semilinear_dde":
-        return step_semilinear_dde(problem, tab, state, t_n, plan)
-    if problem.kind == "coupled":
-        return step_coupled(problem, tab, state, t_n, plan)
-    raise ValueError(f"unknown problem kind {problem.kind!r}")
+    entry = globals().get(f"step_{problem.kind}")
+    if entry is None:
+        raise ValueError(f"unknown problem kind {problem.kind!r}")
+    return entry(problem, tab, state, t_n, plan)
 
 
 def observed_values(state) -> np.ndarray:

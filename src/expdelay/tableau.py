@@ -53,7 +53,9 @@ class Tableau:
     ``weights`` holds one read-only matrix W_i per row, the rows of ``a``
     and then ``b``, of shape (nu, p_i + 1) with p_i the row's highest phi
     order: W_i[j, k] sums the weights of the order-k terms of entry (i, j);
-    steps and order checks evaluate only these matrices.
+    steps and order checks evaluate only these matrices.  ``c``, ``a`` and
+    ``b`` may be given as lists and are stored as tuples, so every tableau
+    hashes and keys the step-plan cache.
     """
 
     name: str
@@ -65,6 +67,9 @@ class Tableau:
     weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "c", tuple(self.c))
+        object.__setattr__(self, "a", tuple(tuple(map(_entry, row)) for row in self.a))
+        object.__setattr__(self, "b", tuple(map(_entry, self.b)))
         nu = len(self.c)
         if self.c[0] != 0.0:
             raise ValueError("first node c_1 must be 0")
@@ -93,6 +98,11 @@ class Tableau:
     @property
     def nu(self) -> int:
         return len(self.c)
+
+
+def _entry(terms) -> tuple:
+    """One entry of ``a`` or ``b`` as a tuple of (k, w) tuples."""
+    return tuple(map(tuple, terms))
 
 
 def _weight_matrix(row) -> np.ndarray:

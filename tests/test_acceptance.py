@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 import expdelay as xd
+from expdelay.harness import _integrated_errors, _shifted_exact
 from expdelay.stepper import step_dde, step_re, step_semilinear_dde
 
 E = math.e
@@ -355,3 +356,58 @@ def test_criterion_9_stiff_parabolic_orders():
                 gap = abs(fine[err] / coarse[err] - 1.0)
                 where = f"{coarse['method']} h={coarse['h']} {err}"
                 assert gap <= 0.1, f"{where}: N = 16 and 64 differ by {gap:.1%}"
+
+
+def _birth(t):
+    """The manufactured birth rate b(t) = 1 + 0.5 sin t."""
+    return 1.0 + 0.5 * np.sin(t)
+
+
+def _birth_window(t):
+    """int_{t-2}^{t-1} b in closed form."""
+    return 1.0 - 0.5 * math.cos(t - 1.0) + 0.5 * math.cos(t - 2.0)
+
+
+#: (f_re, f_dde) of (S, I), I = int_{t-2}^{t-1} b
+_COUPLINGS = {
+    "linear": (lambda S, I: 0.5 * I + 0.3 * S, lambda S, I: -S + 0.2 * I),
+    # daphnia's structure: b = beta S I, S' = ... - gamma S I
+    "product": (lambda S, I: 0.5 * S * I, lambda S, I: -S - 0.2 * S * I),
+}
+
+
+def _manufactured_coupled(coupling):
+    """b = f_re(S, I) + g_1 and S' = f_dde(S, I) + g_2, with the forcing g
+    that makes b = 1 + 0.5 sin t and S = cos t exact for all t."""
+    f_re, f_dde = _COUPLINGS[coupling]
+    value = xd.Pointwise(lambda x: x)
+
+    def rhs(t, vb, vs):
+        I, S = xd.integrate_view(vb, -2.0, -1.0, value), vs.head
+        S_t, I_t = math.cos(t), _birth_window(t)
+        return (f_re(S, I) + _birth(t) - f_re(S_t, I_t),
+                f_dde(S, I) - math.sin(t) - f_dde(S_t, I_t))
+
+    return xd.CoupledProblem(
+        dim_re=1, dim_dde=1, tau=2.0, rhs=rhs, phi0_re=_birth, phi0_dde=np.cos,
+        distributed_limits=(-2.0, -1.0), name=f"manufactured_{coupling}",
+    )
+
+
+@pytest.mark.parametrize("coupling", list(_COUPLINGS))
+def test_criterion_10_coupled_manufactured_orders(coupling):
+    label = f"coupled RE/DDE ({coupling}): S head 1/2/3, b density 1/2/2, b integrated 1/2/3"
+    with criterion(10, label):
+        prob, T = _manufactured_coupled(coupling), 4.0
+        for method, targets in zip(METHODS, ((1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (3.0, 2.0, 3.0))):
+            errs = []
+            for h in HS_HALVING:
+                b, S = xd.integrate(prob, xd.builtin(method), h, T)
+                errs.append((
+                    abs(S.head[0] - math.cos(T)),
+                    xd.norm_diff(b, _shifted_exact(_birth, T), "l1"),
+                    _integrated_errors(b, _birth, T, "l1"),
+                ))
+            for what, target, col in zip(("S head", "b density", "b integrated"), targets, zip(*errs)):
+                got = xd.estimate_order(HS_HALVING, col)
+                assert abs(got - target) <= 0.1, f"{method} {what} slope {got:.3f}, want {target}"

@@ -624,6 +624,22 @@ def test_complex_reference_raises():
             norm_diff(state, lambda th: np.sin(th) + 0j, norm)
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda s: HistoryState("dde", 1, 1.0, 0.25, s.coefficients() + 1j, head=s.head), "coeffs"),
+        (lambda s: HistoryState("dde", 1, 1.0, 0.25, s.coefficients(), head=s.head + 1j), "head"),
+        (lambda s: StageView(s, 0.25, s.coefficients()[-1] + 1j, head=s.head), "overlay_coeffs"),
+        (lambda s: s.shift_append(s.coefficients()[-1] + 1j, head=s.head), "coeffs"),
+    ],
+    ids=["state_coeffs", "head", "stage_view_overlay", "shift_append_segment"],
+)
+def test_complex_constructor_input_raises(make, name):
+    # a TypeError naming the argument, not a real part kept after a ComplexWarning
+    with pytest.raises(TypeError, match=f"^{name} holds complex values"):
+        make(initial_state(belzen(), 0.25))
+
+
 def _counting_eval_many(monkeypatch):
     calls = []
     for cls in (HistoryState, StageView):

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from expdelay import (
-    phi_combine,
-    phi_dde_weight,
-    phi_matrices,
-    phi_matrix_action,
-    phi_re_weight,
-    phi_scalar,
-)
+from expdelay import phi_combine, phi_matrices, phi_matrix_action, phi_scalar
+
+from oracles import phi_dde_weight, phi_re_weight
 
 E = math.e
 

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from expdelay import (
     HistoryState,
@@ -20,13 +22,11 @@ from expdelay import (
     initial_state,
     integrate,
     observed_values,
-    phi_dde_weight,
-    phi_re_weight,
     phi_scalar,
     quadratic_re,
     step,
 )
-from expdelay import harness, problems, stepper
+from expdelay import harness, stepper
 from expdelay.stepper import (
     semilinear_plan,
     step_coupled,
@@ -36,6 +36,7 @@ from expdelay.stepper import (
 )
 
 from conftest import smooth_dde_state, smooth_re_state
+from oracles import phi_dde_weight, phi_re_weight
 
 
 def _zero_problem(kind, tau=1.0):
@@ -829,6 +830,43 @@ def test_coupled_zero_forcing_shifts_both():
     assert np.array_equal(s1.head, s0.head)
 
 
+def _steps_from(prob, tab, state, h, start, count):
+    for n in range(start, start + count):
+        state = step(prob, tab, state, n * h)
+    return state
+
+
+# daphnia's tau = 4 and window (-4, -3) lie on the mesh h = 1/per_unit
+_METHOD = st.sampled_from(["expeuler", "heun", "expo3"])
+_PER_UNIT = st.integers(1, 8)
+
+
+@settings(deadline=None, max_examples=25)
+@given(name=_METHOD, per_unit=_PER_UNIT, steps=st.integers(1, 12))
+def test_coupled_zero_forcing_is_pure_shift_bitwise(name, per_unit, steps):
+    zero = dataclasses.replace(daphnia(), rhs=lambda t, vb, vs: (np.zeros(1), np.zeros(1)))
+    h = 1.0 / per_unit
+    b0, s0 = initial_state(zero, h)
+    b, s = _steps_from(zero, builtin(name), (b0, s0), h, 0, steps)
+    assert np.array_equal(b.coefficients(), _expected_pure_shift(b0, steps))
+    assert np.array_equal(s.coefficients(), _expected_pure_shift(s0, steps))
+    assert np.array_equal(s.head, s0.head)
+
+
+@settings(deadline=None, max_examples=25)
+@given(name=_METHOD, per_unit=_PER_UNIT, k=st.integers(0, 6), m=st.integers(0, 6))
+def test_coupled_semigroup_composition_bitwise(name, per_unit, k, m):
+    # k steps and then m more equal k + m steps, on daphnia's own coupling;
+    # the second run branches off the first one's log
+    prob, tab, h = daphnia(), builtin(name), 1.0 / per_unit
+    pair0 = initial_state(prob, h)
+    once = _steps_from(prob, tab, pair0, h, 0, k + m)
+    twice = _steps_from(prob, tab, _steps_from(prob, tab, pair0, h, 0, k), h, k, m)
+    for a, b in zip(once, twice):
+        assert a.coefficients().tobytes() == b.coefficients().tobytes()
+    assert once[1].head.tobytes() == twice[1].head.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # integration driver
 # ---------------------------------------------------------------------------
@@ -948,22 +986,13 @@ def test_step_dispatches_through_module_entry_points(monkeypatch, make, entry):
     assert calls == pytest.approx([0.1 * n for n in range(10)])
 
 
-def test_traced_names_are_own_attributes():
-    # an outside-in tracer swaps these in place on their owners; a name that
-    # moved or became inherited would silently stop being traced
-    kinds = ("dde", "re", "semilinear_dde", "coupled")
-    targets = [(stepper, f"step_{kind}") for kind in kinds] + [
-        (stepper, "phi_matrix_action"),
-        (problems, "integrate_view"),
-        (HistoryState, "eval_many"),
-        (StageView, "eval_many"),
-        (HistoryState, "breakpoints"),
-        (StageView, "breakpoints"),
-        (HistoryState, "shift_append"),
-        (TrajectoryRecorder, "__call__"),
-        (harness, "format_csv"),
-    ]
-    missing = [(o.__name__, name) for o, name in targets if name not in vars(o)]
+def test_traced_names_are_own_attributes(monkeypatch):
+    # the outside-in tracer swaps its targets in place on their owners
+    # (vars(owner)[name]); a name that moved or became inherited would
+    # silently stop being traced
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    import spans
+    missing = [(o.__name__, name) for o, name, *_ in spans._TARGETS if name not in vars(o)]
     assert missing == []
 
 
@@ -1004,8 +1033,7 @@ def _flat_dde(**fields):
         (lambda: integrate(dataclasses.replace(daphnia(), rhs=lambda t, b, s: (0.0, np.zeros(3))),
                            builtin("heun"), 0.5, 1.0),
          r"rhs \(DDE component\) returned shape \(3,\), expected \(1,\)"),
-        (lambda: step_semilinear_dde(belzen(), builtin("heun"), initial_state(belzen(), 0.5), 0.0),
-         "semilinear step requires the matrix L"),
+        (lambda: _flat_dde(kind="semilinear_dde"), "semilinear problems require the matrix L"),
         (lambda: TrajectoryRecorder(0), "sample_every must be >= 1"),
     ],
 )
@@ -1175,10 +1203,17 @@ def test_step_plan_cache_stays_within_its_bound():
     assert stepper._step_plan.cache_info().currsize <= bound
 
 
-def test_unhashable_tableau_steps_without_the_cache():
-    # a tableau written with lists is valid but cannot key the cache
-    listed = Tableau(name="listed", c=[0.0], a=[[()]], b=[((1, 1.0),)], declared_order=1)
+def test_tableau_written_with_lists_keys_the_step_plan_cache():
+    # its coefficients are stored as tuples, so it equals its tuple twin,
+    # hashes like it and shares its cached plan
+    listed = Tableau(name="listed", c=[0.0], a=[[[]]], b=[[[1, 1.0]]], declared_order=1)
+    twin = Tableau(name="listed", c=(0.0,), a=(((),),), b=(((1, 1.0),),), declared_order=1)
+    assert listed == twin and hash(listed) == hash(twin)
     prob, h = belzen(), 0.1
+    stepper._step_plan.cache_clear()
+    plan = stepper._step_plan(twin, h)
+    assert stepper._step_plan(listed, h) is plan
+    assert stepper._step_plan.cache_info().hits == 1
     got = integrate(prob, listed, h, 1.0)
     want = integrate(prob, builtin("expeuler"), h, 1.0)
     assert np.array_equal(got.coefficients(), want.coefficients())
