@@ -34,9 +34,10 @@ segment (:func:`_horner_point`), so both agree bit for bit; it returns shape
 (dim,) where an array of m offsets gives (m, dim).
 
 Values that the package reads from user callables (a history, a reference,
-an rhs, an integrand), and the arrays given to :class:`HistoryState`,
-``shift_append`` and :class:`StageView`, pass :func:`_as_float`: complex
-values raise a TypeError rather than lose their imaginary parts.
+an rhs, an integrand), the arrays given to :class:`HistoryState`,
+``shift_append`` and :class:`StageView`, and the offsets given to
+``eval_many`` and ``j_integrate``, pass :func:`_as_float`: complex values
+raise a TypeError rather than lose their imaginary parts.
 
 Stepping never mutates a state.  A state is a window of n segments in an
 append-only log of capacity 2n that the states stepped from one another
@@ -197,14 +198,15 @@ def _check_inside(thetas: np.ndarray, tau: float):
 def _eval_many(self, thetas) -> np.ndarray:
     """Evaluate at an array of offsets, shape (len(thetas), dim), or at a
     scalar offset (a float or a 0-d value) by the point path, shape (dim,)."""
-    if isinstance(thetas, float) or np.ndim(thetas) == 0:
-        theta, tol = float(thetas), _knot_tol(self.tau)
-        if not -self.tau - tol <= theta <= tol:
-            _check_inside(np.array([theta]), self.tau)  # raises the array message
-        return self._eval_point(theta)
-    thetas = np.asarray(thetas, dtype=float)
-    _check_inside(thetas, self.tau)
-    return self._eval(thetas)
+    if not isinstance(thetas, float):
+        thetas = _as_float(thetas, "thetas holds")
+        if thetas.ndim:
+            _check_inside(thetas, self.tau)
+            return self._eval(thetas)
+    theta, tol = float(thetas), _knot_tol(self.tau)
+    if not -self.tau - tol <= theta <= tol:
+        _check_inside(np.array([theta]), self.tau)  # raises the array message
+    return self._eval_point(theta)
 
 
 def _eval_one(self, theta: float) -> np.ndarray:
@@ -509,7 +511,7 @@ class HistoryState:
         if self.kind != "re":
             raise ValueError("j_integrate is defined for RE states only")
         scalar = np.isscalar(theta) or np.ndim(theta) == 0
-        thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+        thetas = np.atleast_1d(_as_float(theta, "theta holds"))
         _check_inside(thetas, self.tau)
         idx, s = self._locate(thetas)
         inv = 1.0 / (1.0 + np.arange(_NCOEF))

@@ -27,14 +27,16 @@ the newest interval:
   interpolates.
 
 Everything in these rules but the stage values depends only on the tableau
-and h (and L), so a step plan, built once per solve, holds it and applies
-the rules: ``plan.dde(state, F, i)`` and ``plan.re(state, F, i)`` return a
-component's polynomial on the newest interval for row i.  For DDE and RE
-components the plan holds each row's W_i padded to four columns and the
-constants h/k! and c (k-1)!, so an overlay is one product F^T W_i, one
-scale and the head column; a step without a plan takes it from a small
-cache keyed on (tableau, h).  A :class:`SemilinearPlan` also holds the
-matrix functions, and each of its samples is one matrix-vector product.
+and h (and L), so a step plan holds it and applies the rules:
+``plan.dde(state, F, i)`` and ``plan.re(state, F, i)`` return a component's
+polynomial on the newest interval for row i.  For DDE and RE components the
+plan holds each row's W_i padded to four columns and the constants h/k! and
+c (k-1)!, so an overlay is one product F^T W_i, one scale and the head
+column; it comes from a small cache keyed on (tableau, h).  A
+:class:`SemilinearPlan` also holds the matrix functions, and each of its
+samples is one matrix-vector product.  The checked entries, :func:`step`
+and :func:`integrate`, check a state's layout and build its plan once per
+call; the stage loop :func:`_step` trusts both.
 
 Row i of ``a`` with c = c_i gives the stage views (a shift plus one overlay
 polynomial); row ``b`` with c = 1 gives the appended segment.  Every stage
@@ -74,7 +76,6 @@ __all__ = [
     "CoupledProblem",
     "IntegrationDiverged",
     "step",
-    "semilinear_plan",
     "initial_state",
     "integrate",
     "observed_values",
@@ -153,7 +154,8 @@ class Problem:
         if self.kind == "semilinear_dde":
             if self.L is None:
                 raise ValueError("semilinear problems require the matrix L")
-            L = np.array(self.L, dtype=float)  # a copy: later writes by the caller must not reach it
+            # a copy: later writes by the caller must not reach it
+            L = np.array(_as_float(self.L, "L holds"))
             if L.shape != (self.dim, self.dim):
                 raise ValueError(f"L must have shape ({self.dim}, {self.dim})")
             if not np.isfinite(L).all():
@@ -230,19 +232,10 @@ class _StepPlan:
     that overflows is not hidden by a small constant.
     """
 
-    tab: Tableau
-    h: float
     weights: tuple
     dde_scale: np.ndarray  # h/k! for column k
     re_weights: tuple
     re_div: tuple
-
-    def fits(self, problem, tab, h: float) -> bool:
-        return (
-            self.h == h
-            and (self.tab is tab or self.tab == tab)
-            and getattr(problem, "L", None) is None
-        )
 
     def dde(self, state, f, i: int):
         """The head y on r^0 and h u_k/k! on r^k, u = W_i^T f; and the value at r = 1."""
@@ -273,35 +266,29 @@ def _step_plan(tab: Tableau, h: float) -> _StepPlan:
     arrays = (dde_scale, *weights, *re_weights, *re_div)
     for arr in arrays:
         arr.setflags(write=False)
-    return _StepPlan(tab, float(h), tuple(weights), dde_scale, tuple(re_weights), tuple(re_div))
+    return _StepPlan(tuple(weights), dde_scale, tuple(re_weights), tuple(re_div))
 
 
 def _plan(problem, tab, h: float):
-    """The step plan of (problem, tab, h), which :func:`integrate` fetches
-    once per solve: a new :func:`semilinear_plan` for a semilinear problem,
-    the cached :class:`_StepPlan` of (tab, h) for every other kind."""
+    """The step plan of (problem, tab, h): a new :func:`_semilinear_plan`
+    for a semilinear problem, the cached :class:`_StepPlan` of (tab, h) for
+    every other kind."""
     if problem.kind == "semilinear_dde":
-        return semilinear_plan(problem, tab, h)
+        return _semilinear_plan(problem, tab, h)
     return _step_plan(tab, h)
 
 
-def _step(problem, tab, state, t_n: float, plan=None):
-    """One explicit exponential RK step of a state that passes :func:`_check_state`;
-    returns the new state, or the new pair of a coupled problem.
-
-    Every stage value and appended segment must be finite.  ``plan`` (None:
-    :func:`_plan`'s) must fit (problem, tab, h); ``plan.dde``/``plan.re``
-    ``(state, F, i)``, F the component's (nu, dim) stage values, return the
-    coefficients and head (None for RE) of a component of that kind on its
-    newest interval for row i.  ``problem.rhs(t, *views)`` returns one value
-    per component, or the bare value for a single component.
+def _step(problem, tab, states, t_n: float, plan) -> tuple:
+    """One explicit exponential RK step of the components ``states`` that
+    :func:`_check_state` returned, with the plan :func:`_plan` gives for
+    (problem, tab, h), neither of which it re-checks; returns the new
+    components as a tuple.  ``plan.dde``/``plan.re`` ``(state, F, i)``, F
+    the component's (nu, dim) stage values, return the coefficients and head
+    (None for RE) of a component of that kind on its newest interval for
+    row i.  ``problem.rhs(t, *views)`` returns one value per component, or
+    the bare value for a single component.
     """
-    states = _check_state(problem, state)
     h = states[0].h
-    if plan is None:
-        plan = _plan(problem, tab, h)
-    elif not plan.fits(problem, tab, h):
-        raise ValueError("the step plan was built for another L, tableau or step")
     # per component: its state, its overlay rule and its stage values F
     parts = [(state, getattr(plan, state.kind), np.zeros((tab.nu, state.dim))) for state in states]
     single = len(parts) == 1
@@ -327,12 +314,20 @@ def _step(problem, tab, state, t_n: float, plan=None):
         # non-finite whenever one of its coefficients is
         _require_finite(map(sum, coeffs.tolist()), tab.nu, "update")
         new.append(state.shift_append(coeffs, head=head))
-    return new[0] if single else tuple(new)
+    return tuple(new)
 
 
-# the names :func:`step` looks up, kept for the outside-in tracer
+# the names :func:`_entry` looks up, kept for the outside-in tracer
 # (bench/spans.py); library-owned run counters (ROADMAP.md, item 1) remove them
 step_dde = step_re = step_semilinear_dde = step_coupled = _step
+
+
+def _entry(problem):
+    """The module global ``step_<kind>`` that runs the problem's steps."""
+    entry = globals().get(f"step_{problem.kind}")
+    if entry is None:
+        raise ValueError(f"unknown problem kind {problem.kind!r}")
+    return entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,17 +342,8 @@ class SemilinearPlan:
     the rule of row i to stage values f, as a :class:`_StepPlan` does.
     """
 
-    L: np.ndarray
     tab: Tableau
-    h: float
     stacks: dict
-
-    def fits(self, problem, tab, h: float) -> bool:
-        return (
-            self.h == h
-            and (self.tab is tab or self.tab == tab)
-            and (self.L is problem.L or np.array_equal(self.L, problem.L))
-        )
 
     def dde(self, state, f, i: int):
         tab = self.tab
@@ -371,7 +357,7 @@ class SemilinearPlan:
         return samples.T @ _LOBATTO_VINV.T, samples[-1]
 
 
-def semilinear_plan(problem, tab, h: float) -> SemilinearPlan:
+def _semilinear_plan(problem, tab, h: float) -> SemilinearPlan:
     """Build the matrix functions of a semilinear problem's steps of width h.
 
     One d x d :func:`scipy.linalg.expm` per distinct nonzero node c, inside
@@ -393,7 +379,7 @@ def semilinear_plan(problem, tab, h: float) -> SemilinearPlan:
         stack = np.stack(samples).transpose(0, 2, 1, 3).reshape(3, d, (p + 1) * d)
         stack.setflags(write=False)
         stacks[c] = stack
-    return SemilinearPlan(problem.L, tab, float(h), stacks)
+    return SemilinearPlan(tab, stacks)
 
 
 def _components(problem, h=None) -> tuple:
@@ -445,38 +431,37 @@ def _check_state(problem, state, h=None, name="state") -> tuple:
     )
 
 
-def step(problem, tab, state, t_n: float, plan=None):
+def step(problem, tab, state, t_n: float):
     """One explicit exponential RK step from t_n to t_n + h, for every kind.
 
     ``state`` must be laid out as :func:`initial_state` builds it for the h
     of its first component; otherwise the step raises one ValueError naming
     both layouts, a :class:`~expdelay.history.MeshError` if only the mesh
-    differs.  A non-finite stage value, or a new segment whose value at
-    theta = 0 is non-finite, raises :class:`IntegrationDiverged` with its
-    stage index.  Returns the new state (or pair).
+    differs, before it builds anything.  A non-finite stage value, or a new
+    segment whose value at theta = 0 is non-finite, raises
+    :class:`IntegrationDiverged` with its stage index.  Returns the new
+    state (or pair).
 
     An RE state is the density eta.  The integrated state is derived from
     it by :meth:`~expdelay.history.HistoryState.j_integrate`, which
     reproduces the scheme's own recursion for it exactly.
 
-    ``plan`` is the step plan that :func:`integrate` builds once per solve:
-    for a semilinear problem a :func:`semilinear_plan` for (problem, tab, h),
-    and a plan that does not fit raises a ValueError.  Without one, a
-    semilinear step builds its own, at one d x d exponential per distinct
-    nonzero node, and every other kind takes the per-row constants of
-    (tab, h) from a small cache.  A semilinear step's heads are exact; its
-    newest segment is a cubic interpolant, which is not exact when hL is
-    stiff (README, "Semilinear problems and plans").
+    Every kind but the semilinear one takes the per-row constants of
+    (tab, h) from a small cache.  A semilinear step builds its matrix
+    functions on every call, at one d x d exponential per distinct nonzero
+    node, so many semilinear steps belong in :func:`integrate` (``state0``
+    starts it from any state, ``observer`` sees every step).  A semilinear
+    step's heads are exact; its newest segment is a cubic interpolant, which
+    is not exact when hL is stiff (README, "Semilinear problems and plans").
 
     Every kind runs one function, which this module binds under four
     unexported names, ``step_dde``, ``step_re``, ``step_semilinear_dde`` and
     ``step_coupled``.  The step looks up ``step_<kind>`` at call time, so an
     outside-in tracer (bench/spans.py) that wraps those names sees every step.
     """
-    entry = globals().get(f"step_{problem.kind}")
-    if entry is None:
-        raise ValueError(f"unknown problem kind {problem.kind!r}")
-    return entry(problem, tab, state, t_n, plan)
+    states = _check_state(problem, state)
+    new = _entry(problem)(problem, tab, states, t_n, _plan(problem, tab, states[0].h))
+    return new[0] if len(new) == 1 else new
 
 
 def observed_values(state) -> np.ndarray:
@@ -494,11 +479,12 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
 
     T, tau and any distributed-delay bounds must be integer multiples of h,
     and a given ``state0`` is held to :func:`step`'s layout rule with this h,
-    also when T = 0.  The step plan is fetched once (:func:`step`); a
-    semilinear problem's matrix functions are built once, as a
-    :func:`semilinear_plan`.  ``observer``, if given, is called exactly
-    once per step, in order, as observer(t_{n+1}, values) with the observable
-    of :func:`observed_values`.  Returns the final state (or pair).  A
+    also when T = 0.  That check, the lookup of ``step_<kind>`` and the step
+    plan (a semilinear problem's matrix functions included) happen once per
+    call; the steps then run without re-checking the states they produce.
+    ``observer``, if given, is called exactly once per step, in order, as
+    observer(t_{n+1}, values) with the observable of
+    :func:`observed_values`.  Returns the final state (or pair).  A
     non-finite stage or update aborts with :class:`IntegrationDiverged`
     carrying the step and stage indices.
     """
@@ -507,11 +493,12 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
     if n_steps < 0:
         raise MeshError(f"horizon T = {T} is negative")
     state = initial_state(problem, h) if state0 is None else state0
-    _check_state(problem, state, h, "state0")
-    plan = _plan(problem, tab, h)
+    states = _check_state(problem, state, h, "state0")
+    single = len(states) == 1
+    entry, plan = _entry(problem), _plan(problem, tab, h)
     for n in range(n_steps):
         try:
-            state = step(problem, tab, state, n * h, plan)
+            states = entry(problem, tab, states, n * h, plan)
         except IntegrationDiverged as exc:
             raise IntegrationDiverged(
                 f"integration aborted at step {n} (t = {n * h}), "
@@ -520,8 +507,8 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
                 stage_index=exc.stage_index,
             ) from None
         if observer is not None:
-            observer((n + 1) * h, observed_values(state))
-    return state
+            observer((n + 1) * h, observed_values(states[0] if single else states))
+    return states[0] if single else states
 
 
 class TrajectoryRecorder:

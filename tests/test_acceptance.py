@@ -14,7 +14,6 @@ from scipy.integrate import quad
 
 import expdelay as xd
 from expdelay.harness import _integrated_errors, _shifted_exact
-from expdelay.stepper import step_dde, step_re, step_semilinear_dde
 
 E = math.e
 
@@ -168,8 +167,8 @@ def test_criterion_5_structural_properties():
         run_dde = s_dde
         run_re = s_re
         for n in range(3):
-            run_dde = step_dde(zero_dde, tab, run_dde, n * h)
-            run_re = step_re(zero_re, tab, run_re, n * h)
+            run_dde = xd.step(zero_dde, tab, run_dde, n * h)
+            run_re = xd.step(zero_re, tab, run_re, n * h)
         assert np.array_equal(run_dde.coefficients(), shift_oracle(s_dde, 3))
         assert np.array_equal(run_dde.head, s_dde.head)
         assert np.array_equal(run_re.coefficients(), shift_oracle(s_re, 3))
@@ -178,19 +177,19 @@ def test_criterion_5_structural_properties():
         k, m = 2, 3
         a = s_dde
         for n in range(k + m):
-            a = step_dde(zero_dde, tab, a, n * h)
+            a = xd.step(zero_dde, tab, a, n * h)
         b = s_dde
         for n in range(k):
-            b = step_dde(zero_dde, tab, b, n * h)
+            b = xd.step(zero_dde, tab, b, n * h)
         for n in range(k, k + m):
-            b = step_dde(zero_dde, tab, b, n * h)
+            b = xd.step(zero_dde, tab, b, n * h)
         assert np.array_equal(a.coefficients(), b.coefficients())
 
         # head continuity along a real trajectory
         prob = xd.belzen(1.0)
         state = xd.initial_state(prob, 0.02)
         for n in range(100):
-            state = step_dde(prob, xd.builtin("expo3"), state, n * 0.02)
+            state = xd.step(prob, xd.builtin("expo3"), state, n * 0.02)
             gap = abs(state.eval(0.0)[0] - state.head[0])
             assert gap <= 1e-12 * (1.0 + abs(state.head[0]))
 
@@ -202,8 +201,8 @@ def test_criterion_5_structural_properties():
         plain = xd.initial_state(prob, 0.01)
         lifted = xd.initial_state(semi, 0.01)
         for n in range(100):
-            plain = step_dde(prob, tab, plain, n * 0.01)
-            lifted = step_semilinear_dde(semi, tab, lifted, n * 0.01)
+            plain = xd.step(prob, tab, plain, n * 0.01)
+            lifted = xd.step(semi, tab, lifted, n * 0.01)
         assert np.max(np.abs(plain.head - lifted.head)) <= 1e-12
         assert np.max(np.abs(plain.coefficients() - lifted.coefficients())) <= 1e-12
 
@@ -411,3 +410,23 @@ def test_criterion_10_coupled_manufactured_orders(coupling):
             for what, target, col in zip(("S head", "b density", "b integrated"), targets, zip(*errs)):
                 got = xd.estimate_order(HS_HALVING, col)
                 assert abs(got - target) <= 0.1, f"{method} {what} slope {got:.3f}, want {target}"
+
+
+def test_criterion_11_re_window_through_the_stage_overlays():
+    # the window [t - 1, t] ends at 0, so every stage integrates its own
+    # overlay on [-c h, 0]; the windows of every other order test end at -1
+    with criterion(11, "RE window reaching 0: density 1/2/2, integrated state 1/2/3"):
+        value = xd.Pointwise(lambda x: x)
+
+        def rhs(t, v):
+            # b = 0.5 int_{t-1}^{t} b + g, with g = b - 0.5 int_{t-1}^{t} b in closed form
+            window = 1.0 + 0.5 * (math.cos(t - 1.0) - math.cos(t))
+            return 0.5 * (xd.integrate_view(v, -1.0, 0.0, value) - window) + _birth(t)
+
+        prob = xd.Problem(
+            kind="re", dim=1, tau=1.0, rhs=rhs, phi0=_birth, exact=_birth,
+            distributed_limits=(-1.0, 0.0), name="re_window_to_0",
+        )
+        _, slopes = xd.converge(prob, METHODS, HS_HALVING, 2.0)
+        _assert_slopes(slopes, (1.0, 2.0, 2.0), 0, "density")
+        _assert_slopes(slopes, (1.0, 2.0, 3.0), 1, "integrated-state")

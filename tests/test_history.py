@@ -19,6 +19,8 @@ from expdelay import (
     integrate,
     integrate_view,
     norm_diff,
+    quadratic_re,
+    step,
 )
 from expdelay.harness import _integrated_errors
 
@@ -585,9 +587,6 @@ def test_integrated_state_after_one_euler_re_step():
     # (hand-integrating the density update, orientation int_theta^0):
     #   u(theta) = -theta F               on [-h, 0]
     #   u(theta) = -(h+theta) phi + h F   on [-tau, -h)
-    from expdelay import Problem, builtin
-    from expdelay.stepper import step_re
-
     phi_c, tau, h = 0.6, 1.0, 0.25
     F_val = -0.9
     prob = Problem(
@@ -599,7 +598,7 @@ def test_integrated_state_after_one_euler_re_step():
         name="const",
     )
     state = HistoryState.from_callable(prob.phi0, "re", 1, tau, h)
-    new = step_re(prob, builtin("expeuler"), state, 0.0)
+    new = step(prob, builtin("expeuler"), state, 0.0)
     for theta in (-0.2, -0.1, 0.0):
         assert new.j_integrate(theta)[0] == pytest.approx(-theta * F_val, abs=1e-14)
     for theta in (-1.0, -0.7, -0.3):
@@ -631,8 +630,14 @@ def test_complex_reference_raises():
         (lambda s: HistoryState("dde", 1, 1.0, 0.25, s.coefficients(), head=s.head + 1j), "head"),
         (lambda s: StageView(s, 0.25, s.coefficients()[-1] + 1j, head=s.head), "overlay_coeffs"),
         (lambda s: s.shift_append(s.coefficients()[-1] + 1j, head=s.head), "coeffs"),
+        (lambda s: Problem(kind="semilinear_dde", dim=1, tau=1.0, rhs=lambda t, v: 0.0,
+                           phi0=np.cos, L=[[-1.0 + 1j]]), "L"),
+        (lambda s: s.eval_many(np.array([-0.5, 0.0]) + 1j), "thetas"),
+        (lambda s: s.eval_many(np.complex128(-0.5 + 1j)), "thetas"),
+        (lambda s: initial_state(quadratic_re(), 0.25).j_integrate(np.array([-0.5]) + 1j), "theta"),
     ],
-    ids=["state_coeffs", "head", "stage_view_overlay", "shift_append_segment"],
+    ids=["state_coeffs", "head", "stage_view_overlay", "shift_append_segment",
+         "semilinear_L", "eval_many_offsets", "eval_many_offset", "j_integrate_offsets"],
 )
 def test_complex_constructor_input_raises(make, name):
     # a TypeError naming the argument, not a real part kept after a ComplexWarning

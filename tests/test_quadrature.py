@@ -18,10 +18,10 @@ from expdelay import (
     integrate,
     integrate_view,
     quadratic_re,
+    step,
 )
 from expdelay import problems
 from expdelay.history import _knot_tol, _window_plan
-from expdelay.stepper import step_re
 
 
 def _const_state(value, tau, h, kind="re"):
@@ -361,10 +361,10 @@ def test_window_cost_per_step_does_not_grow_with_tau_over_h(monkeypatch):
     per_step = {}
     for n in (300, 6000):
         h = 3.0 / n
-        state = step_re(prob, tab, initial_state(prob, h), 0.0)
+        state = step(prob, tab, initial_state(prob, h), 0.0)
         counts.clear()
         for k in range(1, steps + 1):
-            state = step_re(prob, tab, state, k * h)
+            state = step(prob, tab, state, k * h)
         per_step[n] = sum(counts) / steps
     assert per_step[300] == per_step[6000] <= 40
 

@@ -27,13 +27,6 @@ from expdelay import (
     step,
 )
 from expdelay import harness, stepper
-from expdelay.stepper import (
-    semilinear_plan,
-    step_coupled,
-    step_dde,
-    step_re,
-    step_semilinear_dde,
-)
 
 from conftest import smooth_dde_state, smooth_re_state
 from oracles import phi_dde_weight, phi_re_weight
@@ -139,7 +132,7 @@ def test_dde_step_matches_handwritten_scheme(name):
         return 0.6 * v.head - 1.3 * v.eval(-0.37) + math.sin(t_)
 
     prob = Problem(kind="dde", dim=1, tau=1.0, rhs=rhs, phi0=lambda th: th, name="x")
-    new = step_dde(prob, builtin(name), state, t)
+    new = step(prob, builtin(name), state, t)
 
     F_hand = lambda t_, head, ev: 0.6 * head - 1.3 * ev(-0.37) + math.sin(t_)
     y1, seg, _ = _hand_dde_step(name, F_hand, state, t, h)
@@ -160,7 +153,7 @@ def test_re_step_matches_handwritten_scheme(name):
         return 0.8 * v.eval(-0.51) - 0.2 * v.eval(-1.23) ** 2 + math.cos(t_)
 
     prob = Problem(kind="re", dim=1, tau=2.0, rhs=rhs, phi0=lambda th: th, name="x")
-    new = step_re(prob, builtin(name), state, t)
+    new = step(prob, builtin(name), state, t)
 
     F_hand = lambda t_, ev: 0.8 * ev(-0.51) - 0.2 * ev(-1.23) ** 2 + math.cos(t_)
     seg, _ = _hand_re_step(name, F_hand, state, t, h)
@@ -189,7 +182,6 @@ def test_step_matches_phi_weights(kind, name):
         name="fixed",
     )
     state = initial_state(prob, h)
-    step = step_dde if kind == "dde" else step_re
     new = step(prob, tab, state, 0.3)
 
     def weighted(weight, theta):
@@ -213,7 +205,7 @@ def test_expeuler_belzen_single_step():
     prob = belzen(1.0)
     h = 0.1
     state = initial_state(prob, h)
-    new = step_dde(prob, builtin("expeuler"), state, 0.0)
+    new = step(prob, builtin("expeuler"), state, 0.0)
     F0 = 0.5 * math.pi
     assert new.head[0] == pytest.approx(h * F0, abs=1e-12)
     # fresh segment is the linear ramp y_0 + (h+theta) F
@@ -240,7 +232,7 @@ def test_heun_head_is_trapezoidal_combination():
             return np.array([stage(th)])
 
     F2 = rhs(h, _View())[0]
-    new = step_dde(prob, builtin("heun"), state, 0.0)
+    new = step(prob, builtin("heun"), state, 0.0)
     assert new.head[0] == pytest.approx(y + 0.5 * h * (F1 + F2), abs=1e-13)
 
 
@@ -250,7 +242,7 @@ def test_re_euler_step_from_fixed_point_history():
     prob = quadratic_re(4.0)
     h = 0.005
     state = initial_state(prob, h)
-    new = step_re(prob, builtin("expeuler"), state, 0.0)
+    new = step(prob, builtin("expeuler"), state, 0.0)
     c = 0.5 + math.pi / 16.0
     # the new segment is constant F(0, phi) = c up to projection/quadrature error
     for th in (-0.004, -0.002, -0.0005):
@@ -273,7 +265,7 @@ def test_re_heun_segment_endpoint_identities():
             return np.array([stage(th)])
 
     F2 = rhs(h, _View())[0]
-    new = step_re(prob, builtin("heun"), state, 0.0)
+    new = step(prob, builtin("heun"), state, 0.0)
     seg = new.coefficients()[-1, 0]
     # endpoints of the linear stage polynomial: value F2 at 0, F1 at -h
     assert seg.sum() == pytest.approx(F2, abs=1e-13)
@@ -306,7 +298,7 @@ def test_zero_forcing_is_pure_shift_bitwise(kind, name):
     expected_head = None if kind == "re" else state.head.copy()
     stepped = state
     for n in range(3):
-        stepped = (step_dde if kind == "dde" else step_re)(prob, tab, stepped, n * h)
+        stepped = step(prob, tab, stepped, n * h)
     assert np.array_equal(stepped.coefficients(), _expected_pure_shift(state, 3))
     if kind == "dde":
         assert np.array_equal(stepped.head, expected_head)
@@ -321,7 +313,7 @@ def test_semigroup_composition_bitwise(kind):
     def run(state, steps, start):
         for n in range(steps):
             t = (start + n) * h
-            state = (step_dde if kind == "dde" else step_re)(prob, tab, state, t)
+            state = step(prob, tab, state, t)
         return state
 
     state0 = initial_state(prob, h)
@@ -365,7 +357,7 @@ def test_head_continuity_along_trajectory():
     h = 0.05
     state = initial_state(prob, h)
     for n in range(40):
-        state = step_dde(prob, tab, state, n * h)
+        state = step(prob, tab, state, n * h)
         gap = abs(state.eval(0.0)[0] - state.head[0])
         assert gap <= 1e-12 * (1.0 + abs(state.head[0]))
 
@@ -374,7 +366,7 @@ def test_step_rejects_mismatched_mesh():
     # a step reads h from its state; a coupled pair on two widths has none
     pair = (_daphnia_pair(0.1)[0], _daphnia_pair(0.05)[1])
     with pytest.raises(MeshError, match=r"mesh widths \[0.1, 0.05\]"):
-        step_coupled(daphnia(), builtin("heun"), pair, 0.0)
+        step(daphnia(), builtin("heun"), pair, 0.0)
 
 
 def test_step_rejects_a_pair_on_two_horizons():
@@ -386,7 +378,7 @@ def test_step_rejects_a_pair_on_two_horizons():
         HistoryState.from_callable(const(0.35), "dde", 1, 8.0, 0.1),
     )
     with pytest.raises(MeshError, match=r"mesh widths \[0.1, 0.1\] and horizons \[4.0, 8.0\]"):
-        step_coupled(daphnia(), builtin("heun"), pair, 0.0)
+        step(daphnia(), builtin("heun"), pair, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -457,8 +449,8 @@ def test_semilinear_zero_matrix_reduces_to_plain_dde():
     plain = initial_state(base, h)
     lifted = initial_state(semi, h)
     for n in range(100):
-        plain = step_dde(base, tab, plain, n * h)
-        lifted = step_semilinear_dde(semi, tab, lifted, n * h)
+        plain = step(base, tab, plain, n * h)
+        lifted = step(semi, tab, lifted, n * h)
     assert np.max(np.abs(plain.head - lifted.head)) <= 1e-12
     assert np.max(np.abs(plain.coefficients() - lifted.coefficients())) <= 1e-12
 
@@ -474,7 +466,7 @@ def test_semilinear_pure_decay():
         name="decay",
     )
     h = 0.1
-    state = step_semilinear_dde(prob, builtin("expeuler"), initial_state(prob, h), 0.0)
+    state = step(prob, builtin("expeuler"), initial_state(prob, h), 0.0)
     assert state.head[0] == pytest.approx(math.exp(-h), rel=1e-12)
     # segment carries e^{(h+theta) L} y_0 up to cubic interpolation error
     for th in (-0.075, -0.05, -0.025):
@@ -494,7 +486,7 @@ def test_semilinear_stiff_step_stays_bounded():
         name="stiff",
     )
     h = 0.1
-    state = step_semilinear_dde(prob, builtin("expeuler"), initial_state(prob, h), 0.0)
+    state = step(prob, builtin("expeuler"), initial_state(prob, h), 0.0)
     assert abs(state.head[0]) <= 1.0 + h * sup_g
 
 
@@ -519,7 +511,7 @@ def test_semilinear_step_matches_scalar_phi(hl, name):
         L=np.diag(lams),
         name="fixed",
     )
-    new = step_semilinear_dde(prob, tab, initial_state(prob, h), 0.3)
+    new = step(prob, tab, initial_state(prob, h), 0.3)
     nodes = np.array([0.0, 0.25, 0.75, 1.0])
     got = np.vander(nodes, 4, increasing=True) @ new.coefficients()[-1].T
     for r, val in zip(nodes, got):
@@ -611,8 +603,8 @@ def test_semilinear_solve_calls_expm_once_per_node(monkeypatch, name, nodes):
     ids=["re_state", "dim_3", "other_horizon"],
 )
 def test_semilinear_step_refuses_a_state_before_building_its_plan(monkeypatch, make_state, error):
-    # a step without a plan checks the state's layout before it builds one,
-    # so a refused state costs no matrix exponential
+    # a step checks the state's layout before it builds its plan, so a
+    # refused state costs no matrix exponential
     prob = Problem(
         kind="semilinear_dde",
         dim=8,
@@ -622,11 +614,10 @@ def test_semilinear_step_refuses_a_state_before_building_its_plan(monkeypatch, m
         L=-np.eye(8),
     )
     calls = _counting_expm(monkeypatch)
-    for run in (step_semilinear_dde, stepper.step):
-        with pytest.raises(error, match="state of a semilinear_dde problem must be"):
-            run(prob, builtin("expo3"), make_state(prob), 0.0)
+    with pytest.raises(error, match="state of a semilinear_dde problem must be"):
+        step(prob, builtin("expo3"), make_state(prob), 0.0)
     assert calls == []
-    step_semilinear_dde(prob, builtin("expo3"), initial_state(prob, 0.1), 0.0)
+    step(prob, builtin("expo3"), initial_state(prob, 0.1), 0.0)
     assert calls == [(8, 8)] * 3
 
 
@@ -636,35 +627,6 @@ def test_other_kinds_call_no_matrix_function(monkeypatch):
     integrate(quadratic_re(), builtin("expo3"), 0.1, 1.0)
     integrate(daphnia(), builtin("expo3"), 0.1, 1.0)
     assert calls == []
-
-
-@pytest.mark.parametrize("name", ["expeuler", "heun", "expo3"])
-def test_semilinear_step_without_plan_matches_integrate(name):
-    prob, tab, h = _semilinear2(), builtin(name), 0.05
-    state = initial_state(prob, h)
-    plan = semilinear_plan(prob, tab, h)
-    planned = state
-    for n in range(20):
-        state = step_semilinear_dde(prob, tab, state, n * h)
-        planned = stepper.step(prob, tab, planned, n * h, plan)
-    final = integrate(prob, tab, h, 20 * h)
-    for got in (state, planned):
-        assert np.array_equal(got.coefficients(), final.coefficients())
-        assert np.array_equal(got.head, final.head)
-
-
-def test_semilinear_plan_must_fit_the_step():
-    prob, tab, h = _semilinear2(), builtin("heun"), 0.05
-    plan = semilinear_plan(prob, tab, h)
-    state = initial_state(prob, h)
-    # an equal copy of L (as dataclasses.replace makes) still fits
-    step_semilinear_dde(dataclasses.replace(prob, name="copy"), tab, state, 0.0, plan)
-    other_L = dataclasses.replace(prob, L=2.0 * prob.L)
-    for args in ((other_L, tab), (prob, builtin("expo3"))):
-        with pytest.raises(ValueError, match="step plan"):
-            step_semilinear_dde(*args, state, 0.0, plan)
-    with pytest.raises(ValueError, match="step plan"):
-        step_semilinear_dde(prob, tab, initial_state(prob, 0.1), 0.0, plan)
 
 
 @pytest.mark.parametrize("kind", ["dde", "re"])
@@ -806,7 +768,7 @@ def test_daphnia_single_euler_step():
     prob = daphnia(beta=3.02)
     h = 0.01
     pair = initial_state(prob, h)
-    new_re, new_dde = step_coupled(prob, builtin("expeuler"), pair, 0.0)
+    new_re, new_dde = step(prob, builtin("expeuler"), pair, 0.0)
     assert new_dde.head[0] == pytest.approx(0.35 + h * (-0.0175), abs=1e-12)
     assert new_re.eval(-0.004)[0] == pytest.approx(3.02 * 0.35 * 0.7, abs=1e-12)
 
@@ -824,7 +786,7 @@ def test_coupled_zero_forcing_shifts_both():
     )
     h = 0.5
     b0, s0 = initial_state(zero, h)
-    b1, s1 = step_coupled(zero, builtin("expo3"), (b0, s0), 0.0)
+    b1, s1 = step(zero, builtin("expo3"), (b0, s0), 0.0)
     assert np.array_equal(b1.coefficients(), _expected_pure_shift(b0, 1))
     assert np.array_equal(s1.coefficients(), _expected_pure_shift(s0, 1))
     assert np.array_equal(s1.head, s0.head)
@@ -984,6 +946,29 @@ def test_step_dispatches_through_module_entry_points(monkeypatch, make, entry):
     monkeypatch.setattr(stepper, entry, counting)
     integrate(make(), builtin("heun"), 0.1, 1.0)
     assert calls == pytest.approx([0.1 * n for n in range(10)])
+
+
+@pytest.mark.parametrize(
+    "make", [belzen, quadratic_re, daphnia, _semilinear2], ids=["dde", "re", "coupled", "semilinear"]
+)
+def test_state_is_checked_once_per_call(monkeypatch, make):
+    # the checked entries hold a state to its layout once; the steps that
+    # integrate runs trust the states they produce
+    calls = []
+    original = stepper._check_state
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "_check_state", counting)
+    prob, tab, h = make(), builtin("heun"), 0.1
+    final = integrate(prob, tab, h, 10 * h)
+    assert len(calls) == 1
+    for n in range(2):
+        calls.clear()
+        final = step(prob, tab, final, (10 + n) * h)
+        assert len(calls) == 1
 
 
 def test_traced_names_are_own_attributes(monkeypatch):
@@ -1162,7 +1147,9 @@ def test_plan_overlays_match_the_unfolded_rules(make, name, rng):
 
 
 @pytest.mark.parametrize("name", ["expeuler", "heun", "expo3"])
-@pytest.mark.parametrize("make", [belzen, quadratic_re, daphnia], ids=["dde", "re", "coupled"])
+@pytest.mark.parametrize(
+    "make", [belzen, quadratic_re, daphnia, _semilinear2], ids=["dde", "re", "coupled", "semilinear"]
+)
 def test_step_without_plan_matches_integrate(make, name):
     prob, tab, h = make(), builtin(name), 0.1
     state = initial_state(prob, h)
@@ -1218,21 +1205,6 @@ def test_tableau_written_with_lists_keys_the_step_plan_cache():
     want = integrate(prob, builtin("expeuler"), h, 1.0)
     assert np.array_equal(got.coefficients(), want.coefficients())
     assert np.array_equal(got.head, want.head)
-
-
-@pytest.mark.parametrize(
-    "make, tab, h",
-    [
-        (belzen, builtin("heun"), 0.05),  # another step width
-        (belzen, builtin("expo3"), 0.1),  # another tableau
-        (_semilinear2, builtin("heun"), 0.1),  # a semilinear problem needs L's plan
-    ],
-)
-def test_step_refuses_a_plan_built_for_another_step(make, tab, h):
-    plan = stepper._plan(belzen(), builtin("heun"), 0.1)
-    prob = make()
-    with pytest.raises(ValueError, match="step plan"):
-        step(prob, tab, initial_state(prob, h), 0.0, plan)
 
 
 @pytest.mark.parametrize(
