@@ -166,7 +166,7 @@ def _steps(value: float, h: float, what: str) -> int:
     return int(round(ratio))
 
 
-def _layout(kind, dim: int, tau: float, h: float) -> int:
+def _n_segments(kind, dim: int, tau: float, h: float) -> int:
     """Number of segments n = tau/h of a history of this kind and dim; raises
     unless the kind is 'dde' or 're', dim >= 1 and n >= 1 (MeshError)."""
     if kind not in ("dde", "re"):
@@ -373,7 +373,7 @@ class HistoryState:
     __slots__ = ("kind", "dim", "tau", "h", "n_segments", "head", "_log", "_end", "_coeffs")
 
     def __init__(self, kind, dim, tau, h, coeffs, head=None):
-        n = _layout(kind, dim, tau, h)
+        n = _n_segments(kind, dim, tau, h)
         h = float(h)
         coeffs = _as_float(coeffs, "coeffs holds")
         if coeffs.shape != (n, dim, _NCOEF):
@@ -409,7 +409,7 @@ class HistoryState:
         points for RE states.  ``phi`` must accept an ndarray of offsets and
         return values of shape (m,) for dim == 1 or (m, dim).
         """
-        n = _layout(kind, dim, tau, h)
+        n = _n_segments(kind, dim, tau, h)
         s_nodes = _LOBATTO_S if kind == "dde" else _CHEB_S
         thetas = _grid(n, h, s_nodes)
         vals = _as_values(phi(thetas.ravel()), n * len(s_nodes), dim, "phi")

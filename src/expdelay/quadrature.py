@@ -90,7 +90,8 @@ def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
     densities.  A :class:`Pointwise` integrand takes its whole segments'
     sums from the history log and is called on the end pieces only.
     """
-    a, b = float(a), float(b)
+    if type(a) is not float or type(b) is not float:  # Python floats need no check
+        a, b = (float(_as_float(x, "window bound holds")) for x in (a, b))
     if a >= b:
         raise ValueError(f"empty or reversed window [{a}, {b}]")
     tol = _knot_tol(view.tau)

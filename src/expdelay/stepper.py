@@ -112,7 +112,7 @@ def _check_fields(problem, dim_fields, callables):
     dim, names = sum(getattr(problem, f) for f in dim_fields), problem.component_names
     if names and len(names) != dim:
         raise ValueError(f"component_names has {len(names)} entries, expected {dim}")
-    limits = np.asarray(problem.distributed_limits, dtype=float)
+    limits = _as_float(problem.distributed_limits, "distributed_limits holds")
     if limits.ndim != 1:
         raise ValueError(
             f"distributed_limits must be a 1-d sequence, got {problem.distributed_limits!r}"
@@ -131,9 +131,10 @@ class Problem:
     ``rhs`` receives the current time and an evaluable history view (with
     ``eval``/``eval_many`` and, for DDE kinds, ``head``) and returns the
     d-dimensional value.  ``distributed_limits`` lists window offsets of
-    distributed-delay terms; they must land on the mesh for any step size
-    used.  ``L`` is the stiff linear part of a semilinear DDE and is
-    rejected for every other kind.
+    distributed-delay terms; :func:`initial_state`, :func:`step` and
+    :func:`integrate` raise a MeshError for one off the mesh of width h.
+    ``L`` is the stiff linear part of a semilinear DDE and is rejected for
+    every other kind.
     """
 
     kind: str
@@ -382,45 +383,43 @@ def _semilinear_plan(problem, tab, h: float) -> SemilinearPlan:
     return SemilinearPlan(tab, stacks)
 
 
-def _components(problem, h=None) -> tuple:
-    """(kind, dim) per state component; given h, bounds must be on its mesh."""
+def _layout(problem, h) -> tuple:
+    """(kind, dim, n, h) per component of the state :func:`initial_state`
+    builds at width h, n = tau/h.  Given h, each distributed bound and then
+    tau must be on its mesh (MeshError); with h None, n is None too."""
     for lim in problem.distributed_limits if h is not None else ():
         _steps(lim, h, "distributed delay bound")
+    n = None if h is None else _steps(float(problem.tau), float(h), "tau")
     if problem.kind == "coupled":
-        return ("re", problem.dim_re), ("dde", problem.dim_dde)
-    return (("re" if problem.kind == "re" else "dde", problem.dim),)
+        return ("re", problem.dim_re, n, h), ("dde", problem.dim_dde, n, h)
+    return (("re" if problem.kind == "re" else "dde", problem.dim, n, h),)
+
+
+def _boxed(problem, states):
+    """The components as callers see them: a coupled problem's pair, else the one state."""
+    return tuple(states) if problem.kind == "coupled" else states[0]
 
 
 def initial_state(problem, h: float):
     """Project the problem's initial history onto a mesh of width h."""
     phi0s = (problem.phi0_re, problem.phi0_dde) if problem.kind == "coupled" else (problem.phi0,)
-    states = [
+    return _boxed(problem, [
         HistoryState.from_callable(phi0, kind, dim, problem.tau, h)
-        for phi0, (kind, dim) in zip(phi0s, _components(problem, h))
-    ]
-    return tuple(states) if problem.kind == "coupled" else states[0]
-
-
-@functools.lru_cache(maxsize=64)  # every step of a run checks against one layout
-def _expected_layout(components: tuple, tau: float, h) -> tuple:
-    """(kind, dim, n, h) per component of the state :func:`initial_state`
-    builds at width h, n = tau/h by the mesh rule (None, as h, when h is)."""
-    n = None if h is None else _steps(tau, h, "tau")
-    return tuple((kind, dim, n, h) for kind, dim in components)
+        for phi0, (kind, dim, _, _) in zip(phi0s, _layout(problem, h))
+    ])
 
 
 def _check_state(problem, state, h=None, name="state") -> tuple:
     """The components of ``state`` if laid out as ``initial_state(problem, h)``
     builds them, h defaulting to the first one's width; else raises as :func:`step` says."""
-    components = _components(problem, h)
     given = state if isinstance(state, tuple) and state else (state,)
     h = given[0].h if h is None and isinstance(given[0], HistoryState) else h
-    want = _expected_layout(components, float(problem.tau), h)
+    want = _layout(problem, h)
     got = tuple([isinstance(s, HistoryState) and (s.kind, s.dim, s.n_segments, s.h) for s in given])
     boxed = isinstance(state, tuple) == (problem.kind == "coupled")
     if boxed and got == want:
         return given
-    layout = ", ".join(f"{kind} HistoryState of dim {dim}" for kind, dim in components)
+    layout = ", ".join(f"{kind} HistoryState of dim {dim}" for kind, dim, _, _ in want)
     kinds, dims, hs, taus = ([getattr(s, f, None) for s in given] for f in "kind dim h tau".split())
     mesh_only = boxed and [g and g[:2] for g in got] == [w[:2] for w in want]
     n = want[0][2]
@@ -435,8 +434,9 @@ def step(problem, tab, state, t_n: float):
     """One explicit exponential RK step from t_n to t_n + h, for every kind.
 
     ``state`` must be laid out as :func:`initial_state` builds it for the h
-    of its first component; otherwise the step raises one ValueError naming
-    both layouts, a :class:`~expdelay.history.MeshError` if only the mesh
+    of its first component, and passes its mesh checks (each distributed
+    bound, then tau); otherwise the step raises one ValueError naming both
+    layouts, a :class:`~expdelay.history.MeshError` if only the mesh
     differs, before it builds anything.  A non-finite stage value, or a new
     segment whose value at theta = 0 is non-finite, raises
     :class:`IntegrationDiverged` with its stage index.  Returns the new
@@ -461,7 +461,7 @@ def step(problem, tab, state, t_n: float):
     """
     states = _check_state(problem, state)
     new = _entry(problem)(problem, tab, states, t_n, _plan(problem, tab, states[0].h))
-    return new[0] if len(new) == 1 else new
+    return _boxed(problem, new)
 
 
 def observed_values(state) -> np.ndarray:
@@ -478,8 +478,8 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
     """Advance from t = 0 to t = T in N = T/h constant steps.
 
     T, tau and any distributed-delay bounds must be integer multiples of h,
-    and a given ``state0`` is held to :func:`step`'s layout rule with this h,
-    also when T = 0.  That check, the lookup of ``step_<kind>`` and the step
+    and a given ``state0`` is held to :func:`step`'s layout and mesh rule
+    with this h, also when T = 0.  That check, the lookup of ``step_<kind>`` and the step
     plan (a semilinear problem's matrix functions included) happen once per
     call; the steps then run without re-checking the states they produce.
     ``observer``, if given, is called exactly once per step, in order, as
@@ -494,7 +494,6 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
         raise MeshError(f"horizon T = {T} is negative")
     state = initial_state(problem, h) if state0 is None else state0
     states = _check_state(problem, state, h, "state0")
-    single = len(states) == 1
     entry, plan = _entry(problem), _plan(problem, tab, h)
     for n in range(n_steps):
         try:
@@ -507,8 +506,8 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
                 stage_index=exc.stage_index,
             ) from None
         if observer is not None:
-            observer((n + 1) * h, observed_values(states[0] if single else states))
-    return states[0] if single else states
+            observer((n + 1) * h, observed_values(_boxed(problem, states)))
+    return _boxed(problem, states)
 
 
 class TrajectoryRecorder:

@@ -635,9 +635,16 @@ def test_complex_reference_raises():
         (lambda s: s.eval_many(np.array([-0.5, 0.0]) + 1j), "thetas"),
         (lambda s: s.eval_many(np.complex128(-0.5 + 1j)), "thetas"),
         (lambda s: initial_state(quadratic_re(), 0.25).j_integrate(np.array([-0.5]) + 1j), "theta"),
+        (lambda s: dataclasses.replace(
+            quadratic_re(), distributed_limits=np.array([-3.0, -1.0]) + 0j), "distributed_limits"),
+        (lambda s: dataclasses.replace(
+            quadratic_re(), distributed_limits=(-3.0 + 0j, -1.0 + 0j)), "distributed_limits"),
+        (lambda s: integrate_view(s, np.complex128(-0.5 + 1j), 0.0, lambda th, x: x[:, 0]),
+         "window bound"),
     ],
     ids=["state_coeffs", "head", "stage_view_overlay", "shift_append_segment",
-         "semilinear_L", "eval_many_offsets", "eval_many_offset", "j_integrate_offsets"],
+         "semilinear_L", "eval_many_offsets", "eval_many_offset", "j_integrate_offsets",
+         "distributed_limits_array", "distributed_limits_tuple", "window_bound"],
 )
 def test_complex_constructor_input_raises(make, name):
     # a TypeError naming the argument, not a real part kept after a ComplexWarning

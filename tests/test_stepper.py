@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from expdelay import (
     HistoryState,
@@ -858,12 +858,19 @@ def test_integrate_validates_mesh_ratios():
             integrate(prob, builtin("heun"), h, T)
 
 
+def _hand_built(prob, h):
+    """The state initial_state(prob, h) builds, made component by component
+    without initial_state's mesh checks."""
+    if prob.kind == "coupled":
+        parts = ((prob.phi0_re, "re", prob.dim_re), (prob.phi0_dde, "dde", prob.dim_dde))
+    else:
+        parts = ((prob.phi0, "re" if prob.kind == "re" else "dde", prob.dim),)
+    states = tuple(HistoryState.from_callable(phi0, kind, dim, prob.tau, h) for phi0, kind, dim in parts)
+    return states if prob.kind == "coupled" else states[0]
+
+
 def _daphnia_pair(h):
-    prob = daphnia()
-    return tuple(
-        HistoryState.from_callable(phi0, kind, 1, prob.tau, h)
-        for phi0, kind in ((prob.phi0_re, "re"), (prob.phi0_dde, "dde"))
-    )
+    return _hand_built(daphnia(), h)
 
 
 @pytest.mark.parametrize(
@@ -895,6 +902,56 @@ def _daphnia_pair(h):
 def test_integrate_checks_a_given_state0(make, state0, h, error, match):
     with pytest.raises(error, match=match):
         integrate(make(), builtin("heun"), h, 2 * h, state0=state0())
+
+
+def _raised(run):
+    try:
+        return run(), None
+    except Exception as exc:  # noqa: BLE001 - the property compares any error
+        return None, (type(exc), str(exc))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([belzen, quadratic_re, daphnia]), st.integers(1, 12))
+@example(quadratic_re, 4)  # h = 0.75: the bound -1.0 is off the mesh
+@example(daphnia, 10)  # h = 0.4: the bound -3.0 is off the mesh
+def test_step_checks_the_mesh_as_integrate_does(make, k):
+    # a state with initial_state's layout at h = tau/k: step refuses it
+    # exactly when integrate refuses it as state0, with the same error, and
+    # otherwise both take the same step
+    prob, tab = make(), builtin("heun")
+    h = prob.tau / k
+    stepped, step_error = _raised(lambda: step(prob, tab, _hand_built(prob, h), 0.0))
+    integrated, integrate_error = _raised(
+        lambda: integrate(prob, tab, h, h, state0=_hand_built(prob, h))
+    )
+    assert step_error == integrate_error
+    if step_error is None:
+        pairs = zip(stepped, integrated) if prob.kind == "coupled" else [(stepped, integrated)]
+        for a, b in pairs:
+            assert a.coefficients().tobytes() == b.coefficients().tobytes()
+
+
+@pytest.mark.parametrize("make", [belzen, daphnia])
+@pytest.mark.parametrize(
+    "state",
+    [
+        lambda p: None,
+        lambda p: 3,
+        lambda p: list(initial_state(p, 0.1)) if p.kind == "coupled" else [initial_state(p, 0.1)],
+        lambda p: (),
+    ],
+    ids=["none", "int", "list", "empty_tuple"],
+)
+def test_step_names_the_layout_of_an_unknown_width(make, state):
+    # no HistoryState to read h from: the message names the layout on the
+    # symbolic mesh
+    prob = make()
+    given = state(prob)
+    layout = rf"\(.*\) on tau/h segments of width h; got {type(given).__name__} of kinds"
+    with pytest.raises(ValueError, match=f"^state of a {prob.kind} problem must be {layout}") as raised:
+        step(prob, builtin("heun"), given, 0.0)
+    assert not isinstance(raised.value, MeshError)
 
 
 @pytest.mark.parametrize(
