@@ -21,10 +21,9 @@ the newest interval:
 
 * DDE: head y plus h*u_k/k! on r^k, so the value at r = 1 is the new head;
 * RE: u_k/(c (k-1)!) on r^{k-1}, no head;
-* semilinear DDE: e^{r c h L} y + sum_k r^k phi_k(r c h L) h*u_k, sampled
-  at four Chebyshev-Lobatto points r (r = 0 is y itself, r = 1 the exact
-  head) and stored as its cubic interpolant, the only rule that
-  interpolates.
+* semilinear DDE: e^{r c h L} y + sum_k r^k phi_k(r c h L) h*u_k, stored
+  as its cubic interpolant at four Chebyshev-Lobatto points r (r = 0 is y
+  itself, r = 1 the exact head), the only rule that interpolates.
 
 Everything in these rules but the stage values depends only on the tableau
 and h (and L), so a step plan holds it and applies the rules:
@@ -33,10 +32,11 @@ polynomial on the newest interval for row i.  For DDE and RE components the
 plan holds each row's W_i padded to four columns and the constants h/k! and
 c (k-1)!, so an overlay is one product F^T W_i, one scale and the head
 column; it comes from a small cache keyed on (tableau, h).  A
-:class:`SemilinearPlan` also holds the matrix functions, and each of its
-samples is one matrix-vector product.  The checked entries, :func:`step`
-and :func:`integrate`, check a state's layout and build its plan once per
-call; the stage loop :func:`_step` trusts both.
+:class:`SemilinearPlan` folds the matrix functions, h r^k and the
+interpolation into one matrix per row, so its overlay is u = W_i^T F and
+one matrix-vector product that gives the cubic and the head.  The checked
+entries, :func:`step` and :func:`integrate`, check a state's layout and
+build its plan once per call; the stage loop :func:`_step` trusts both.
 
 Row i of ``a`` with c = c_i gives the stage views (a shift plus one overlay
 polynomial); row ``b`` with c = 1 gives the appended segment.  Every stage
@@ -81,9 +81,6 @@ __all__ = [
     "observed_values",
     "TrajectoryRecorder",
 ]
-
-#: r^k at the nonzero Chebyshev-Lobatto nodes r = 1/4, 3/4, 1
-_LOBATTO_POWERS = _LOBATTO_S[1:, None] ** np.arange(_NCOEF)
 
 
 class IntegrationDiverged(RuntimeError):
@@ -334,53 +331,82 @@ def _entry(problem):
 @dataclass(frozen=True, eq=False)
 class SemilinearPlan:
     """The overlay rule of semilinear steps with one (L, tableau, h), with
-    its matrix functions.
+    its matrix functions folded into one matrix per row
+    (:func:`_semilinear_plan`).
 
-    ``stacks[c]``, for every nonzero row node c (stage rows, and the update
-    row at c = 1), is a read-only (3, d, (p + 1) d) array: for r = 1/4, 3/4
-    and 1 the stacked matrix [phi_0 | ... | phi_p](r c h L), with p the
-    highest phi order among the rows at c.  ``plan.dde(state, f, i)`` applies
-    the rule of row i to stage values f, as a :class:`_StepPlan` does.
+    ``rows[i]`` is (W_i, M_i) for a row with a nonzero node c (stage rows,
+    and the update row i = nu at c = 1), and None for a row at c = 0, which
+    no step asks for.  M_i is the read-only (5d, (p_i + 1) d) matrix that
+    maps [y; u_1; ...; u_p], y the head, u = W_i^T F and p_i the row's
+    highest phi order, to the newest segment's (d, 4) cubic in C order (4d
+    rows) and then its exact head (d rows).  The rows at one node are
+    column slices of one matrix.  ``plan.dde(state, f, i)`` applies the
+    rule of row i to stage values f, as a :class:`_StepPlan` does.  M_i
+    holds h, so the weighted sums are formed unscaled and, as there, a sum
+    that overflows still raises.
     """
 
-    tab: Tableau
-    stacks: dict
+    rows: tuple
 
     def dde(self, state, f, i: int):
-        tab = self.tab
-        c = tab.c[i] if i < tab.nu else 1.0
-        us = state.h * (tab.weights[i].T @ f)
-        us[0] = state.head
-        samples = np.empty((len(_LOBATTO_S), state.dim))
-        samples[0] = state.head
-        vecs = (_LOBATTO_POWERS[:, : len(us), None] * us).reshape(len(samples) - 1, -1, 1)
-        samples[1:] = (self.stacks[c][:, :, : us.size] @ vecs)[:, :, 0]
-        return samples.T @ _LOBATTO_VINV.T, samples[-1]
+        """The cubic and the head, M_i [y; u_1; ...; u_p] with u = W_i^T f."""
+        W, M = self.rows[i]
+        u = W.T.dot(f)
+        u[0] = state.head
+        out = M.dot(u.ravel())
+        d = state.dim
+        return out[: _NCOEF * d].reshape(d, _NCOEF), out[_NCOEF * d :]
+
+
+#: [k, m, j]: the weight of the sample at r_j = 1/4, 3/4, 1 in the cubic's
+#: coefficient m < 4 (``_LOBATTO_VINV``) and in the head (m = 4), times r_j^k
+_LOBATTO_FOLD = np.concatenate((_LOBATTO_VINV[:, 1:], [[0.0, 0.0, 1.0]])) * (
+    _LOBATTO_S[1:] ** np.arange(_NCOEF)[:, None, None]
+)
 
 
 def _semilinear_plan(problem, tab, h: float) -> SemilinearPlan:
     """Build the matrix functions of a semilinear problem's steps of width h.
 
-    One d x d :func:`scipy.linalg.expm` per distinct nonzero node c, inside
-    :func:`~expdelay.phi.phi_matrices` at (c/4) h L; the samples at c/2, 3c/4
-    and c follow by doubling, adding and doubling again
+    The continuous output of a row at node c is e^{r c h L} y + sum_k r^k
+    phi_k(r c h L) h u_k.  Its samples at the Chebyshev-Lobatto nodes r = 0
+    (y itself), 1/4, 3/4 and 1 define the stored cubic, whose coefficients
+    are ``_LOBATTO_VINV`` times the samples, and the r = 1 sample is the
+    exact head.  Each distinct nonzero node's matrix holds both maps.  It
+    costs one d x d :func:`scipy.linalg.expm`, inside
+    :func:`~expdelay.phi.phi_matrices` at (c/4) h L; the phi matrices at
+    c/2, 3c/4 and c follow by doubling, adding and doubling again
     (:func:`~expdelay.phi.phi_combine`).
     """
     orders: dict[float, int] = {}
     for c, W in zip((*tab.c, 1.0), tab.weights):
         if c != 0.0:
             orders[c] = max(orders.get(c, 0), W.shape[1] - 1)
+    fold = _LOBATTO_FOLD.copy()
+    fold[1:] *= h
     d = problem.dim
-    stacks = {}
+    matrices = {}
     for c, p in orders.items():
-        quarter = phi_matrices((0.25 * (c * h)) * problem.L, p)
+        # phis[k, j] = phi_k(r_j c h L), r_j = 1/4, 3/4, 1
+        phis = np.empty((p + 1, 3, d, d))
+        phis[:, 0] = quarter = phi_matrices((0.25 * (c * h)) * problem.L, p)
         half = phi_combine(quarter, quarter, 1.0, 1.0)
-        three_quarters = phi_combine(quarter, half, 1.0, 2.0)
-        samples = (quarter, three_quarters, phi_combine(half, half, 1.0, 1.0))
-        stack = np.stack(samples).transpose(0, 2, 1, 3).reshape(3, d, (p + 1) * d)
-        stack.setflags(write=False)
-        stacks[c] = stack
-    return SemilinearPlan(tab, stacks)
+        phis[:, 1] = phi_combine(quarter, half, 1.0, 2.0)
+        phis[:, 2] = phi_combine(half, half, 1.0, 1.0)
+        # blocks[k, m] maps u_k to row m's d values; y (k = 0) also enters
+        # the cubic as sample 0
+        blocks = np.matmul(fold[: p + 1], phis.reshape(p + 1, 3, d * d))
+        blocks[0, :_NCOEF, :: d + 1] += _LOBATTO_VINV[:, :1]
+        blocks = blocks.reshape(p + 1, _NCOEF + 1, d, d).transpose(2, 1, 0, 3)
+        # rows a * 4 + m of the cubic, then a of the head; columns k * d + b
+        cubic, head = blocks[:, :_NCOEF].reshape(_NCOEF * d, -1), blocks[:, _NCOEF].reshape(d, -1)
+        M = np.concatenate((cubic, head))
+        M.setflags(write=False)
+        matrices[c] = M
+    return SemilinearPlan(tuple(
+        None if c == 0.0 else (W, matrices[c][:, : W.shape[1] * d])
+        for c, W in zip((*tab.c, 1.0), tab.weights)
+    ))
 
 
 def _layout(problem, h) -> tuple:

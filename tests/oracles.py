@@ -5,9 +5,22 @@ phi_k(gh*A0), A0 the generator of the shift semigroup on [-tau, 0], acts on
 a forcing concentrated at theta = 0 by one weight per offset theta.  The
 stepper builds the same action from its overlay rules; these formulas check
 it without sharing its code.
+
+:func:`semilinear_overlay` is the semilinear overlay computed the long way:
+sample the continuous output at the Chebyshev-Lobatto nodes, then
+interpolate.  It checks the stepper's folded per-row matrices against the
+same phi matrices applied one sample at a time.
 """
 
 import math
+
+import numpy as np
+
+from expdelay.phi import phi_combine, phi_matrices
+
+#: Chebyshev-Lobatto nodes on [0, 1] and the inverse of their Vandermonde matrix
+_LOBATTO_S = np.array([0.0, 0.25, 0.75, 1.0])
+_LOBATTO_VINV = np.linalg.inv(np.vander(_LOBATTO_S, 4, increasing=True))
 
 
 def _tail_power(k: int, gh: float, theta: float) -> float:
@@ -35,3 +48,27 @@ def phi_re_weight(k: int, gh: float, theta: float) -> float:
     phi_dde_weight so that the two scaled weights sum to gh^k.
     """
     return (gh**k - _tail_power(k, gh, theta)) / (gh**k * math.factorial(k))
+
+
+def semilinear_overlay(L, tab, h: float, head, f, i: int):
+    """The (d, 4) cubic and exact head of semilinear row i (the update row
+    at i = nu) for stage values f (nu, d), by sample-then-interpolate.
+
+    The continuous output e^{r c h L} y + sum_k r^k phi_k(r c h L) h u_k,
+    u = W_i^T f and y = head, is sampled at r = 1/4, 3/4 and 1 from the phi
+    matrices at (c/4) h L, doubled and added, with y itself at r = 0; the
+    cubic interpolates the four samples and the head is the r = 1 sample.
+    """
+    c = tab.c[i] if i < tab.nu else 1.0
+    W = tab.weights[i]
+    p = W.shape[1] - 1
+    quarter = phi_matrices((0.25 * (c * h)) * np.asarray(L), p)
+    half = phi_combine(quarter, quarter, 1.0, 1.0)
+    phis = (quarter, phi_combine(quarter, half, 1.0, 2.0), phi_combine(half, half, 1.0, 1.0))
+    us = h * (W.T @ f)
+    us[0] = head
+    samples = np.empty((len(_LOBATTO_S), len(head)))
+    samples[0] = head
+    for j, (r, phi) in enumerate(zip(_LOBATTO_S[1:], phis), start=1):
+        samples[j] = sum(r**k * (phi[k] @ us[k]) for k in range(p + 1))
+    return samples.T @ _LOBATTO_VINV.T, samples[-1]

@@ -29,7 +29,7 @@ from expdelay import (
 from expdelay import harness, stepper
 
 from conftest import smooth_dde_state, smooth_re_state
-from oracles import phi_dde_weight, phi_re_weight
+from oracles import phi_dde_weight, phi_re_weight, semilinear_overlay
 
 
 def _zero_problem(kind, tau=1.0):
@@ -1129,12 +1129,15 @@ def test_non_finite_stage_value_names_its_stage(bad):
     assert err.value.stage_index == 2
 
 
-@pytest.mark.parametrize("kind", ["re", "dde"])
+@pytest.mark.parametrize("kind", ["re", "dde", "semilinear_dde"])
 def test_overflowing_update_names_its_stage(kind):
     # finite stage values whose update row overflows: an RE segment is
-    # checked as a DDE head is
-    prob = dataclasses.replace(_stage_values_problem(-1.5e308, 1.5e308), kind=kind)
-    with np.errstate(over="ignore"), pytest.raises(IntegrationDiverged) as err:
+    # checked as a DDE head is, and a semilinear plan applies h after the
+    # weighted sum, as the other plans do
+    L = -np.eye(3) if kind == "semilinear_dde" else None
+    prob = dataclasses.replace(_stage_values_problem(-1.5e308, 1.5e308), kind=kind, L=L)
+    # inf * 0 inside a semilinear row's matrix product is numpy's "invalid"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationDiverged) as err:
         integrate(prob, builtin("heun"), 0.5, 0.5)
     assert err.value.step_index == 0
     assert err.value.stage_index == 2
@@ -1201,6 +1204,40 @@ def test_plan_overlays_match_the_unfolded_rules(make, name, rng):
                 assert np.array_equal(head, coeffs.sum(axis=1))
             else:
                 assert head is None
+
+
+def _non_normal(d, norm, h, rng):
+    """A stable d x d L, non-normal for d > 1, with ||h L||_1 = norm."""
+    L = 3.0 * np.triu(rng.normal(size=(d, d)), 1) - np.diag(rng.uniform(1.0, 10.0, d))
+    return L * (norm / np.abs(h * L).sum(axis=0).max())
+
+
+@pytest.mark.parametrize("hl_norm", [1.0, 10.0, 100.0, 1000.0])
+@pytest.mark.parametrize("d", [1, 3, 20])
+@pytest.mark.parametrize("name", ["expeuler", "heun", "expo3"])
+def test_semilinear_plan_matches_sample_then_interpolate(name, d, hl_norm, rng):
+    # the folded per-row matrices against the phi matrices applied one
+    # Lobatto sample at a time, then interpolated
+    tab, h = builtin(name), 0.1
+    prob = Problem(
+        kind="semilinear_dde",
+        dim=d,
+        tau=1.0,
+        rhs=lambda t, v: np.zeros(d),
+        phi0=lambda th: np.cos(np.asarray(th)[..., None] + np.arange(d)),
+        L=_non_normal(d, hl_norm, h, rng),
+    )
+    state = initial_state(prob, h)
+    plan = stepper._plan(prob, tab, h)
+    F = rng.normal(size=(tab.nu, d)) * 10.0 ** rng.integers(-3, 4, size=(tab.nu, 1))
+    for i, c in enumerate((*tab.c, 1.0)):
+        if c == 0.0:
+            continue
+        coeffs, head = plan.dde(state, F, i)
+        want_coeffs, want_head = semilinear_overlay(prob.L, tab, h, state.head, F, i)
+        scale = max(np.max(np.abs(want_coeffs)), np.max(np.abs(want_head)))
+        assert np.max(np.abs(coeffs - want_coeffs)) <= 1e-13 * scale
+        assert np.max(np.abs(head - want_head)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("name", ["expeuler", "heun", "expo3"])
