@@ -247,14 +247,16 @@ def _as_values(raw, m: int, d: int, what: str) -> np.ndarray:
 
 
 def _check_continuity(newest: np.ndarray, head: np.ndarray):
-    """Raise unless a DDE head matches the newest (dim, 4) segment at 0."""
+    """Raise unless a DDE head and the newest (dim, 4) segment are finite and match at 0."""
     rows, heads = newest.tolist(), head.tolist()
     # the value at s = 1 is a sum of coefficients and rounds at their
     # scale, which exceeds the head's when the segment decays steeply
     tol = 1e-12 * (1.0 + max(map(abs, chain(heads, *rows))))
     for (c0, c1, c2, c3), x in zip(rows, heads):
-        # the Horner row at s = 1; NaN in the head or the segment fails too
-        if not abs(c3 + c2 + c1 + c0 - x) <= tol:
+        # the Horner row at s = 1; a NaN fails too, and so does an inf, which makes tol inf
+        if not abs(c3 + c2 + c1 + c0 - x) <= tol < math.inf:
+            if not all(map(math.isfinite, chain(heads, *rows))):
+                raise ValueError(f"DDE head {head} or newest segment {rows} is not finite")
             newest_at_0 = _horner(newest, np.float64(1.0))
             gap = np.max(np.abs(newest_at_0 - head))
             raise ValueError(
@@ -479,8 +481,8 @@ class HistoryState:
         ``coeffs``, the (dim, 4) cubic on [-h, 0] in the local variable
         s = (theta + h)/h, as the newest one, in O(1) (see the module notes).
 
-        DDE states additionally replace the head, which must match the new
-        segment's value at theta = 0; RE states take no head.
+        DDE states also replace the head, which must match the new segment's
+        value at theta = 0; RE states take no head.  Segment and head must be finite.
         """
         coeffs = _as_float(coeffs, "coeffs holds")
         if coeffs.shape != (self.dim, _NCOEF):
@@ -491,6 +493,8 @@ class HistoryState:
         head = _as_head(self.kind, self.dim, head)
         if self.kind == "dde":
             _check_continuity(coeffs, head)
+        elif not all(map(math.isfinite, chain(*coeffs.tolist()))):
+            raise ValueError(f"appended RE segment {coeffs.tolist()} is not finite")
         log, end = self._log, self._end
         if not log.claim(end, coeffs):
             log, end = _Log(self._coeffs), self.n_segments

@@ -26,17 +26,14 @@ the newest interval:
   itself, r = 1 the exact head), the only rule that interpolates.
 
 Everything in these rules but the stage values depends only on the tableau
-and h (and L), so a step plan holds it and applies the rules:
-``plan.dde(state, F, i)`` and ``plan.re(state, F, i)`` return a component's
-polynomial on the newest interval for row i.  For DDE and RE components the
-plan holds each row's W_i padded to four columns and the constants h/k! and
-c (k-1)!, so an overlay is one product F^T W_i, one scale and the head
-column; it comes from a small cache keyed on (tableau, h).  A
-:class:`SemilinearPlan` folds the matrix functions, h r^k and the
-interpolation into one matrix per row, so its overlay is u = W_i^T F and
-one matrix-vector product that gives the cubic and the head.  The checked
-entries, :func:`step` and :func:`integrate`, check a state's layout and
-build its plan once per call; the stage loop :func:`_step` trusts both.
+and h (and L), so a step plan binds it to them: one rule per component, in
+state order, ``rule(state, F, i) -> (coeffs, head)`` for row i (head None
+for RE).  The DDE and RE rules, from a small cache keyed on (tableau, h),
+hold each row's W_i padded to four columns and the constants h/k! and
+c (k-1)!; the semilinear rule folds the matrix functions, h r^k and the
+interpolation into one matrix per row.  The checked entries, :func:`step`
+and :func:`integrate`, check a state's layout and build its plan once per
+call; the stage loop :func:`_step` trusts both.
 
 Row i of ``a`` with c = c_i gives the stage views (a shift plus one overlay
 polynomial); row ``b`` with c = 1 gives the appended segment.  Every stage
@@ -48,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import types
 from dataclasses import dataclass
 from typing import Callable
 
@@ -217,41 +215,32 @@ def _require_finite(values, stage: int, what: str):
         )
 
 
-@dataclass(frozen=True, eq=False)
-class _StepPlan:
-    """The DDE and RE overlay rules of steps with one (tableau, h), with
-    their per-row constants (:func:`_step_plan`).
+def _dde_rule(weights, scale, state, f, i: int):
+    """The head y on r^0 and h u_k/k! on r^k, u = W_i^T f; and the value at r = 1."""
+    coeffs = f.T.dot(weights[i])  # .dot: less call overhead than @ at this size
+    coeffs *= scale
+    coeffs[:, 0] = state.head
+    return coeffs, coeffs.sum(axis=1)
 
-    Row i is a row of ``a`` at c = c_i, or ``b`` (i = nu) at c = 1.
-    ``weights[i]`` is W_i padded with zero columns to (nu, 4), column k
-    the order-k weights, and ``re_weights[i]`` the same shifted one column
-    left; ``re_div[i]`` holds c k! for column k of an RE overlay.  The
-    constants multiply the weighted sums after they are formed, so a sum
-    that overflows is not hidden by a small constant.
-    """
 
-    weights: tuple
-    dde_scale: np.ndarray  # h/k! for column k
-    re_weights: tuple
-    re_div: tuple
-
-    def dde(self, state, f, i: int):
-        """The head y on r^0 and h u_k/k! on r^k, u = W_i^T f; and the value at r = 1."""
-        coeffs = f.T.dot(self.weights[i])  # .dot: less call overhead than @ at this size
-        coeffs *= self.dde_scale
-        coeffs[:, 0] = state.head
-        return coeffs, coeffs.sum(axis=1)
-
-    def re(self, state, f, i: int):
-        """u_k/(c (k-1)!) on r^{k-1}, u = W_i^T f; no head."""
-        coeffs = f.T.dot(self.re_weights[i])
-        coeffs /= self.re_div[i]
-        return coeffs, None
+def _re_rule(weights, div, state, f, i: int):
+    """u_k/(c (k-1)!) on r^{k-1}, u = W_i^T f; no head."""
+    coeffs = f.T.dot(weights[i])
+    coeffs /= div[i]
+    return coeffs, None
 
 
 @functools.lru_cache(maxsize=32)  # a run steps with one (tableau, h)
-def _step_plan(tab: Tableau, h: float) -> _StepPlan:
-    """The :class:`_StepPlan` of (tab, h); its arrays are read-only."""
+def _step_plan(tab: Tableau, h: float):
+    """The DDE and RE rules of steps with one (tab, h), bound to their
+    read-only per-row constants, as a read-only mapping from kind to rule.
+
+    Row i is a row of ``a`` at c = c_i, or ``b`` (i = nu) at c = 1.  Both
+    rules read W_i padded with zero columns to (nu, 4), column k the order-k
+    weights (shifted one column left for RE), and scale the weighted sums
+    after they are formed, by h/k! or 1/(c k!), so a sum that overflows is
+    not hidden by a small constant.
+    """
     factorial = np.array([math.factorial(k) for k in range(_NCOEF)], dtype=float)
     weights, re_weights, re_div = [], [], []
     for c, W in zip((*tab.c, 1.0), tab.weights):
@@ -261,34 +250,35 @@ def _step_plan(tab: Tableau, h: float) -> _StepPlan:
         re_weights.append(np.roll(padded, -1, axis=1))  # column 0 holds no weight
         re_div.append(c * factorial)
     dde_scale = h / factorial
-    arrays = (dde_scale, *weights, *re_weights, *re_div)
-    for arr in arrays:
+    for arr in (dde_scale, *weights, *re_weights, *re_div):
         arr.setflags(write=False)
-    return _StepPlan(tuple(weights), dde_scale, tuple(re_weights), tuple(re_div))
+    return types.MappingProxyType({
+        "dde": functools.partial(_dde_rule, tuple(weights), dde_scale),
+        "re": functools.partial(_re_rule, tuple(re_weights), tuple(re_div)),
+    })
 
 
-def _plan(problem, tab, h: float):
-    """The step plan of (problem, tab, h): a new :func:`_semilinear_plan`
-    for a semilinear problem, the cached :class:`_StepPlan` of (tab, h) for
-    every other kind."""
+def _plan(problem, tab, h: float) -> tuple:
+    """The step plan of (problem, tab, h): one overlay rule per component, in
+    state order: a new :func:`_semilinear_plan` for a semilinear problem,
+    else the rules of the cached :func:`_step_plan` of (tab, h)."""
     if problem.kind == "semilinear_dde":
-        return _semilinear_plan(problem, tab, h)
-    return _step_plan(tab, h)
+        return (_semilinear_plan(problem, tab, h),)
+    rules = _step_plan(tab, h)
+    return tuple(rules[kind] for kind, *_ in _layout(problem, None))
 
 
 def _step(problem, tab, states, t_n: float, plan) -> tuple:
     """One explicit exponential RK step of the components ``states`` that
-    :func:`_check_state` returned, with the plan :func:`_plan` gives for
-    (problem, tab, h), neither of which it re-checks; returns the new
-    components as a tuple.  ``plan.dde``/``plan.re`` ``(state, F, i)``, F
-    the component's (nu, dim) stage values, return the coefficients and head
-    (None for RE) of a component of that kind on its newest interval for
-    row i.  ``problem.rhs(t, *views)`` returns one value per component, or
-    the bare value for a single component.
+    :func:`_check_state` returned, with ``plan``, their rules
+    ``rule(state, F, i) -> (coeffs, head)`` from :func:`_plan`, neither of
+    which it re-checks; returns the new components as a tuple.
+    ``problem.rhs(t, *views)`` returns one value per component, or the bare
+    value for a single component.
     """
     h = states[0].h
     # per component: its state, its overlay rule and its stage values F
-    parts = [(state, getattr(plan, state.kind), np.zeros((tab.nu, state.dim))) for state in states]
+    parts = [(state, rule, np.zeros((tab.nu, state.dim))) for state, rule in zip(states, plan)]
     single = len(parts) == 1
     for i, ci in enumerate(tab.c):
         # a row with c_i = 0 is empty (node scales equal c_i > 0): the stage
@@ -299,8 +289,8 @@ def _step(problem, tab, states, t_n: float, plan) -> tuple:
         raw = problem.rhs(t_n + ci * h, *views)
         if single:
             raw = (raw,)
-        elif len(raw) != len(parts):
-            raise ValueError(f"rhs returned {len(raw)} values, expected {len(parts)}")
+        elif (count := operator.length_hint(raw, 1)) != len(parts):  # a bare scalar is one value
+            raise ValueError(f"rhs returned {count} values, expected {len(parts)}")
         for r, (state, _, f) in zip(raw, parts):
             value = _as_rhs_value(r, state, single)
             _require_finite(value.tolist(), i + 1, "stage value")
@@ -328,34 +318,22 @@ def _entry(problem):
     return entry
 
 
-@dataclass(frozen=True, eq=False)
-class SemilinearPlan:
-    """The overlay rule of semilinear steps with one (L, tableau, h), with
-    its matrix functions folded into one matrix per row
-    (:func:`_semilinear_plan`).
+def _semilinear_rule(rows, state, f, i: int):
+    """The cubic and the head, M_i [y; u_1; ...; u_p] with u = W_i^T f.
 
-    ``rows[i]`` is (W_i, M_i) for a row with a nonzero node c (stage rows,
-    and the update row i = nu at c = 1), and None for a row at c = 0, which
-    no step asks for.  M_i is the read-only (5d, (p_i + 1) d) matrix that
-    maps [y; u_1; ...; u_p], y the head, u = W_i^T F and p_i the row's
-    highest phi order, to the newest segment's (d, 4) cubic in C order (4d
-    rows) and then its exact head (d rows).  The rows at one node are
-    column slices of one matrix.  ``plan.dde(state, f, i)`` applies the
-    rule of row i to stage values f, as a :class:`_StepPlan` does.  M_i
-    holds h, so the weighted sums are formed unscaled and, as there, a sum
-    that overflows still raises.
+    ``rows[i]`` is (W_i, M_i) for a row with a nonzero node c (i = nu the
+    update row at c = 1), None at c = 0.  M_i, read-only (5d, (p_i + 1) d),
+    maps [y; u_1; ...; u_p], y the head and p_i the row's highest phi order,
+    to the newest segment's (d, 4) cubic in C order (4d rows), then its
+    exact head (d rows).  It holds h, so the sums are formed unscaled and
+    one that overflows still raises.
     """
-
-    rows: tuple
-
-    def dde(self, state, f, i: int):
-        """The cubic and the head, M_i [y; u_1; ...; u_p] with u = W_i^T f."""
-        W, M = self.rows[i]
-        u = W.T.dot(f)
-        u[0] = state.head
-        out = M.dot(u.ravel())
-        d = state.dim
-        return out[: _NCOEF * d].reshape(d, _NCOEF), out[_NCOEF * d :]
+    W, M = rows[i]
+    u = W.T.dot(f)
+    u[0] = state.head
+    out = M.dot(u.ravel())
+    d = state.dim
+    return out[: _NCOEF * d].reshape(d, _NCOEF), out[_NCOEF * d :]
 
 
 #: [k, m, j]: the weight of the sample at r_j = 1/4, 3/4, 1 in the cubic's
@@ -365,8 +343,10 @@ _LOBATTO_FOLD = np.concatenate((_LOBATTO_VINV[:, 1:], [[0.0, 0.0, 1.0]])) * (
 )
 
 
-def _semilinear_plan(problem, tab, h: float) -> SemilinearPlan:
-    """Build the matrix functions of a semilinear problem's steps of width h.
+def _semilinear_plan(problem, tab, h: float):
+    """The :func:`_semilinear_rule` of a semilinear problem's steps of width
+    h, bound to its per-row matrices; the rows at one node are column slices
+    of one matrix.
 
     The continuous output of a row at node c is e^{r c h L} y + sum_k r^k
     phi_k(r c h L) h u_k.  Its samples at the Chebyshev-Lobatto nodes r = 0
@@ -403,7 +383,7 @@ def _semilinear_plan(problem, tab, h: float) -> SemilinearPlan:
         M = np.concatenate((cubic, head))
         M.setflags(write=False)
         matrices[c] = M
-    return SemilinearPlan(tuple(
+    return functools.partial(_semilinear_rule, tuple(
         None if c == 0.0 else (W, matrices[c][:, : W.shape[1] * d])
         for c, W in zip((*tab.c, 1.0), tab.weights)
     ))
@@ -472,13 +452,14 @@ def step(problem, tab, state, t_n: float):
     it by :meth:`~expdelay.history.HistoryState.j_integrate`, which
     reproduces the scheme's own recursion for it exactly.
 
-    Every kind but the semilinear one takes the per-row constants of
-    (tab, h) from a small cache.  A semilinear step builds its matrix
-    functions on every call, at one d x d exponential per distinct nonzero
-    node, so many semilinear steps belong in :func:`integrate` (``state0``
-    starts it from any state, ``observer`` sees every step).  A semilinear
-    step's heads are exact; its newest segment is a cubic interpolant, which
-    is not exact when hL is stiff (README, "Semilinear problems and plans").
+    Its plan is one overlay rule per component; every kind but the
+    semilinear one takes them from a cache keyed on (tab, h).  A semilinear
+    step builds its rule's matrices on every call, at one d x d exponential
+    per distinct nonzero node, so many semilinear steps belong in
+    :func:`integrate` (``state0`` starts it from any state, ``observer``
+    sees every step).  A semilinear step's heads are exact; its newest
+    segment is a cubic interpolant, which is not exact when hL is stiff
+    (README, "Semilinear problems and plans").
 
     Every kind runs one function, which this module binds under four
     unexported names, ``step_dde``, ``step_re``, ``step_semilinear_dde`` and

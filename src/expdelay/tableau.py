@@ -71,8 +71,8 @@ class Tableau:
         object.__setattr__(self, "a", tuple(tuple(map(_entry, row)) for row in self.a))
         object.__setattr__(self, "b", tuple(map(_entry, self.b)))
         nu = len(self.c)
-        if self.c[0] != 0.0:
-            raise ValueError("first node c_1 must be 0")
+        if self.c[:1] != (0.0,):
+            raise ValueError("first node c_1 must be 0" if nu else "a tableau needs a stage")
         if len(self.a) != nu or any(len(row) != nu for row in self.a):
             raise ValueError("a must be a nu x nu matrix of term tuples")
         if len(self.b) != nu:

@@ -89,6 +89,17 @@ def test_dde_head_continuity_enforced():
         state.shift_append(np.full((1, 4), np.nan), head=[np.nan])
 
 
+@pytest.mark.parametrize(
+    "kind, bad, head",
+    [("re", np.nan, None), ("re", np.inf, None), ("dde", np.inf, np.inf), ("dde", np.inf, 1.0)],
+)
+def test_non_finite_append_is_refused(kind, bad, head):
+    # as the constructor refuses it; an inf segment also fails with a finite head
+    state = HistoryState.from_callable(lambda th: np.ones(np.shape(th)), kind, 1, 1.0, 0.25)
+    with pytest.raises(ValueError, match="is not finite"):
+        state.shift_append([[1.0, 0.0, 0.0, bad]], head=None if head is None else [head])
+
+
 @pytest.mark.parametrize("kind", ["dde", "re"])
 def test_non_finite_history_fails_when_built(kind):
     # an input error, not a divergence at step 0: the state names the segment

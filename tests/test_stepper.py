@@ -700,6 +700,10 @@ def test_coupled_rhs_returns_one_value_per_component():
         final(lambda t, vb, vs: prob.rhs(t, vb, vs)[:1])
     with pytest.raises(ValueError, match="rhs returned 3 values, expected 2"):
         final(lambda t, vb, vs: (*prob.rhs(t, vb, vs), 0.0))
+    # a bare scalar, a float or a 0-d array, is one value
+    for scalar in (0.5, np.array(0.5)):
+        with pytest.raises(ValueError, match="rhs returned 1 values, expected 2"):
+            final(lambda t, vb, vs: scalar)
     # one flat array with a value per component is still a value per component
     flat = final(lambda t, vb, vs: np.concatenate([np.ravel(f) for f in prob.rhs(t, vb, vs)]))
     assert np.array_equal(flat, final(prob.rhs))
@@ -1183,7 +1187,7 @@ def test_plan_overlays_match_the_unfolded_rules(make, name, rng):
     tab, h = builtin(name), 0.05
     prob, states = _plan_components(make, h)
     plan = stepper._plan(prob, tab, h)
-    for state in states:
+    for j, state in enumerate(states):
         F = rng.normal(size=(tab.nu, state.dim)) * 10.0 ** rng.integers(-3, 4, size=(tab.nu, 1))
         for i, (c, W) in enumerate(zip((*tab.c, 1.0), tab.weights)):
             if c == 0.0:
@@ -1197,13 +1201,30 @@ def test_plan_overlays_match_the_unfolded_rules(make, name, rng):
                     want[:, k - 1] = u[k] / (c * math.factorial(k - 1))
             if state.kind == "dde":
                 want[:, 0] = state.head
-            coeffs, head = getattr(plan, state.kind)(state, F, i)
+            coeffs, head = plan[j](state, F, i)
             scale = np.max(np.abs(want))
             assert np.max(np.abs(coeffs - want)) <= 1e-15 * scale
             if state.kind == "dde":
                 assert np.array_equal(head, coeffs.sum(axis=1))
             else:
                 assert head is None
+
+
+@pytest.mark.parametrize(
+    "make", [belzen, quadratic_re, daphnia, _semilinear2], ids=["dde", "re", "coupled", "semilinear"]
+)
+def test_plan_is_one_rule_per_component_in_state_order(make):
+    tab, h = builtin("heun"), 0.1
+    prob, states = _plan_components(make, h)
+    plan = stepper._plan(prob, tab, h)
+    assert isinstance(plan, tuple) and len(plan) == len(states)
+    if prob.kind != "semilinear_dde":
+        assert plan == tuple(stepper._step_plan(tab, h)[state.kind] for state in states)
+    for rule, state in zip(plan, states):
+        # the update row: a cubic per component, and a head for DDE components only
+        coeffs, head = rule(state, np.ones((tab.nu, state.dim)), tab.nu)
+        assert coeffs.shape == (state.dim, 4)
+        assert head is None if state.kind == "re" else head.shape == (state.dim,)
 
 
 def _non_normal(d, norm, h, rng):
@@ -1233,7 +1254,7 @@ def test_semilinear_plan_matches_sample_then_interpolate(name, d, hl_norm, rng):
     for i, c in enumerate((*tab.c, 1.0)):
         if c == 0.0:
             continue
-        coeffs, head = plan.dde(state, F, i)
+        coeffs, head = plan[0](state, F, i)
         want_coeffs, want_head = semilinear_overlay(prob.L, tab, h, state.head, F, i)
         scale = max(np.max(np.abs(want_coeffs)), np.max(np.abs(want_head)))
         assert np.max(np.abs(coeffs - want_coeffs)) <= 1e-13 * scale

@@ -98,6 +98,8 @@ _HEUN = builtin("heun")
         ({"b": (((1, math.nan),), ((2, 1.0),))}, r"phi term \(1, nan\) has a non-finite weight"),
         ({"a": (((), ()), (((1, math.inf),), ()))}, r"phi term \(1, inf\) has a non-finite"),
         ({"c": (0.0, math.nan), "a": (((), ()), ((), ()))}, "node c_2 = nan is not finite"),
+        # an empty tableau is named, not an IndexError
+        ({"c": (), "a": (), "b": ()}, "a tableau needs a stage"),
     ],
 )
 def test_tableau_shape_and_mode_checks(fields, match):
