@@ -102,7 +102,7 @@ def _integrated_errors(state, exact, T, norm: str):
 
 def _errors(problem, state, T: float, norm: str | None):
     exact = problem.exact
-    if problem.kind == "re":
+    if state.kind == "re":
         norm = norm or "l1"
         err_x = norm_diff(state, _shifted_exact(exact, T), norm)
         err_u = _integrated_errors(state, exact, T, norm)

@@ -257,11 +257,12 @@ def _check_continuity(newest: np.ndarray, head: np.ndarray):
         if not abs(c3 + c2 + c1 + c0 - x) <= tol < math.inf:
             if not all(map(math.isfinite, chain(heads, *rows))):
                 raise ValueError(f"DDE head {head} or newest segment {rows} is not finite")
-            newest_at_0 = _horner(newest, np.float64(1.0))
-            gap = np.max(np.abs(newest_at_0 - head))
+            # plain floats: a sum that overflows is inf, without numpy's warning
+            newest_at_0 = [c3 + c2 + c1 + c0 for c0, c1, c2, c3 in rows]
+            gap = max(abs(v - x) for v, x in zip(newest_at_0, heads))
             raise ValueError(
                 f"DDE head {head} does not match the newest segment's value "
-                f"{newest_at_0} at theta=0: |gap| = {gap:.3e} > {tol:.3e}"
+                f"{np.array(newest_at_0)} at theta=0: |gap| = {gap:.3e} > {tol:.3e}"
             )
 
 
@@ -298,9 +299,8 @@ def _window_plan(n: int, h: float, shift: float, a: float, b: float) -> _Plan:
     overlay = shift > 0.0
     if overlay:
         lo = max(lo, -(n * h) + tol)
-
-    def knot(j):
-        return (j - n) * h - shift
+    knots = (np.arange(n + 1) - n) * h - shift
+    knot = knots.item  # knot j as a Python float
 
     def end(j, t_lo, t_hi):  # the piece [t_lo, t_hi] just left of knot j
         if j > n and overlay:
@@ -308,13 +308,9 @@ def _window_plan(n: int, h: float, shift: float, a: float, b: float) -> _Plan:
         i = min(max(j - 1, 0), n - 1)
         return i, (t_lo - knot(i)) / h, (t_hi - knot(i)) / h, t_lo, t_hi
 
-    # cuts at j0 <= j < j1: the float guess is never past the first cut
-    j0 = min(max(math.floor((lo + shift) / h) + n, 0), n + 1)
-    while j0 <= n and knot(j0) <= lo:
-        j0 += 1
-    j1 = min(max(math.floor((hi + shift) / h) + n, j0), n + 1)
-    while j1 <= n and knot(j1) < hi:
-        j1 += 1
+    # cuts at j0 <= j < j1, the knots in (lo, hi)
+    j0 = int(knots.searchsorted(lo, "right"))
+    j1 = max(int(knots.searchsorted(hi, "left")), j0)
     if j0 == j1:
         m, left, ends = 0, a, (end(j0, a, b),)
     else:

@@ -11,13 +11,13 @@ w * phi_k(c_i h A0) applied to a stage value F contributes
     RE:   density  h*w * (c_i h + theta)^{k-1} / ((c_i h)^k (k-1)!) * F
 
 on [-c_i h, 0] and nothing older, which in the local coordinate
-r = (theta + c_i h)/(c_i h) is a plain monomial.  Every problem kind runs one
-stage loop over a tuple of history components (an RE and a DDE one for
-coupled problems), each with its stage values as the rows of a (nu, dim)
-array F.  Tableau row i reads them as u = W_i^T F (u_k sums w * F over the
-row's order-k terms; :attr:`~expdelay.tableau.Tableau.weights`), and the
-kinds differ only in the overlay rule that turns u into the polynomial on
-the newest interval:
+r = (theta + c_i h)/(c_i h) is a plain monomial.  Every problem runs one
+stage loop over the history components that :func:`_components` declares
+(an RE and a DDE one for coupled problems), each with its stage values as
+the rows of a (nu, dim) array F.  Tableau row i reads them as u = W_i^T F
+(u_k sums w * F over the row's order-k terms;
+:attr:`~expdelay.tableau.Tableau.weights`), and the components differ only
+in the overlay rule that turns u into the polynomial on the newest interval:
 
 * DDE: head y plus h*u_k/k! on r^k, so the value at r = 1 is the new head;
 * RE: u_k/(c (k-1)!) on r^{k-1}, no head;
@@ -32,8 +32,8 @@ for RE).  The DDE and RE rules, from a small cache keyed on (tableau, h),
 hold each row's W_i padded to four columns and the constants h/k! and
 c (k-1)!; the semilinear rule folds the matrix functions, h r^k and the
 interpolation into one matrix per row.  The checked entries, :func:`step`
-and :func:`integrate`, check a state's layout and build its plan once per
-call; the stage loop :func:`_step` trusts both.
+and :func:`integrate`, check a state against the declared components and
+build its plan once per call; the stage loop :func:`_step` trusts both.
 
 Row i of ``a`` with c = c_i gives the stage views (a shift plus one overlay
 polynomial); row ``b`` with c = 1 gives the appended segment.  Every stage
@@ -259,13 +259,13 @@ def _step_plan(tab: Tableau, h: float):
 
 
 def _plan(problem, tab, h: float) -> tuple:
-    """The step plan of (problem, tab, h): one overlay rule per component, in
-    state order: a new :func:`_semilinear_plan` for a semilinear problem,
-    else the rules of the cached :func:`_step_plan` of (tab, h)."""
-    if problem.kind == "semilinear_dde":
-        return (_semilinear_plan(problem, tab, h),)
-    rules = _step_plan(tab, h)
-    return tuple(rules[kind] for kind, *_ in _layout(problem, None))
+    """The step plan of (problem, tab, h): one overlay rule per :func:`_components`
+    entry, in state order: a new :func:`_semilinear_plan` for one with an L,
+    else its kind's rule from the cached :func:`_step_plan` of (tab, h)."""
+    return tuple(
+        _step_plan(tab, h)[kind] if L is None else _semilinear_plan(L, tab, h)
+        for kind, *_, L in _components(problem, None)
+    )
 
 
 def _step(problem, tab, states, t_n: float, plan) -> tuple:
@@ -343,10 +343,10 @@ _LOBATTO_FOLD = np.concatenate((_LOBATTO_VINV[:, 1:], [[0.0, 0.0, 1.0]])) * (
 )
 
 
-def _semilinear_plan(problem, tab, h: float):
-    """The :func:`_semilinear_rule` of a semilinear problem's steps of width
-    h, bound to its per-row matrices; the rows at one node are column slices
-    of one matrix.
+def _semilinear_plan(L, tab, h: float):
+    """The :func:`_semilinear_rule` of steps of width h of a semilinear
+    component with stiff linear part L, bound to its per-row matrices; the
+    rows at one node are column slices of one matrix.
 
     The continuous output of a row at node c is e^{r c h L} y + sum_k r^k
     phi_k(r c h L) h u_k.  Its samples at the Chebyshev-Lobatto nodes r = 0
@@ -364,12 +364,12 @@ def _semilinear_plan(problem, tab, h: float):
             orders[c] = max(orders.get(c, 0), W.shape[1] - 1)
     fold = _LOBATTO_FOLD.copy()
     fold[1:] *= h
-    d = problem.dim
+    d = len(L)
     matrices = {}
     for c, p in orders.items():
         # phis[k, j] = phi_k(r_j c h L), r_j = 1/4, 3/4, 1
         phis = np.empty((p + 1, 3, d, d))
-        phis[:, 0] = quarter = phi_matrices((0.25 * (c * h)) * problem.L, p)
+        phis[:, 0] = quarter = phi_matrices((0.25 * (c * h)) * L, p)
         half = phi_combine(quarter, quarter, 1.0, 1.0)
         phis[:, 1] = phi_combine(quarter, half, 1.0, 2.0)
         phis[:, 2] = phi_combine(half, half, 1.0, 1.0)
@@ -389,40 +389,41 @@ def _semilinear_plan(problem, tab, h: float):
     ))
 
 
-def _layout(problem, h) -> tuple:
-    """(kind, dim, n, h) per component of the state :func:`initial_state`
-    builds at width h, n = tau/h.  Given h, each distributed bound and then
-    tau must be on its mesh (MeshError); with h None, n is None too."""
+def _components(problem, h) -> tuple:
+    """The problem's state components in state order, one (kind, dim, n, h,
+    phi0, L) each: n = tau/h segments of width h, the initial history phi0,
+    and L the stiff linear part or None.  Given h, each distributed bound and
+    then tau must be on its mesh (MeshError); with h None, n is None too."""
     for lim in problem.distributed_limits if h is not None else ():
         _steps(lim, h, "distributed delay bound")
     n = None if h is None else _steps(float(problem.tau), float(h), "tau")
     if problem.kind == "coupled":
-        return ("re", problem.dim_re, n, h), ("dde", problem.dim_dde, n, h)
-    return (("re" if problem.kind == "re" else "dde", problem.dim, n, h),)
+        return (("re", problem.dim_re, n, h, problem.phi0_re, None),
+                ("dde", problem.dim_dde, n, h, problem.phi0_dde, None))
+    return (("re" if problem.kind == "re" else "dde", problem.dim, n, h, problem.phi0, problem.L),)
 
 
-def _boxed(problem, states):
-    """The components as callers see them: a coupled problem's pair, else the one state."""
-    return tuple(states) if problem.kind == "coupled" else states[0]
+def _boxed(states):
+    """The components as callers see them: a tuple of several, else the one state."""
+    return tuple(states) if len(states) > 1 else states[0]
 
 
 def initial_state(problem, h: float):
-    """Project the problem's initial history onto a mesh of width h."""
-    phi0s = (problem.phi0_re, problem.phi0_dde) if problem.kind == "coupled" else (problem.phi0,)
-    return _boxed(problem, [
+    """Project each component's initial history phi0 onto a mesh of width h."""
+    return _boxed([
         HistoryState.from_callable(phi0, kind, dim, problem.tau, h)
-        for phi0, (kind, dim, _, _) in zip(phi0s, _layout(problem, h))
+        for kind, dim, _, _, phi0, _ in _components(problem, h)
     ])
 
 
 def _check_state(problem, state, h=None, name="state") -> tuple:
-    """The components of ``state`` if laid out as ``initial_state(problem, h)``
-    builds them, h defaulting to the first one's width; else raises as :func:`step` says."""
+    """The components of ``state`` if they match :func:`_components` at h, by
+    default the first one's width, boxed as :func:`_boxed`; else raises as :func:`step` says."""
     given = state if isinstance(state, tuple) and state else (state,)
     h = given[0].h if h is None and isinstance(given[0], HistoryState) else h
-    want = _layout(problem, h)
+    want = tuple(c[:4] for c in _components(problem, h))
     got = tuple([isinstance(s, HistoryState) and (s.kind, s.dim, s.n_segments, s.h) for s in given])
-    boxed = isinstance(state, tuple) == (problem.kind == "coupled")
+    boxed = isinstance(state, tuple) == (len(want) > 1)
     if boxed and got == want:
         return given
     layout = ", ".join(f"{kind} HistoryState of dim {dim}" for kind, dim, _, _ in want)
@@ -468,7 +469,7 @@ def step(problem, tab, state, t_n: float):
     """
     states = _check_state(problem, state)
     new = _entry(problem)(problem, tab, states, t_n, _plan(problem, tab, states[0].h))
-    return _boxed(problem, new)
+    return _boxed(new)
 
 
 def observed_values(state) -> np.ndarray:
@@ -513,8 +514,8 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
                 stage_index=exc.stage_index,
             ) from None
         if observer is not None:
-            observer((n + 1) * h, observed_values(_boxed(problem, states)))
-    return _boxed(problem, states)
+            observer((n + 1) * h, observed_values(_boxed(states)))
+    return _boxed(states)
 
 
 class TrajectoryRecorder:

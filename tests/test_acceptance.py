@@ -357,6 +357,43 @@ def test_criterion_9_stiff_parabolic_orders():
                 assert gap <= 0.1, f"{where}: N = 16 and 64 differ by {gap:.1%}"
 
 
+def _scalar_stiff(lam):
+    """x' = lam x + 0.5 x(t-1) + cos t - 0.5 u(t-1), with exact solution
+    u = (sin t - lam cos t)/(1 + lam^2), which is also the initial history."""
+
+    def exact(t):
+        t = np.asarray(t, dtype=float)
+        return (np.sin(t) - lam * np.cos(t)) / (1.0 + lam * lam)
+
+    def rhs(t, v):
+        return 0.5 * v.eval(-1.0) + math.cos(t) - 0.5 * exact(t - 1.0)
+
+    return xd.Problem(
+        kind="semilinear_dde", dim=1, tau=1.0, rhs=rhs, phi0=exact, L=[[lam]], exact=exact,
+        name=f"scalar_stiff_{lam:g}",
+    )
+
+
+def test_criterion_12_stiff_orders_uniform_in_lambda():
+    # Hochbruck & Ostermann (Acta Numerica 2010) bound the error by C h^p with
+    # C independent of L, p the strong order; a single lambda may show another
+    # slope (heun's head at lambda = -1e4 reads about 1, far below the bound)
+    with criterion(12, "scalar stiff DDE, lambda to -1e4: lambda-uniform envelope slopes 1/2/2"):
+        lams = (-1.0, -1e2, -1e4)
+        runs = {lam: xd.converge(_scalar_stiff(lam), METHODS, HS_HALVING, 2.0) for lam in lams}
+        for method, target in zip(METHODS, (1.0, 2.0, 2.0)):
+            for which, (what, err) in enumerate((("head", "err_x"), ("history", "err_u"))):
+                errs = [
+                    [row[err] for row in runs[lam][0] if row["method"] == method] for lam in lams
+                ]
+                got = xd.estimate_order(HS_HALVING, np.max(errs, axis=0))
+                per_lam = ", ".join(f"{lam:g}: {runs[lam][1][method][which]:.2f}" for lam in lams)
+                assert got >= target - 0.1, (
+                    f"{method} {what} envelope slope {got:.3f} < {target} - 0.1; "
+                    f"slopes per lambda {per_lam}"
+                )
+
+
 def _birth(t):
     """The manufactured birth rate b(t) = 1 + 0.5 sin t."""
     return 1.0 + 0.5 * np.sin(t)

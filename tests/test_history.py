@@ -100,6 +100,20 @@ def test_non_finite_append_is_refused(kind, bad, head):
         state.shift_append([[1.0, 0.0, 0.0, bad]], head=None if head is None else [head])
 
 
+@pytest.mark.parametrize("entry", ["shift_append", "constructor"])
+def test_overflowing_segment_sum_names_the_mismatch(entry):
+    # finite coefficients whose value at theta = 0 overflows to inf: the
+    # named mismatch, with no numpy overflow warning on the way to it
+    newest = [[1e308, 1e308, 0.0, 0.0]]
+    state = HistoryState.from_callable(lambda th: np.zeros(np.shape(th)), "dde", 1, 1.0, 0.25)
+    with pytest.raises(ValueError, match=r"newest segment's value \[inf\]"):
+        if entry == "shift_append":
+            state.shift_append(newest, head=[1e308])
+        else:
+            coeffs = np.concatenate((state.coefficients()[1:], [newest]))
+            HistoryState("dde", 1, 1.0, 0.25, coeffs, head=[1e308])
+
+
 @pytest.mark.parametrize("kind", ["dde", "re"])
 def test_non_finite_history_fails_when_built(kind):
     # an input error, not a divergence at step 0: the state names the segment

@@ -452,6 +452,54 @@ def test_cached_window_plan_equals_a_fresh_one(kind, h, n, c, seed, ends):
     assert plan.weights.sum() + plan.m * h == pytest.approx(b - a, rel=1e-12)
 
 
+def _scanned_cuts(n, h, shift, a, b):
+    """(first, m, ends) of a window plan, by a scan over every knot: the cuts
+    are the knots strictly inside (a + tol, b - tol), and each end piece
+    reads the segment holding its midpoint (-1 for the overlay)."""
+    tol = _knot_tol(n * h)
+    lo, hi = a + tol, b - tol
+    if shift > 0.0:
+        lo = max(lo, -(n * h) + tol)
+    knots = [(j - n) * h - shift for j in range(n + 1)]
+    inside = [j for j, knot in enumerate(knots) if lo < knot < hi]
+    first = next((j for j, knot in enumerate(knots) if knot > lo), n + 1)
+
+    def segment(t_lo, t_hi):
+        mid = 0.5 * (t_lo + t_hi)
+        if shift > 0.0 and mid > knots[n]:
+            return -1
+        return min(max(sum(knot <= mid for knot in knots) - 1, 0), n - 1)
+
+    if not inside:
+        return first, 0, (segment(a, b),)
+    pieces = (segment(a, knots[inside[0]]), segment(knots[inside[-1]], b))
+    return first, len(inside) - 1, pieces
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    h=st.sampled_from([0.25, 0.1, 1.0 / 3.0]),
+    n=st.integers(min_value=1, max_value=30),
+    c=st.one_of(st.none(), st.just(1.0), st.floats(min_value=0.01, max_value=0.99)),
+    ends=st.tuples(_ends, _ends),
+)
+@example(h=0.1, n=30, c=None, ends=((3, 0.0, 1.0), (20, 0.0, -1.0)))
+@example(h=0.1, n=30, c=None, ends=((3, 0.0, -1.0), (20, 0.0, 1.0)))
+@example(h=1.0 / 3.0, n=9, c=0.5, ends=((0, 0.0, -1.0), (9, 1.0, 1.0)))
+def test_window_plan_cuts_at_the_knots_inside_the_tolerance(h, n, c, ends):
+    # bounds on, near (within the knot tolerance of) and between knots, on
+    # states and stage views: a fresh plan's cuts are those of a scan
+    view = _random_view("re", 1, h, n, c, 0)
+    knots, tol = view.breakpoints(), _knot_tol(view.tau)
+    a, b = sorted(_window_end(knots, *end, tol) for end in ends)
+    a, b = float(max(a, -view.tau - 0.9 * tol)), float(min(b, 0.9 * tol))
+    if b - a < 1e-3 * h:
+        return
+    key = _plan_key(view, a, b)
+    plan = _window_plan.__wrapped__(*key)
+    assert (plan.first, plan.m, plan.ends) == _scanned_cuts(*key)
+
+
 @pytest.mark.parametrize("shift", [None, 0.1])
 def test_one_plan_serves_states_with_their_own_values(shift):
     # two views on the same mesh, shift and window share one plan and each
