@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 import weakref
 from itertools import chain
@@ -166,12 +167,20 @@ def _steps(value: float, h: float, what: str) -> int:
     return int(round(ratio))
 
 
+def _index(value, field: str) -> int:
+    """``value`` read by :func:`operator.index`; a TypeError names ``field`` otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{field} must be an integer, got {value!r}") from None
+
+
 def _n_segments(kind, dim: int, tau: float, h: float) -> int:
     """Number of segments n = tau/h of a history of this kind and dim; raises
     unless the kind is 'dde' or 're', dim >= 1 and n >= 1 (MeshError)."""
     if kind not in ("dde", "re"):
         raise ValueError(f"kind must be 'dde' or 're', got {kind!r}")
-    if dim < 1:
+    if _index(dim, "dim") < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     n = _steps(float(tau), float(h), "tau")
     if n < 1:
@@ -187,7 +196,9 @@ def _outside(thetas: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _check_inside(thetas: np.ndarray, tau: float):
-    """Raise the named ValueError for the first offset outside [-tau, 0]."""
+    """Raise the named ValueError for offsets on 2+ axes, or the first outside [-tau, 0]."""
+    if thetas.ndim > 1:
+        raise ValueError(f"offsets must be a scalar or 1-d, got shape {thetas.shape}")
     bad = _outside(thetas, tau)
     if bad.any():
         raise ValueError(
@@ -477,8 +488,9 @@ class HistoryState:
         ``coeffs``, the (dim, 4) cubic on [-h, 0] in the local variable
         s = (theta + h)/h, as the newest one, in O(1) (see the module notes).
 
-        DDE states also replace the head, which must match the new segment's
-        value at theta = 0; RE states take no head.  Segment and head must be finite.
+        DDE states also replace the head, which must be finite and match the new
+        segment's value at theta = 0; RE states take no head, and that value, the
+        row sums in plain floats, must be finite.  This is the stepper's update check.
         """
         coeffs = _as_float(coeffs, "coeffs holds")
         if coeffs.shape != (self.dim, _NCOEF):
@@ -489,8 +501,8 @@ class HistoryState:
         head = _as_head(self.kind, self.dim, head)
         if self.kind == "dde":
             _check_continuity(coeffs, head)
-        elif not all(map(math.isfinite, chain(*coeffs.tolist()))):
-            raise ValueError(f"appended RE segment {coeffs.tolist()} is not finite")
+        elif not all(math.isfinite(c3 + c2 + c1 + c0) for c0, c1, c2, c3 in coeffs.tolist()):
+            raise ValueError(f"appended RE segment {coeffs.tolist()} is not finite at theta = 0")
         log, end = self._log, self._end
         if not log.claim(end, coeffs):
             log, end = _Log(self._coeffs), self.n_segments
@@ -544,6 +556,10 @@ class StageView:
     __slots__ = ("base", "kind", "dim", "tau", "h", "shift", "overlay_coeffs", "head")
 
     def __init__(self, base, shift: float, overlay_coeffs: np.ndarray, head=None):
+        if not isinstance(base, HistoryState):
+            raise TypeError(f"a stage view needs a HistoryState base, not {type(base).__name__}")
+        if not 0.0 < (shift := float(shift)) <= base.tau:
+            raise ValueError(f"stage shift must be in (0, tau = {base.tau}], got {shift}")
         # a copy
         overlay_coeffs = np.array(_as_float(overlay_coeffs, "overlay_coeffs holds"), ndmin=2)
         if overlay_coeffs.shape != (base.dim, _NCOEF):
@@ -551,18 +567,18 @@ class StageView:
                 f"overlay must have shape ({base.dim}, {_NCOEF}), "
                 f"got {overlay_coeffs.shape}"
             )
-        self._set(base, float(shift), overlay_coeffs, _as_head(base.kind, base.dim, head))
+        self._set(base, shift, overlay_coeffs, _as_head(base.kind, base.dim, head))
 
     @classmethod
     def _of(cls, base, shift: float, overlay_coeffs: np.ndarray, head) -> "StageView":
-        """A view that keeps the fresh arrays it is given, a float (dim, 4)
-        overlay and a (dim,) head (None for RE kinds), and makes them
-        read-only instead of copying and checking them; the shift is checked."""
+        """A view that keeps the fresh arrays it is given, a float (dim, 4) overlay
+        and a (dim,) head (None for RE kinds), and makes them read-only instead of
+        copying and checking them.  Nor does it compare the shift: a step's c_i h is
+        in (0, h], inside (0, tau], as a Tableau holds c_i in [0, 1] and a plan refuses
+        an h at which c_i h underflows to 0."""
         return object.__new__(cls)._set(base, shift, overlay_coeffs, head)
 
     def _set(self, base, shift: float, overlay_coeffs: np.ndarray, head) -> "StageView":
-        if not 0.0 < shift <= base.tau:
-            raise ValueError(f"stage shift must be in (0, tau = {base.tau}], got {shift}")
         overlay_coeffs.setflags(write=False)
         if head is not None:
             head.setflags(write=False)

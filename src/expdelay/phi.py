@@ -18,6 +18,8 @@ import math
 import numpy as np
 import scipy.linalg
 
+from .history import _as_float
+
 __all__ = [
     "phi_scalar",
     "phi_matrices",
@@ -78,7 +80,7 @@ def phi_scalar(k: int, z: float) -> float:
 
 
 def phi_matrices(M: np.ndarray, p: int) -> np.ndarray:
-    """phi_0(M), ..., phi_p(M) as a (p + 1, d, d) array.
+    """phi_0(M), ..., phi_p(M) as a (p + 1, d, d) array, for a real square M.
 
     Scaling and modified squaring (Skaflestad & Wright, Appl. Numer. Math.
     59, 2009): with M' = M / 2^j and ||M'||_1 <= 2, e^{M'} comes from
@@ -86,7 +88,7 @@ def phi_matrices(M: np.ndarray, p: int) -> np.ndarray:
     and the lower orders from phi_k = M' phi_{k+1} + I/k!; j doublings by
     :func:`phi_combine` then return to M.  One d x d exponential per call.
     """
-    M = np.asarray(M, dtype=float)
+    M = _as_float(M, "M holds")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be square, got shape {M.shape}")
     if not np.isfinite(M).all():
@@ -142,15 +144,11 @@ def phi_combine(A: np.ndarray, B: np.ndarray, a: float, b: float) -> np.ndarray:
 def phi_matrix_action(M: np.ndarray, vs) -> np.ndarray:
     """Compute sum_{j=0..p} phi_j(M) @ vs[j] from :func:`phi_matrices`.
 
-    Supports p <= 4 (the largest order any shipped method needs).
+    Supports p <= 4 (the largest order any shipped method needs).  Checks
+    only ``vs``; :func:`phi_matrices` checks M.
     """
-    M = np.asarray(M, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"M must be square, got shape {M.shape}")
-    d = M.shape[0]
-    if vs.ndim != 2 or not 1 <= vs.shape[0] <= 5 or vs.shape[1] != d:
-        raise ValueError(f"vs must have shape (p + 1, {d}) with p <= 4, got {vs.shape}")
-    p = vs.shape[0] - 1
-    phis = phi_matrices(M, p)
-    return sum(phis[j] @ vs[j] for j in range(p + 1))
+    vs = _as_float(vs, "vs holds")
+    phis = phi_matrices(M, len(vs) - 1) if vs.ndim == 2 and 1 <= len(vs) <= 5 else None
+    if phis is None or vs.shape[1] != phis.shape[1]:
+        raise ValueError(f"vs must have shape (p + 1, d) with p <= 4 and M (d, d), got {vs.shape}")
+    return sum(phis[j] @ vs[j] for j in range(len(vs)))

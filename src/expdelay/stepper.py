@@ -37,7 +37,7 @@ build its plan once per call; the stage loop :func:`_step` trusts both.
 
 Row i of ``a`` with c = c_i gives the stage views (a shift plus one overlay
 polynomial); row ``b`` with c = 1 gives the appended segment.  Every stage
-value and every appended segment must be finite.
+value must be finite, and every appended segment pass ``shift_append``.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .history import (
     StageView,
     _NCOEF,
     _as_float,
+    _index,
     _outside,
     _steps,
 )
@@ -102,7 +103,7 @@ def _check_fields(problem, dim_fields, callables):
     if not 0.0 < problem.tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {problem.tau}")
     for field in dim_fields:
-        if getattr(problem, field) < 1:
+        if _index(getattr(problem, field), field) < 1:
             raise ValueError(f"{field} must be >= 1, got {getattr(problem, field)}")
     dim, names = sum(getattr(problem, f) for f in dim_fields), problem.component_names
     if names and len(names) != dim:
@@ -207,14 +208,6 @@ def _as_rhs_value(raw, state, single: bool) -> np.ndarray:
     return val
 
 
-def _require_finite(values, stage: int, what: str):
-    # plain floats: cheaper than numpy for a few values
-    if not all(map(math.isfinite, values)):
-        raise IntegrationDiverged(
-            f"non-finite {what} at stage {stage}", stage_index=stage
-        )
-
-
 def _dde_rule(weights, scale, state, f, i: int):
     """The head y on r^0 and h u_k/k! on r^k, u = W_i^T f; and the value at r = 1."""
     coeffs = f.T.dot(weights[i])  # .dot: less call overhead than @ at this size
@@ -261,7 +254,10 @@ def _step_plan(tab: Tableau, h: float):
 def _plan(problem, tab, h: float) -> tuple:
     """The step plan of (problem, tab, h): one overlay rule per :func:`_components`
     entry, in state order: a new :func:`_semilinear_plan` for one with an L,
-    else its kind's rule from the cached :func:`_step_plan` of (tab, h)."""
+    else its kind's rule from the cached :func:`_step_plan` of (tab, h).
+    Refuses an h at which a nonzero node's stage shift c h underflows to 0."""
+    if any(0.0 < c and c * h == 0.0 for c in tab.c):
+        raise ValueError(f"a stage shift c h underflows to 0 at h = {h}, nodes {tab.c}")
     return tuple(
         _step_plan(tab, h)[kind] if L is None else _semilinear_plan(L, tab, h)
         for kind, *_, L in _components(problem, None)
@@ -274,7 +270,8 @@ def _step(problem, tab, states, t_n: float, plan) -> tuple:
     ``rule(state, F, i) -> (coeffs, head)`` from :func:`_plan`, neither of
     which it re-checks; returns the new components as a tuple.
     ``problem.rhs(t, *views)`` returns one value per component, or the bare
-    value for a single component.
+    value for a single component.  :class:`IntegrationDiverged` names the stage of a
+    non-finite stage value, or stage nu when ``shift_append`` refuses a new segment.
     """
     h = states[0].h
     # per component: its state, its overlay rule and its stage values F
@@ -293,15 +290,18 @@ def _step(problem, tab, states, t_n: float, plan) -> tuple:
             raise ValueError(f"rhs returned {count} values, expected {len(parts)}")
         for r, (state, _, f) in zip(raw, parts):
             value = _as_rhs_value(r, state, single)
-            _require_finite(value.tolist(), i + 1, "stage value")
+            if not all(map(math.isfinite, value.tolist())):  # plain floats: cheap for a few
+                msg = f"non-finite stage value at stage {i + 1}"
+                raise IntegrationDiverged(msg, stage_index=i + 1)
             f[i] = value
     new = []
     for state, rule, f in parts:
         coeffs, head = rule(state, f, tab.nu)
-        # the new segment's value at theta = 0 (a DDE's head), which is
-        # non-finite whenever one of its coefficients is
-        _require_finite(map(sum, coeffs.tolist()), tab.nu, "update")
-        new.append(state.shift_append(coeffs, head=head))
+        try:  # shift_append refuses a segment that is not finite at theta = 0
+            new.append(state.shift_append(coeffs, head=head))
+        except ValueError as exc:
+            msg = f"update refused at stage {tab.nu}: {exc}"
+            raise IntegrationDiverged(msg, stage_index=tab.nu) from exc
     return tuple(new)
 
 
@@ -523,7 +523,7 @@ class TrajectoryRecorder:
     initial observable is passed at construction)."""
 
     def __init__(self, sample_every: int = 1, t0=None, values0=None):
-        self.sample_every = operator.index(sample_every)
+        self.sample_every = _index(sample_every, "sample_every")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         self._count = 0

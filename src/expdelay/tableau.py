@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .history import DEGREE
+from .history import DEGREE, _index
 from .phi import phi_scalar
 
 __all__ = [
@@ -46,9 +46,10 @@ class Tableau:
     Entries of ``a`` and ``b`` are tuples of (k, w) terms, sum w * phi_k with
     k >= 1 (() is zero).  ``a`` is strictly lower triangular.  The tableau
     owns the node scale: row i of ``a`` is evaluated at c_i z (coefficients
-    built from phi_k(c_i h A0)) and ``b`` at z.  Terms have order k <= DEGREE,
-    the degree of a stored history segment, so every method runs on every
-    problem kind.
+    built from phi_k(c_i h A0)) and ``b`` at z.  Nodes lie in [0, 1], and in (0, 1]
+    for a row with terms, so a stage view's shift c_i h lies in (0, h].  Terms have
+    order k <= DEGREE, the degree of a stored history segment, so every method runs
+    on every problem kind.
 
     ``weights`` holds one read-only matrix W_i per row, the rows of ``a``
     and then ``b``, of shape (nu, p_i + 1) with p_i the row's highest phi
@@ -87,6 +88,8 @@ class Tableau:
                 raise ValueError(f"a[{i}][j] must be empty for j >= {i} (explicit method)")
             if W.shape[1] > 1 and not 0.0 < self.c[i] <= 1.0:
                 raise ValueError(f"a row with terms needs c_{i + 1} in (0, 1]")
+            if not 0.0 <= self.c[i] <= 1.0:
+                raise ValueError(f"node c_{i + 1} = {self.c[i]} must lie in [0, 1]")
         if max(W.shape[1] for W in weights) > DEGREE + 1:
             raise ValueError(f"phi orders above the segment degree {DEGREE}")
         object.__setattr__(self, "weights", weights)
@@ -288,6 +291,7 @@ def check_order(tab: Tableau, p: int, mode: str = "strong") -> OrderReport:
     sum_i b_i(0) c_i^{p-1} = 1/p, and the order-p rows with b_i frozen at 0
     (for the psi_p row this is exactly the classical condition at z = 0).
     """
+    p = _index(p, "order p")
     if not 1 <= p <= 4:
         raise ValueError(f"order must be in 1..4, got {p}")
     if mode not in ("strong", "weak"):

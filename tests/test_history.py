@@ -114,6 +114,20 @@ def test_overflowing_segment_sum_names_the_mismatch(entry):
             HistoryState("dde", 1, 1.0, 0.25, coeffs, head=[1e308])
 
 
+def test_overflowing_re_segment_is_refused():
+    # finite coefficients whose value at theta = 0 overflows: an RE append
+    # is held to the rule that a DDE append's continuity check implies, and
+    # stores no segment that evaluates to inf
+    state = HistoryState.from_callable(lambda th: np.zeros(np.shape(th)), "re", 1, 1.0, 0.25)
+    with pytest.raises(ValueError, match="is not finite"):
+        state.shift_append([[1e308, 1e308, 0.0, 0.0]])
+
+
+def test_history_dim_must_be_an_integer(re_state):
+    with pytest.raises(TypeError, match="dim must be an integer, got 1.5"):
+        HistoryState("re", 1.5, 2.0, 0.25, re_state.coefficients())
+
+
 @pytest.mark.parametrize("kind", ["dde", "re"])
 def test_non_finite_history_fails_when_built(kind):
     # an input error, not a divergence at step 0: the state names the segment
@@ -406,6 +420,29 @@ def test_stage_view_shift_in_range(re_state):
         with pytest.raises(ValueError, match=r"stage shift must be in \(0, tau = 2.0\]"):
             StageView(re_state, shift, np.zeros((1, 4)))
     assert StageView(re_state, tau, np.zeros((1, 4))).shift == tau
+
+
+def test_stage_view_needs_a_history_state_base(re_state):
+    # a view of a view would evaluate, but integrate_view reads its base's segments
+    view = StageView(re_state, 0.25, np.zeros((1, 4)))
+    with pytest.raises(TypeError, match="stage view needs a HistoryState base, not StageView"):
+        StageView(view, 0.25, np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, thetas: s.eval_many(thetas),
+        lambda s, thetas: StageView(s, 0.25, np.zeros((1, 4))).eval_many(thetas),
+        lambda s, thetas: s.j_integrate(thetas),
+    ],
+    ids=["state_eval_many", "stage_view_eval_many", "j_integrate"],
+)
+def test_offsets_on_more_than_one_axis_are_refused(re_state, call):
+    # a scalar or m offsets: a (1, 2) array is named, not a (1, 2, dim) result
+    # or a numpy indexing or broadcast error
+    with pytest.raises(ValueError, match=r"offsets must be a scalar or 1-d, got shape \(1, 2\)"):
+        call(re_state, np.full((1, 2), -0.5))
 
 
 @pytest.mark.parametrize(

@@ -192,6 +192,21 @@ def test_matrix_action_contract_violations():
         phi_matrix_action(np.zeros((2, 2)), np.zeros(2))
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: phi_matrices(np.array([[-1.0 + 1j]]), 1), "M"),
+        (lambda: phi_matrix_action(np.array([[-1.0 + 1j]]), np.ones((2, 1))), "M"),
+        (lambda: phi_matrix_action(np.array([[-1.0]]), np.ones((2, 1)) + 1j), "vs"),
+    ],
+    ids=["phi_matrices_M", "action_M", "action_vs"],
+)
+def test_complex_matrix_arguments_raise(call, name):
+    # a TypeError naming the argument, not a real part kept after a ComplexWarning
+    with pytest.raises(TypeError, match=f"^{name} holds complex values"):
+        call()
+
+
 @pytest.mark.parametrize("p", range(5))
 def test_phi_matrices_match_scalar(p):
     for z in np.concatenate([-np.logspace(-4, 4), [0.5, 1.0]]):

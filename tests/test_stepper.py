@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -1145,6 +1146,63 @@ def test_overflowing_update_names_its_stage(kind):
         integrate(prob, builtin("heun"), 0.5, 0.5)
     assert err.value.step_index == 0
     assert err.value.stage_index == 2
+
+
+@pytest.mark.parametrize("make", [belzen, quadratic_re, daphnia])
+def test_refused_append_is_divergence_at_the_update_stage(monkeypatch, make):
+    # the append's check is the step's update check: its ValueError ends the
+    # step at stage nu
+    def refuse(self, coeffs, head=None):
+        raise ValueError("segment refused")
+
+    monkeypatch.setattr(HistoryState, "shift_append", refuse)
+    tab = builtin("expo3")
+    with pytest.raises(IntegrationDiverged, match="segment refused") as err:
+        integrate(make(), tab, 0.5, 1.0)
+    assert err.value.step_index == 0
+    assert err.value.stage_index == tab.nu
+
+
+def test_stage_shift_that_underflows_is_refused():
+    # c_2 in (0, 1], but c_2 h is 0.0: the plan names it before any stage
+    # view with a zero-width overlay reaches the rhs
+    tab = Tableau(name="subnormal", c=(0.0, 5e-324), a=(((), ()), (((1, 5e-324),), ())),
+                  b=(((1, 1.0),), ()), declared_order=1)
+    prob = dataclasses.replace(belzen(), rhs=lambda t, v: -v.eval(0.0))
+    for call in (lambda: integrate(prob, tab, 0.25, 0.5),
+                 lambda: step(prob, tab, initial_state(prob, 0.25), 0.0)):
+        with pytest.raises(ValueError, match="stage shift c h underflows to 0 at h = 0.25"):
+            call()
+
+
+def test_unknown_kind_is_refused_before_rhs():
+    # a duck-typed problem whose fields declare one DDE component
+    calls = []
+    prob = types.SimpleNamespace(
+        kind="foo", dim=1, tau=1.0, L=None, distributed_limits=(),
+        phi0=lambda th: np.ones(np.shape(th)), rhs=lambda t, v: calls.append(t),
+    )
+    state = initial_state(prob, 0.25)
+    for call in (lambda: step(prob, builtin("heun"), state, 0.0),
+                 lambda: integrate(prob, builtin("heun"), 0.25, 0.5)):
+        with pytest.raises(ValueError, match="unknown problem kind 'foo'"):
+            call()
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: Problem(kind="dde", dim=2.0, tau=1.0, rhs=lambda t, v: v.head,
+                         phi0=lambda th: np.ones((np.size(th), 2))), "dim must be an integer, got 2.0"),
+        (lambda: dataclasses.replace(daphnia(), dim_re=1.5), "dim_re must be an integer, got 1.5"),
+    ],
+    ids=["problem_dim", "coupled_dim_re"],
+)
+def test_problem_dims_must_be_integers(make, match):
+    # refused at construction, not inside numpy when the problem is integrated
+    with pytest.raises(TypeError, match=match):
+        make()
 
 
 def test_observed_values_shapes():

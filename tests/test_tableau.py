@@ -107,6 +107,18 @@ def test_tableau_shape_and_mode_checks(fields, match):
         dataclasses.replace(_HEUN, **fields)
 
 
+@pytest.mark.parametrize("c2", [2.0, -1.0])
+def test_empty_row_node_must_lie_in_unit_interval(c2):
+    # an empty row still sets its stage time t_n + c h and its view's shift c h
+    with pytest.raises(ValueError, match=rf"node c_2 = {c2} must lie in \[0, 1\]"):
+        dataclasses.replace(_HEUN, c=(0.0, c2), a=(((), ()), ((), ())))
+
+
+def test_check_order_needs_an_integer_order():
+    with pytest.raises(TypeError, match="order p must be an integer, got 2.5"):
+        check_order(_HEUN, 2.5)
+
+
 def test_weight_matrices():
     # one read-only matrix per row, the rows of a and then b: W[j, k] sums
     # the order-k weights of entry j, for the orders 0..p of the row
