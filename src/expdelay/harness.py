@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .history import _grid, norm_diff
+from .history import _as_shaped, _grid, norm_diff
 from .quadrature import gauss_legendre
 from .stepper import initial_state, integrate, observed_values, TrajectoryRecorder
 from .tableau import builtin
@@ -60,11 +60,9 @@ def estimate_order(hs, errs) -> float:
     return float(slope)
 
 
-def _shifted_exact(exact, T):
-    def ref(thetas):
-        return exact(T + np.asarray(thetas, dtype=float))
-
-    return ref
+def _shifted_exact(exact, T, dim: int):
+    """theta -> x(T + theta) at an array of m offsets, read as (m, dim) values."""
+    return lambda thetas: _as_shaped(exact(T + thetas), (len(thetas), dim), "exact returned", 1)
 
 
 def _integrated_errors(state, exact, T, norm: str):
@@ -73,14 +71,14 @@ def _integrated_errors(state, exact, T, norm: str):
     The reference integral is accumulated per mesh segment with an 8-node
     Gauss-Legendre rule (orders of magnitude below any observable error).
     """
-    n = state.n_segments
-    h = state.h
+    n, h, dim = state.n_segments, state.h, state.dim
+    shifted = _shifted_exact(exact, T, dim)
     lefts = (np.arange(n) - n) * h
     g8_x, g8_w = gauss_legendre(8)
     seg_nodes = _grid(n, h, g8_x).ravel()
-    vals = np.asarray(exact(T + seg_nodes), dtype=float).reshape(n, len(g8_x), -1)
+    vals = shifted(seg_nodes).reshape(n, len(g8_x), dim)
     seg_int = h * np.einsum("q,nqd->nd", g8_w, vals)
-    suffix = np.zeros((n + 1, state.dim))
+    suffix = np.zeros((n + 1, dim))
     suffix[:-1] = seg_int[::-1].cumsum(axis=0)[::-1]
 
     def reference(thetas):
@@ -88,29 +86,26 @@ def _integrated_errors(state, exact, T, norm: str):
         idx = state._locate(thetas)[0]
         widths = lefts[idx] + h - thetas
         part_nodes = (thetas[:, None] + widths[:, None] * g8_x[None, :]).ravel()
-        part_vals = np.asarray(exact(T + part_nodes), dtype=float).reshape(
-            len(thetas), len(g8_x), -1
-        )
+        part_vals = shifted(part_nodes).reshape(len(thetas), len(g8_x), dim)
         u_ref = widths[:, None] * np.einsum("q,mqd->md", g8_w, part_vals)
         return u_ref + suffix[idx + 1]
 
-    integrated = SimpleNamespace(
-        tau=state.tau, h=h, dim=state.dim, eval_many=state.j_integrate
-    )
+    integrated = SimpleNamespace(tau=state.tau, h=h, dim=dim, eval_many=state.j_integrate)
     return norm_diff(integrated, reference, norm)
 
 
 def _errors(problem, state, T: float, norm: str | None):
     exact = problem.exact
+    shifted = _shifted_exact(exact, T, state.dim)
     if state.kind == "re":
         norm = norm or "l1"
-        err_x = norm_diff(state, _shifted_exact(exact, T), norm)
+        err_x = norm_diff(state, shifted, norm)
         err_u = _integrated_errors(state, exact, T, norm)
     else:
         norm = norm or "sup"
-        final = np.asarray(exact(T), dtype=float).reshape(-1)
+        final = _as_shaped(exact(T), (state.dim,), "exact returned")
         err_x = float(np.max(np.abs(state.head - final)))
-        err_u = norm_diff(state, _shifted_exact(exact, T), norm)
+        err_u = norm_diff(state, shifted, norm)
     return err_x, err_u
 
 
@@ -120,6 +115,8 @@ def converge(problem, methods, hs, T: float, norm: str | None = None):
     Returns ``(rows, slopes)``: rows are dicts with keys problem, method, h,
     err_x, err_u in deterministic sorted order (method name, then h
     descending); slopes maps method to the fitted pair (slope_x, slope_u).
+    ``problem.exact`` maps a time, or an array of m times, to (dim,) or (m, dim)
+    values, read by :func:`~expdelay.history._as_shaped` and named "exact".
     """
     if getattr(problem, "exact", None) is None:
         raise ValueError(

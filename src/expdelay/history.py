@@ -33,11 +33,13 @@ array path, in plain floats, down to the Horner row of its one (dim, 4)
 segment (:func:`_horner_point`), so both agree bit for bit; it returns shape
 (dim,) where an array of m offsets gives (m, dim).
 
-Values that the package reads from user callables (a history, a reference,
-an rhs, an integrand), the arrays given to :class:`HistoryState`,
-``shift_append`` and :class:`StageView`, and the offsets given to
-``eval_many`` and ``j_integrate``, pass :func:`_as_float`: complex values
-raise a TypeError rather than lose their imaginary parts.
+Every array the package takes in is read by :func:`_as_float`: complex
+values raise a TypeError naming their source rather than lose their
+imaginary parts.  Arrays with a dim axis (an rhs, phi0, exact or reference
+value, a head, an overlay, an appended segment, a state's coefficients) and
+scalars (tau, h, T, a shift, z) are read at their shape by
+:func:`_as_shaped`, which lets a dim axis of length 1 be left off and names
+any other shape.
 
 Stepping never mutates a state.  A state is a window of n segments in an
 append-only log of capacity 2n that the states stepped from one another
@@ -143,9 +145,23 @@ def _as_float(raw, what: str) -> np.ndarray:
     if type(raw) is np.ndarray and raw.dtype is _FLOAT:
         return raw
     vals = np.asarray(raw)
+    if vals.dtype is _FLOAT:  # a numpy or Python float: no second conversion
+        return vals
     if vals.dtype.kind == "c":
         raise TypeError(f"{what} complex values (dtype {vals.dtype}); expected real ones")
     return np.asarray(vals, dtype=float)
+
+
+def _as_shaped(raw, shape: tuple, what: str, axis: int = 0) -> np.ndarray:
+    """``raw`` read by :func:`_as_float` at ``shape``, or at ``shape`` without
+    its dim axis ``axis`` when that axis has length 1 (reshaped, not copied);
+    any other shape raises a ValueError "<what> shape S, expected T"."""
+    vals = _as_float(raw, what)
+    if vals.shape != shape:
+        if shape[axis : axis + 1] != (1,) or vals.shape != shape[:axis] + shape[axis + 1 :]:
+            raise ValueError(f"{what} shape {vals.shape}, expected {shape}")
+        vals = vals.reshape(shape)
+    return vals
 
 
 class MeshError(ValueError):
@@ -182,7 +198,8 @@ def _n_segments(kind, dim: int, tau: float, h: float) -> int:
         raise ValueError(f"kind must be 'dde' or 're', got {kind!r}")
     if _index(dim, "dim") < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    n = _steps(float(tau), float(h), "tau")
+    tau, h = float(_as_shaped(tau, (), "tau holds")), float(_as_shaped(h, (), "h holds"))
+    n = _steps(tau, h, "tau")
     if n < 1:
         raise MeshError(f"tau = {tau} must be a positive multiple of h = {h}")
     return n
@@ -231,30 +248,16 @@ def _grid(n: int, h: float, s: np.ndarray) -> np.ndarray:
 
 
 def _as_head(kind: str, dim: int, head):
-    """Read-only head of shape (dim,) for DDE kinds; RE kinds take none."""
+    """Read-only copy of a DDE kind's head, read at shape (dim,); RE kinds take none."""
     if kind == "re":
         if head is not None:
             raise ValueError("RE states carry no head value")
         return None
     if head is None:
         raise ValueError("DDE states require a head value")
-    head = np.array(_as_float(head, "head holds"), ndmin=1)  # a copy
-    if head.shape != (dim,):
-        raise ValueError(f"head must have shape ({dim},), got {head.shape}")
+    head = np.array(_as_shaped(head, (dim,), "head holds"))
     head.setflags(write=False)
     return head
-
-
-def _as_values(raw, m: int, d: int, what: str) -> np.ndarray:
-    vals = _as_float(raw, f"{what} returned")
-    if vals.shape == (m,) and d == 1:
-        vals = vals[:, None]
-    if vals.shape != (m, d):
-        raise ValueError(
-            f"{what} returned shape {vals.shape}; expected ({m},) for scalar "
-            f"systems or ({m}, {d})"
-        )
-    return vals
 
 
 def _check_continuity(newest: np.ndarray, head: np.ndarray):
@@ -373,28 +376,25 @@ class _Log:
 class HistoryState:
     """History function on [-tau, 0] as tau/h cubic segments, plus a DDE head.
 
-    Value semantics: instances are immutable and safe to share across
-    threads; every operation returns a new state.  A state reads the window
-    ``buf[end - n:end]`` of an append-only log; appends only write slots past
-    the log's written end, so a window's values never change.
+    ``coeffs`` (n, dim, 4) and ``head`` (dim,) are read by :func:`_as_shaped`,
+    tau and h as real scalars.  Value semantics: instances are immutable and
+    safe to share across threads; every operation returns a new state.  A state
+    reads the window ``buf[end - n:end]`` of an append-only log; appends only
+    write slots past the log's written end, so a window's values never change.
     """
 
     __slots__ = ("kind", "dim", "tau", "h", "n_segments", "head", "_log", "_end", "_coeffs")
 
     def __init__(self, kind, dim, tau, h, coeffs, head=None):
         n = _n_segments(kind, dim, tau, h)
-        h = float(h)
-        coeffs = _as_float(coeffs, "coeffs holds")
-        if coeffs.shape != (n, dim, _NCOEF):
-            raise ValueError(
-                f"coeffs must have shape ({n}, {dim}, {_NCOEF}), got {coeffs.shape}"
-            )
+        dim, h = int(dim), float(h)
+        coeffs = _as_shaped(coeffs, (n, dim, _NCOEF), "coeffs holds", 1)
         if not np.isfinite(coeffs).all():
             i = int(np.argmin(np.isfinite(coeffs).all(axis=(1, 2))))
             raise ValueError(
                 f"history segment {i} on [{(i - n) * h}, {(i + 1 - n) * h}] is not finite"
             )
-        self.kind, self.dim, self.tau, self.h, self.n_segments = kind, int(dim), n * h, h, n
+        self.kind, self.dim, self.tau, self.h, self.n_segments = kind, dim, n * h, h, n
         self.head = _as_head(kind, self.dim, head)
         if kind == "dde":
             _check_continuity(coeffs[-1], self.head)
@@ -415,13 +415,13 @@ class HistoryState:
         Each segment stores the degree-3 interpolant of ``phi`` at 4 Chebyshev
         points: Lobatto points (endpoints included) for DDE states so that
         continuity and the head value are preserved exactly, first-kind
-        points for RE states.  ``phi`` must accept an ndarray of offsets and
-        return values of shape (m,) for dim == 1 or (m, dim).
+        points for RE states.  ``phi`` must accept an ndarray of m offsets and
+        return values of shape (m, dim), read by :func:`_as_shaped`.
         """
         n = _n_segments(kind, dim, tau, h)
         s_nodes = _LOBATTO_S if kind == "dde" else _CHEB_S
-        thetas = _grid(n, h, s_nodes)
-        vals = _as_values(phi(thetas.ravel()), n * len(s_nodes), dim, "phi")
+        thetas = _grid(n, h, s_nodes).ravel()
+        vals = _as_shaped(phi(thetas), (len(thetas), dim), "phi returned", 1)
         vals = vals.reshape(n, len(s_nodes), dim)
         vinv = _LOBATTO_VINV if kind == "dde" else _CHEB_VINV
         coeffs = np.swapaxes(vals, 1, 2) @ vinv.T
@@ -487,17 +487,13 @@ class HistoryState:
         """Advance by one mesh width: drop the oldest segment and append
         ``coeffs``, the (dim, 4) cubic on [-h, 0] in the local variable
         s = (theta + h)/h, as the newest one, in O(1) (see the module notes).
+        It and a head are read at their shapes by :func:`_as_shaped`.
 
         DDE states also replace the head, which must be finite and match the new
         segment's value at theta = 0; RE states take no head, and that value, the
         row sums in plain floats, must be finite.  This is the stepper's update check.
         """
-        coeffs = _as_float(coeffs, "coeffs holds")
-        if coeffs.shape != (self.dim, _NCOEF):
-            raise ValueError(
-                f"appended segment must have shape ({self.dim}, {_NCOEF}), "
-                f"got {coeffs.shape}"
-            )
+        coeffs = _as_shaped(coeffs, (self.dim, _NCOEF), "coeffs holds")
         head = _as_head(self.kind, self.dim, head)
         if self.kind == "dde":
             _check_continuity(coeffs, head)
@@ -550,7 +546,9 @@ class StageView:
 
     eval(theta), for theta in [-tau, 0] only, is the overlay for
     theta >= -shift and base.eval(shift+theta) below; the overlay is stored
-    in the local variable r = (theta + shift)/shift in [0, 1].
+    in the local variable r = (theta + shift)/shift in [0, 1].  The overlay
+    (dim, 4) and head (dim,) are read by :func:`_as_shaped`, the shift as a
+    real scalar.
     """
 
     __slots__ = ("base", "kind", "dim", "tau", "h", "shift", "overlay_coeffs", "head")
@@ -558,15 +556,10 @@ class StageView:
     def __init__(self, base, shift: float, overlay_coeffs: np.ndarray, head=None):
         if not isinstance(base, HistoryState):
             raise TypeError(f"a stage view needs a HistoryState base, not {type(base).__name__}")
-        if not 0.0 < (shift := float(shift)) <= base.tau:
+        if not 0.0 < (shift := float(_as_shaped(shift, (), "shift holds"))) <= base.tau:
             raise ValueError(f"stage shift must be in (0, tau = {base.tau}], got {shift}")
-        # a copy
-        overlay_coeffs = np.array(_as_float(overlay_coeffs, "overlay_coeffs holds"), ndmin=2)
-        if overlay_coeffs.shape != (base.dim, _NCOEF):
-            raise ValueError(
-                f"overlay must have shape ({base.dim}, {_NCOEF}), "
-                f"got {overlay_coeffs.shape}"
-            )
+        shape = (base.dim, _NCOEF)
+        overlay_coeffs = np.array(_as_shaped(overlay_coeffs, shape, "overlay_coeffs holds"))
         self._set(base, shift, overlay_coeffs, _as_head(base.kind, base.dim, head))
 
     @classmethod
@@ -634,7 +627,7 @@ def norm_diff(state, reference, norm: str = "sup") -> float:
     ``sup`` takes the max over 16 Chebyshev points per segment of the
     componentwise max difference; ``l1`` applies the 4-node Gauss-Legendre
     rule per segment to the 1-norm of the difference.  ``reference`` must be
-    vectorised over an ndarray of offsets.
+    vectorised: m offsets give (m, dim) values, read by :func:`_as_shaped`.
     """
     if norm not in ("sup", "l1"):
         raise ValueError(f"norm must be 'sup' or 'l1', got {norm!r}")
@@ -642,7 +635,7 @@ def norm_diff(state, reference, norm: str = "sup") -> float:
     s_nodes = _SUP_S if norm == "sup" else _L1_S
     thetas = _grid(n, state.h, s_nodes).ravel()
     got = state.eval_many(thetas)
-    want = _as_values(reference(thetas), len(thetas), state.dim, "reference")
+    want = _as_shaped(reference(thetas), (len(thetas), state.dim), "reference returned", 1)
     diff = np.abs(got - want)
     if norm == "sup":
         return float(diff.max())

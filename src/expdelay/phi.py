@@ -18,7 +18,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .history import _as_float
+from .history import _as_float, _as_shaped, _index
 
 __all__ = [
     "phi_scalar",
@@ -56,16 +56,16 @@ def _recursion_loss(k: int, x: float) -> float:
 
 
 def phi_scalar(k: int, z: float) -> float:
-    """Evaluate phi_k(z) for real z; phi_0 = exp.
+    """Evaluate phi_k(z) for an integer k >= 0 and a real scalar z; phi_0 = exp.
 
     Near zero (|z| < 0.1) the Taylor series is used.  Elsewhere the downward
     recursion phi_{j+1}(z) = (phi_j(z) - 1/j!)/z from phi_0 = e^z applies,
     except where its cancellation would exceed ~1e-13 relative error, in
     which case the series (safe for such moderate |z|) is used instead.
     """
-    if k < 0:
-        raise ValueError(f"phi order must be >= 0, got {k}")
-    z = float(z)
+    if (k := _index(k, "phi order k")) < 0:
+        raise ValueError(f"phi order k must be >= 0, got {k}")
+    z = float(_as_shaped(z, (), "z holds"))
     if k == 0:
         return math.exp(z)
     x = abs(z)
@@ -80,7 +80,7 @@ def phi_scalar(k: int, z: float) -> float:
 
 
 def phi_matrices(M: np.ndarray, p: int) -> np.ndarray:
-    """phi_0(M), ..., phi_p(M) as a (p + 1, d, d) array, for a real square M.
+    """phi_0(M), ..., phi_p(M) as a (p + 1, d, d) array, for a real square M and p >= 0.
 
     Scaling and modified squaring (Skaflestad & Wright, Appl. Numer. Math.
     59, 2009): with M' = M / 2^j and ||M'||_1 <= 2, e^{M'} comes from
@@ -88,6 +88,8 @@ def phi_matrices(M: np.ndarray, p: int) -> np.ndarray:
     and the lower orders from phi_k = M' phi_{k+1} + I/k!; j doublings by
     :func:`phi_combine` then return to M.  One d x d exponential per call.
     """
+    if (p := _index(p, "phi order p")) < 0:
+        raise ValueError(f"phi order p must be >= 0, got {p}")
     M = _as_float(M, "M holds")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be square, got shape {M.shape}")
@@ -130,6 +132,8 @@ def phi_combine(A: np.ndarray, B: np.ndarray, a: float, b: float) -> np.ndarray:
 
     with s = a/(a + b) and q = b/(a + b); a = b is the doubling rule.
     """
+    _as_shaped(a, (), "a holds")
+    _as_shaped(b, (), "b holds")
     s, q = a / (a + b), b / (a + b)
     products = B[0] @ A
     out = np.empty_like(products)

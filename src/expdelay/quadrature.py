@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .history import _as_float, _knot_tol, gauss_legendre
+from .history import _as_float, _as_shaped, _knot_tol, gauss_legendre
 
 __all__ = ["integrate_view", "gauss_legendre", "Pointwise"]
 
@@ -91,7 +91,7 @@ def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
     sums from the history log and is called on the end pieces only.
     """
     if type(a) is not float or type(b) is not float:  # Python floats need no check
-        a, b = (float(_as_float(x, "window bound holds")) for x in (a, b))
+        a, b = (float(_as_shaped(x, (), "window bound holds")) for x in (a, b))
     if a >= b:
         raise ValueError(f"empty or reversed window [{a}, {b}]")
     tol = _knot_tol(view.tau)

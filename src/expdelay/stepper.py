@@ -59,6 +59,7 @@ from .history import (
     StageView,
     _NCOEF,
     _as_float,
+    _as_shaped,
     _index,
     _outside,
     _steps,
@@ -100,6 +101,7 @@ def _check_fields(problem, dim_fields, callables):
         value = getattr(problem, field)
         if not callable(value) and not (field == "exact" and value is None):
             raise TypeError(f"{field} must be callable, got {value!r}")
+    _as_shaped(problem.tau, (), "tau holds")
     if not 0.0 < problem.tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {problem.tau}")
     for field in dim_fields:
@@ -198,16 +200,6 @@ class CoupledProblem:
             object.__setattr__(self, "component_names", names)
 
 
-def _as_rhs_value(raw, state, single: bool) -> np.ndarray:
-    what = "rhs" if single else f"rhs ({state.kind.upper()} component)"
-    val = _as_float(raw, f"{what} returned")
-    if val.ndim == 0 and state.dim == 1:
-        val = val.reshape(1)
-    if val.shape != (state.dim,):
-        raise ValueError(f"{what} returned shape {val.shape}, expected ({state.dim},)")
-    return val
-
-
 def _dde_rule(weights, scale, state, f, i: int):
     """The head y on r^0 and h u_k/k! on r^k, u = W_i^T f; and the value at r = 1."""
     coeffs = f.T.dot(weights[i])  # .dot: less call overhead than @ at this size
@@ -264,6 +256,10 @@ def _plan(problem, tab, h: float) -> tuple:
     )
 
 
+#: the source of a coupled rhs value, by its component's kind
+_COUPLED_RHS = {"re": "rhs (RE component) returned", "dde": "rhs (DDE component) returned"}
+
+
 def _step(problem, tab, states, t_n: float, plan) -> tuple:
     """One explicit exponential RK step of the components ``states`` that
     :func:`_check_state` returned, with ``plan``, their rules
@@ -277,6 +273,8 @@ def _step(problem, tab, states, t_n: float, plan) -> tuple:
     # per component: its state, its overlay rule and its stage values F
     parts = [(state, rule, np.zeros((tab.nu, state.dim))) for state, rule in zip(states, plan)]
     single = len(parts) == 1
+    # the source that a message names for each component's rhs values
+    labels = ("rhs returned",) if single else [_COUPLED_RHS[state.kind] for state in states]
     for i, ci in enumerate(tab.c):
         # a row with c_i = 0 is empty (node scales equal c_i > 0): the stage
         # sees the current state itself
@@ -288,8 +286,8 @@ def _step(problem, tab, states, t_n: float, plan) -> tuple:
             raw = (raw,)
         elif (count := operator.length_hint(raw, 1)) != len(parts):  # a bare scalar is one value
             raise ValueError(f"rhs returned {count} values, expected {len(parts)}")
-        for r, (state, _, f) in zip(raw, parts):
-            value = _as_rhs_value(r, state, single)
+        for r, (_, _, f), label in zip(raw, parts, labels):
+            value = _as_shaped(r, f.shape[1:], label)
             if not all(map(math.isfinite, value.tolist())):  # plain floats: cheap for a few
                 msg = f"non-finite stage value at stage {i + 1}"
                 raise IntegrationDiverged(msg, stage_index=i + 1)
@@ -394,9 +392,11 @@ def _components(problem, h) -> tuple:
     phi0, L) each: n = tau/h segments of width h, the initial history phi0,
     and L the stiff linear part or None.  Given h, each distributed bound and
     then tau must be on its mesh (MeshError); with h None, n is None too."""
-    for lim in problem.distributed_limits if h is not None else ():
-        _steps(lim, h, "distributed delay bound")
-    n = None if h is None else _steps(float(problem.tau), float(h), "tau")
+    if h is not None:
+        h = float(_as_shaped(h, (), "h holds"))
+        for lim in problem.distributed_limits:
+            _steps(lim, h, "distributed delay bound")
+    n = None if h is None else _steps(float(problem.tau), h, "tau")
     if problem.kind == "coupled":
         return (("re", problem.dim_re, n, h, problem.phi0_re, None),
                 ("dde", problem.dim_dde, n, h, problem.phi0_dde, None))
@@ -496,8 +496,8 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
     non-finite stage or update aborts with :class:`IntegrationDiverged`
     carrying the step and stage indices.
     """
-    h = float(h)
-    n_steps = _steps(float(T), h, "T")
+    h = float(_as_shaped(h, (), "h holds"))
+    n_steps = _steps(float(_as_shaped(T, (), "T holds")), h, "T")
     if n_steps < 0:
         raise MeshError(f"horizon T = {T} is negative")
     state = initial_state(problem, h) if state0 is None else state0

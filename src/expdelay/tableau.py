@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .history import DEGREE, _index
+from .history import DEGREE, _as_shaped, _index
 from .phi import phi_scalar
 
 __all__ = [
@@ -49,7 +49,8 @@ class Tableau:
     built from phi_k(c_i h A0)) and ``b`` at z.  Nodes lie in [0, 1], and in (0, 1]
     for a row with terms, so a stage view's shift c_i h lies in (0, h].  Terms have
     order k <= DEGREE, the degree of a stored history segment, so every method runs
-    on every problem kind.
+    on every problem kind.  Nodes and weights are stored as Python floats, so stage
+    times t_n + c_i h are floats; ``declared_order`` is an integer in 1..4.
 
     ``weights`` holds one read-only matrix W_i per row, the rows of ``a``
     and then ``b``, of shape (nu, p_i + 1) with p_i the row's highest phi
@@ -68,7 +69,7 @@ class Tableau:
     weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", tuple(self.c))
+        object.__setattr__(self, "c", tuple(float(_as_shaped(c, (), "c holds")) for c in self.c))
         object.__setattr__(self, "a", tuple(tuple(map(_entry, row)) for row in self.a))
         object.__setattr__(self, "b", tuple(map(_entry, self.b)))
         nu = len(self.c)
@@ -78,6 +79,8 @@ class Tableau:
             raise ValueError("a must be a nu x nu matrix of term tuples")
         if len(self.b) != nu:
             raise ValueError("b must have one term tuple per stage")
+        if not 1 <= _index(self.declared_order, "declared_order") <= 4:
+            raise ValueError(f"declared_order must be in 1..4, got {self.declared_order}")
         if self.declared_mode not in ("strong", "weak"):
             raise ValueError("declared_mode must be 'strong' or 'weak'")
         weights = tuple(_weight_matrix(row) for row in (*self.a, self.b))
@@ -104,8 +107,8 @@ class Tableau:
 
 
 def _entry(terms) -> tuple:
-    """One entry of ``a`` or ``b`` as a tuple of (k, w) tuples."""
-    return tuple(map(tuple, terms))
+    """One entry of ``a`` or ``b`` as a tuple of (k, w) tuples, w a Python float."""
+    return tuple((k, float(_as_shaped(w, (), "w holds"))) for k, w in terms)
 
 
 def _weight_matrix(row) -> np.ndarray:

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expdelay import belzen, converge, estimate_order, simulate
+from expdelay import Problem, belzen, converge, estimate_order, quadratic_re, simulate
 from expdelay.cli import main
 from expdelay.harness import CONVERGE_HEADER, format_csv
 from expdelay.problems import CLI_DEFAULTS, REGISTRY
@@ -89,6 +91,26 @@ def test_converge_requires_exact_solution():
 
     with pytest.raises(ValueError):
         converge(daphnia(), ["expo3"], [0.1], 1.0)
+
+
+@pytest.mark.parametrize("make", [belzen, quadratic_re])
+def test_complex_exact_raises(make):
+    # a TypeError naming exact, not a real part kept after a ComplexWarning
+    prob = make()
+    complex_exact = dataclasses.replace(prob, exact=lambda t: prob.exact(t) + 0j)
+    with pytest.raises(TypeError, match="^exact returned complex values"):
+        converge(complex_exact, ["heun"], [0.5, 0.25], 1.0)
+
+
+def test_exact_value_of_the_wrong_shape_is_refused():
+    # a dim-2 exact(T) of shape (1,) is named, not broadcast into err_x
+    prob = Problem(
+        kind="dde", dim=2, tau=1.0, rhs=lambda t, v: -v.eval(-1.0),
+        phi0=lambda th: np.ones((len(th), 2)),
+        exact=lambda t: np.ones((np.size(t), 2)) if np.ndim(t) else np.ones(1),
+    )
+    with pytest.raises(ValueError, match=r"^exact returned shape \(1,\), expected \(2,\)$"):
+        converge(prob, ["heun"], [0.5, 0.25], 1.0)
 
 
 def test_simulate_rows_and_sampling():

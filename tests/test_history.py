@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 import sys
 import threading
 
@@ -9,12 +10,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from expdelay import (
+    CoupledProblem,
     HistoryState,
     MeshError,
     Problem,
     StageView,
     belzen,
     builtin,
+    converge,
     initial_state,
     integrate,
     integrate_view,
@@ -404,7 +407,7 @@ def test_stage_view_head_contract(re_state):
     overlay = np.zeros((2, 4))
     with pytest.raises(ValueError, match="require a head"):
         StageView(dde2, 0.25, overlay)
-    with pytest.raises(ValueError, match=r"head must have shape \(2,\)"):
+    with pytest.raises(ValueError, match=r"head holds shape \(1,\), expected \(2,\)"):
         StageView(dde2, 0.25, overlay, head=[1.0])
     assert StageView(dde2, 0.25, overlay, head=[1.0, 2.0]).head.shape == (2,)
     with pytest.raises(ValueError, match="carry no head"):
@@ -451,16 +454,16 @@ def test_offsets_on_more_than_one_axis_are_refused(re_state, call):
         (lambda s: HistoryState("ode", 1, 2.0, 0.25, s.coefficients()),
          "kind must be 'dde' or 're', got 'ode'"),
         (lambda s: HistoryState("re", 1, 2.0, 0.25, s.coefficients()[:, :, :3]),
-         r"coeffs must have shape \(8, 1, 4\), got \(8, 1, 3\)"),
+         r"coeffs holds shape \(8, 1, 3\), expected \(8, 1, 4\)"),
         (lambda s: HistoryState.from_callable(
             lambda th: np.zeros((np.size(th), 3)), "re", 2, 2.0, 0.25),
-         r"phi returned shape \(32, 3\); expected \(32,\) for scalar systems or \(32, 2\)"),
+         r"phi returned shape \(32, 3\), expected \(32, 2\)"),
         (lambda s: norm_diff(s, lambda th: np.zeros((np.size(th), 2))),
          r"reference returned shape \(128, 2\)"),
         (lambda s: StageView(s, 0.25, np.zeros((1, 3))),
-         r"overlay must have shape \(1, 4\), got \(1, 3\)"),
+         r"overlay_coeffs holds shape \(1, 3\), expected \(1, 4\)"),
         (lambda s: StageView(s, 0.25, np.zeros((2, 4))),
-         r"overlay must have shape \(1, 4\), got \(2, 4\)"),
+         r"overlay_coeffs holds shape \(2, 4\), expected \(1, 4\)"),
         # dim 0 is refused by name before anything else is checked or run
         (lambda s: HistoryState("dde", 0, 1.0, 0.5, np.zeros((2, 0, 4)), head=[]),
          r"dim must be >= 1, got 0"),
@@ -473,6 +476,109 @@ def test_offsets_on_more_than_one_axis_are_refused(re_state, call):
 def test_history_input_checks(re_state, call, match):
     with pytest.raises(ValueError, match=match):
         call(re_state)
+
+
+#: cubic coefficients of two components on four segments of width 0.25 (tau = 1),
+#: then an overlay and a segment to append
+_COEFFS = np.random.default_rng(7).normal(size=(6, 2, 4))
+
+
+def _short(arr, axis, short):
+    """``arr``, or for the short form ``arr`` without its dim axis (component 0 kept)."""
+    return np.take(arr, 0, axis=axis) if short else arr
+
+
+def _wave(t, dim, short):
+    """The first ``dim`` of (sin t, cos t), on the last axis."""
+    return _short(np.stack([np.sin(t), np.cos(t)][:dim], axis=-1), -1, short)
+
+
+def _state(kind, dim):
+    coeffs = _COEFFS[:4, :dim]
+    head = coeffs[-1].sum(axis=1) if kind == "dde" else None
+    return HistoryState(kind, dim, 1.0, 0.25, coeffs, head=head)
+
+
+def _ones(dim):
+    return lambda th: np.ones((len(th), dim))
+
+
+def _rhs_run(dim, short):
+    prob = Problem(kind="dde", dim=dim, tau=1.0, phi0=_ones(dim),
+                   rhs=lambda t, v: _short(-v.eval(-1.0), 0, short))
+    final = integrate(prob, builtin("heun"), 0.25, 0.5)
+    return final.coefficients(), final.head
+
+
+def _coupled_rhs_run(dim, short):
+    prob = CoupledProblem(
+        dim_re=1, dim_dde=dim, tau=1.0, phi0_re=_ones(1), phi0_dde=_ones(dim),
+        rhs=lambda t, b, x: (0.5 * b.eval(-1.0), _short(-x.eval(-1.0), 0, short)),
+    )
+    b, x = integrate(prob, builtin("heun"), 0.25, 0.5)
+    return b.coefficients(), x.coefficients(), x.head
+
+
+def _exact_run(kind):
+    def run(dim, short):
+        prob = Problem(kind=kind, dim=dim, tau=1.0, phi0=_ones(dim),
+                       rhs=lambda t, v: -0.5 * v.eval(-1.0), exact=lambda t: _wave(t, dim, short))
+        rows, _ = converge(prob, ["heun"], [0.5, 0.25], 1.0)
+        return np.array([[row["err_x"], row["err_u"]] for row in rows])
+
+    return run
+
+
+_SEG, _OVERLAY = _COEFFS[4], _COEFFS[5]
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (_rhs_run, "rhs returned shape (), expected (2,)"),
+        (_coupled_rhs_run, "rhs (DDE component) returned shape (), expected (2,)"),
+        (lambda dim, short: HistoryState.from_callable(
+            lambda th: _wave(th, dim, short), "re", dim, 1.0, 0.25).coefficients(),
+         "phi returned shape (16,), expected (16, 2)"),
+        (lambda dim, short: np.array(norm_diff(_state("dde", dim), lambda th: _wave(th, dim, short))),
+         "reference returned shape (64,), expected (64, 2)"),
+        (_exact_run("dde"), "exact returned shape (), expected (2,)"),
+        (_exact_run("re"), "exact returned shape (8,), expected (8, 2)"),
+        (lambda dim, short: HistoryState(
+            "dde", dim, 1.0, 0.25, _COEFFS[:4, :dim],
+            head=_short(_COEFFS[3, :dim].sum(axis=1), 0, short)).head,
+         "head holds shape (), expected (2,)"),
+        (lambda dim, short: StageView(
+            _state("dde", dim), 0.125, _OVERLAY[:dim],
+            head=_short(_OVERLAY[:dim].sum(axis=1), 0, short)).head,
+         "head holds shape (), expected (2,)"),
+        (lambda dim, short: _state("dde", dim).shift_append(
+            _SEG[:dim], head=_short(_SEG[:dim].sum(axis=1), 0, short)).head,
+         "head holds shape (), expected (2,)"),
+        (lambda dim, short: StageView(
+            _state("re", dim), 0.125, _short(_OVERLAY[:dim], 0, short)).overlay_coeffs,
+         "overlay_coeffs holds shape (4,), expected (2, 4)"),
+        (lambda dim, short: _state("re", dim).shift_append(
+            _short(_SEG[:dim], 0, short)).coefficients(),
+         "coeffs holds shape (4,), expected (2, 4)"),
+        (lambda dim, short: HistoryState(
+            "re", dim, 1.0, 0.25, _short(_COEFFS[:4, :dim], 1, short)).coefficients(),
+         "coeffs holds shape (4, 4), expected (4, 2, 4)"),
+    ],
+    ids=["rhs", "coupled_rhs", "phi0", "norm_diff_reference", "exact_dde", "exact_re",
+         "state_head", "stage_view_head", "shift_append_head", "overlay", "appended_segment",
+         "state_coeffs"],
+)
+def test_one_shape_rule(run, message):
+    # at dim 1 the dim axis may be left off, at every entry, with the same bits
+    def bits(out):
+        return b"".join(np.asarray(x).tobytes() for x in (out if isinstance(out, tuple) else (out,)))
+
+    assert bits(run(1, True)) == bits(run(1, False))
+    # at dim 2 the long form passes and the short one is refused by the one reader
+    run(2, False)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(2, True)
 
 
 @settings(deadline=None, max_examples=200)
@@ -703,10 +809,26 @@ def test_complex_reference_raises():
             quadratic_re(), distributed_limits=(-3.0 + 0j, -1.0 + 0j)), "distributed_limits"),
         (lambda s: integrate_view(s, np.complex128(-0.5 + 1j), 0.0, lambda th, x: x[:, 0]),
          "window bound"),
+        # scalars are read by the same reader, at shape ()
+        (lambda s: dataclasses.replace(belzen(), tau=np.complex128(1.0)), "tau"),
+        (lambda s: dataclasses.replace(belzen(), tau=1j), "tau"),
+        (lambda s: integrate(belzen(), builtin("heun"), np.complex128(0.25), 0.5), "h"),
+        (lambda s: integrate(belzen(), builtin("heun"), 1j, 0.5), "h"),
+        (lambda s: integrate(belzen(), builtin("heun"), 0.25, 1j), "T"),
+        (lambda s: initial_state(quadratic_re(), 1j), "h"),
+        (lambda s: HistoryState("dde", 1, 1j, 0.25, s.coefficients(), head=s.head), "tau"),
+        (lambda s: HistoryState("dde", 1, 1.0, 1j, s.coefficients(), head=s.head), "h"),
+        (lambda s: StageView(s, 1j, s.coefficients()[-1], head=s.head), "shift"),
+        (lambda s: dataclasses.replace(builtin("heun"), c=(0.0, 1.0 + 0j)), "c"),
+        (lambda s: dataclasses.replace(builtin("heun"), b=(((1, 1.0), (2, -1j)), ((2, 1.0),))),
+         "w"),
     ],
     ids=["state_coeffs", "head", "stage_view_overlay", "shift_append_segment",
          "semilinear_L", "eval_many_offsets", "eval_many_offset", "j_integrate_offsets",
-         "distributed_limits_array", "distributed_limits_tuple", "window_bound"],
+         "distributed_limits_array", "distributed_limits_tuple", "window_bound",
+         "problem_tau_numpy", "problem_tau", "integrate_h_numpy", "integrate_h", "integrate_T",
+         "initial_state_h",
+         "state_tau", "state_h", "stage_view_shift", "tableau_node", "tableau_weight"],
 )
 def test_complex_constructor_input_raises(make, name):
     # a TypeError naming the argument, not a real part kept after a ComplexWarning

@@ -32,6 +32,19 @@ def test_phi_zero_order_is_exp():
 def test_phi_negative_order_rejected():
     with pytest.raises(ValueError):
         phi_scalar(-1, 1.0)
+    with pytest.raises(ValueError, match="phi order p must be >= 0, got -1"):
+        phi_matrices(np.zeros((1, 1)), -1)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [(lambda: phi_scalar(2.5, 1.0), "k"), (lambda: phi_matrices(np.zeros((1, 1)), 2.5), "p")],
+    ids=["phi_scalar", "phi_matrices"],
+)
+def test_phi_orders_are_integers(call, name):
+    # named, not an error of math.factorial or of range
+    with pytest.raises(TypeError, match=f"^phi order {name} must be an integer, got 2.5"):
+        call()
 
 
 @settings(deadline=None, max_examples=200)
@@ -198,8 +211,13 @@ def test_matrix_action_contract_violations():
         (lambda: phi_matrices(np.array([[-1.0 + 1j]]), 1), "M"),
         (lambda: phi_matrix_action(np.array([[-1.0 + 1j]]), np.ones((2, 1))), "M"),
         (lambda: phi_matrix_action(np.array([[-1.0]]), np.ones((2, 1)) + 1j), "vs"),
+        (lambda: phi_scalar(1, 1j), "z"),
+        (lambda: phi_scalar(1, np.complex128(0.5)), "z"),
+        (lambda: phi_combine(np.eye(1)[None], np.eye(1)[None], 1j, 1.0), "a"),
+        (lambda: phi_combine(np.eye(1)[None], np.eye(1)[None], 1.0, np.complex128(1.0)), "b"),
     ],
-    ids=["phi_matrices_M", "action_M", "action_vs"],
+    ids=["phi_matrices_M", "action_M", "action_vs", "phi_scalar_z", "phi_scalar_z_numpy",
+         "phi_combine_a", "phi_combine_b"],
 )
 def test_complex_matrix_arguments_raise(call, name):
     # a TypeError naming the argument, not a real part kept after a ComplexWarning

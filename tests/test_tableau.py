@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from expdelay import Tableau, builtin, builtin_names, check_order, phi_scalar, psi_a, psi_b
+from expdelay import (
+    Problem, Tableau, builtin, builtin_names, check_order, integrate, phi_scalar, psi_a, psi_b,
+)
 
 E = math.e
 Z_GRID = (-20.0, -5.0, -1.0, 0.0, 0.5, 2.0, 10.0)
@@ -100,6 +102,9 @@ _HEUN = builtin("heun")
         ({"c": (0.0, math.nan), "a": (((), ()), ((), ()))}, "node c_2 = nan is not finite"),
         # an empty tableau is named, not an IndexError
         ({"c": (), "a": (), "b": ()}, "a tableau needs a stage"),
+        # check_order certifies orders 1..4 only
+        ({"declared_order": 0}, "declared_order must be in 1..4, got 0"),
+        ({"declared_order": 7}, "declared_order must be in 1..4, got 7"),
     ],
 )
 def test_tableau_shape_and_mode_checks(fields, match):
@@ -117,6 +122,34 @@ def test_empty_row_node_must_lie_in_unit_interval(c2):
 def test_check_order_needs_an_integer_order():
     with pytest.raises(TypeError, match="order p must be an integer, got 2.5"):
         check_order(_HEUN, 2.5)
+
+
+def test_declared_order_must_be_an_integer():
+    with pytest.raises(TypeError, match="declared_order must be an integer, got 2.5"):
+        dataclasses.replace(_HEUN, declared_order=2.5)
+
+
+def test_nodes_and_weights_are_stored_as_python_floats():
+    # float32 nodes and weights (exactly representable) step as heun's Python
+    # floats do, bit for bit, and the stage times reach rhs as floats
+    f32 = np.float32
+    heun32 = dataclasses.replace(
+        _HEUN, name="heun32", c=f32([0.0, 1.0]), a=(((), ()), (((1, f32(1.0)),), ())),
+        b=(((1, f32(1.0)), (2, f32(-1.0))), ((2, f32(1.0)),)),
+    )
+    assert [type(c) for c in heun32.c] == [float, float]
+    assert heun32.a == _HEUN.a and heun32.b == _HEUN.b
+    times = []
+
+    def rhs(t, v):  # x' = cos t - x(t - 1) + sin(t - 1), solved by sin t
+        times.append(t)
+        return np.cos(t) - v.eval(-1.0) + np.sin(t - 1.0)
+
+    prob = Problem(kind="dde", dim=1, tau=1.0, rhs=rhs, phi0=np.sin)
+    got, want = (integrate(prob, tab, 0.02, 2.0) for tab in (heun32, _HEUN))
+    assert got.coefficients().tobytes() == want.coefficients().tobytes()
+    assert got.head.tobytes() == want.head.tobytes()
+    assert {type(t) for t in times} == {float}
 
 
 def test_weight_matrices():
