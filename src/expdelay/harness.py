@@ -61,8 +61,11 @@ def estimate_order(hs, errs) -> float:
 
 
 def _shifted_exact(exact, T, dim: int):
-    """theta -> x(T + theta) at an array of m offsets, read as (m, dim) values."""
-    return lambda thetas: _as_shaped(exact(T + thetas), (len(thetas), dim), "exact returned", 1)
+    """theta -> x(T + theta) at an array of m offsets, read as (m, dim) values,
+    C-contiguous so that the sums over them do not depend on exact's layout."""
+    return lambda thetas: np.ascontiguousarray(
+        _as_shaped(exact(T + thetas), (len(thetas), dim), "exact returned", 1)
+    )
 
 
 def _integrated_errors(state, exact, T, norm: str):

@@ -33,13 +33,13 @@ array path, in plain floats, down to the Horner row of its one (dim, 4)
 segment (:func:`_horner_point`), so both agree bit for bit; it returns shape
 (dim,) where an array of m offsets gives (m, dim).
 
-Every array the package takes in is read by :func:`_as_float`: complex
-values raise a TypeError naming their source rather than lose their
-imaginary parts.  Arrays with a dim axis (an rhs, phi0, exact or reference
-value, a head, an overlay, an appended segment, a state's coefficients) and
-scalars (tau, h, T, a shift, z) are read at their shape by
-:func:`_as_shaped`, which lets a dim axis of length 1 be left off and names
-any other shape.
+Every array the package takes in is read by :func:`_as_float`: complex,
+string or object values raise a TypeError naming their source rather than
+lose their imaginary parts or be parsed.  Arrays with a dim axis (an rhs,
+phi0, exact or reference value, a head, an overlay, an appended segment, a
+state's coefficients) and scalars (tau, h, T, a shift, z) are read at their
+shape by :func:`_as_shaped`, which lets a dim axis of length 1 be left off
+and names any other shape.
 
 Stepping never mutates a state.  A state is a window of n segments in an
 append-only log of capacity 2n that the states stepped from one another
@@ -79,8 +79,8 @@ _NCOEF = DEGREE + 1
 _KNOT_RTOL = 1e-9
 
 # Chebyshev-Lobatto points on [0, 1]: (1 - cos(j*pi/3))/2.  They include the
-# endpoints, so interpolation there keeps DDE states continuous across knots
-# and the head equal to the final sample.
+# endpoints, so neighbouring DDE cubics interpolate one shared sample at each
+# knot, and the head is the sample at 0.
 _LOBATTO_S = np.array([0.0, 0.25, 0.75, 1.0])
 # First-kind Chebyshev points on [0, 1]; interior only, used for RE states
 # where knot values are only defined as one-sided limits.
@@ -138,17 +138,19 @@ _FLOAT = np.dtype(float)
 
 
 def _as_float(raw, what: str) -> np.ndarray:
-    """``raw`` as a float64 array, returned as is when it is one; complex
-    values raise a TypeError "<what> complex values", ``what`` naming their
+    """``raw`` as a float64 array, returned as is when it is one.  Values
+    other than booleans, integers and floats raise a TypeError "<what>
+    complex values" or "<what> non-numeric values", ``what`` naming their
     source with its verb ("rhs returned", "coeffs holds"), instead of losing
-    their imaginary parts to the cast."""
+    their imaginary parts to the cast or being parsed from strings or objects."""
     if type(raw) is np.ndarray and raw.dtype is _FLOAT:
         return raw
     vals = np.asarray(raw)
     if vals.dtype is _FLOAT:  # a numpy or Python float: no second conversion
         return vals
-    if vals.dtype.kind == "c":
-        raise TypeError(f"{what} complex values (dtype {vals.dtype}); expected real ones")
+    if vals.dtype.kind not in "biuf":
+        sort = "complex" if vals.dtype.kind == "c" else "non-numeric"
+        raise TypeError(f"{what} {sort} values (dtype {vals.dtype}); expected real ones")
     return np.asarray(vals, dtype=float)
 
 
@@ -413,20 +415,29 @@ class HistoryState:
         """Project a history callable onto the piecewise-cubic mesh.
 
         Each segment stores the degree-3 interpolant of ``phi`` at 4 Chebyshev
-        points: Lobatto points (endpoints included) for DDE states so that
-        continuity and the head value are preserved exactly, first-kind
-        points for RE states.  ``phi`` must accept an ndarray of m offsets and
-        return values of shape (m, dim), read by :func:`_as_shaped`.
+        points: Lobatto points (endpoints included) for DDE states, first-kind
+        points for RE states.  ``phi`` is called once, with one flat array of
+        m offsets in [-tau, 0] in no promised order, and returns (m, dim)
+        values, read by :func:`_as_shaped`.  An RE state takes m = 4n; a DDE
+        state m = 3n + 1, as each knot is sampled once, and its head is the
+        sample at 0.  Neighbouring DDE cubics interpolate the same knot sample,
+        so they meet there up to rounding.  The samples, node-major, form one
+        (4, n * dim) matrix, and its transpose times the inverse Vandermonde
+        matrix is the packed (n, dim, 4) layout: one product for all segments.
         """
         n = _n_segments(kind, dim, tau, h)
-        s_nodes = _LOBATTO_S if kind == "dde" else _CHEB_S
-        thetas = _grid(n, h, s_nodes).ravel()
-        vals = _as_shaped(phi(thetas), (len(thetas), dim), "phi returned", 1)
-        vals = vals.reshape(n, len(s_nodes), dim)
-        vinv = _LOBATTO_VINV if kind == "dde" else _CHEB_VINV
-        coeffs = np.swapaxes(vals, 1, 2) @ vinv.T
-        head = vals[-1, -1, :] if kind == "dde" else None
-        return cls(kind, dim, tau, h, coeffs, head=head)
+        knots = np.arange(-n, 1.0) * h  # breakpoints(), from a float arange: faster to scale
+        if kind == "re":
+            thetas = (knots[:-1] + h * _CHEB_S[:, None]).ravel()
+            vals = _as_shaped(phi(thetas), (4 * n, dim), "phi returned", 1)
+            vinv, head = _CHEB_VINV, None
+        else:  # the n + 1 knots, then every segment's nodes at s = 1/4 and 3/4
+            thetas = np.concatenate([knots, (knots[:-1] + h * _LOBATTO_S[1:3, None]).ravel()])
+            at = _as_shaped(phi(thetas), (3 * n + 1, dim), "phi returned", 1)
+            vals = np.concatenate([at[:n], at[n + 1 :], at[1 : n + 1]])
+            vinv, head = _LOBATTO_VINV, at[n]
+        coeffs = vals.reshape(_NCOEF, n * dim).T @ vinv.T
+        return cls(kind, dim, tau, h, coeffs.reshape(n, dim, _NCOEF), head=head)
 
     def coefficients(self) -> np.ndarray:
         """Packed (n_segments, dim, 4) coefficient array (read-only)."""

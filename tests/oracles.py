@@ -10,6 +10,10 @@ it without sharing its code.
 sample the continuous output at the Chebyshev-Lobatto nodes, then
 interpolate.  It checks the stepper's folded per-row matrices against the
 same phi matrices applied one sample at a time.
+
+:func:`project_per_segment` projects a history callable the long way: four
+samples per segment, knots sampled from both sides, and one small product
+per segment.
 """
 
 import math
@@ -21,6 +25,9 @@ from expdelay.phi import phi_combine, phi_matrices
 #: Chebyshev-Lobatto nodes on [0, 1] and the inverse of their Vandermonde matrix
 _LOBATTO_S = np.array([0.0, 0.25, 0.75, 1.0])
 _LOBATTO_VINV = np.linalg.inv(np.vander(_LOBATTO_S, 4, increasing=True))
+#: first-kind Chebyshev nodes on [0, 1] and the inverse of their Vandermonde matrix
+_CHEB_S = 0.5 * (1.0 - np.cos((2.0 * np.arange(4) + 1.0) * np.pi / 8.0))
+_CHEB_VINV = np.linalg.inv(np.vander(_CHEB_S, 4, increasing=True))
 
 
 def _tail_power(k: int, gh: float, theta: float) -> float:
@@ -72,3 +79,17 @@ def semilinear_overlay(L, tab, h: float, head, f, i: int):
     for j, (r, phi) in enumerate(zip(_LOBATTO_S[1:], phis), start=1):
         samples[j] = sum(r**k * (phi[k] @ us[k]) for k in range(p + 1))
     return samples.T @ _LOBATTO_VINV.T, samples[-1]
+
+
+def project_per_segment(phi, kind: str, dim: int, tau: float, h: float):
+    """The (n, dim, 4) coefficients and the DDE head (None for an RE) of the
+    cubics that interpolate phi at 4 nodes per segment: Chebyshev-Lobatto
+    for a DDE, first-kind Chebyshev for an RE.  Each segment samples its own
+    nodes, segment-major, and is projected by its own (dim, 4) @ (4, 4) product;
+    the head is the last segment's sample at s = 1."""
+    n = round(tau / h)
+    s, vinv = (_LOBATTO_S, _LOBATTO_VINV) if kind == "dde" else (_CHEB_S, _CHEB_VINV)
+    thetas = (((np.arange(n) - n) * h)[:, None] + h * s[None, :]).ravel()
+    vals = np.asarray(phi(thetas), dtype=float).reshape(n, len(s), dim)
+    coeffs = np.swapaxes(vals, 1, 2) @ vinv.T
+    return coeffs, (vals[-1, -1] if kind == "dde" else None)

@@ -113,6 +113,21 @@ def test_exact_value_of_the_wrong_shape_is_refused():
         converge(prob, ["heun"], [0.5, 0.25], 1.0)
 
 
+def test_integrated_error_does_not_depend_on_the_layout_of_exact():
+    # a strided (m, 1) view of exact's values sums as the same values made contiguous
+    def wave(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.sin(t), np.cos(t)], axis=-1)[..., :1]
+
+    errs = []
+    for exact in (wave, lambda t: np.ascontiguousarray(wave(t))):
+        prob = Problem(kind="re", dim=1, tau=1.0, phi0=lambda th: np.ones((len(th), 1)),
+                       rhs=lambda t, v: -0.5 * v.eval(-1.0), exact=exact)
+        rows, _ = converge(prob, ["heun"], [0.5, 0.25], 1.0)
+        errs.append([(row["err_x"], row["err_u"]) for row in rows])
+    assert errs[0] == errs[1]
+
+
 def test_simulate_rows_and_sampling():
     prob = belzen(1.0)
     header, rows = simulate(prob, "heun", 0.1, 1.0, sample_every=10)

@@ -28,6 +28,7 @@ from expdelay import (
 from expdelay.harness import _integrated_errors
 
 from conftest import smooth_re_state
+from oracles import project_per_segment
 
 
 def test_constant_history_evaluates_to_constant():
@@ -834,6 +835,66 @@ def test_complex_constructor_input_raises(make, name):
     # a TypeError naming the argument, not a real part kept after a ComplexWarning
     with pytest.raises(TypeError, match=f"^{name} holds complex values"):
         make(initial_state(belzen(), 0.25))
+
+
+@pytest.mark.parametrize(
+    "make, source",
+    [
+        (lambda: integrate(Problem(kind="dde", dim=1, tau=1.0, rhs=lambda t, v: "0.5",
+                                   phi0=lambda th: np.ones(np.shape(th))),
+                           builtin("heun"), 0.25, 0.5), "rhs returned"),
+        (lambda: HistoryState.from_callable(lambda th: th.astype(str), "dde", 1, 1.0, 0.25),
+         "phi returned"),
+        (lambda: initial_state(
+            dataclasses.replace(quadratic_re(), phi0=lambda th: th.astype(object)), 0.25),
+         "phi returned"),
+        (lambda: HistoryState("re", 1, 1.0, 0.25, np.zeros((4, 1, 4)).astype(str)),
+         "coeffs holds"),
+        (lambda: HistoryState("re", 1, "1.0", 0.25, np.zeros((4, 1, 4))), "tau holds"),
+        (lambda: HistoryState.from_callable(np.sin, "re", 1, "1.0", 0.25), "tau holds"),
+        (lambda: dataclasses.replace(belzen(), tau="1.0"), "tau holds"),
+    ],
+    ids=["rhs", "phi0_strings", "phi0_objects", "coeffs", "state_tau", "from_callable_tau",
+         "problem_tau"],
+)
+def test_non_numeric_input_raises(make, source):
+    # a TypeError naming the source, not strings or objects parsed as floats
+    with pytest.raises(TypeError, match=f"^{source} non-numeric values"):
+        make()
+
+
+@pytest.mark.parametrize("kind", ["dde", "re"])
+@pytest.mark.parametrize("dim", [1, 3, 20])
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_projection_matches_per_segment_oracle(kind, dim, n):
+    tau = 1.3
+    h = tau / n
+    w = np.linspace(0.5, 4.0, dim)
+    calls = []
+
+    def phi(th):
+        calls.append(th.copy())
+        return np.cos(np.outer(th, w)) + np.outer(th**3, w)
+
+    state = HistoryState.from_callable(phi, kind, dim, tau, h)
+    # one call: each DDE knot sampled once, 4 interior nodes per RE segment
+    assert len(calls) == 1
+    assert calls[0].shape == (3 * n + 1 if kind == "dde" else 4 * n,)
+    assert np.all((calls[0] >= -state.tau) & (calls[0] <= 0.0))
+    want, head = project_per_segment(phi, kind, dim, tau, h)
+    got = state.coefficients()
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    if kind == "dde":
+        assert state.head.tobytes() == phi(np.zeros(1))[0].tobytes() == head.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["dde", "re"])
+def test_projection_reproduces_a_cubic(kind, rng):
+    c = rng.normal(size=(4, 3))
+    cubic = lambda th: sum(np.outer(th**p, c[p]) for p in range(4))
+    state = HistoryState.from_callable(cubic, kind, 3, 2.0, 0.1)
+    thetas = rng.uniform(-2.0, 0.0, size=200)
+    assert np.abs(state.eval_many(thetas) - cubic(thetas)).max() <= 1e-13 * np.abs(c).sum()
 
 
 def _counting_eval_many(monkeypatch):
