@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .history import _as_shaped, _grid, norm_diff
+from .history import _as_float, _as_shaped, _grid, norm_diff
 from .quadrature import gauss_legendre
 from .stepper import initial_state, integrate, observed_values, TrajectoryRecorder
 from .tableau import builtin
@@ -42,10 +42,10 @@ def estimate_order(hs, errs) -> float:
     """Least-squares slope of log(err) against log(h), for finite errors and h > 0.
 
     Pairs with an error under 1e3 machine epsilons sit on the roundoff floor
-    and are excluded; at least two usable pairs must remain.
+    and are excluded; at least two usable pairs must remain.  Both are read by
+    :func:`~expdelay.history._as_float`.
     """
-    hs = np.asarray(hs, dtype=float)
-    errs = np.asarray(errs, dtype=float)
+    hs, errs = _as_float(hs, "hs holds"), _as_float(errs, "errs holds")
     if hs.shape != errs.shape or hs.ndim != 1:
         raise ValueError("hs and errs must be 1-d arrays of equal length")
     if not (np.isfinite(hs).all() and (hs > 0.0).all() and np.isfinite(errs).all()):
@@ -119,19 +119,23 @@ def converge(problem, methods, hs, T: float, norm: str | None = None):
     err_x, err_u in deterministic sorted order (method name, then h
     descending); slopes maps method to the fitted pair (slope_x, slope_u).
     ``problem.exact`` maps a time, or an array of m times, to (dim,) or (m, dim)
-    values, read by :func:`~expdelay.history._as_shaped` and named "exact".
+    values, read by :func:`~expdelay.history._as_shaped` and named "exact";
+    each h is read as a real scalar.  Methods are deduplicated by name, and two
+    different tableaux with one name raise a ValueError.
     """
     if getattr(problem, "exact", None) is None:
         raise ValueError(
             f"problem {problem.name!r} has no exact solution; "
             "convergence errors are undefined"
         )
-    tabs = [builtin(m) if isinstance(m, str) else m for m in methods]
-    tabs = sorted({tab.name: tab for tab in tabs}.values(), key=lambda t: t.name)
+    by_name = {}
+    for tab in (builtin(m) if isinstance(m, str) else m for m in methods):
+        if by_name.setdefault(tab.name, tab) != tab:
+            raise ValueError(f"two different methods are named {tab.name!r}")
+    hs_sorted = sorted({float(_as_shaped(h, (), "h holds")) for h in hs}, reverse=True)
     rows = []
     slopes = {}
-    for tab in tabs:
-        hs_sorted = sorted(set(float(h) for h in hs), reverse=True)
+    for tab in sorted(by_name.values(), key=lambda t: t.name):
         errs_x, errs_u = [], []
         for h in hs_sorted:
             state = integrate(problem, tab, h, T)

@@ -43,13 +43,13 @@ and names any other shape.
 
 Stepping never mutates a state.  A state is a window of n segments in an
 append-only log of capacity 2n that the states stepped from one another
-share.  The shift-semigroup advance writes the (dim, 4) cubic of the newest
-interval [-h, 0] into the log's next free slot in O(1), or, when that slot
-is taken or the log is full, into a fresh log copied from the window.
-Written slots are never rewritten.  Stage values of a Runge-Kutta step are
-represented by :class:`StageView`, which overlays a single polynomial on
-[-shift, 0] over a shifted base state instead of materialising a full new
-history.
+share.  A log's maker writes its first window: the constructor copies the
+caller's coefficients, ``from_callable`` projects phi0 into it, and an advance
+that finds the log's next free slot taken, or the log full, copies the window
+into a fresh log.  The advance writes the (dim, 4) cubic of the newest
+interval [-h, 0] into that slot in O(1).  Written slots are never rewritten.
+A Runge-Kutta stage value is a :class:`StageView`, which overlays a single
+polynomial on [-shift, 0] over a shifted base state instead of a new history.
 """
 
 from __future__ import annotations
@@ -341,14 +341,12 @@ def _window_plan(n: int, h: float, shift: float, a: float, b: float) -> _Plan:
 
 
 class _Log:
-    """Append-only segment buffer of capacity 2n; slot ``end`` is next."""
+    """Append-only buffer of 2n segments; its maker writes the first n, and slot ``end`` is next."""
 
     __slots__ = ("buf", "end", "lock", "sums")
 
-    def __init__(self, window: np.ndarray):
-        n = len(window)
-        self.buf = np.empty((2 * n,) + window.shape[1:])
-        self.buf[:n] = window
+    def __init__(self, n: int, dim: int):
+        self.buf = np.empty((2 * n, dim, _NCOEF))
         self.end = n
         self.lock = threading.Lock()
         self.sums = weakref.WeakKeyDictionary()
@@ -388,24 +386,30 @@ class HistoryState:
     __slots__ = ("kind", "dim", "tau", "h", "n_segments", "head", "_log", "_end", "_coeffs")
 
     def __init__(self, kind, dim, tau, h, coeffs, head=None):
-        n = _n_segments(kind, dim, tau, h)
-        dim, h = int(dim), float(h)
-        coeffs = _as_shaped(coeffs, (n, dim, _NCOEF), "coeffs holds", 1)
+        n, dim = _n_segments(kind, dim, tau, h), int(dim)
+        log = _Log(n, dim)
+        log.buf[:n] = _as_shaped(coeffs, (n, dim, _NCOEF), "coeffs holds", 1)
+        self._set(kind, dim, n, float(h), _as_head(kind, dim, head), log, n)._check_window()
+
+    def _set(self, kind, dim: int, n: int, h: float, head, log: _Log, end: int) -> "HistoryState":
+        """Fill every slot: tau = n h, and the window ``log.buf[end - n:end]``."""
+        self.kind, self.dim, self.tau, self.h, self.n_segments = kind, dim, n * h, h, n
+        self.head, self._log, self._end = head, log, end
+        self._coeffs = log.buf[end - n : end]
+        self._coeffs.setflags(write=False)
+        return self
+
+    def _check_window(self) -> "HistoryState":
+        """Raise unless each segment is finite (naming the first) and a DDE head meets the last."""
+        coeffs, n, h = self._coeffs, self.n_segments, self.h
         if not np.isfinite(coeffs).all():
             i = int(np.argmin(np.isfinite(coeffs).all(axis=(1, 2))))
             raise ValueError(
                 f"history segment {i} on [{(i - n) * h}, {(i + 1 - n) * h}] is not finite"
             )
-        self.kind, self.dim, self.tau, self.h, self.n_segments = kind, dim, n * h, h, n
-        self.head = _as_head(kind, self.dim, head)
-        if kind == "dde":
+        if self.kind == "dde":
             _check_continuity(coeffs[-1], self.head)
-        self._window(_Log(coeffs), n)
-
-    def _window(self, log: _Log, end: int):
-        self._log, self._end = log, end
-        self._coeffs = log.buf[end - self.n_segments : end]
-        self._coeffs.setflags(write=False)
+        return self
 
     def __reduce__(self):  # pickle and copy rebuild through __init__: a fresh log
         return HistoryState, (self.kind, self.dim, self.tau, self.h, self._coeffs, self.head)
@@ -423,9 +427,10 @@ class HistoryState:
         sample at 0.  Neighbouring DDE cubics interpolate the same knot sample,
         so they meet there up to rounding.  The samples, node-major, form one
         (4, n * dim) matrix, and its transpose times the inverse Vandermonde
-        matrix is the packed (n, dim, 4) layout: one product for all segments.
+        matrix is the packed (n, dim, 4) layout: one product for all segments,
+        written into the state's log and checked as the constructor checks.
         """
-        n = _n_segments(kind, dim, tau, h)
+        n, dim, h = _n_segments(kind, dim, tau, h), int(dim), float(h)
         knots = np.arange(-n, 1.0) * h  # breakpoints(), from a float arange: faster to scale
         if kind == "re":
             thetas = (knots[:-1] + h * _CHEB_S[:, None]).ravel()
@@ -435,9 +440,10 @@ class HistoryState:
             thetas = np.concatenate([knots, (knots[:-1] + h * _LOBATTO_S[1:3, None]).ravel()])
             at = _as_shaped(phi(thetas), (3 * n + 1, dim), "phi returned", 1)
             vals = np.concatenate([at[:n], at[n + 1 :], at[1 : n + 1]])
-            vinv, head = _LOBATTO_VINV, at[n]
-        coeffs = vals.reshape(_NCOEF, n * dim).T @ vinv.T
-        return cls(kind, dim, tau, h, coeffs.reshape(n, dim, _NCOEF), head=head)
+            vinv, head = _LOBATTO_VINV, _as_head(kind, dim, at[n])
+        log = _Log(n, dim)
+        np.matmul(vals.reshape(_NCOEF, n * dim).T, vinv.T, out=log.buf[:n].reshape(n * dim, _NCOEF))
+        return object.__new__(cls)._set(kind, dim, n, h, head, log, n)._check_window()
 
     def coefficients(self) -> np.ndarray:
         """Packed (n_segments, dim, 4) coefficient array (read-only)."""
@@ -512,13 +518,11 @@ class HistoryState:
             raise ValueError(f"appended RE segment {coeffs.tolist()} is not finite at theta = 0")
         log, end = self._log, self._end
         if not log.claim(end, coeffs):
-            log, end = _Log(self._coeffs), self.n_segments
+            log, end = _Log(self.n_segments, self.dim), self.n_segments
+            log.buf[:end] = self._coeffs
             log.claim(end, coeffs)
         new = object.__new__(HistoryState)
-        new.kind, new.dim, new.tau, new.h = self.kind, self.dim, self.tau, self.h
-        new.n_segments, new.head = self.n_segments, head
-        new._window(log, end + 1)
-        return new
+        return new._set(self.kind, self.dim, self.n_segments, self.h, head, log, end + 1)
 
     def j_integrate(self, theta):
         """Integral of an RE history from theta up to 0, exact per segment.

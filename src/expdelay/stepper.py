@@ -520,7 +520,8 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
 
 class TrajectoryRecorder:
     """Observer collecting every ``sample_every``-th step (and t = 0 if the
-    initial observable is passed at construction)."""
+    initial observable is passed at construction).  Values are read by
+    :func:`~expdelay.history._as_float`, and t0 as a real scalar."""
 
     def __init__(self, sample_every: int = 1, t0=None, values0=None):
         self.sample_every = _index(sample_every, "sample_every")
@@ -530,14 +531,14 @@ class TrajectoryRecorder:
         self.times: list[float] = []
         self.values: list[np.ndarray] = []
         if values0 is not None:
-            self.times.append(0.0 if t0 is None else float(t0))
-            self.values.append(np.asarray(values0, dtype=float))
+            self.times.append(0.0 if t0 is None else float(_as_shaped(t0, (), "t0 holds")))
+            self.values.append(_as_float(values0, "values0 holds"))
 
     def __call__(self, t: float, values: np.ndarray):
         self._count += 1
         if self._count % self.sample_every == 0:
             self.times.append(float(t))
-            self.values.append(np.asarray(values, dtype=float))
+            self.values.append(_as_float(values, "values holds"))
 
     def as_arrays(self):
         return np.asarray(self.times), np.asarray(self.values)

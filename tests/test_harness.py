@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expdelay import Problem, belzen, converge, estimate_order, quadratic_re, simulate
+from expdelay import (
+    Problem,
+    TrajectoryRecorder,
+    belzen,
+    builtin,
+    converge,
+    estimate_order,
+    quadratic_re,
+    simulate,
+)
 from expdelay.cli import main
 from expdelay.harness import CONVERGE_HEADER, format_csv
 from expdelay.problems import CLI_DEFAULTS, REGISTRY
@@ -56,6 +65,45 @@ def test_estimate_order_rejects_non_finite_input(hs, errs):
 def test_harness_input_checks(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, source",
+    [
+        (lambda: estimate_order(["0.1", "0.05"], [1e-2, 2.5e-3]), "hs holds non-numeric"),
+        (lambda: estimate_order(np.array([0.1, 0.05]) + 0j, [1e-2, 2.5e-3]), "hs holds complex"),
+        (lambda: estimate_order([0.1, 0.05], ["0.01", "0.0025"]), "errs holds non-numeric"),
+        (lambda: estimate_order([0.1, 0.05], [1e-2 + 0j, 2.5e-3]), "errs holds complex"),
+        (lambda: converge(belzen(), ["heun"], ["0.5", "0.25"], 1.0), "h holds non-numeric"),
+        (lambda: converge(belzen(), ["heun"], [0.5 + 0j, 0.25], 1.0), "h holds complex"),
+        (lambda: TrajectoryRecorder(t0="0.0", values0=[1.0]), "t0 holds non-numeric"),
+        (lambda: TrajectoryRecorder(values0=[1.0 + 1j]), "values0 holds complex"),
+        (lambda: TrajectoryRecorder(values0=["1.0"]), "values0 holds non-numeric"),
+        (lambda: TrajectoryRecorder()(0.5, np.array([1j])), "values holds complex"),
+        (lambda: TrajectoryRecorder()(0.5, ["1.0"]), "values holds non-numeric"),
+    ],
+)
+def test_harness_inputs_go_through_the_one_reader(call, source):
+    # a TypeError naming the source, not a ComplexWarning, a parsed string or a raw float() error
+    with pytest.raises(TypeError, match=f"^{source} values"):
+        call()
+
+
+def test_recorder_keeps_float64_values_as_given():
+    values = np.array([1.0, 2.0])
+    recorder = TrajectoryRecorder(values0=values)
+    recorder(0.5, values)
+    assert all(v is values for v in recorder.values)
+
+
+def test_converge_refuses_two_methods_of_one_name():
+    # the last tableau of a name no longer replaces the first silently
+    impostor = dataclasses.replace(builtin("heun"), name="expeuler")
+    with pytest.raises(ValueError, match="two different methods are named 'expeuler'"):
+        converge(belzen(), [builtin("expeuler"), impostor], [0.5, 0.25], 1.0)
+    rows, slopes = converge(belzen(), ["heun", builtin("heun")], [0.5, 0.25], 1.0)
+    assert [(row["method"], row["h"]) for row in rows] == [("heun", 0.5), ("heun", 0.25)]
+    assert list(slopes) == ["heun"]
 
 
 @settings(deadline=None, max_examples=50)

@@ -897,6 +897,77 @@ def test_projection_reproduces_a_cubic(kind, rng):
     assert np.abs(state.eval_many(thetas) - cubic(thetas)).max() <= 1e-13 * np.abs(c).sum()
 
 
+def test_from_callable_reads_its_mesh_once_and_skips_the_constructor(monkeypatch):
+    # it builds and checks its window itself: no second _n_segments through __init__
+    import expdelay.history as history
+
+    counted, original = [], history._n_segments
+    monkeypatch.setattr(history, "_n_segments", lambda *a: counted.append(a) or original(*a))
+    monkeypatch.setattr(HistoryState, "__init__", lambda *a, **k: pytest.fail("__init__ ran"))
+    for kind in ("dde", "re"):
+        counted.clear()
+        HistoryState.from_callable(lambda th: np.cos(th), kind, 1, 1.0, 0.25)
+        assert len(counted) == 1
+
+
+def _same_state(got, want):
+    assert (got.kind, got.dim, got.n_segments) == (want.kind, want.dim, want.n_segments)
+    assert (type(got.dim), type(got.h), type(got.tau)) == (int, float, float)
+    assert got.tau.hex() == want.tau.hex() and got.h.hex() == want.h.hex()
+    assert got.coefficients().tobytes() == want.coefficients().tobytes()
+    assert not got.coefficients().flags.writeable
+    if want.head is None:
+        assert got.head is None
+    else:
+        assert got.head.tobytes() == want.head.tobytes() and not got.head.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["dde", "re"])
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_projected_state_equals_the_constructed_one(kind, dim, n, rng):
+    w = np.linspace(0.5, 4.0, dim)
+    s = HistoryState.from_callable(lambda th: np.cos(np.outer(th, w)), kind, dim, 1.3, 1.3 / n)
+    c = HistoryState(kind, dim, 1.3, 1.3 / n, s.coefficients(), head=s.head)
+    _same_state(s, c)
+    # 2n appends: through the first log's free slots, then a fresh log
+    for seg in rng.normal(size=(2 * n, dim, 4)):
+        head = [c3 + c2 + c1 + c0 for c0, c1, c2, c3 in seg.tolist()] if kind == "dde" else None
+        s, c = s.shift_append(seg, head=head), c.shift_append(seg, head=head)
+        _same_state(s, c)
+
+
+@pytest.mark.parametrize("kind", ["dde", "re"])
+def test_non_finite_sample_names_its_segment(kind):
+    # the newest segment, and for a DDE the head sample at 0 too
+    phi = lambda th: np.where(th > -0.25, np.nan, 1.0)
+    with pytest.raises(ValueError, match=r"^history segment 3 on \[-0.25, 0.0\] is not finite$"):
+        HistoryState.from_callable(phi, kind, 1, 1.0, 0.25)
+
+
+def test_projected_head_is_a_read_only_copy():
+    returned = []
+
+    def phi(th):
+        returned.append(np.cos(np.outer(th, [1.0, 2.0])))
+        return returned[-1]
+
+    state = HistoryState.from_callable(phi, "dde", 2, 1.0, 0.25)
+    head, coeffs = state.head.copy(), state.coefficients().copy()
+    assert not state.head.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        state.head[0] = 5.0
+    returned[0][:] = 99.0
+    assert state.head.tobytes() == head.tobytes()
+    assert state.coefficients().tobytes() == coeffs.tobytes()
+
+
+def test_reprs_name_kind_mesh_and_shift(dde_state):
+    assert repr(dde_state) == "HistoryState(kind='dde', dim=1, tau=1.0, h=0.25, segments=4)"
+    view = StageView(dde_state, 0.125, np.zeros((1, 4)), head=[0.0])
+    assert repr(view) == f"StageView(shift=0.125, base={dde_state!r})"
+
+
 def _counting_eval_many(monkeypatch):
     calls = []
     for cls in (HistoryState, StageView):
