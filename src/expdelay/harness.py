@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .history import _as_float, _as_shaped, _grid, norm_diff
+from .history import _as_float, _as_shaped, _blocks, _grid, norm_diff
 from .quadrature import gauss_legendre
 from .stepper import initial_state, integrate, observed_values, TrajectoryRecorder
 from .tableau import builtin
@@ -78,9 +78,10 @@ def _integrated_errors(state, exact, T, norm: str):
     shifted = _shifted_exact(exact, T, dim)
     lefts = (np.arange(n) - n) * h
     g8_x, g8_w = gauss_legendre(8)
-    seg_nodes = _grid(n, h, g8_x).ravel()
-    vals = shifted(seg_nodes).reshape(n, len(g8_x), dim)
-    seg_int = h * np.einsum("q,nqd->nd", g8_w, vals)
+    seg_int = np.empty((n, dim))
+    for lo, hi in _blocks(n, len(g8_x)):  # 2**14 nodes at a time: memory O(n), not O(8n)
+        vals = shifted(_grid(n, h, g8_x, lo, hi).ravel()).reshape(hi - lo, len(g8_x), dim)
+        seg_int[lo:hi] = h * np.einsum("q,nqd->nd", g8_w, vals)
     suffix = np.zeros((n + 1, dim))
     suffix[:-1] = seg_int[::-1].cumsum(axis=0)[::-1]
 

@@ -244,9 +244,31 @@ def _eval_one(self, theta: float) -> np.ndarray:
     return self.eval_many(float(theta))
 
 
-def _grid(n: int, h: float, s: np.ndarray) -> np.ndarray:
-    # offsets of the local nodes s on each of the n segments, shape (n, len(s))
-    return ((np.arange(n) - n) * h)[:, None] + h * s[None, :]
+def _grid(n: int, h: float, s: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    # offsets of the local nodes s on segments lo..hi - 1 of n, shape (hi - lo, len(s));
+    # each row is the same floats whatever the range
+    return ((np.arange(lo, hi) - n) * h)[:, None] + h * s[None, :]
+
+
+#: offsets a whole-history norm evaluates at once, so its memory is O(n), not O(nodes)
+_BLOCK = 2**14
+
+
+def _blocks(n: int, nodes: int):
+    """Ranges [lo, hi) of whole segments, in order over 0..n, each holding at
+    most ``_BLOCK`` offsets at ``nodes`` per segment."""
+    step = _BLOCK // nodes
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+#: 1/(p + 1) per power p: the integral of s^p over [0, 1]
+_INV = 1.0 / (1.0 + np.arange(_NCOEF))
+
+
+def _integrals(segments: np.ndarray) -> np.ndarray:
+    """Integral over s in [0, 1] of each (dim, 4) cubic of ``segments``,
+    shape (dim, k): the rule and key of ``j_integrate``'s stored sums."""
+    return (segments * _INV).sum(-1).T
 
 
 def _as_head(kind: str, dim: int, head):
@@ -537,12 +559,13 @@ class HistoryState:
         thetas = np.atleast_1d(_as_float(theta, "theta holds"))
         _check_inside(thetas, self.tau)
         idx, s = self._locate(thetas)
-        inv = 1.0 / (1.0 + np.arange(_NCOEF))
-        seg_int = self.h * (self._coeffs * inv).sum(axis=-1)  # (n, d)
-        suffix = np.zeros((self.n_segments + 1, self.dim))
+        n, end = self.n_segments, self._end
+        # the window's segment integrals, read from the log's stored sums
+        seg_int = self.h * self._log.slot_sums(_integrals, end, _integrals)[:, end - n : end].T
+        suffix = np.zeros((n + 1, self.dim))
         suffix[:-1] = seg_int[::-1].cumsum(axis=0)[::-1]
         powers = s[:, None] ** (1.0 + np.arange(_NCOEF))  # (m, NCOEF)
-        partial = self.h * ((1.0 - powers)[:, None, :] * inv * self._coeffs[idx]).sum(
+        partial = self.h * ((1.0 - powers)[:, None, :] * _INV * self._coeffs[idx]).sum(
             axis=-1
         )
         out = partial + suffix[idx + 1]
@@ -641,18 +664,28 @@ def norm_diff(state, reference, norm: str = "sup") -> float:
 
     ``sup`` takes the max over 16 Chebyshev points per segment of the
     componentwise max difference; ``l1`` applies the 4-node Gauss-Legendre
-    rule per segment to the 1-norm of the difference.  ``reference`` must be
-    vectorised: m offsets give (m, dim) values, read by :func:`_as_shaped`.
+    rule per segment to the 1-norm of the difference.  The nodes go to
+    ``state.eval_many`` and ``reference`` in blocks of whole segments, at most
+    2**14 offsets each, so memory stays in proportion to the state.
+    ``reference`` must therefore be elementwise: m offsets give (m, dim)
+    values, read by :func:`_as_shaped`, each a function of its own offset.
     """
     if norm not in ("sup", "l1"):
         raise ValueError(f"norm must be 'sup' or 'l1', got {norm!r}")
-    n = _steps(state.tau, state.h, "tau")
+    n, h = _steps(state.tau, state.h, "tau"), state.h
     s_nodes = _SUP_S if norm == "sup" else _L1_S
-    thetas = _grid(n, state.h, s_nodes).ravel()
-    got = state.eval_many(thetas)
-    want = _as_shaped(reference(thetas), (len(thetas), state.dim), "reference returned", 1)
-    diff = np.abs(got - want)
-    if norm == "sup":
-        return float(diff.max())
-    per_node = diff.sum(axis=1).reshape(n, len(s_nodes))
-    return float((per_node @ _L1_W).sum() * state.h)
+    k = len(s_nodes)
+    # sup keeps each block's max (a NaN carries through); l1 each node's 1-norm
+    maxima, per_node = [], np.empty((n, k)) if norm == "l1" else None
+    for lo, hi in _blocks(n, k):
+        thetas = _grid(n, h, s_nodes, lo, hi).ravel()
+        got = state.eval_many(thetas)
+        want = _as_shaped(reference(thetas), (len(thetas), state.dim), "reference returned", 1)
+        diff = np.abs(got - want)
+        if per_node is None:
+            maxima.append(diff.max())
+        else:
+            per_node[lo:hi] = diff.sum(axis=1).reshape(hi - lo, k)
+    if per_node is None:
+        return float(np.max(maxima))
+    return float((per_node @ _L1_W).sum() * h)

@@ -521,7 +521,8 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
 class TrajectoryRecorder:
     """Observer collecting every ``sample_every``-th step (and t = 0 if the
     initial observable is passed at construction).  Values are read by
-    :func:`~expdelay.history._as_float`, and t0 as a real scalar."""
+    :func:`~expdelay.history._as_float`, and t0 and each recorded t as real
+    scalars; a step that is not recorded reads neither."""
 
     def __init__(self, sample_every: int = 1, t0=None, values0=None):
         self.sample_every = _index(sample_every, "sample_every")
@@ -537,7 +538,7 @@ class TrajectoryRecorder:
     def __call__(self, t: float, values: np.ndarray):
         self._count += 1
         if self._count % self.sample_every == 0:
-            self.times.append(float(t))
+            self.times.append(float(_as_shaped(t, (), "t holds")))
             self.values.append(_as_float(values, "values holds"))
 
     def as_arrays(self):

@@ -14,6 +14,7 @@ real arguments in strong (operator-argument) or weak (frozen-argument) form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
@@ -47,7 +48,8 @@ class Tableau:
     k >= 1 (() is zero).  ``a`` is strictly lower triangular.  The tableau
     owns the node scale: row i of ``a`` is evaluated at c_i z (coefficients
     built from phi_k(c_i h A0)) and ``b`` at z.  Nodes lie in [0, 1], and in (0, 1]
-    for a row with terms, so a stage view's shift c_i h lies in (0, h].  Terms have
+    for a row with terms, so a stage view's shift c_i h lies in (0, h]; a nonzero
+    node is a normal float, so that dividing by it cannot overflow.  Terms have
     order k <= DEGREE, the degree of a stored history segment, so every method runs
     on every problem kind.  Nodes and weights are stored as Python floats, so stage
     times t_n + c_i h are floats; ``declared_order`` is an integer in 1..4.
@@ -87,6 +89,8 @@ class Tableau:
         for i, W in enumerate(weights[:nu]):
             if not math.isfinite(self.c[i]):
                 raise ValueError(f"node c_{i + 1} = {self.c[i]} is not finite")
+            if 0.0 < abs(self.c[i]) < sys.float_info.min:  # 1/c_i would overflow
+                raise ValueError(f"node c_{i + 1} = {self.c[i]} is subnormal, neither 0 nor normal")
             if W[i:].any():
                 raise ValueError(f"a[{i}][j] must be empty for j >= {i} (explicit method)")
             if W.shape[1] > 1 and not 0.0 < self.c[i] <= 1.0:

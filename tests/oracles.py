@@ -14,12 +14,20 @@ same phi matrices applied one sample at a time.
 :func:`project_per_segment` projects a history callable the long way: four
 samples per segment, knots sampled from both sides, and one small product
 per segment.
+
+:func:`norm_diff_one_batch`, :func:`j_integrate_recomputed` and
+:func:`integrated_errors_one_batch` are the history norms, the integrated
+state and the RE harness reference as they were written before they went in
+blocks and read stored sums: every node in one batch, every segment integral
+recomputed per call.  The blocked code must give the same bits.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
+from expdelay.history import _L1_S, _L1_W, _SUP_S, gauss_legendre
 from expdelay.phi import phi_combine, phi_matrices
 
 #: Chebyshev-Lobatto nodes on [0, 1] and the inverse of their Vandermonde matrix
@@ -93,3 +101,65 @@ def project_per_segment(phi, kind: str, dim: int, tau: float, h: float):
     vals = np.asarray(phi(thetas), dtype=float).reshape(n, len(s), dim)
     coeffs = np.swapaxes(vals, 1, 2) @ vinv.T
     return coeffs, (vals[-1, -1] if kind == "dde" else None)
+
+
+def _grid(n: int, h: float, s: np.ndarray) -> np.ndarray:
+    """Offsets of the local nodes s on each of the n segments, shape (n, len(s))."""
+    return ((np.arange(n) - n) * h)[:, None] + h * s[None, :]
+
+
+def norm_diff_one_batch(state, reference, norm: str) -> float:
+    """``norm_diff`` with all of its nodes in one batch."""
+    n = round(state.tau / state.h)
+    s_nodes = _SUP_S if norm == "sup" else _L1_S
+    thetas = _grid(n, state.h, s_nodes).ravel()
+    got = state.eval_many(thetas)
+    want = np.asarray(reference(thetas), dtype=float).reshape(len(thetas), state.dim)
+    diff = np.abs(got - want)
+    if norm == "sup":
+        return float(diff.max())
+    per_node = diff.sum(axis=1).reshape(n, len(s_nodes))
+    return float((per_node @ _L1_W).sum() * state.h)
+
+
+def j_integrate_recomputed(state, thetas: np.ndarray) -> np.ndarray:
+    """``j_integrate`` at an array of offsets, summing every segment's
+    integral afresh from the state's coefficients."""
+    coeffs, h = state.coefficients(), state.h
+    idx, s = state._locate(thetas)
+    inv = 1.0 / (1.0 + np.arange(4))
+    seg_int = h * (coeffs * inv).sum(axis=-1)
+    suffix = np.zeros((state.n_segments + 1, state.dim))
+    suffix[:-1] = seg_int[::-1].cumsum(axis=0)[::-1]
+    powers = s[:, None] ** (1.0 + np.arange(4))
+    partial = h * ((1.0 - powers)[:, None, :] * inv * coeffs[idx]).sum(axis=-1)
+    return partial + suffix[idx + 1]
+
+
+def integrated_errors_one_batch(state, exact, T: float, norm: str) -> float:
+    """``harness._integrated_errors`` with the reference's 8 Gauss nodes per
+    segment in one batch, measured by :func:`norm_diff_one_batch` on
+    :func:`j_integrate_recomputed`."""
+    n, h, dim = state.n_segments, state.h, state.dim
+
+    def shifted(thetas):
+        return np.ascontiguousarray(np.reshape(exact(T + thetas), (len(thetas), dim)))
+
+    lefts = (np.arange(n) - n) * h
+    g8_x, g8_w = gauss_legendre(8)
+    vals = shifted(_grid(n, h, g8_x).ravel()).reshape(n, len(g8_x), dim)
+    seg_int = h * np.einsum("q,nqd->nd", g8_w, vals)
+    suffix = np.zeros((n + 1, dim))
+    suffix[:-1] = seg_int[::-1].cumsum(axis=0)[::-1]
+
+    def reference(thetas):
+        idx = state._locate(thetas)[0]
+        widths = lefts[idx] + h - thetas
+        part_nodes = (thetas[:, None] + widths[:, None] * g8_x[None, :]).ravel()
+        part_vals = shifted(part_nodes).reshape(len(thetas), len(g8_x), dim)
+        return widths[:, None] * np.einsum("q,mqd->md", g8_w, part_vals) + suffix[idx + 1]
+
+    integrated = SimpleNamespace(
+        tau=state.tau, h=h, dim=dim, eval_many=lambda th: j_integrate_recomputed(state, th)
+    )
+    return norm_diff_one_batch(integrated, reference, norm)

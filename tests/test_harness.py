@@ -81,12 +81,24 @@ def test_harness_input_checks(call, match):
         (lambda: TrajectoryRecorder(values0=["1.0"]), "values0 holds non-numeric"),
         (lambda: TrajectoryRecorder()(0.5, np.array([1j])), "values holds complex"),
         (lambda: TrajectoryRecorder()(0.5, ["1.0"]), "values holds non-numeric"),
+        (lambda: TrajectoryRecorder()("0.5", np.ones(1)), "t holds non-numeric"),
+        (lambda: TrajectoryRecorder()(0.5 + 0j, np.ones(1)), "t holds complex"),
     ],
 )
 def test_harness_inputs_go_through_the_one_reader(call, source):
     # a TypeError naming the source, not a ComplexWarning, a parsed string or a raw float() error
     with pytest.raises(TypeError, match=f"^{source} values"):
         call()
+
+
+def test_recorder_reads_t_only_on_recorded_steps():
+    recorder = TrajectoryRecorder(2)
+    recorder("skipped", np.ones(1))  # step 1 is not recorded: its t is not read
+    recorder(np.float32(0.5), np.ones(1))
+    recorder(None, np.ones(1))  # nor is step 3's
+    with pytest.raises(ValueError, match=r"t holds shape \(1,\), expected \(\)"):
+        recorder([1.0], np.ones(1))
+    assert recorder.times == [0.5] and type(recorder.times[0]) is float
 
 
 def test_recorder_keeps_float64_values_as_given():

@@ -1,9 +1,12 @@
 import copy
 import dataclasses
+import math
 import pickle
 import re
 import sys
 import threading
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -28,7 +31,12 @@ from expdelay import (
 from expdelay.harness import _integrated_errors
 
 from conftest import smooth_re_state
-from oracles import project_per_segment
+from oracles import (
+    integrated_errors_one_batch,
+    j_integrate_recomputed,
+    norm_diff_one_batch,
+    project_per_segment,
+)
 
 
 def test_constant_history_evaluates_to_constant():
@@ -749,6 +757,92 @@ def test_norm_diff_constant_offset():
 def test_norm_diff_rejects_unknown_norm(dde_state):
     with pytest.raises(ValueError):
         norm_diff(dde_state, lambda th: np.zeros(np.shape(th)), "l2")
+
+
+#: whole segments per block of ``norm_diff``: 2**14 offsets at 16 (sup) or 4 (l1) nodes each
+_NORM_BLOCK = {"sup": 1024, "l1": 4096}
+
+
+def _norm_target(kind, dim, n, rng):
+    """A state on n segments of width 2**-10, a stage view of it, or its
+    integrated state as the benchmark's duck type (tau, h, dim, eval_many)."""
+    h = 2.0**-10
+    state = HistoryState("re", dim, n * h, h, rng.normal(size=(n, dim, 4)))
+    if kind == "stage_view":
+        return StageView(state, 0.5 * h, rng.normal(size=(dim, 4)))
+    if kind == "integrated":
+        return types.SimpleNamespace(tau=state.tau, h=h, dim=dim, eval_many=state.j_integrate)
+    return state
+
+
+def _poly_reference(dim):
+    # bounded, so the largest difference can fall in any block; floor, adds and
+    # multiplies only, so its bits cannot depend on the batch it is called in
+    def reference(th):
+        f = th - np.floor(th)
+        return np.stack([f * (0.5 - f), 1.0 + 0.25 * f * f], axis=1)[:, :dim]
+
+    return reference
+
+
+@pytest.mark.parametrize("kind", ["state", "stage_view", "integrated"])
+@pytest.mark.parametrize("blocks", [-1, 0, 1, 2], ids=["below", "at", "above", "three"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("norm", ["sup", "l1"])
+def test_norm_diff_in_blocks_equals_one_batch(norm, dim, blocks, kind, rng):
+    # n one segment below, at and above a block boundary, and three blocks with a short last one
+    per_block = _NORM_BLOCK[norm]
+    n = {-1: per_block - 1, 0: per_block, 1: per_block + 1, 2: 2 * per_block + 3}[blocks]
+    target, reference = _norm_target(kind, dim, n, rng), _poly_reference(dim)
+    want = norm_diff_one_batch(target, reference, norm)
+    assert norm_diff(target, reference, norm).hex() == want.hex()
+
+
+@pytest.mark.parametrize("norm", ["sup", "l1"])
+def test_norm_diff_carries_a_nan_from_any_block(norm, rng):
+    state = _norm_target("state", 1, 2 * _NORM_BLOCK[norm] + 1, rng)
+    first = -state.tau + state.h  # only nodes in the first segment see the NaN
+    reference = lambda th: np.where(th < first, np.nan, th)
+    assert math.isnan(norm_diff(state, reference, norm))
+
+
+@pytest.mark.parametrize("norm", ["sup", "l1"])
+def test_norm_diff_memory_is_in_proportion_to_the_state(norm):
+    # n = 5e4: a 1.6 MB window; in one batch the sup norm's 8e5 nodes took ~55 MB
+    state = HistoryState.from_callable(np.cos, "dde", 1, 1.0, 2e-5)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert norm_diff(state, np.cos, norm) < 1e-12
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 8 * 2**20, f"norm_diff({norm!r}) peaked at {peak / 2**20:.1f} MB"
+
+
+def test_j_integrate_reads_stored_sums_bit_for_bit(rng):
+    # states that share one log read its stored integrals, in either order,
+    # and a state on a fresh log (a copy) fills its own
+    state = HistoryState("re", 2, 3.0, 0.25, rng.normal(size=(12, 2, 4)))
+    newer = state
+    for _ in range(5):
+        newer = newer.shift_append(rng.normal(size=(2, 4)))
+    thetas = np.linspace(-3.0, 0.0, 37)
+    for s in (newer, state, copy.deepcopy(newer), newer.shift_append(rng.normal(size=(2, 4)))):
+        assert s.j_integrate(thetas).tobytes() == j_integrate_recomputed(s, thetas).tobytes()
+
+
+@pytest.mark.parametrize("h", [1 / 683, 1 / 2000], ids=["2049_segments", "6000_segments"])
+def test_integrated_errors_in_blocks_equal_one_batch(h):
+    # the reference's 8-node rule takes 2048 segments a block: 2048 + 1, and 2048 + 2048 + 1904
+    problem, T = quadratic_re(), 3 * h
+    state = integrate(problem, builtin("expo3"), h, T)
+    for norm in ("l1", "sup"):
+        want = integrated_errors_one_batch(state, problem.exact, T, norm)
+        assert _integrated_errors(state, problem.exact, T, norm).hex() == want.hex()
 
 
 def test_integrated_state_after_one_euler_re_step():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import types
 from pathlib import Path
 
@@ -1165,13 +1166,15 @@ def test_refused_append_is_divergence_at_the_update_stage(monkeypatch, make):
 
 def test_stage_shift_that_underflows_is_refused():
     # c_2 in (0, 1], but c_2 h is 0.0: the plan names it before any stage
-    # view with a zero-width overlay reaches the rhs
-    tab = Tableau(name="subnormal", c=(0.0, 5e-324), a=(((), ()), (((1, 5e-324),), ())),
+    # view with a zero-width overlay reaches the rhs.  A Tableau refuses a
+    # subnormal node, so the smallest normal node meets a tiny mesh here
+    c2, h = sys.float_info.min, 2.0**-1002
+    tab = Tableau(name="tiny", c=(0.0, c2), a=(((), ()), (((1, c2),), ())),
                   b=(((1, 1.0),), ()), declared_order=1)
-    prob = dataclasses.replace(belzen(), rhs=lambda t, v: -v.eval(0.0))
-    for call in (lambda: integrate(prob, tab, 0.25, 0.5),
-                 lambda: step(prob, tab, initial_state(prob, 0.25), 0.0)):
-        with pytest.raises(ValueError, match="stage shift c h underflows to 0 at h = 0.25"):
+    prob = dataclasses.replace(belzen(), tau=4 * h, rhs=lambda t, v: -v.eval(0.0))
+    for call in (lambda: integrate(prob, tab, h, 2 * h),
+                 lambda: step(prob, tab, initial_state(prob, h), 0.0)):
+        with pytest.raises(ValueError, match=f"stage shift c h underflows to 0 at h = {h}"):
             call()
 
 

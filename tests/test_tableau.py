@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,10 @@ _HEUN = builtin("heun")
         # check_order certifies orders 1..4 only
         ({"declared_order": 0}, "declared_order must be in 1..4, got 0"),
         ({"declared_order": 7}, "declared_order must be in 1..4, got 7"),
+        # an RE step divides by c_i: a subnormal node overflowed there instead of being named
+        ({"c": (0.0, 1e-310)}, "node c_2 = 1e-310 is subnormal"),
+        ({"c": (0.0, -1e-310)}, "node c_2 = -1e-310 is subnormal"),
+        ({"c": (0.0, 5e-324)}, "node c_2 = 5e-324 is subnormal"),
     ],
 )
 def test_tableau_shape_and_mode_checks(fields, match):
@@ -117,6 +122,12 @@ def test_empty_row_node_must_lie_in_unit_interval(c2):
     # an empty row still sets its stage time t_n + c h and its view's shift c h
     with pytest.raises(ValueError, match=rf"node c_2 = {c2} must lie in \[0, 1\]"):
         dataclasses.replace(_HEUN, c=(0.0, c2), a=(((), ()), ((), ())))
+
+
+def test_smallest_normal_node_is_accepted():
+    # the subnormal nodes below it are refused (test_tableau_shape_and_mode_checks)
+    tab = dataclasses.replace(_HEUN, c=(0.0, sys.float_info.min))
+    assert tab.c[1] == sys.float_info.min
 
 
 def test_check_order_needs_an_integer_order():
