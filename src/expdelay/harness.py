@@ -9,6 +9,12 @@ Error conventions for a run up to time T against an exact solution x:
   state (L1 by default) and ``err_u`` the same norm of the integrated state
   int_theta^0 eta against int_theta^0 x(T + s) ds.
 
+History norms (:func:`norm_diff`) sample each mesh segment: ``sup`` takes the
+largest componentwise difference at 16 first-kind Chebyshev points, ``l1``
+the 4-node Gauss-Legendre rule of the difference's 1-norm.  They go through
+the nodes in blocks of whole segments, at most 2**14 offsets a block, so their
+memory stays in proportion to the state and the reference must be elementwise.
+
 Convergence CSV rows are ``problem,method,h,err_x,err_u``; trajectory CSV
 rows are ``t`` followed by one column per component.  All numbers are
 written in scientific notation with 17 significant digits, and reruns with
@@ -21,7 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .history import _as_float, _as_shaped, _blocks, _grid, norm_diff
+from .history import _as_float, _as_shaped, _steps
 from .quadrature import gauss_legendre
 from .stepper import initial_state, integrate, observed_values, TrajectoryRecorder
 from .tableau import builtin
@@ -30,12 +36,60 @@ __all__ = [
     "estimate_order",
     "converge",
     "simulate",
+    "norm_diff",
 ]
 
 CONVERGE_HEADER = "problem,method,h,err_x,err_u"
 
 #: errors below this are treated as roundoff floor in slope estimates
 ORDER_FLOOR = 1e3 * float(np.finfo(float).eps)
+
+# 16 first-kind Chebyshev points per segment: sampling grid for sup norms.
+_SUP_S = 0.5 * (1.0 - np.cos((2.0 * np.arange(16) + 1.0) * np.pi / 32.0))
+# 4-node Gauss-Legendre rule on [0, 1], used for L1 norms.
+_L1_S, _L1_W = gauss_legendre(4)
+
+#: offsets a whole-history norm evaluates at once, so its memory is O(n), not O(nodes)
+_BLOCK = 2**14
+
+
+def _grid(n: int, h: float, s: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    # offsets of the local nodes s on segments lo..hi - 1 of n, shape (hi - lo, len(s));
+    # each row is the same floats whatever the range
+    return ((np.arange(lo, hi) - n) * h)[:, None] + h * s[None, :]
+
+
+def _blocks(n: int, nodes: int):
+    """Ranges [lo, hi) of whole segments, in order over 0..n, each holding at
+    most ``_BLOCK`` offsets at ``nodes`` per segment."""
+    step = _BLOCK // nodes
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+def norm_diff(state, reference, norm: str = "sup") -> float:
+    """Distance between a history state (or view) and a reference callable, in
+    the ``sup`` or ``l1`` norm of the module notes.  ``reference`` must be
+    elementwise: m offsets give (m, dim) values, read by
+    :func:`~expdelay.history._as_shaped`, each a function of its own offset."""
+    if norm not in ("sup", "l1"):
+        raise ValueError(f"norm must be 'sup' or 'l1', got {norm!r}")
+    n, h = _steps(state.tau, state.h, "tau"), state.h
+    s_nodes = _SUP_S if norm == "sup" else _L1_S
+    k = len(s_nodes)
+    # sup keeps each block's max (a NaN carries through); l1 each node's 1-norm
+    maxima, per_node = [], np.empty((n, k)) if norm == "l1" else None
+    for lo, hi in _blocks(n, k):
+        thetas = _grid(n, h, s_nodes, lo, hi).ravel()
+        got = state.eval_many(thetas)
+        want = _as_shaped(reference(thetas), (len(thetas), state.dim), "reference returned", 1)
+        diff = np.abs(got - want)
+        if per_node is None:
+            maxima.append(diff.max())
+        else:
+            per_node[lo:hi] = diff.sum(axis=1).reshape(hi - lo, k)
+    if per_node is None:
+        return float(np.max(maxima))
+    return float((per_node @ _L1_W).sum() * h)
 
 
 def estimate_order(hs, errs) -> float:

@@ -10,22 +10,14 @@ The packed (n, dim, 4) coefficient array is the only representation of
 a history: segment i covers [(i - n) h, (i - n + 1) h], oldest first, in the
 local variable s = (theta - left)/h, lowest power first.  A state keeps tau
 as n * h, the multiple of h that passed the mesh check, so -tau is its oldest
-knot bit for bit and lookups, window cuts and ``j_integrate`` share one frame.
+knot bit for bit and lookups, quadrature's window cuts and ``j_integrate``
+share one frame.
 
-The package's node tables and Gauss-Legendre rules (:func:`gauss_legendre`)
-live here, and so does its mesh rule: tau, T or a delay bound is on the
+The package's mesh rule lives here: tau, T or a delay bound is on the
 mesh when value/h is within the knot tolerance 1e-9 * max(1, |value/h|) of
 an integer (:func:`_steps`, else :class:`MeshError`), and an offset is in
 [-tau, 0] when within 1e-9 * max(1, tau) of it (:func:`_outside`).  That band
 is centred on -n * h; the tau passed in lies inside it, as |tau - n h| <= 1e-9 tau.
-
-A distributed-delay window [a, b] is split here too (``_pieces``), at the
-knots strictly inside (a + tol, b - tol): into a contiguous run of whole
-segments and one or two partial pieces at its ends, one of them the stage
-overlay when a stage view's window reaches [-shift, 0].  That geometry, with
-the end pieces' Gauss-Legendre nodes, is a read-only plan computed once per
-(tau/h, h, shift, a, b) and shared by every view on that mesh
-(:func:`_window_plan`).
 
 A scalar offset (``eval``, or a float or 0-d value to ``eval_many``) takes a
 point path: the same range check, knot snapping and float operations as the
@@ -54,13 +46,11 @@ polynomial on [-shift, 0] over a shifted base state instead of a new history.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import threading
 import weakref
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +59,6 @@ __all__ = [
     "HistoryState",
     "MeshError",
     "StageView",
-    "norm_diff",
 ]
 
 DEGREE = 3
@@ -88,35 +77,6 @@ _CHEB_S = 0.5 * (1.0 - np.cos((2.0 * np.arange(4) + 1.0) * np.pi / 8.0))
 
 _LOBATTO_VINV = np.linalg.inv(np.vander(_LOBATTO_S, _NCOEF, increasing=True))
 _CHEB_VINV = np.linalg.inv(np.vander(_CHEB_S, _NCOEF, increasing=True))
-
-# 16 first-kind Chebyshev points per segment: sampling grid for sup norms.
-_SUP_S = 0.5 * (1.0 - np.cos((2.0 * np.arange(16) + 1.0) * np.pi / 32.0))
-
-_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1],
-    shared and read-only."""
-    if n not in _RULES:
-        x, w = np.polynomial.legendre.leggauss(n)
-        rule = (0.5 * (x + 1.0), 0.5 * w)
-        for arr in rule:
-            arr.setflags(write=False)
-        _RULES[n] = rule
-    return _RULES[n]
-
-
-# 4-node Gauss-Legendre rule on [0, 1], used for L1 norms and window pieces.
-_L1_S, _L1_W = gauss_legendre(4)
-# a partial window piece's (s_lo, s_hi, t_lo, t_hi) times this matrix gives
-# its local nodes, its offset nodes and its weights
-_ENDS = np.zeros((4, 12))
-_ENDS[0, :4] = _ENDS[2, 4:8] = 1.0 - _L1_S
-_ENDS[1, :4] = _ENDS[3, 4:8] = _L1_S
-_ENDS[2, 8:], _ENDS[3, 8:] = -_L1_W, _L1_W
-_ENDS.setflags(write=False)
-
 
 def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
     # coeffs (..., d, NCOEF), s (...,) -> values (..., d)
@@ -244,23 +204,6 @@ def _eval_one(self, theta: float) -> np.ndarray:
     return self.eval_many(float(theta))
 
 
-def _grid(n: int, h: float, s: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    # offsets of the local nodes s on segments lo..hi - 1 of n, shape (hi - lo, len(s));
-    # each row is the same floats whatever the range
-    return ((np.arange(lo, hi) - n) * h)[:, None] + h * s[None, :]
-
-
-#: offsets a whole-history norm evaluates at once, so its memory is O(n), not O(nodes)
-_BLOCK = 2**14
-
-
-def _blocks(n: int, nodes: int):
-    """Ranges [lo, hi) of whole segments, in order over 0..n, each holding at
-    most ``_BLOCK`` offsets at ``nodes`` per segment."""
-    step = _BLOCK // nodes
-    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
-
-
 #: 1/(p + 1) per power p: the integral of s^p over [0, 1]
 _INV = 1.0 / (1.0 + np.arange(_NCOEF))
 
@@ -302,64 +245,6 @@ def _check_continuity(newest: np.ndarray, head: np.ndarray):
                 f"DDE head {head} does not match the newest segment's value "
                 f"{np.array(newest_at_0)} at theta=0: |gap| = {gap:.3e} > {tol:.3e}"
             )
-
-
-class _Plan(NamedTuple):
-    """The geometry of a window on a view's mesh (:func:`_window_plan`)."""
-
-    first: int  # the first whole segment
-    m: int  # the number of whole segments
-    left: float  # the offset where the first whole segment starts
-    ends: tuple  # the segment of each partial end piece, -1 for the overlay
-    thetas: np.ndarray  # the end pieces' node offsets, 4 per piece (read-only)
-    weights: np.ndarray  # their Gauss-Legendre weights (read-only)
-    powers: np.ndarray  # (pieces, 4, 4) local node powers, lowest first (read-only)
-
-
-@functools.lru_cache(maxsize=256)  # a run asks for a handful of windows, one per stage shift
-def _window_plan(n: int, h: float, shift: float, a: float, b: float) -> _Plan:
-    """Cut the window [a, b] at the knots (j - n) h - shift, j in 0..n, strictly
-    inside (lo, hi) = (a + tol, b - tol), tol the knot tolerance of tau = n h,
-    with the knots computed in the float operations of ``breakpoints``; a stage
-    view (shift > 0, with an overlay on [-shift, 0]) also keeps lo above
-    -tau + tol, the knots its ``breakpoints`` keep.
-
-    The whole segments are ``coeffs[first:first + m]``, the first starting at
-    offset ``left``.  One or two partial pieces remain, before and after them;
-    a piece right of knot n lies in the overlay, on [-shift, 0].  Each gets
-    the 4-node Gauss-Legendre rule: node offsets, weights and the powers of
-    its local nodes, which times the piece's coefficients give its values.
-    The geometry depends on these arguments only, so it is computed once and
-    its arrays are shared, read-only.
-    """
-    tol = _knot_tol(n * h)
-    lo, hi = a + tol, b - tol
-    overlay = shift > 0.0
-    if overlay:
-        lo = max(lo, -(n * h) + tol)
-    knots = (np.arange(n + 1) - n) * h - shift
-    knot = knots.item  # knot j as a Python float
-
-    def end(j, t_lo, t_hi):  # the piece [t_lo, t_hi] just left of knot j
-        if j > n and overlay:
-            return -1, (t_lo + shift) / shift, (t_hi + shift) / shift, t_lo, t_hi
-        i = min(max(j - 1, 0), n - 1)
-        return i, (t_lo - knot(i)) / h, (t_hi - knot(i)) / h, t_lo, t_hi
-
-    # cuts at j0 <= j < j1, the knots in (lo, hi)
-    j0 = int(knots.searchsorted(lo, "right"))
-    j1 = max(int(knots.searchsorted(hi, "left")), j0)
-    if j0 == j1:
-        m, left, ends = 0, a, (end(j0, a, b),)
-    else:
-        m, left, last = j1 - 1 - j0, knot(j0), knot(j1 - 1)
-        ends = (end(j0, a, left), end(j1, last, b))
-    nodes = np.array([bounds for _, *bounds in ends]) @ _ENDS
-    thetas, weights = nodes[:, 4:8].ravel(), nodes[:, 8:].ravel()
-    powers = nodes[:, :4, None] ** np.arange(float(_NCOEF))
-    for arr in (thetas, weights, powers):
-        arr.setflags(write=False)
-    return _Plan(j0, m, left, tuple(i for i, *_ in ends), thetas, weights, powers)
 
 
 class _Log:
@@ -405,7 +290,8 @@ class HistoryState:
     write slots past the log's written end, so a window's values never change.
     """
 
-    __slots__ = ("kind", "dim", "tau", "h", "n_segments", "head", "_log", "_end", "_coeffs")
+    __slots__ = ("kind", "dim", "tau", "h", "n_segments", "head", "_log", "_end", "_coeffs",
+                 "_suffix")
 
     def __init__(self, kind, dim, tau, h, coeffs, head=None):
         n, dim = _n_segments(kind, dim, tau, h), int(dim)
@@ -414,9 +300,10 @@ class HistoryState:
         self._set(kind, dim, n, float(h), _as_head(kind, dim, head), log, n)._check_window()
 
     def _set(self, kind, dim: int, n: int, h: float, head, log: _Log, end: int) -> "HistoryState":
-        """Fill every slot: tau = n h, and the window ``log.buf[end - n:end]``."""
+        """Fill every slot: tau = n h, the window ``log.buf[end - n:end]``, and
+        no ``j_integrate`` suffix yet."""
         self.kind, self.dim, self.tau, self.h, self.n_segments = kind, dim, n * h, h, n
-        self.head, self._log, self._end = head, log, end
+        self.head, self._log, self._end, self._suffix = head, log, end, None
         self._coeffs = log.buf[end - n : end]
         self._coeffs.setflags(write=False)
         return self
@@ -475,12 +362,6 @@ class HistoryState:
         """Mesh knots in [-tau, 0], oldest first."""
         n = self.n_segments
         return (np.arange(n + 1) - n) * self.h
-
-    def _pieces(self, a: float, b: float):
-        """The :func:`_window_plan` of a range-checked window [a, b], cut at the
-        knots strictly inside (a + tol, b - tol), with the coefficients its
-        segment indices read and the overlay (None) its index -1 reads."""
-        return _window_plan(self.n_segments, self.h, 0.0, a, b), self._coeffs, None
 
     def _segment_sum(self, key, rule, first: int, m: int) -> np.ndarray:
         """Pairwise (numpy) sum of ``rule``'s stored sums on window segments [first, first + m)."""
@@ -551,7 +432,8 @@ class HistoryState:
 
         This is the embedding carrying the eta state to the integrated state
         u(theta) = int_theta^0 eta(s) ds.  Accepts a scalar or an array of
-        offsets; returns (dim,) or (m, dim) accordingly.
+        offsets; returns (dim,) or (m, dim) accordingly.  The sums over whole
+        segments, up to 0 from each knot, are built on the first call and kept.
         """
         if self.kind != "re":
             raise ValueError("j_integrate is defined for RE states only")
@@ -559,16 +441,18 @@ class HistoryState:
         thetas = np.atleast_1d(_as_float(theta, "theta holds"))
         _check_inside(thetas, self.tau)
         idx, s = self._locate(thetas)
-        n, end = self.n_segments, self._end
-        # the window's segment integrals, read from the log's stored sums
-        seg_int = self.h * self._log.slot_sums(_integrals, end, _integrals)[:, end - n : end].T
-        suffix = np.zeros((n + 1, self.dim))
-        suffix[:-1] = seg_int[::-1].cumsum(axis=0)[::-1]
+        if self._suffix is None:  # the window's segment integrals, from the log's stored sums
+            n, end = self.n_segments, self._end
+            sums = self._log.slot_sums(_integrals, end, _integrals)[:, end - n : end]
+            suffix = np.zeros((n + 1, self.dim))
+            suffix[:-1] = (self.h * sums.T)[::-1].cumsum(axis=0)[::-1]
+            suffix.setflags(write=False)
+            self._suffix = suffix
         powers = s[:, None] ** (1.0 + np.arange(_NCOEF))  # (m, NCOEF)
         partial = self.h * ((1.0 - powers)[:, None, :] * _INV * self._coeffs[idx]).sum(
             axis=-1
         )
-        out = partial + suffix[idx + 1]
+        out = partial + self._suffix[idx + 1]
         return out[0] if scalar else out
 
     def __repr__(self):
@@ -623,14 +507,6 @@ class StageView:
         keep = shifted > -self.tau + _knot_tol(self.tau)
         return np.concatenate([[-self.tau], shifted[keep], [0.0]])
 
-    def _pieces(self, a: float, b: float):
-        """HistoryState._pieces on the view's knots: the base's segments
-        shifted by ``shift``, and the overlay piece on [-shift, 0] when the
-        window reaches it."""
-        base = self.base
-        plan = _window_plan(base.n_segments, self.h, self.shift, a, b)
-        return plan, base._coeffs, self.overlay_coeffs
-
     def __reduce__(self):  # pickle and copy rebuild through __init__: read-only arrays
         return StageView, (self.base, self.shift, self.overlay_coeffs, self.head)
 
@@ -658,34 +534,3 @@ class StageView:
     def __repr__(self):
         return f"StageView(shift={self.shift}, base={self.base!r})"
 
-
-def norm_diff(state, reference, norm: str = "sup") -> float:
-    """Distance between a history state (or view) and a reference callable.
-
-    ``sup`` takes the max over 16 Chebyshev points per segment of the
-    componentwise max difference; ``l1`` applies the 4-node Gauss-Legendre
-    rule per segment to the 1-norm of the difference.  The nodes go to
-    ``state.eval_many`` and ``reference`` in blocks of whole segments, at most
-    2**14 offsets each, so memory stays in proportion to the state.
-    ``reference`` must therefore be elementwise: m offsets give (m, dim)
-    values, read by :func:`_as_shaped`, each a function of its own offset.
-    """
-    if norm not in ("sup", "l1"):
-        raise ValueError(f"norm must be 'sup' or 'l1', got {norm!r}")
-    n, h = _steps(state.tau, state.h, "tau"), state.h
-    s_nodes = _SUP_S if norm == "sup" else _L1_S
-    k = len(s_nodes)
-    # sup keeps each block's max (a NaN carries through); l1 each node's 1-norm
-    maxima, per_node = [], np.empty((n, k)) if norm == "l1" else None
-    for lo, hi in _blocks(n, k):
-        thetas = _grid(n, h, s_nodes, lo, hi).ravel()
-        got = state.eval_many(thetas)
-        want = _as_shaped(reference(thetas), (len(thetas), state.dim), "reference returned", 1)
-        diff = np.abs(got - want)
-        if per_node is None:
-            maxima.append(diff.max())
-        else:
-            per_node[lo:hi] = diff.sum(axis=1).reshape(hi - lo, k)
-    if per_node is None:
-        return float(np.max(maxima))
-    return float((per_node @ _L1_W).sum() * h)

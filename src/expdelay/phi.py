@@ -148,8 +148,8 @@ def phi_combine(A: np.ndarray, B: np.ndarray, a: float, b: float) -> np.ndarray:
 def phi_matrix_action(M: np.ndarray, vs) -> np.ndarray:
     """Compute sum_{j=0..p} phi_j(M) @ vs[j] from :func:`phi_matrices`.
 
-    Supports p <= 4 (the largest order any shipped method needs).  Checks
-    only ``vs``; :func:`phi_matrices` checks M.
+    Supports p <= 4: the shipped methods need phi_2, and a :class:`Tableau`
+    allows up to phi_3.  Checks only ``vs``; :func:`phi_matrices` checks M.
     """
     vs = _as_float(vs, "vs holds")
     phis = phi_matrices(M, len(vs) - 1) if vs.ndim == 2 and 1 <= len(vs) <= 5 else None

@@ -1,8 +1,8 @@
 """Composite Gauss-Legendre quadrature over history views.
 
 Distributed-delay terms integrate a function of the history over a window
-[a, b] in [-tau, 0].  The view's history module splits the window into
-pieces on which the view is one polynomial: the window is cut at the view's
+[a, b] in [-tau, 0].  This module splits the window into pieces on which the
+view is one polynomial (:func:`_pieces`): the window is cut at the view's
 knots strictly inside (a + tol, b - tol), so every interior piece is a whole
 mesh segment and at most two partial pieces remain at the ends (one of them
 the stage overlay on [-shift, 0] when the window reaches it).  A fixed
@@ -17,9 +17,9 @@ are evaluated together in one small batch.
 
 That cut, and the end pieces' node offsets, weights and node powers, depend
 only on the mesh (tau/h and h), the view's stage shift and the bounds, which
-take a handful of values in a run.  The history module computes them once
-per such key, in one bounded cache, as a read-only window plan; a call then
-reads only coefficients: it slices the whole segments, gathers the one or
+take a handful of values in a run.  They are computed once per such key, in
+one bounded cache, as a read-only window plan (:func:`_window_plan`); a call
+then reads only coefficients: it slices the whole segments, gathers the one or
 two end polynomials and multiplies them by the plan's node powers.
 
 A :class:`Pointwise` integrand g(x) ignores theta, so the rule's sum
@@ -29,8 +29,8 @@ slots with one call of g; a window is the numpy (pairwise) sum of its stored
 sums plus the rule on its end pieces, so a step calls g on O(1) values.  A
 fresh log (a branch, a pickle) fills once.  Other integrands see every node.
 
-The knot tolerance of the window range check, the window plans and the
-Gauss-Legendre rule are the history module's.
+The Gauss-Legendre tables (:func:`gauss_legendre`) are kept here; the knot
+tolerance of the range check and of the cuts is the history module's.
 
 An adaptive rule driven by an error tolerance (accepting that the final
 error then decays to the tolerance rather than to zero) would also serve;
@@ -39,17 +39,110 @@ the fixed rule is kept for determinism.
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 
-from .history import _as_float, _as_shaped, _knot_tol, gauss_legendre
+from .history import StageView, _as_float, _as_shaped, _knot_tol
 
 __all__ = ["integrate_view", "gauss_legendre", "Pointwise"]
+
+_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1],
+    shared and read-only."""
+    if n not in _RULES:
+        x, w = np.polynomial.legendre.leggauss(n)
+        rule = (0.5 * (x + 1.0), 0.5 * w)
+        for arr in rule:
+            arr.setflags(write=False)
+        _RULES[n] = rule
+    return _RULES[n]
+
 
 _X, _W = gauss_legendre(4)
 # (node, power): this matrix times a cubic's coefficients, lowest power
 # first, gives its values at the 4 nodes
 _POWERS = _X[:, None] ** np.arange(4.0)
 _POWERS.setflags(write=False)
+# a partial window piece's (s_lo, s_hi, t_lo, t_hi) times this matrix gives
+# its local nodes, its offset nodes and its weights
+_ENDS = np.zeros((4, 12))
+_ENDS[0, :4] = _ENDS[2, 4:8] = 1.0 - _X
+_ENDS[1, :4] = _ENDS[3, 4:8] = _X
+_ENDS[2, 8:], _ENDS[3, 8:] = -_W, _W
+_ENDS.setflags(write=False)
+
+
+class _Plan(NamedTuple):
+    """The geometry of a window on a view's mesh (:func:`_window_plan`)."""
+
+    first: int  # the first whole segment
+    m: int  # the number of whole segments
+    left: float  # the offset where the first whole segment starts
+    ends: tuple  # the segment of each partial end piece, -1 for the overlay
+    thetas: np.ndarray  # the end pieces' node offsets, 4 per piece (read-only)
+    weights: np.ndarray  # their Gauss-Legendre weights (read-only)
+    powers: np.ndarray  # (pieces, 4, 4) local node powers, lowest first (read-only)
+
+
+@functools.lru_cache(maxsize=256)  # a run asks for a handful of windows, one per stage shift
+def _window_plan(n: int, h: float, shift: float, a: float, b: float) -> _Plan:
+    """Cut the window [a, b] at the knots (j - n) h - shift, j in 0..n, strictly
+    inside (lo, hi) = (a + tol, b - tol), tol the knot tolerance of tau = n h,
+    with the knots computed in the float operations of ``breakpoints``; a stage
+    view (shift > 0, with an overlay on [-shift, 0]) also keeps lo above
+    -tau + tol, the knots its ``breakpoints`` keep.
+
+    The whole segments are ``coeffs[first:first + m]``, the first starting at
+    offset ``left``.  One or two partial pieces remain, before and after them;
+    a piece right of knot n lies in the overlay, on [-shift, 0].  Each gets
+    the 4-node Gauss-Legendre rule: node offsets, weights and the powers of
+    its local nodes, which times the piece's coefficients give its values.
+    The geometry depends on these arguments only, so it is computed once and
+    its arrays are shared, read-only.
+    """
+    tol = _knot_tol(n * h)
+    lo, hi = a + tol, b - tol
+    overlay = shift > 0.0
+    if overlay:
+        lo = max(lo, -(n * h) + tol)
+    knots = (np.arange(n + 1) - n) * h - shift
+    knot = knots.item  # knot j as a Python float
+
+    def end(j, t_lo, t_hi):  # the piece [t_lo, t_hi] just left of knot j
+        if j > n and overlay:
+            return -1, (t_lo + shift) / shift, (t_hi + shift) / shift, t_lo, t_hi
+        i = min(max(j - 1, 0), n - 1)
+        return i, (t_lo - knot(i)) / h, (t_hi - knot(i)) / h, t_lo, t_hi
+
+    # cuts at j0 <= j < j1, the knots in (lo, hi)
+    j0 = int(knots.searchsorted(lo, "right"))
+    j1 = max(int(knots.searchsorted(hi, "left")), j0)
+    if j0 == j1:
+        m, left, ends = 0, a, (end(j0, a, b),)
+    else:
+        m, left, last = j1 - 1 - j0, knot(j0), knot(j1 - 1)
+        ends = (end(j0, a, left), end(j1, last, b))
+    nodes = np.array([bounds for _, *bounds in ends]) @ _ENDS
+    thetas, weights = nodes[:, 4:8].ravel(), nodes[:, 8:].ravel()
+    powers = nodes[:, :4, None] ** np.arange(4.0)
+    for arr in (thetas, weights, powers):
+        arr.setflags(write=False)
+    return _Plan(j0, m, left, tuple(i for i, *_ in ends), thetas, weights, powers)
+
+
+def _pieces(view, a: float, b: float):
+    """The :func:`_window_plan` of a range-checked window [a, b] on ``view``'s
+    knots, the state whose coefficients its segment indices read, and the
+    overlay its index -1 reads (a stage view's; a state has none)."""
+    if isinstance(view, StageView):
+        base = view.base
+        return _window_plan(base.n_segments, view.h, view.shift, a, b), base, view.overlay_coeffs
+    return _window_plan(view.n_segments, view.h, 0.0, a, b), view, None
 
 
 class Pointwise:
@@ -97,15 +190,15 @@ def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
     tol = _knot_tol(view.tau)
     if not (-view.tau - tol <= a <= tol and -view.tau - tol <= b <= tol):  # NaN fails too
         raise ValueError(f"window [{a}, {b}] outside [-{view.tau}, 0]")
-    plan, coeffs, overlay = view._pieces(a, b)
-    m, dim, h = plan.m, view.dim, view.h
+    plan, base, overlay = _pieces(view, a, b)
+    m, dim, h, coeffs = plan.m, view.dim, view.h, base._coeffs
     # the end pieces' values: their polynomials times their node powers
     rows = np.array([overlay if i < 0 else coeffs[i] for i in plan.ends])
     end_vals = (plan.powers @ rows.transpose(0, 2, 1)).reshape(-1, dim)
     if m and isinstance(integrand, Pointwise):
         rule = lambda c: _segment_sums(integrand.g, h, c)  # noqa: E731
         # a stage view's whole segments are its base's, and so are their sums
-        whole = getattr(view, "base", view)._segment_sum(integrand, rule, plan.first, m)
+        whole = base._segment_sum(integrand, rule, plan.first, m)
         return plan.weights @ _checked(integrand.g(end_vals), len(end_vals)) + whole
     whole = 4 * m
     thetas = np.empty(whole + len(end_vals))

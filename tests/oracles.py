@@ -27,8 +27,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from expdelay.history import _L1_S, _L1_W, _SUP_S, gauss_legendre
+from expdelay.harness import _L1_S, _L1_W, _SUP_S
 from expdelay.phi import phi_combine, phi_matrices
+from expdelay.quadrature import gauss_legendre
 
 #: Chebyshev-Lobatto nodes on [0, 1] and the inverse of their Vandermonde matrix
 _LOBATTO_S = np.array([0.0, 0.25, 0.75, 1.0])

@@ -29,6 +29,7 @@ from expdelay import (
     step,
 )
 from expdelay.harness import _integrated_errors
+from expdelay.history import _Log
 
 from conftest import smooth_re_state
 from oracles import (
@@ -833,6 +834,22 @@ def test_j_integrate_reads_stored_sums_bit_for_bit(rng):
     thetas = np.linspace(-3.0, 0.0, 37)
     for s in (newer, state, copy.deepcopy(newer), newer.shift_append(rng.normal(size=(2, 4)))):
         assert s.j_integrate(thetas).tobytes() == j_integrate_recomputed(s, thetas).tobytes()
+
+
+def test_j_integrate_reads_stored_sums_once_per_state(rng, monkeypatch):
+    # a norm in blocks calls j_integrate once a block: the window's suffix sums
+    # are built on the first call, and every call still gives the same bits
+    state = HistoryState("re", 2, 3.0, 0.25, rng.normal(size=(12, 2, 4)))
+    newer = state.shift_append(rng.normal(size=(2, 4)))
+    reads, slot_sums = [], _Log.slot_sums
+    counted = lambda log, *args: reads.append(args) or slot_sums(log, *args)  # noqa: E731
+    monkeypatch.setattr(_Log, "slot_sums", counted)
+    for s in (state, newer):
+        for thetas in np.split(np.linspace(-3.0, 0.0, 48), 4):
+            assert s.j_integrate(thetas).tobytes() == j_integrate_recomputed(s, thetas).tobytes()
+        want = j_integrate_recomputed(s, np.array([-1.3]))[0]
+        assert s.j_integrate(-1.3).tobytes() == want.tobytes()
+    assert len(reads) == 2
 
 
 @pytest.mark.parametrize("h", [1 / 683, 1 / 2000], ids=["2049_segments", "6000_segments"])

@@ -21,7 +21,8 @@ from expdelay import (
     step,
 )
 from expdelay import problems
-from expdelay.history import _knot_tol, _window_plan
+from expdelay.history import _knot_tol
+from expdelay.quadrature import _pieces, _window_plan
 
 
 def _const_state(value, tau, h, kind="re"):
@@ -438,7 +439,7 @@ def test_cached_window_plan_equals_a_fresh_one(kind, h, n, c, seed, ends):
     if b - a < 1e-3 * h:
         return
     integrate_view(view, a, b, lambda th, x: x)
-    plan = view._pieces(a, b)[0]
+    plan = _pieces(view, a, b)[0]
     assert plan is _window_plan(*_plan_key(view, a, b))
     fresh = _window_plan.__wrapped__(*_plan_key(view, a, b))
     assert plan._fields == fresh._fields
@@ -511,7 +512,7 @@ def test_one_plan_serves_states_with_their_own_values(shift):
         views = [StageView(v, shift, rng.uniform(-1.0, 1.0, (2, 4))) for v in views]
     got = {}
     for a, b in ((-3.0, -0.5), (-2.9, -0.05), (-0.2, -0.01)):
-        plans = {id(v._pieces(a, b)[0]) for v in views}
+        plans = {id(_pieces(v, a, b)[0]) for v in views}
         assert len(plans) == 1
         for i, view in enumerate(views):
             got[i] = integrate_view(view, a, b, kernel)
