@@ -363,10 +363,10 @@ class HistoryState:
         n = self.n_segments
         return (np.arange(n + 1) - n) * self.h
 
-    def _segment_sum(self, key, rule, first: int, m: int) -> np.ndarray:
-        """Pairwise (numpy) sum of ``rule``'s stored sums on window segments [first, first + m)."""
-        lo = self._end - self.n_segments + first
-        return self._log.slot_sums(key, self._end, rule)[..., lo : lo + m].sum(axis=-1)
+    def _stored_sums(self, key, rule, first: int, stop: int) -> np.ndarray:
+        """``key``'s stored sums (:meth:`_Log.slot_sums`) on window segments [first, stop)."""
+        lo = self._end - self.n_segments
+        return self._log.slot_sums(key, self._end, rule)[..., lo + first : lo + stop]
 
     def _locate(self, thetas: np.ndarray):
         """Segment index and local coordinate of range-checked offsets."""
@@ -442,9 +442,8 @@ class HistoryState:
         _check_inside(thetas, self.tau)
         idx, s = self._locate(thetas)
         if self._suffix is None:  # the window's segment integrals, from the log's stored sums
-            n, end = self.n_segments, self._end
-            sums = self._log.slot_sums(_integrals, end, _integrals)[:, end - n : end]
-            suffix = np.zeros((n + 1, self.dim))
+            sums = self._stored_sums(_integrals, _integrals, 0, self.n_segments)
+            suffix = np.zeros((self.n_segments + 1, self.dim))
             suffix[:-1] = (self.h * sums.T)[::-1].cumsum(axis=0)[::-1]
             suffix.setflags(write=False)
             self._suffix = suffix

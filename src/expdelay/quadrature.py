@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .history import StageView, _as_float, _as_shaped, _knot_tol
+from .history import StageView, _as_float, _as_shaped, _index, _knot_tol
 
 __all__ = ["integrate_view", "gauss_legendre", "Pointwise"]
 
@@ -52,8 +52,10 @@ _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1],
-    shared and read-only."""
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1], n >= 1
+    an integer, shared and read-only."""
+    if (n := _index(n, "n")) < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if n not in _RULES:
         x, w = np.polynomial.legendre.leggauss(n)
         rule = (0.5 * (x + 1.0), 0.5 * w)
@@ -198,7 +200,7 @@ def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
     if m and isinstance(integrand, Pointwise):
         rule = lambda c: _segment_sums(integrand.g, h, c)  # noqa: E731
         # a stage view's whole segments are its base's, and so are their sums
-        whole = base._segment_sum(integrand, rule, plan.first, m)
+        whole = base._stored_sums(integrand, rule, plan.first, plan.first + m).sum(axis=-1)
         return plan.weights @ _checked(integrand.g(end_vals), len(end_vals)) + whole
     whole = 4 * m
     thetas = np.empty(whole + len(end_vals))

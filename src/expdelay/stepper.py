@@ -33,7 +33,7 @@ hold each row's W_i padded to four columns and the constants h/k! and
 c (k-1)!; the semilinear rule folds the matrix functions, h r^k and the
 interpolation into one matrix per row.  The checked entries, :func:`step`
 and :func:`integrate`, check a state against the declared components and
-build its plan once per call; the stage loop :func:`_step` trusts both.
+build its plan from them once per call; the stage loop :func:`_step` trusts both.
 
 Row i of ``a`` with c = c_i gives the stage views (a shift plus one overlay
 polynomial); row ``b`` with c = 1 gives the appended segment.  Every stage
@@ -96,7 +96,7 @@ def _check_fields(problem, dim_fields, callables):
     """Checks shared by every problem type: each named callable field
     callable (``exact`` may be None), tau positive and finite, each named
     dimension >= 1, one component name per dimension if any are given, and
-    distributed limits a 1-d sequence in [-tau, 0]."""
+    distributed limits a 1-d sequence in [-tau, 0], kept as a tuple of floats."""
     for field in callables:
         value = getattr(problem, field)
         if not callable(value) and not (field == "exact" and value is None):
@@ -120,6 +120,8 @@ def _check_fields(problem, dim_fields, callables):
             f"distributed_limits {problem.distributed_limits} outside [-tau, 0], "
             f"tau = {problem.tau}"
         )
+    # the floats it checked, as a tuple: later writes by the caller must not reach it
+    object.__setattr__(problem, "distributed_limits", tuple(limits.tolist()))
 
 
 @dataclass(frozen=True)
@@ -243,16 +245,16 @@ def _step_plan(tab: Tableau, h: float):
     })
 
 
-def _plan(problem, tab, h: float) -> tuple:
-    """The step plan of (problem, tab, h): one overlay rule per :func:`_components`
-    entry, in state order: a new :func:`_semilinear_plan` for one with an L,
-    else its kind's rule from the cached :func:`_step_plan` of (tab, h).
-    Refuses an h at which a nonzero node's stage shift c h underflows to 0."""
+def _plan(components, tab, h: float) -> tuple:
+    """The step plan of the :func:`_components` that :func:`_check_state` read:
+    one overlay rule per entry, in state order: a new :func:`_semilinear_plan`
+    for one with an L, else its kind's rule from the cached :func:`_step_plan`
+    of (tab, h).  Refuses an h at which a nonzero node's c h underflows to 0."""
     if any(0.0 < c and c * h == 0.0 for c in tab.c):
         raise ValueError(f"a stage shift c h underflows to 0 at h = {h}, nodes {tab.c}")
     return tuple(
         _step_plan(tab, h)[kind] if L is None else _semilinear_plan(L, tab, h)
-        for kind, *_, L in _components(problem, None)
+        for kind, *_, L in components
     )
 
 
@@ -416,16 +418,25 @@ def initial_state(problem, h: float):
     ])
 
 
+def _check_tableau(tab):
+    """Raise a TypeError unless ``tab`` is a :class:`~expdelay.tableau.Tableau`."""
+    if not isinstance(tab, Tableau):
+        raise TypeError(
+            f"tab must be a Tableau, got {tab!r}; builtin(name) looks a method up by name"
+        )
+
+
 def _check_state(problem, state, h=None, name="state") -> tuple:
-    """The components of ``state`` if they match :func:`_components` at h, by
-    default the first one's width, boxed as :func:`_boxed`; else raises as :func:`step` says."""
+    """(states, components) if ``state``'s components, boxed as :func:`_boxed`, match
+    ``components`` = :func:`_components` at h, by default the first one's width; else raises."""
     given = state if isinstance(state, tuple) and state else (state,)
     h = given[0].h if h is None and isinstance(given[0], HistoryState) else h
-    want = tuple(c[:4] for c in _components(problem, h))
+    components = _components(problem, h)
+    want = tuple(c[:4] for c in components)
     got = tuple([isinstance(s, HistoryState) and (s.kind, s.dim, s.n_segments, s.h) for s in given])
     boxed = isinstance(state, tuple) == (len(want) > 1)
     if boxed and got == want:
-        return given
+        return given, components
     layout = ", ".join(f"{kind} HistoryState of dim {dim}" for kind, dim, _, _ in want)
     kinds, dims, hs, taus = ([getattr(s, f, None) for s in given] for f in "kind dim h tau".split())
     mesh_only = boxed and [g and g[:2] for g in got] == [w[:2] for w in want]
@@ -440,11 +451,14 @@ def _check_state(problem, state, h=None, name="state") -> tuple:
 def step(problem, tab, state, t_n: float):
     """One explicit exponential RK step from t_n to t_n + h, for every kind.
 
-    ``state`` must be laid out as :func:`initial_state` builds it for the h
+    ``t_n`` is read as a real scalar, and ``tab`` must be a
+    :class:`~expdelay.tableau.Tableau` (a TypeError otherwise).  ``state``
+    must be laid out as :func:`initial_state` builds it for the h
     of its first component, and passes its mesh checks (each distributed
     bound, then tau); otherwise the step raises one ValueError naming both
     layouts, a :class:`~expdelay.history.MeshError` if only the mesh
-    differs, before it builds anything.  A non-finite stage value, or a new
+    differs, before it builds anything.  The plan is built from the
+    components that check read.  A non-finite stage value, or a new
     segment whose value at theta = 0 is non-finite, raises
     :class:`IntegrationDiverged` with its stage index.  Returns the new
     state (or pair).
@@ -467,8 +481,11 @@ def step(problem, tab, state, t_n: float):
     ``step_coupled``.  The step looks up ``step_<kind>`` at call time, so an
     outside-in tracer (bench/spans.py) that wraps those names sees every step.
     """
-    states = _check_state(problem, state)
-    new = _entry(problem)(problem, tab, states, t_n, _plan(problem, tab, states[0].h))
+    if type(t_n) is not float:  # Python floats need no check
+        t_n = float(_as_shaped(t_n, (), "t_n holds"))
+    _check_tableau(tab)
+    states, components = _check_state(problem, state)
+    new = _entry(problem)(problem, tab, states, t_n, _plan(components, tab, states[0].h))
     return _boxed(new)
 
 
@@ -485,7 +502,9 @@ def observed_values(state) -> np.ndarray:
 def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
     """Advance from t = 0 to t = T in N = T/h constant steps.
 
-    T, tau and any distributed-delay bounds must be integer multiples of h,
+    ``tab`` must be a :class:`~expdelay.tableau.Tableau` and ``observer``
+    callable or None (a TypeError before anything is built).  T, tau and
+    any distributed-delay bounds must be integer multiples of h,
     and a given ``state0`` is held to :func:`step`'s layout and mesh rule
     with this h, also when T = 0.  That check, the lookup of ``step_<kind>`` and the step
     plan (a semilinear problem's matrix functions included) happen once per
@@ -496,13 +515,16 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
     non-finite stage or update aborts with :class:`IntegrationDiverged`
     carrying the step and stage indices.
     """
+    _check_tableau(tab)
+    if observer is not None and not callable(observer):
+        raise TypeError(f"observer must be callable or None, got {observer!r}")
     h = float(_as_shaped(h, (), "h holds"))
     n_steps = _steps(float(_as_shaped(T, (), "T holds")), h, "T")
     if n_steps < 0:
         raise MeshError(f"horizon T = {T} is negative")
     state = initial_state(problem, h) if state0 is None else state0
-    states = _check_state(problem, state, h, "state0")
-    entry, plan = _entry(problem), _plan(problem, tab, h)
+    states, components = _check_state(problem, state, h, "state0")
+    entry, plan = _entry(problem), _plan(components, tab, h)
     for n in range(n_steps):
         try:
             states = entry(problem, tab, states, n * h, plan)

@@ -82,6 +82,21 @@ def test_window_cuts_rules_and_norms_live_in_one_module_each():
     assert not moved & set().union(*_names("history"))
 
 
+def test_log_sums_have_one_reader():
+    # one HistoryState method slices the log's stored sums, for windows and
+    # j_integrate alike, so the window offset is computed in one place
+    callers = [
+        module
+        for module in SOURCES
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "slot_sums"
+    ]
+    assert callers == ["history"]
+    assert not any("_segment_sum" in _names(module)[0] for module in SOURCES)
+
+
 def test_readme_library_example_runs(capsys):
     text = README.read_text()
     section = text[text.index("## Library usage") :]

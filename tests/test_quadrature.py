@@ -114,6 +114,20 @@ def test_gauss_legendre_rule_is_read_only():
     assert after[0] == before[0] == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("n, error, match", [
+    ("4", TypeError, "n must be an integer, got '4'"),
+    (4.0, TypeError, "n must be an integer, got 4.0"),
+    (0, ValueError, "n must be >= 1, got 0"),
+    (-2, ValueError, "n must be >= 1, got -2"),
+])
+def test_gauss_legendre_reads_n_as_an_index(n, error, match):
+    with pytest.raises(error, match=match):
+        gauss_legendre(n)
+    assert gauss_legendre(np.int64(4)) is gauss_legendre(4)
+    x, w = gauss_legendre(1)
+    assert x.tolist() == [0.5] and w.tolist() == [1.0]
+
+
 def _reference(view, a, b, integrand):
     """The window rule written out node by node: split [a, b] at the view's
     breakpoints strictly inside (a + tol, b - tol), then the 4-node

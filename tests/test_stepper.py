@@ -1034,6 +1034,85 @@ def test_state_is_checked_once_per_call(monkeypatch, make):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "make", [belzen, quadratic_re, daphnia, _semilinear2], ids=["dde", "re", "coupled", "semilinear"]
+)
+def test_components_are_read_once_per_step_and_twice_per_integrate(monkeypatch, make):
+    # the plan is built from the components the state check read; integrate
+    # reads them once more, in its own initial_state
+    calls = []
+    original = stepper._components
+    monkeypatch.setattr(stepper, "_components", lambda *a: calls.append(a) or original(*a))
+    prob, tab, h = make(), builtin("heun"), 0.1
+    final = integrate(prob, tab, h, 3 * h)
+    assert len(calls) == 2
+    calls.clear()
+    step(prob, tab, final, 3 * h)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("t_n, error, match", [
+    (1j, TypeError, "t_n holds complex values"),
+    ("0", TypeError, "t_n holds non-numeric values"),
+    (np.array([0.0, 1.0]), ValueError, r"t_n holds shape \(2,\), expected \(\)"),
+])
+def test_step_reads_t_n_as_a_real_scalar(t_n, error, match):
+    prob, tab = belzen(), builtin("heun")
+    state = initial_state(prob, 0.1)
+    with pytest.raises(error, match=match):
+        step(prob, tab, state, t_n)
+    want = step(prob, tab, state, 0.5)
+    for same in (np.float64(0.5), np.float32(0.5), np.array(0.5)):
+        got = step(prob, tab, state, same)
+        assert got.coefficients().tobytes() == want.coefficients().tobytes()
+        assert got.head.tobytes() == want.head.tobytes()
+
+
+def test_problems_keep_the_distributed_limits_they_checked():
+    # a later write to the caller's list or array must not reach a run: -1.05
+    # is off the mesh of h = 0.1, and 99.0 outside [-tau, 0]
+    limits, array = [-3.0, -1.0], np.array([-4.0, -3.0])
+    prob = dataclasses.replace(quadratic_re(), distributed_limits=limits)
+    coupled = dataclasses.replace(daphnia(), distributed_limits=array)
+    limits.append(-1.05)
+    array[0] = 99.0
+    assert prob.distributed_limits == (-3.0, -1.0)
+    assert coupled.distributed_limits == (-4.0, -3.0)
+    for p in (prob, coupled, quadratic_re(), belzen()):
+        assert type(p.distributed_limits) is tuple
+        assert all(type(lim) is float for lim in p.distributed_limits)
+    ints = dataclasses.replace(quadratic_re(), distributed_limits=np.array([-3, -1]))
+    assert ints.distributed_limits == (-3.0, -1.0)
+    hash(prob)  # a tuple of floats: hashable, unlike the caller's list
+    for p in (prob, coupled):
+        integrate(p, builtin("heun"), 0.1, 0.2)
+
+
+@pytest.mark.parametrize("tab", ["heun", None, builtin("heun").c])
+def test_integrate_and_step_refuse_a_non_tableau_first(monkeypatch, tab):
+    prob = belzen()
+    state = initial_state(prob, 0.1)
+    calls = []
+    monkeypatch.setattr(stepper, "_components", lambda *a: calls.append(a))
+    match = r"tab must be a Tableau, got .*; builtin\(name\) looks a method up"
+    with pytest.raises(TypeError, match=match):
+        integrate(prob, tab, 0.1, 1.0)
+    with pytest.raises(TypeError, match=match):
+        step(prob, tab, state, 0.0)
+    with pytest.raises(TypeError, match=match):
+        step(prob, tab, "not a state", 0.0)
+    assert calls == []
+
+
+def test_integrate_refuses_a_non_callable_observer_before_its_first_step():
+    calls = []
+    prob = belzen()
+    prob = dataclasses.replace(prob, rhs=lambda t, v, rhs=prob.rhs: calls.append(t) or rhs(t, v))
+    with pytest.raises(TypeError, match="observer must be callable or None, got 5"):
+        integrate(prob, builtin("heun"), 0.1, 1.0, observer=5)
+    assert calls == []
+
+
 def test_traced_names_are_own_attributes(monkeypatch):
     # the outside-in tracer swaps its targets in place on their owners
     # (vars(owner)[name]); a name that moved or became inherited would
@@ -1247,7 +1326,7 @@ def _plan_components(make, h):
 def test_plan_overlays_match_the_unfolded_rules(make, name, rng):
     tab, h = builtin(name), 0.05
     prob, states = _plan_components(make, h)
-    plan = stepper._plan(prob, tab, h)
+    plan = stepper._plan(stepper._components(prob, h), tab, h)
     for j, state in enumerate(states):
         F = rng.normal(size=(tab.nu, state.dim)) * 10.0 ** rng.integers(-3, 4, size=(tab.nu, 1))
         for i, (c, W) in enumerate(zip((*tab.c, 1.0), tab.weights)):
@@ -1277,7 +1356,7 @@ def test_plan_overlays_match_the_unfolded_rules(make, name, rng):
 def test_plan_is_one_rule_per_component_in_state_order(make):
     tab, h = builtin("heun"), 0.1
     prob, states = _plan_components(make, h)
-    plan = stepper._plan(prob, tab, h)
+    plan = stepper._plan(stepper._components(prob, h), tab, h)
     assert isinstance(plan, tuple) and len(plan) == len(states)
     if prob.kind != "semilinear_dde":
         assert plan == tuple(stepper._step_plan(tab, h)[state.kind] for state in states)
@@ -1310,7 +1389,7 @@ def test_semilinear_plan_matches_sample_then_interpolate(name, d, hl_norm, rng):
         L=_non_normal(d, hl_norm, h, rng),
     )
     state = initial_state(prob, h)
-    plan = stepper._plan(prob, tab, h)
+    plan = stepper._plan(stepper._components(prob, h), tab, h)
     F = rng.normal(size=(tab.nu, d)) * 10.0 ** rng.integers(-3, 4, size=(tab.nu, 1))
     for i, c in enumerate((*tab.c, 1.0)):
         if c == 0.0:
