@@ -122,15 +122,14 @@ def _shifted_exact(exact, T, dim: int):
     )
 
 
-def _integrated_errors(state, exact, T, norm: str, shifted=None):
-    """Norm of j(eta) - int_theta^0 x(T+s) ds over [-tau, 0]; ``shifted``, if
-    given, is :func:`_shifted_exact` of (exact, T), and is built here if not.
+def _integrated_errors(state, exact, T, norm: str):
+    """Norm of j(eta) - int_theta^0 x(T+s) ds over [-tau, 0].
 
     The reference integral is accumulated per mesh segment with an 8-node
     Gauss-Legendre rule (orders of magnitude below any observable error).
     """
     n, h, dim = state.n_segments, state.h, state.dim
-    shifted = shifted or _shifted_exact(exact, T, dim)
+    shifted = _shifted_exact(exact, T, dim)
     lefts = (np.arange(n) - n) * h
     g8_x, g8_w = gauss_legendre(8)
     seg_int = np.empty((n, dim))
@@ -159,7 +158,7 @@ def _errors(problem, state, T: float, norm: str | None):
     if state.kind == "re":
         norm = norm or "l1"
         err_x = norm_diff(state, shifted, norm)
-        err_u = _integrated_errors(state, exact, T, norm, shifted)
+        err_u = _integrated_errors(state, exact, T, norm)
     else:
         norm = norm or "sup"
         final = _as_shaped(exact(T), (state.dim,), "exact returned")

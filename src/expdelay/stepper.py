@@ -481,8 +481,7 @@ def step(problem, tab, state, t_n: float):
     ``step_coupled``.  The step looks up ``step_<kind>`` at call time, so an
     outside-in tracer (bench/spans.py) that wraps those names sees every step.
     """
-    if type(t_n) is not float:  # Python floats need no check
-        t_n = float(_as_shaped(t_n, (), "t_n holds"))
+    t_n = float(_as_shaped(t_n, (), "t_n holds"))
     _check_tableau(tab)
     states, components = _check_state(problem, state)
     new = _entry(problem)(problem, tab, states, t_n, _plan(components, tab, states[0].h))

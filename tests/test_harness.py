@@ -11,12 +11,10 @@ from expdelay import (
     builtin,
     converge,
     estimate_order,
-    integrate,
     quadratic_re,
     simulate,
 )
 from expdelay.cli import main
-from expdelay import harness
 from expdelay.harness import CONVERGE_HEADER, format_csv
 from expdelay.problems import CLI_DEFAULTS, REGISTRY
 
@@ -390,16 +388,3 @@ def test_cli_unknown_choices_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["check", "--method", "rk4"])
     assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("make", [belzen, quadratic_re], ids=["dde", "re"])
-def test_errors_build_the_shifted_exact_solution_once(monkeypatch, make):
-    # an RE state's density error and integrated error share one shifted solution
-    problem, T = make(), 0.2
-    state = integrate(problem, builtin("heun"), 0.1, T)
-    want = harness._errors(problem, state, T, None)
-    calls = []
-    original = harness._shifted_exact
-    monkeypatch.setattr(harness, "_shifted_exact", lambda *a: calls.append(a) or original(*a))
-    assert harness._errors(problem, state, T, None) == want
-    assert len(calls) == 1
