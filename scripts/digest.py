@@ -13,6 +13,9 @@ The outputs are:
   of ``bench/workloads.py`` at seed 1, under their method;
 * the final states of the ``tests/test_regression.py`` cases under every
   shipped method;
+* the final state of a short expo3 run of a DDE whose rhs integrates the
+  theta-dependent kernel exp(theta) x over a window with whole segments, so
+  the window path of integrands other than ``Pointwise`` is pinned too;
 * the ``converge`` and ``simulate`` CSVs that the CI's rerun step writes;
 * the ``check`` report of every shipped method at its declared order and mode.
 
@@ -64,6 +67,17 @@ def _state_values(state) -> np.ndarray:
     ])
 
 
+def _theta_window_state():
+    """The final state of x' = -x(t) + int_{-1}^{-1/4} exp(theta) x(t + theta) dtheta,
+    x = cos on [-1, 0], under expo3 at h = 0.05 to T = 1."""
+    kernel = lambda theta, x: np.exp(theta)[:, None] * x  # noqa: E731
+    problem = expdelay.Problem(
+        kind="dde", dim=1, tau=1.0, phi0=np.cos, distributed_limits=(-1.0, -0.25),
+        rhs=lambda t, v: -v.head + expdelay.integrate_view(v, -1.0, -0.25, kernel),
+    )
+    return expdelay.integrate(problem, expdelay.builtin("expo3"), 0.05, 1.0)
+
+
 def _cli_text(argv: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -83,6 +97,7 @@ def outputs():
         for method in expdelay.builtin_names():
             final = expdelay.integrate(make(), expdelay.builtin(method), h, T)
             yield f"regression_{case}_{method}", _state_values(final), None
+    yield "theta_window_expo3", _state_values(_theta_window_state()), None
     for name, argv in CLI_RUNS.items():
         text = _cli_text(argv)
         values = np.array([float(x) for x in _NUMBER.findall(text)])

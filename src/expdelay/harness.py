@@ -122,14 +122,14 @@ def _shifted_exact(exact, T, dim: int):
     )
 
 
-def _integrated_errors(state, exact, T, norm: str):
-    """Norm of j(eta) - int_theta^0 x(T+s) ds over [-tau, 0].
+def _integrated_errors(state, shifted, norm: str):
+    """Norm of j(eta) - int_theta^0 x(T+s) ds over [-tau, 0], ``shifted`` the
+    exact solution theta -> x(T + theta) of :func:`_shifted_exact`.
 
     The reference integral is accumulated per mesh segment with an 8-node
     Gauss-Legendre rule (orders of magnitude below any observable error).
     """
     n, h, dim = state.n_segments, state.h, state.dim
-    shifted = _shifted_exact(exact, T, dim)
     lefts = (np.arange(n) - n) * h
     g8_x, g8_w = gauss_legendre(8)
     seg_int = np.empty((n, dim))
@@ -158,7 +158,7 @@ def _errors(problem, state, T: float, norm: str | None):
     if state.kind == "re":
         norm = norm or "l1"
         err_x = norm_diff(state, shifted, norm)
-        err_u = _integrated_errors(state, exact, T, norm)
+        err_u = _integrated_errors(state, shifted, norm)
     else:
         norm = norm or "sup"
         final = _as_shaped(exact(T), (state.dim,), "exact returned")
@@ -176,8 +176,11 @@ def converge(problem, methods, hs, T: float, norm: str | None = None):
     ``problem.exact`` maps a time, or an array of m times, to (dim,) or (m, dim)
     values, read by :func:`~expdelay.history._as_shaped` and named "exact";
     each h is read as a real scalar.  Methods are deduplicated by name, and two
-    different tableaux with one name raise a ValueError.
+    different tableaux with one name raise a ValueError.  ``norm`` is None (the
+    kind's default), "sup" or "l1", checked before the first integration.
     """
+    if norm not in (None, "sup", "l1"):
+        raise ValueError(f"norm must be None, 'sup' or 'l1', got {norm!r}")
     if getattr(problem, "exact", None) is None:
         raise ValueError(
             f"problem {problem.name!r} has no exact solution; "

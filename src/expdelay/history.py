@@ -39,7 +39,8 @@ share.  A log's maker writes its first window: the constructor copies the
 caller's coefficients, ``from_callable`` projects phi0 into it, and an advance
 that finds the log's next free slot taken, or the log full, copies the window
 into a fresh log.  The advance writes the (dim, 4) cubic of the newest
-interval [-h, 0] into that slot in O(1).  Written slots are never rewritten.
+interval [-h, 0] into that slot in O(1).  Written slots are never rewritten,
+so the log also keeps window quadrature's per-slot segment sums.
 A Runge-Kutta stage value is a :class:`StageView`, which overlays a single
 polynomial on [-shift, 0] over a shifted base state instead of a new history.
 """
@@ -208,12 +209,6 @@ def _eval_one(self, theta: float) -> np.ndarray:
 _INV = 1.0 / (1.0 + np.arange(_NCOEF))
 
 
-def _integrals(segments: np.ndarray) -> np.ndarray:
-    """Integral over s in [0, 1] of each (dim, 4) cubic of ``segments``,
-    shape (dim, k): the rule and key of ``j_integrate``'s stored sums."""
-    return (segments * _INV).sum(-1).T
-
-
 def _as_head(kind: str, dim: int, head):
     """Read-only copy of a DDE kind's head, read at shape (dim,); RE kinds take none."""
     if kind == "re":
@@ -259,8 +254,8 @@ class _Log:
         self.sums = weakref.WeakKeyDictionary()
 
     def slot_sums(self, key, end: int, rule) -> np.ndarray:
-        """The per-slot values ``sums`` holds for ``key`` (weakly), slot last, filled
-        through ``end`` by one call ``rule(buf[filled:end])``; slots never change."""
+        """The segment sums ``sums`` holds for window integrand ``key`` (weakly), slot
+        last, filled through ``end`` by one call ``rule(buf[filled:end])``."""
         with self.lock:
             store, filled = self.sums.get(key, (None, 0))
             if filled < end:
@@ -364,7 +359,7 @@ class HistoryState:
         return (np.arange(n + 1) - n) * self.h
 
     def _stored_sums(self, key, rule, first: int, stop: int) -> np.ndarray:
-        """``key``'s stored sums (:meth:`_Log.slot_sums`) on window segments [first, stop)."""
+        """Window integrand ``key``'s sums (:meth:`_Log.slot_sums`) on segments [first, stop)."""
         lo = self._end - self.n_segments
         return self._log.slot_sums(key, self._end, rule)[..., lo + first : lo + stop]
 
@@ -432,8 +427,8 @@ class HistoryState:
 
         This is the embedding carrying the eta state to the integrated state
         u(theta) = int_theta^0 eta(s) ds.  Accepts a scalar or an array of
-        offsets; returns (dim,) or (m, dim) accordingly.  The sums over whole
-        segments, up to 0 from each knot, are built on the first call and kept.
+        offsets; returns (dim,) or (m, dim) accordingly.  The window's sums over
+        whole segments, up to 0 from each knot, are built on the first call and kept.
         """
         if self.kind != "re":
             raise ValueError("j_integrate is defined for RE states only")
@@ -441,10 +436,9 @@ class HistoryState:
         thetas = np.atleast_1d(_as_float(theta, "theta holds"))
         _check_inside(thetas, self.tau)
         idx, s = self._locate(thetas)
-        if self._suffix is None:  # the window's segment integrals, from the log's stored sums
-            sums = self._stored_sums(_integrals, _integrals, 0, self.n_segments)
+        if self._suffix is None:  # the window's segment integrals, summed up to 0 from each knot
             suffix = np.zeros((self.n_segments + 1, self.dim))
-            suffix[:-1] = (self.h * sums.T)[::-1].cumsum(axis=0)[::-1]
+            suffix[:-1] = (self.h * (self._coeffs * _INV).sum(-1))[::-1].cumsum(axis=0)[::-1]
             suffix.setflags(write=False)
             self._suffix = suffix
         powers = s[:, None] ** (1.0 + np.arange(_NCOEF))  # (m, NCOEF)

@@ -10,24 +10,23 @@ the stage overlay on [-shift, 0] when the window reaches it).  A fixed
 that are polynomials of degree <= 7 in theta on each piece and of order 8
 on smooth ones -- far beyond the order of any shipped method.
 
-The whole segments share their local nodes, so their values at all nodes
-are one product of a fixed 4x4 power matrix with the contiguous slice of
-their coefficients, with no per-node segment search; the partial pieces
-are evaluated together in one small batch.
-
 That cut, and the end pieces' node offsets, weights and node powers, depend
 only on the mesh (tau/h and h), the view's stage shift and the bounds, which
 take a handful of values in a run.  They are computed once per such key, in
 one bounded cache, as a read-only window plan (:func:`_window_plan`); a call
-then reads only coefficients: it slices the whole segments, gathers the one or
-two end polynomials and multiplies them by the plan's node powers.
+then reads only coefficients: it gathers the one or two end polynomials and
+multiplies them by the plan's node powers.
 
-A :class:`Pointwise` integrand g(x) ignores theta, so the rule's sum
-h sum_k W_k g(p_j(X_k)) on a whole segment p_j is fixed once p_j is written.
-The history log stores it per slot and integrand (held weakly), filling new
-slots with one call of g; a window is the numpy (pairwise) sum of its stored
-sums plus the rule on its end pieces, so a step calls g on O(1) values.  A
-fresh log (a branch, a pickle) fills once.  Other integrands see every node.
+Every integrand takes its whole segments by one rule (:func:`_segment_sums`):
+the segments share their local nodes, so their values at all nodes are one
+product of a fixed 4x4 power matrix with the contiguous slice of their
+coefficients, one call of the integrand takes them all, and the rule's sums
+h sum_k W_k f(theta_jk, p_j(X_k)) per segment p_j come out of one product with
+the weights.  A window is the end pieces' sum plus the numpy (pairwise) sum of
+its segment sums.  A :class:`Pointwise` integrand g(x) ignores theta, so its
+sum on a segment is fixed once the segment is written: the history log stores
+it per slot and integrand (held weakly), filling new slots with one call of g,
+so a step calls g on O(1) values.  A fresh log (a branch, a pickle) fills once.
 
 The Gauss-Legendre tables (:func:`gauss_legendre`) are kept here; the knot
 tolerance of the range check and of the cuts is the history module's.
@@ -168,7 +167,8 @@ def _checked(fv, m: int) -> np.ndarray:
 
 
 def _segment_sums(g, h: float, coeffs: np.ndarray) -> np.ndarray:
-    """h sum_k W_k g(p(X_k)) of each (dim, 4) cubic p of ``coeffs``, p last."""
+    """h sum_k W_k g(p(X_k)) of each (dim, 4) cubic p of ``coeffs``, p last; g
+    gets the values node-major, node k of cubic j at row k len(coeffs) + j."""
     k, dim = coeffs.shape[:2]
     fv = _checked(g((_POWERS @ coeffs.reshape(-1, 4).T).reshape(4 * k, dim)), 4 * k)
     return ((h * _W) @ fv.reshape(4, -1)).reshape((k,) + fv.shape[1:]).T
@@ -182,8 +182,9 @@ def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
     vectorised: it receives the flat node array ``theta`` of shape (m,)
     and the view values of shape (m, dim), and returns shape (m,) or
     (m, q).  The result has the integrand's trailing shape: () for scalar
-    densities.  A :class:`Pointwise` integrand takes its whole segments'
-    sums from the history log and is called on the end pieces only.
+    densities.  It is called once on the end pieces and, when the window
+    holds whole segments, once on all their nodes; a :class:`Pointwise`
+    integrand takes those segments' sums from the history log instead.
     """
     if type(a) is not float or type(b) is not float:  # Python floats need no check
         a, b = (float(_as_shaped(x, (), "window bound holds")) for x in (a, b))
@@ -193,24 +194,19 @@ def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
     if not (-view.tau - tol <= a <= tol and -view.tau - tol <= b <= tol):  # NaN fails too
         raise ValueError(f"window [{a}, {b}] outside [-{view.tau}, 0]")
     plan, base, overlay = _pieces(view, a, b)
-    m, dim, h, coeffs = plan.m, view.dim, view.h, base._coeffs
+    m, h, first = plan.m, view.h, plan.first
     # the end pieces' values: their polynomials times their node powers
-    rows = np.array([overlay if i < 0 else coeffs[i] for i in plan.ends])
-    end_vals = (plan.powers @ rows.transpose(0, 2, 1)).reshape(-1, dim)
-    if m and isinstance(integrand, Pointwise):
+    rows = np.array([overlay if i < 0 else base._coeffs[i] for i in plan.ends])
+    end_vals = (plan.powers @ rows.transpose(0, 2, 1)).reshape(-1, view.dim)
+    ends = plan.weights @ _checked(integrand(plan.thetas, end_vals), len(end_vals))
+    if not m:
+        return ends
+    if isinstance(integrand, Pointwise):
         rule = lambda c: _segment_sums(integrand.g, h, c)  # noqa: E731
         # a stage view's whole segments are its base's, and so are their sums
-        whole = base._stored_sums(integrand, rule, plan.first, plan.first + m).sum(axis=-1)
-        return plan.weights @ _checked(integrand.g(end_vals), len(end_vals)) + whole
-    whole = 4 * m
-    thetas = np.empty(whole + len(end_vals))
-    w = np.empty_like(thetas)
-    vals = np.empty((len(thetas), dim))
-    # the whole segments node by node (node k of segment j at k m + j): one
-    # product of the power matrix with the contiguous coefficient slice
-    segs = coeffs[plan.first : plan.first + m]
-    np.matmul(_POWERS, segs.reshape(-1, 4).T, out=vals[:whole].reshape(4, -1))
-    np.add.outer(plan.left + h * _X, h * np.arange(m), out=thetas[:whole].reshape(4, m))
-    w[:whole].reshape(4, m)[:] = (h * _W)[:, None]
-    thetas[whole:], w[whole:], vals[whole:] = plan.thetas, plan.weights, end_vals
-    return w @ _checked(integrand(thetas, vals), len(thetas))
+        whole = base._stored_sums(integrand, rule, first, first + m)
+    else:  # node k of whole segment j at left + h X_k + h j, node-major as _segment_sums reads
+        thetas = np.add.outer(plan.left + h * _X, h * np.arange(m)).ravel()
+        g = functools.partial(integrand, thetas)
+        whole = _segment_sums(g, h, base._coeffs[first : first + m])
+    return ends + whole.sum(axis=-1)

@@ -95,21 +95,35 @@ class IntegrationDiverged(RuntimeError):
 def _check_fields(problem, dim_fields, callables):
     """Checks shared by every problem type: each named callable field
     callable (``exact`` may be None), tau positive and finite, each named
-    dimension >= 1, one component name per dimension if any are given, and
-    distributed limits a 1-d sequence in [-tau, 0], kept as a tuple of floats."""
+    dimension >= 1, the name and each component name a str that a CSV field
+    can hold, one component name per dimension if any are given, and
+    distributed limits a 1-d sequence in [-tau, 0].  Tau, the dimensions, the
+    component names and the limits are kept as the float, ints, tuple of str and
+    tuple of floats that were checked: later writes by the caller must not reach them."""
     for field in callables:
         value = getattr(problem, field)
         if not callable(value) and not (field == "exact" and value is None):
             raise TypeError(f"{field} must be callable, got {value!r}")
-    _as_shaped(problem.tau, (), "tau holds")
-    if not 0.0 < problem.tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {problem.tau}")
+    tau = float(_as_shaped(problem.tau, (), "tau holds"))
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    object.__setattr__(problem, "tau", tau)
     for field in dim_fields:
-        if _index(getattr(problem, field), field) < 1:
-            raise ValueError(f"{field} must be >= 1, got {getattr(problem, field)}")
-    dim, names = sum(getattr(problem, f) for f in dim_fields), problem.component_names
+        if (dim := _index(getattr(problem, field), field)) < 1:
+            raise ValueError(f"{field} must be >= 1, got {dim}")
+        object.__setattr__(problem, field, int(dim))
+    names = problem.component_names
+    if not isinstance(names, (tuple, list)):  # a str would be read as one name per letter
+        raise TypeError(f"component_names must be a tuple or list of str, got {names!r}")
+    for field, text in [("name", problem.name)] + [("component_names entry", x) for x in names]:
+        if not isinstance(text, str):
+            raise TypeError(f"{field} must be a str, got {text!r}")
+        if "," in text or "\r" in text or "\n" in text:
+            raise ValueError(f"{field} must hold no comma, CR or LF (a CSV field), got {text!r}")
+    dim, names = sum(getattr(problem, f) for f in dim_fields), tuple(names)
     if names and len(names) != dim:
         raise ValueError(f"component_names has {len(names)} entries, expected {dim}")
+    object.__setattr__(problem, "component_names", names)
     limits = _as_float(problem.distributed_limits, "distributed_limits holds")
     if limits.ndim != 1:
         raise ValueError(
@@ -120,7 +134,6 @@ def _check_fields(problem, dim_fields, callables):
             f"distributed_limits {problem.distributed_limits} outside [-tau, 0], "
             f"tau = {problem.tau}"
         )
-    # the floats it checked, as a tuple: later writes by the caller must not reach it
     object.__setattr__(problem, "distributed_limits", tuple(limits.tolist()))
 
 

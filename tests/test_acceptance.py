@@ -442,7 +442,7 @@ def test_criterion_10_coupled_manufactured_orders(coupling):
                 errs.append((
                     abs(S.head[0] - math.cos(T)),
                     xd.norm_diff(b, _shifted_exact(_birth, T, b.dim), "l1"),
-                    _integrated_errors(b, _birth, T, "l1"),
+                    _integrated_errors(b, _shifted_exact(_birth, T, b.dim), "l1"),
                 ))
             for what, target, col in zip(("S head", "b density", "b integrated"), targets, zip(*errs)):
                 got = xd.estimate_order(HS_HALVING, col)

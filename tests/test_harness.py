@@ -146,6 +146,17 @@ def test_converge_rows_schema_and_order():
     assert slopes["expeuler"][0] == pytest.approx(1.0, abs=0.35)
 
 
+@pytest.mark.parametrize("norm", ["L1", "max", 1])
+def test_converge_checks_its_norm_before_the_first_integration(monkeypatch, norm):
+    from expdelay import harness
+
+    runs = []
+    monkeypatch.setattr(harness, "integrate", lambda *args: runs.append(args))
+    with pytest.raises(ValueError, match=r"norm must be None, 'sup' or 'l1', got"):
+        converge(quadratic_re(), ["expo3"], [1e-2, 1e-3], 4.0, norm=norm)
+    assert runs == []
+
+
 def test_converge_requires_exact_solution():
     from expdelay import daphnia
 

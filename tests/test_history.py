@@ -28,8 +28,7 @@ from expdelay import (
     quadratic_re,
     step,
 )
-from expdelay.harness import _integrated_errors
-from expdelay.history import _Log
+from expdelay.harness import _integrated_errors, _shifted_exact
 
 from conftest import smooth_re_state
 from oracles import (
@@ -691,7 +690,8 @@ def test_one_mesh_rule(h, n):
     cubic = lambda th: np.polynomial.Polynomial([0.3, -0.8, 0.5, 0.2])(th / tau)
     assert norm_diff(HistoryState.from_callable(cubic, "dde", 1, tau, h), cubic) <= 1e-13
     re_cubic = HistoryState.from_callable(cubic, "re", 1, tau, h)
-    assert _integrated_errors(re_cubic, cubic, 0.0, "l1") <= 1e-13 * max(1.0, tau)
+    shifted = _shifted_exact(cubic, 0.0, re_cubic.dim)
+    assert _integrated_errors(re_cubic, shifted, "l1") <= 1e-13 * max(1.0, tau)
 
 
 def test_j_integrate_constant():
@@ -836,20 +836,22 @@ def test_j_integrate_reads_stored_sums_bit_for_bit(rng):
         assert s.j_integrate(thetas).tobytes() == j_integrate_recomputed(s, thetas).tobytes()
 
 
-def test_j_integrate_reads_stored_sums_once_per_state(rng, monkeypatch):
+def test_j_integrate_builds_its_suffix_once_per_state(rng):
     # a norm in blocks calls j_integrate once a block: the window's suffix sums
-    # are built on the first call, and every call still gives the same bits
+    # are built on the first call from the window itself, not stored in the log,
+    # and every call still gives the same bits
     state = HistoryState("re", 2, 3.0, 0.25, rng.normal(size=(12, 2, 4)))
     newer = state.shift_append(rng.normal(size=(2, 4)))
-    reads, slot_sums = [], _Log.slot_sums
-    counted = lambda log, *args: reads.append(args) or slot_sums(log, *args)  # noqa: E731
-    monkeypatch.setattr(_Log, "slot_sums", counted)
     for s in (state, newer):
+        suffixes = []
         for thetas in np.split(np.linspace(-3.0, 0.0, 48), 4):
             assert s.j_integrate(thetas).tobytes() == j_integrate_recomputed(s, thetas).tobytes()
+            suffixes.append(s._suffix)
         want = j_integrate_recomputed(s, np.array([-1.3]))[0]
         assert s.j_integrate(-1.3).tobytes() == want.tobytes()
-    assert len(reads) == 2
+        assert all(suffix is s._suffix for suffix in suffixes)
+    assert state._suffix is not newer._suffix
+    assert len(state._log.sums) == 0
 
 
 @pytest.mark.parametrize("h", [1 / 683, 1 / 2000], ids=["2049_segments", "6000_segments"])
@@ -859,7 +861,8 @@ def test_integrated_errors_in_blocks_equal_one_batch(h):
     state = integrate(problem, builtin("expo3"), h, T)
     for norm in ("l1", "sup"):
         want = integrated_errors_one_batch(state, problem.exact, T, norm)
-        assert _integrated_errors(state, problem.exact, T, norm).hex() == want.hex()
+        shifted = _shifted_exact(problem.exact, T, state.dim)
+        assert _integrated_errors(state, shifted, norm).hex() == want.hex()
 
 
 def test_integrated_state_after_one_euler_re_step():

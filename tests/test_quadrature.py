@@ -20,7 +20,7 @@ from expdelay import (
     quadratic_re,
     step,
 )
-from expdelay import problems
+from expdelay import problems, quadrature
 from expdelay.history import _knot_tol
 from expdelay.quadrature import _pieces, _window_plan
 
@@ -216,6 +216,30 @@ def test_degree_seven_is_exact_over_partial_pieces(shift):
     got = integrate_view(view, a, b, lambda th, x: x[:, 0] ** 2 * th)
     antiderivative = (cubic**2 * np.polynomial.Polynomial([0.0, 1.0])).integ()
     assert float(got) == pytest.approx(antiderivative(b) - antiderivative(a), rel=1e-13)
+
+
+@pytest.mark.parametrize("c, whole_segments", [(None, (8, 0, 10, 0)), (0.5, (9, 0, 11, 0))])
+def test_theta_integrands_take_whole_segments_by_the_one_rule(monkeypatch, c, whole_segments):
+    # a theta-dependent integrand is called once on the end pieces and, when
+    # the window holds whole segments, once on their nodes through the rule
+    # that Pointwise stores; no call gets an empty array
+    rules, sizes, rule = [], [], quadrature._segment_sums
+    monkeypatch.setattr(quadrature, "_segment_sums", lambda *a: rules.append(a) or rule(*a))
+
+    def integrand(theta, x):
+        sizes.append(len(theta))
+        return np.exp(theta)[:, None] * x
+
+    view = _random_view("re", 2, 0.25, 12, c, 0)
+    # windows across knots, inside one piece or across one knot, and over all of [-tau, 0]
+    windows = ((-2.9, -0.6), (-2.9, -2.8), (-3.0, 0.0), (-0.2, -0.05))
+    for (a, b), whole in zip(windows, whole_segments):
+        rules.clear(), sizes.clear()
+        got = integrate_view(view, a, b, integrand)
+        assert len(rules) == (1 if whole else 0)
+        assert sizes[1:] == ([4 * whole] if whole else []) and 0 < sizes[0] <= 8
+        want, scale = _reference(view, a, b, integrand)
+        assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + scale))
 
 
 # ---------------------------------------------------------------------------

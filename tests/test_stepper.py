@@ -1088,6 +1088,46 @@ def test_problems_keep_the_distributed_limits_they_checked():
         integrate(p, builtin("heun"), 0.1, 0.2)
 
 
+def test_problems_keep_the_tau_dims_and_component_names_they_checked():
+    # later writes to the caller's arrays or list must not reach a run
+    tau, dim, names = np.array(1.0), np.array(1), ["y"]
+    prob = dataclasses.replace(belzen(), tau=tau, dim=dim, component_names=names)
+    dim_re = np.array(1)
+    coupled = dataclasses.replace(daphnia(), tau=np.float32(4.0), dim_re=dim_re,
+                                  component_names=["B", "S"])
+    tau[...], dim[...], dim_re[...] = 0.5, 2, 2
+    names.append("z")
+    assert prob.tau == 1.0 and prob.dim == 1 and prob.component_names == ("y",)
+    assert coupled.dim_re == 1 and coupled.component_names == ("B", "S")
+    for p in (prob, coupled, belzen(), quadratic_re(), daphnia()):
+        assert type(p.tau) is float and type(p.component_names) is tuple
+    assert type(prob.dim) is type(coupled.dim_re) is type(coupled.dim_dde) is int
+    integrate(prob, builtin("heun"), 0.1, 0.2)
+    header, rows = harness.simulate(prob, "heun", 0.1, 0.2)
+    assert header == ("t", "y") and all(len(values) == 1 for _, values in rows)
+    hash(prob)
+
+
+@pytest.mark.parametrize("make", [belzen, daphnia])
+@pytest.mark.parametrize("fields, error, match", [
+    ({"name": 5}, TypeError, "name must be a str, got 5"),
+    ({"name": None}, TypeError, "name must be a str, got None"),
+    ({"name": "a,b"}, ValueError, "name must hold no comma, CR or LF"),
+    ({"name": "a\nb"}, ValueError, "name must hold no comma, CR or LF"),
+    ({"name": "a\rb"}, ValueError, "name must hold no comma, CR or LF"),
+    ({"component_names": (7,)}, TypeError, "component_names entry must be a str, got 7"),
+    ({"component_names": ("x,y",)}, ValueError, "component_names entry must hold no comma"),
+    ({"component_names": "xy"}, TypeError, "component_names must be a tuple or list of str"),
+    ({"component_names": None}, TypeError, "component_names must be a tuple or list of str"),
+])
+def test_problems_refuse_names_a_csv_field_cannot_hold(make, fields, error, match):
+    # at construction, before a study runs: name and component names become CSV fields
+    if make is daphnia and fields.get("component_names") in ((7,), ("x,y",)):
+        fields = {"component_names": fields["component_names"] + ("S",)}
+    with pytest.raises(error, match=match):
+        dataclasses.replace(make(), **fields)
+
+
 @pytest.mark.parametrize("tab", ["heun", None, builtin("heun").c])
 def test_integrate_and_step_refuse_a_non_tableau_first(monkeypatch, tab):
     prob = belzen()
