@@ -177,7 +177,8 @@ def converge(problem, methods, hs, T: float, norm: str | None = None):
     values, read by :func:`~expdelay.history._as_shaped` and named "exact";
     each h is read as a real scalar.  Methods are deduplicated by name, and two
     different tableaux with one name raise a ValueError.  ``norm`` is None (the
-    kind's default), "sup" or "l1", checked before the first integration.
+    kind's default), "sup" or "l1"; it and the count of distinct h, at least 2,
+    are checked before the first integration.
     """
     if norm not in (None, "sup", "l1"):
         raise ValueError(f"norm must be None, 'sup' or 'l1', got {norm!r}")
@@ -191,6 +192,8 @@ def converge(problem, methods, hs, T: float, norm: str | None = None):
         if by_name.setdefault(tab.name, tab) != tab:
             raise ValueError(f"two different methods are named {tab.name!r}")
     hs_sorted = sorted({float(_as_shaped(h, (), "h holds")) for h in hs}, reverse=True)
+    if len(hs_sorted) < 2:  # a slope needs two; errors on the roundoff floor show only later
+        raise ValueError(f"need at least 2 distinct h to fit an order, have {len(hs_sorted)}")
     rows = []
     slopes = {}
     for tab in sorted(by_name.values(), key=lambda t: t.name):

@@ -398,7 +398,7 @@ class HistoryState:
         s -= i
         return _horner_point(self._coeffs[i], 0.0 if s < 0.0 else 1.0 if s > 1.0 else s)
 
-    def shift_append(self, coeffs, head=None) -> "HistoryState":
+    def shift_append(self, coeffs, head=None, *, _trusted=False) -> "HistoryState":
         """Advance by one mesh width: drop the oldest segment and append
         ``coeffs``, the (dim, 4) cubic on [-h, 0] in the local variable
         s = (theta + h)/h, as the newest one, in O(1) (see the module notes).
@@ -406,14 +406,29 @@ class HistoryState:
 
         DDE states also replace the head, which must be finite and match the new
         segment's value at theta = 0; RE states take no head, and that value, the
-        row sums in plain floats, must be finite.  This is the stepper's update check.
+        row sums in plain floats, must be finite.
+
+        The stepper passes the private ``_trusted=True`` for the segments its plan
+        built: a float (dim, 4) array and a fresh (dim,) head (None for RE kinds)
+        that match by construction.  Such an append keeps only the theta = 0 rule,
+        the step's update check: every row sum finite, and a DDE head finite too
+        (a row sum is finite only if every coefficient is).  It makes the head
+        read-only in place and skips the shape reading, the head's copy and the
+        continuity check.
         """
-        coeffs = _as_shaped(coeffs, (self.dim, _NCOEF), "coeffs holds")
-        head = _as_head(self.kind, self.dim, head)
-        if self.kind == "dde":
+        if not _trusted:
+            coeffs = _as_shaped(coeffs, (self.dim, _NCOEF), "coeffs holds")
+            head = _as_head(self.kind, self.dim, head)
+        elif head is not None:
+            head.setflags(write=False)
+        if self.kind == "dde" and not _trusted:
             _check_continuity(coeffs, head)
-        elif not all(math.isfinite(c3 + c2 + c1 + c0) for c0, c1, c2, c3 in coeffs.tolist()):
-            raise ValueError(f"appended RE segment {coeffs.tolist()} is not finite at theta = 0")
+        elif not all(math.isfinite(c3 + c2 + c1 + c0) for c0, c1, c2, c3 in coeffs.tolist()) or (
+            head is not None and not all(map(math.isfinite, head.tolist()))
+        ):
+            at = "" if head is None else f" or its head {head}"
+            raise ValueError(f"appended {self.kind.upper()} segment {coeffs.tolist()}{at} "
+                             "is not finite at theta = 0")
         log, end = self._log, self._end
         if not log.claim(end, coeffs):
             log, end = _Log(self.n_segments, self.dim), self.n_segments

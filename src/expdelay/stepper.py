@@ -37,7 +37,10 @@ build its plan from them once per call; the stage loop :func:`_step` trusts both
 
 Row i of ``a`` with c = c_i gives the stage views (a shift plus one overlay
 polynomial); row ``b`` with c = 1 gives the appended segment.  Every stage
-value must be finite, and every appended segment pass ``shift_append``.
+value must be finite, and every appended segment pass ``shift_append``'s
+theta = 0 rule: the stage loop appends its plan's segments as trusted, so
+that rule is the only check they pass (its shapes and a DDE head's match
+hold by construction).
 """
 
 from __future__ import annotations
@@ -282,7 +285,8 @@ def _step(problem, tab, states, t_n: float, plan) -> tuple:
     which it re-checks; returns the new components as a tuple.
     ``problem.rhs(t, *views)`` returns one value per component, or the bare
     value for a single component.  :class:`IntegrationDiverged` names the stage of a
-    non-finite stage value, or stage nu when ``shift_append`` refuses a new segment.
+    non-finite stage value, or stage nu when ``shift_append`` refuses a new segment:
+    it appends each as trusted, which keeps only the theta = 0 rule.
     """
     h = states[0].h
     # per component: its state, its overlay rule and its stage values F
@@ -310,8 +314,8 @@ def _step(problem, tab, states, t_n: float, plan) -> tuple:
     new = []
     for state, rule, f in parts:
         coeffs, head = rule(state, f, tab.nu)
-        try:  # shift_append refuses a segment that is not finite at theta = 0
-            new.append(state.shift_append(coeffs, head=head))
+        try:  # the plan's own segment: shift_append keeps only its theta = 0 rule
+            new.append(state.shift_append(coeffs, head=head, _trusted=True))
         except ValueError as exc:
             msg = f"update refused at stage {tab.nu}: {exc}"
             raise IntegrationDiverged(msg, stage_index=tab.nu) from exc

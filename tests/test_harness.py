@@ -157,6 +157,23 @@ def test_converge_checks_its_norm_before_the_first_integration(monkeypatch, norm
     assert runs == []
 
 
+@pytest.mark.parametrize("hs", [[0.001, 0.001], [0.5], [0.25, np.float64(0.25), 0.25]])
+def test_converge_refuses_fewer_than_two_distinct_h_before_the_first_integration(
+    monkeypatch, capsys, hs
+):
+    # one slope needs two distinct h: refused before any solve, by the library and the CLI
+    from expdelay import harness
+
+    runs = []
+    monkeypatch.setattr(harness, "integrate", lambda *args: runs.append(args))
+    with pytest.raises(ValueError, match=r"^need at least 2 distinct h to fit an order, have 1$"):
+        converge(belzen(), ["heun"], hs, 1.0)
+    argv = ["converge", "--problem", "belzen", "--method", "heun", "--T", "1.0"]
+    assert main(argv + [arg for h in hs for arg in ("--h", str(h))]) == 2
+    assert "need at least 2 distinct h" in capsys.readouterr().err
+    assert runs == []
+
+
 def test_converge_requires_exact_solution():
     from expdelay import daphnia
 
@@ -294,11 +311,11 @@ def test_cli_reports_divergence_with_exit_3(capsys, monkeypatch):
 
     monkeypatch.setitem(REGISTRY, "diverging", diverging)
     monkeypatch.setitem(
-        CLI_DEFAULTS, "diverging", {"T": 1.0, "hs": (0.1,), "h": 0.1}
+        CLI_DEFAULTS, "diverging", {"T": 1.0, "hs": (0.1, 0.05), "h": 0.1}
     )
-    code = main(
-        ["converge", "--problem", "diverging", "--method", "expeuler", "--h", "0.1", "--T", "1.0"]
-    )
+    # two distinct h: converge refuses fewer before its first solve, with exit 2
+    code = main(["converge", "--problem", "diverging", "--method", "expeuler",
+                 "--h", "0.1", "--h", "0.05", "--T", "1.0"])
     assert code == 3
     assert "error:" in capsys.readouterr().err
 

@@ -19,6 +19,7 @@ from expdelay import (
     TrajectoryRecorder,
     belzen,
     builtin,
+    builtin_names,
     check_order,
     daphnia,
     initial_state,
@@ -1272,7 +1273,7 @@ def test_overflowing_update_names_its_stage(kind):
 def test_refused_append_is_divergence_at_the_update_stage(monkeypatch, make):
     # the append's check is the step's update check: its ValueError ends the
     # step at stage nu
-    def refuse(self, coeffs, head=None):
+    def refuse(self, coeffs, head=None, **_):
         raise ValueError("segment refused")
 
     monkeypatch.setattr(HistoryState, "shift_append", refuse)
@@ -1281,6 +1282,132 @@ def test_refused_append_is_divergence_at_the_update_stage(monkeypatch, make):
         integrate(make(), tab, 0.5, 1.0)
     assert err.value.step_index == 0
     assert err.value.stage_index == tab.nu
+
+
+def _appends(prob, tab, h, T, trusted):
+    """integrate's final state and every state its appends made, each append
+    forwarding the stepper's flags to ``shift_append`` or, untrusted, none."""
+    real, made = HistoryState.shift_append, []
+
+    def append(self, coeffs, head=None, **flags):
+        assert flags == {"_trusted": True}  # the stepper trusts its own segments
+        made.append(real(self, coeffs, head=head, **(flags if trusted else {})))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HistoryState, "shift_append", append)
+        return integrate(prob, tab, h, T), made
+
+
+def _semilinear3():
+    from test_regression import CASES
+
+    return CASES["semilinear3"][0]()
+
+
+#: problem factories drawn from a parameter, and the k of h = tau/k that put
+#: every window bound on the mesh
+_TRUSTED_RUNS = {
+    "belzen": (lambda p: belzen(lam=p), range(1, 13)),
+    "quadratic_re": (lambda p: quadratic_re(gamma=3.5 + 2.0 * p), (3, 6, 9, 12)),
+    "daphnia": (lambda p: daphnia(beta=3.02 * p), (4, 8, 12)),
+    "semilinear3": (lambda p: dataclasses.replace(_semilinear3(), L=p * _semilinear3().L),
+                    range(1, 13)),
+}
+
+
+@given(
+    name=st.sampled_from(sorted(_TRUSTED_RUNS)),
+    method=st.sampled_from(builtin_names()),
+    param=st.floats(0.25, 2.0),
+    k_index=st.integers(0, 11),
+    steps=st.integers(1, 12),
+)
+@settings(deadline=None, max_examples=60)
+def test_trusted_appends_change_no_number_and_let_no_bad_segment_through(
+    name, method, param, k_index, steps
+):
+    make, ks = _TRUSTED_RUNS[name]
+    prob, tab = make(param), builtin(method)
+    h = prob.tau / ks[k_index % len(ks)]
+    final, made = _appends(prob, tab, h, steps * h, trusted=True)
+    final_checked, made_checked = _appends(prob, tab, h, steps * h, trusted=False)
+    state = initial_state(prob, h)
+    for n in range(steps):
+        state = step(prob, tab, state, n * h)
+    assert len(made) == len(made_checked) == steps * (2 if name == "daphnia" else 1)
+    # bit for bit: each append as the checked run's, the final state as a step loop's
+    for new, old in [*zip(made, made_checked), (final, final_checked), (final, state)]:
+        for a, b in zip(new if isinstance(new, tuple) else (new,),
+                        old if isinstance(old, tuple) else (old,)):
+            assert a.coefficients().tobytes() == b.coefficients().tobytes()
+            assert (a.head is None and b.head is None) or a.head.tobytes() == b.head.tobytes()
+    for new in made:  # each passes every check of a public append of its own newest segment
+        new._check_window()
+        new.shift_append(new.coefficients()[-1], head=new.head)
+
+
+def _spoil_updates(monkeypatch, spoil):
+    """Make every step plan's rules hand ``spoil(coeffs, head)`` at the update
+    row, the rows of a before it left as they are."""
+    plan = stepper._plan
+
+    def spoiled(components, tab, h):
+        def wrap(rule):
+            def bad(state, f, i):
+                coeffs, head = rule(state, f, i)
+                return spoil(coeffs.copy(), head) if i == tab.nu else (coeffs, head)
+            return bad
+        return tuple(wrap(rule) for rule in plan(components, tab, h))
+
+    monkeypatch.setattr(stepper, "_plan", spoiled)
+
+
+def _inf_coefficient(coeffs, head):  # a DDE head stays finite
+    coeffs[0, 3] = np.inf
+    return coeffs, head
+
+
+def _nan_head(coeffs, head):  # an RE segment stays as it is
+    if head is not None:
+        head = np.array(head)
+        head[-1] = np.nan
+    return coeffs, head
+
+
+def _nan_re_row_sum(coeffs, head):  # a DDE segment stays as it is
+    if head is None:
+        coeffs[-1, 1] = np.nan
+    return coeffs, head
+
+
+@pytest.mark.parametrize(
+    "make, spoil",
+    [(belzen, _inf_coefficient), (quadratic_re, _inf_coefficient),
+     (_semilinear3, _inf_coefficient), (daphnia, _inf_coefficient),
+     (belzen, _nan_head), (_semilinear3, _nan_head), (daphnia, _nan_head),
+     (quadratic_re, _nan_re_row_sum), (daphnia, _nan_re_row_sum)],
+)
+def test_a_spoiled_update_is_divergence_at_the_update_stage(monkeypatch, make, spoil):
+    # the stepper's appends keep the theta = 0 rule: finite row sums and a finite head
+    _spoil_updates(monkeypatch, spoil)
+    prob, tab, h = make(), builtin("expo3"), 0.5
+    with pytest.raises(IntegrationDiverged, match="is not finite at theta = 0") as err:
+        integrate(prob, tab, h, 2 * h)
+    assert (err.value.step_index, err.value.stage_index) == (0, tab.nu)
+    with pytest.raises(IntegrationDiverged, match="is not finite at theta = 0") as err:
+        step(prob, tab, initial_state(prob, h), 0.0)
+    assert (err.value.step_index, err.value.stage_index) == (None, tab.nu)
+
+
+@pytest.mark.parametrize("make", [belzen, _semilinear3, daphnia])
+def test_a_stepped_head_is_read_only(make):
+    prob, tab, h = make(), builtin("expo3"), 0.5
+    for final in (integrate(prob, tab, h, 2 * h), step(prob, tab, initial_state(prob, h), 0.0)):
+        head = (final[-1] if isinstance(final, tuple) else final).head
+        assert not head.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            head[0] = 0.0
 
 
 def test_stage_shift_that_underflows_is_refused():
