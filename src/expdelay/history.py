@@ -253,12 +253,15 @@ class _Log:
         self.lock = threading.Lock()
         self.sums = weakref.WeakKeyDictionary()
 
-    def slot_sums(self, key, end: int, rule) -> np.ndarray:
+    def slot_sums(self, key, need: int, end: int, rule) -> np.ndarray:
         """The segment sums ``sums`` holds for window integrand ``key`` (weakly), slot
-        last, filled through ``end`` by one call ``rule(buf[filled:end])``."""
+        last, filled through at least slot ``need - 1``.  Only a read that needs a slot
+        past the filled ones fills, and it fills every slot up to the written ``end``,
+        ``need <= end``, by one call ``rule(buf[filled:end])``: a window that ends k
+        slots behind ``end`` fills once in k appends, and a fresh log on its first read."""
         with self.lock:
             store, filled = self.sums.get(key, (None, 0))
-            if filled < end:
+            if filled < need:
                 new = rule(self.buf[filled:end])
                 store = np.empty(new.shape[:-1] + (len(self.buf),)) if store is None else store
                 store[..., filled:end] = new
@@ -359,9 +362,10 @@ class HistoryState:
         return (np.arange(n + 1) - n) * self.h
 
     def _stored_sums(self, key, rule, first: int, stop: int) -> np.ndarray:
-        """Window integrand ``key``'s sums (:meth:`_Log.slot_sums`) on segments [first, stop)."""
+        """Window integrand ``key``'s sums (:meth:`_Log.slot_sums`) on segments [first, stop),
+        which fill, when they must, up to this state's newest segment."""
         lo = self._end - self.n_segments
-        return self._log.slot_sums(key, self._end, rule)[..., lo + first : lo + stop]
+        return self._log.slot_sums(key, lo + stop, self._end, rule)[..., lo + first : lo + stop]
 
     def _locate(self, thetas: np.ndarray):
         """Segment index and local coordinate of range-checked offsets."""

@@ -5,7 +5,11 @@ Distributed-delay terms integrate a function of the history over a window
 view is one polynomial (:func:`_pieces`): the window is cut at the view's
 knots strictly inside (a + tol, b - tol), so every interior piece is a whole
 mesh segment and at most two partial pieces remain at the ends (one of them
-the stage overlay on [-shift, 0] when the window reaches it).  A fixed
+the stage overlay on [-shift, 0] when the window reaches it).  A bound that
+is a knot exactly, in floats, leaves no end piece: its segment is whole too,
+so a window on the mesh, read on the state itself (stage 1, c = 0), is whole
+segments only.  A bound merely within the tolerance of a knot keeps its end
+piece, the rule a node-by-node reading of the view follows.  A fixed
 4-node Gauss-Legendre rule applied piece by piece is exact for integrands
 that are polynomials of degree <= 7 in theta on each piece and of order 8
 on smooth ones -- far beyond the order of any shipped method.
@@ -14,19 +18,25 @@ That cut, and the end pieces' node offsets, weights and node powers, depend
 only on the mesh (tau/h and h), the view's stage shift and the bounds, which
 take a handful of values in a run.  They are computed once per such key, in
 one bounded cache, as a read-only window plan (:func:`_window_plan`); a call
-then reads only coefficients: it gathers the one or two end polynomials and
+then reads only coefficients: it gathers the end polynomials, if any, and
 multiplies them by the plan's node powers.
 
 Every integrand takes its whole segments by one rule (:func:`_segment_sums`):
 the segments share their local nodes, so their values at all nodes are one
 product of a fixed 4x4 power matrix with the contiguous slice of their
 coefficients, one call of the integrand takes them all, and the rule's sums
-h sum_k W_k f(theta_jk, p_j(X_k)) per segment p_j come out of one product with
-the weights.  A window is the end pieces' sum plus the numpy (pairwise) sum of
-its segment sums.  A :class:`Pointwise` integrand g(x) ignores theta, so its
-sum on a segment is fixed once the segment is written: the history log stores
-it per slot and integrand (held weakly), filling new slots with one call of g,
-so a step calls g on O(1) values.  A fresh log (a branch, a pickle) fills once.
+h sum_k W_k f(theta_jk, p_j(X_k)) per segment p_j are elementwise sums over the
+4 nodes.  A segment's sum has the same bits in any slice.  A window is the end
+pieces' sum plus the numpy (pairwise) sum of its segment sums.
+
+A :class:`Pointwise` integrand g(x) ignores theta, so its sum on a segment is
+fixed once the segment is written: the history log stores it per slot and
+integrand (held weakly).  A read fills only when its window needs a slot past
+the filled ones, and then fills every written slot up to the state's newest
+in one call of g.  A window that ends k slots behind the newest segment thus
+calls g for its whole segments once in about k steps, on about 4k values; a
+window reaching 0 fills one slot a step.  A fresh log (a branch, a pickle)
+fills once, on its first read.
 
 The Gauss-Legendre tables (:func:`gauss_legendre`) are kept here; the knot
 tolerance of the range check and of the cuts is the history module's.
@@ -84,7 +94,7 @@ class _Plan(NamedTuple):
     first: int  # the first whole segment
     m: int  # the number of whole segments
     left: float  # the offset where the first whole segment starts
-    ends: tuple  # the segment of each partial end piece, -1 for the overlay
+    ends: tuple  # the segment of each partial end piece (0 to 2), -1 for the overlay
     thetas: np.ndarray  # the end pieces' node offsets, 4 per piece (read-only)
     weights: np.ndarray  # their Gauss-Legendre weights (read-only)
     powers: np.ndarray  # (pieces, 4, 4) local node powers, lowest first (read-only)
@@ -99,12 +109,15 @@ def _window_plan(n: int, h: float, shift: float, a: float, b: float) -> _Plan:
     -tau + tol, the knots its ``breakpoints`` keep.
 
     The whole segments are ``coeffs[first:first + m]``, the first starting at
-    offset ``left``.  One or two partial pieces remain, before and after them;
-    a piece right of knot n lies in the overlay, on [-shift, 0].  Each gets
-    the 4-node Gauss-Legendre rule: node offsets, weights and the powers of
-    its local nodes, which times the piece's coefficients give its values.
-    The geometry depends on these arguments only, so it is computed once and
-    its arrays are shared, read-only.
+    offset ``left``.  A bound that equals, in floats, the knot at the far end of
+    the segment next to it adds that segment to the whole ones (never a stage
+    view's segment 0, which the view clips); bounds only within the tolerance
+    of a knot do not.  Up to two partial pieces remain, before and after them,
+    and none when both bounds are such knots; a piece right of knot n lies in
+    the overlay, on [-shift, 0].  Each gets the 4-node Gauss-Legendre rule:
+    node offsets, weights and the powers of its local nodes, which times the
+    piece's coefficients give its values.  The geometry depends on these
+    arguments only, so it is computed once and its arrays are shared, read-only.
     """
     tol = _knot_tol(n * h)
     lo, hi = a + tol, b - tol
@@ -123,17 +136,23 @@ def _window_plan(n: int, h: float, shift: float, a: float, b: float) -> _Plan:
     # cuts at j0 <= j < j1, the knots in (lo, hi)
     j0 = int(knots.searchsorted(lo, "right"))
     j1 = max(int(knots.searchsorted(hi, "left")), j0)
-    if j0 == j1:
+    # whole segments from knot s to knot e: a bound exactly on the knot next to
+    # them adds its segment, but a stage view never takes its clipped segment 0
+    s = j0 - 1 if j0 > overlay and a == knot(j0 - 1) else j0
+    e = j1 if j1 <= n and b == knot(j1) else j1 - 1
+    if e < s:  # one piece, no knot in it
         m, left, ends = 0, a, (end(j0, a, b),)
     else:
-        m, left, last = j1 - 1 - j0, knot(j0), knot(j1 - 1)
-        ends = (end(j0, a, left), end(j1, last, b))
-    nodes = np.array([bounds for _, *bounds in ends]) @ _ENDS
+        m, left = e - s, knot(s)
+        ends = (end(j0, a, left),) if s == j0 else ()
+        if e < j1:
+            ends += (end(j1, knot(e), b),)
+    nodes = np.array([bounds for _, *bounds in ends]).reshape(-1, 4) @ _ENDS
     thetas, weights = nodes[:, 4:8].ravel(), nodes[:, 8:].ravel()
     powers = nodes[:, :4, None] ** np.arange(4.0)
     for arr in (thetas, weights, powers):
         arr.setflags(write=False)
-    return _Plan(j0, m, left, tuple(i for i, *_ in ends), thetas, weights, powers)
+    return _Plan(s, m, left, tuple(i for i, *_ in ends), thetas, weights, powers)
 
 
 def _pieces(view, a: float, b: float):
@@ -168,10 +187,20 @@ def _checked(fv, m: int) -> np.ndarray:
 
 def _segment_sums(g, h: float, coeffs: np.ndarray) -> np.ndarray:
     """h sum_k W_k g(p(X_k)) of each (dim, 4) cubic p of ``coeffs``, p last; g
-    gets the values node-major, node k of cubic j at row k len(coeffs) + j."""
+    gets the values node-major, node k of cubic j at row k len(coeffs) + j.
+
+    A cubic's sum has the same bits in every batch it is computed in (for a g
+    that is elementwise too), so stored sums do not depend on when they were
+    filled.  Its node values are its own column of one matrix product, which
+    BLAS computes alike at any position in any number of columns; numpy hands
+    a lone column to a matrix-vector routine that rounds otherwise, so a lone
+    column goes in twice.  The weighted sums are elementwise."""
     k, dim = coeffs.shape[:2]
-    fv = _checked(g((_POWERS @ coeffs.reshape(-1, 4).T).reshape(4 * k, dim)), 4 * k)
-    return ((h * _W) @ fv.reshape(4, -1)).reshape((k,) + fv.shape[1:]).T
+    cols = coeffs.reshape(-1, 4).T
+    vals = _POWERS @ (cols if k * dim > 1 else cols[:, [0, 0]])
+    fv = _checked(g(vals[:, : k * dim].reshape(4 * k, dim)), 4 * k)
+    fv, hw = fv.reshape((4, k) + fv.shape[1:]), h * _W
+    return (hw[0] * fv[0] + hw[1] * fv[1] + hw[2] * fv[2] + hw[3] * fv[3]).T
 
 
 def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
@@ -182,9 +211,10 @@ def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
     vectorised: it receives the flat node array ``theta`` of shape (m,)
     and the view values of shape (m, dim), and returns shape (m,) or
     (m, q).  The result has the integrand's trailing shape: () for scalar
-    densities.  It is called once on the end pieces and, when the window
-    holds whole segments, once on all their nodes; a :class:`Pointwise`
-    integrand takes those segments' sums from the history log instead.
+    densities.  It is called once on the end pieces, if any (none when both
+    bounds are knots), and, when the window holds whole segments, once on all
+    their nodes; a :class:`Pointwise` integrand takes those segments' sums
+    from the history log instead.
     """
     if type(a) is not float or type(b) is not float:  # Python floats need no check
         a, b = (float(_as_shaped(x, (), "window bound holds")) for x in (a, b))
@@ -195,12 +225,12 @@ def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
         raise ValueError(f"window [{a}, {b}] outside [-{view.tau}, 0]")
     plan, base, overlay = _pieces(view, a, b)
     m, h, first = plan.m, view.h, plan.first
-    # the end pieces' values: their polynomials times their node powers
-    rows = np.array([overlay if i < 0 else base._coeffs[i] for i in plan.ends])
-    end_vals = (plan.powers @ rows.transpose(0, 2, 1)).reshape(-1, view.dim)
-    ends = plan.weights @ _checked(integrand(plan.thetas, end_vals), len(end_vals))
-    if not m:
-        return ends
+    if plan.ends:  # the end pieces' values: their polynomials times their node powers
+        rows = np.array([overlay if i < 0 else base._coeffs[i] for i in plan.ends])
+        end_vals = (plan.powers @ rows.transpose(0, 2, 1)).reshape(-1, view.dim)
+        ends = plan.weights @ _checked(integrand(plan.thetas, end_vals), len(end_vals))
+        if not m:
+            return ends
     if isinstance(integrand, Pointwise):
         rule = lambda c: _segment_sums(integrand.g, h, c)  # noqa: E731
         # a stage view's whole segments are its base's, and so are their sums
@@ -209,4 +239,4 @@ def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
         thetas = np.add.outer(plan.left + h * _X, h * np.arange(m)).ravel()
         g = functools.partial(integrand, thetas)
         whole = _segment_sums(g, h, base._coeffs[first : first + m])
-    return ends + whole.sum(axis=-1)
+    return ends + whole.sum(axis=-1) if plan.ends else whole.sum(axis=-1)

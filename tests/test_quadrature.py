@@ -218,11 +218,16 @@ def test_degree_seven_is_exact_over_partial_pieces(shift):
     assert float(got) == pytest.approx(antiderivative(b) - antiderivative(a), rel=1e-13)
 
 
-@pytest.mark.parametrize("c, whole_segments", [(None, (8, 0, 10, 0)), (0.5, (9, 0, 11, 0))])
+# per window: its whole segments and its end-piece calls
+@pytest.mark.parametrize("c, whole_segments", [
+    (None, ((8, 1), (0, 1), (12, 0), (0, 1))),
+    (0.5, ((9, 1), (0, 1), (11, 1), (0, 1))),
+])
 def test_theta_integrands_take_whole_segments_by_the_one_rule(monkeypatch, c, whole_segments):
-    # a theta-dependent integrand is called once on the end pieces and, when
-    # the window holds whole segments, once on their nodes through the rule
-    # that Pointwise stores; no call gets an empty array
+    # a theta-dependent integrand is called once on the end pieces, unless both
+    # bounds are knots ((-3, 0) on the state), and, when the window holds whole
+    # segments, once on their nodes through the rule that Pointwise stores; no
+    # call gets an empty array
     rules, sizes, rule = [], [], quadrature._segment_sums
     monkeypatch.setattr(quadrature, "_segment_sums", lambda *a: rules.append(a) or rule(*a))
 
@@ -233,11 +238,12 @@ def test_theta_integrands_take_whole_segments_by_the_one_rule(monkeypatch, c, wh
     view = _random_view("re", 2, 0.25, 12, c, 0)
     # windows across knots, inside one piece or across one knot, and over all of [-tau, 0]
     windows = ((-2.9, -0.6), (-2.9, -2.8), (-3.0, 0.0), (-0.2, -0.05))
-    for (a, b), whole in zip(windows, whole_segments):
+    for (a, b), (whole, ends) in zip(windows, whole_segments):
         rules.clear(), sizes.clear()
         got = integrate_view(view, a, b, integrand)
         assert len(rules) == (1 if whole else 0)
-        assert sizes[1:] == ([4 * whole] if whole else []) and 0 < sizes[0] <= 8
+        assert sizes[ends:] == ([4 * whole] if whole else [])
+        assert all(0 < k <= 8 for k in sizes[:ends])
         want, scale = _reference(view, a, b, integrand)
         assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + scale))
 
@@ -251,6 +257,16 @@ _KERNELS = (
     lambda x: (x * (1.0 - x)).sum(axis=1),
     lambda x: np.concatenate([x, np.sin(x) * x], axis=1),
 )
+
+
+@pytest.mark.parametrize("dim, g", [(1, _KERNELS[0]), (3, _KERNELS[1])], ids=["dim1", "dim3"])
+def test_segment_sums_keep_their_bits_in_any_batch(dim, g):
+    # a fill computes the slots it reaches in one batch: each cubic's sum has
+    # the same bits alone as at any position of a longer slice
+    coeffs = np.random.default_rng(dim).uniform(-1.0, 1.0, (70, dim, 4))
+    whole = quadrature._segment_sums(g, 0.1, coeffs)
+    for lo, hi in ((0, 1), (5, 6), (69, 70), (3, 5), (7, 40), (1, 70)):
+        assert np.array_equal(quadrature._segment_sums(g, 0.1, coeffs[lo:hi]), whole[..., lo:hi])
 
 
 def _random_view(kind, dim, h, n, c, seed):
@@ -408,6 +424,74 @@ def test_window_cost_per_step_does_not_grow_with_tau_over_h(monkeypatch):
     assert per_step[300] == per_step[6000] <= 40
 
 
+def test_on_knot_window_reads_stored_sums_filled_in_batches(monkeypatch):
+    # quadratic_re's window [-3, -1] has both bounds on the knots of h = 0.25:
+    # stage 1 (c = 0) reads the state's stored sums and calls g on no end
+    # piece, and the sums fill in batches, when the window's end, lag = 1/h
+    # slots behind the newest segment, passes the filled slots: not every step
+    fills, ends, views = [], [], []
+
+    class Counted(Pointwise):
+        def __init__(self, g):
+            super().__init__(lambda x: fills.append(len(x)) or g(x))
+            self.raw = g
+
+        def __call__(self, theta, x):  # the end pieces; fills call .g
+            ends.append(type(views[-1]))
+            return self.raw(x)
+
+    real = problems.integrate_view
+    monkeypatch.setattr(problems, "Pointwise", Counted)
+    monkeypatch.setattr(problems, "integrate_view",
+                        lambda v, *args: views.append(v) or real(v, *args))
+    h, steps, lag = 0.25, 40, 4
+    final = integrate(problems.quadratic_re(), builtin("expo3"), h, steps * h)
+    assert len(views) == 3 * steps
+    assert ends == [StageView] * (2 * steps)  # one end-piece call at each stage with c > 0
+    assert 0 < len(fills) <= steps / lag + 1
+    # the same run, read through the per-call path, agrees to roundoff
+    monkeypatch.setattr(problems, "Pointwise", lambda g: (lambda th, x: g(x)))
+    per_call = integrate(problems.quadratic_re(), builtin("expo3"), h, steps * h)
+    assert np.allclose(final.coefficients(), per_call.coefficients(), rtol=0.0, atol=1e-14)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    kind=st.sampled_from(["re", "dde"]),
+    dim=st.sampled_from([1, 3]),
+    h=st.sampled_from([0.25, 0.5, 0.1, 1.0 / 3.0]),
+    n=st.integers(min_value=1, max_value=8),
+    c=st.one_of(st.none(), st.just(1.0), st.floats(min_value=0.01, max_value=0.99)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    knots=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+    moved=st.sampled_from([(-1, 0), (1, 0), (0, -1), (0, 1), (1, -1), (-1, 1)]),
+    pointwise=st.booleans(),
+)
+@example(kind="re", dim=1, h=0.25, n=8, c=None, seed=0, knots=(0, 8), moved=(1, -1), pointwise=True)
+@example(kind="dde", dim=3, h=0.1, n=8, c=0.5, seed=1, knots=(1, 6), moved=(-1, 1), pointwise=True)
+@example(kind="re", dim=3, h=1 / 3, n=6, c=None, seed=2, knots=(2, 5), moved=(0, 1), pointwise=False)
+@example(kind="re", dim=1, h=0.5, n=4, c=1.0, seed=3, knots=(1, 3), moved=(-1, 0), pointwise=False)
+def test_a_bound_on_a_knot_and_one_ulp_off_it_agree(kind, dim, h, n, c, seed, knots, moved,
+                                                    pointwise):
+    # a bound exactly on a knot makes its segment whole; the same bound moved
+    # by one ulp keeps an end piece: on states and stage views, for Pointwise
+    # and theta-dependent integrands, the two windows agree to roundoff
+    view = _random_view(kind, dim, h, n, c, seed)
+    breakpoints = view.breakpoints()
+    window = sorted(float(breakpoints[k % len(breakpoints)]) for k in knots)
+    if window[0] == window[1]:
+        return
+    g = _KERNELS[seed % 2]
+    integrand = Pointwise(g) if pointwise else (lambda th, x: np.exp(th)[:, None] * x)
+    tau, tol = view.tau, _knot_tol(view.tau)
+    off = [np.nextafter(x, x + step) if step else x for x, step in zip(window, moved)]
+    a, b = (float(min(max(x, -tau - tol), tol)) for x in off)
+    on, near = integrate_view(view, *window, integrand), integrate_view(view, a, b, integrand)
+    _, scale = _reference(view, *window, integrand)
+    assert np.shape(on) == np.shape(near)
+    assert np.all(np.abs(on - near) <= 1e-14 * (1.0 + scale))
+
+
 def test_pointwise_store_keeps_no_dropped_integrand():
     # the log holds its integrands by weak reference: one made afresh on
     # every call leaves no entry once dropped, and a kept one stays
@@ -486,22 +570,26 @@ def test_cached_window_plan_equals_a_fresh_one(kind, h, n, c, seed, ends):
     for arr in plan[4:]:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
-    # the pieces tile the window: whole segments between one or two end pieces
-    assert len(plan.ends) == (1 if plan.m == 0 and plan.left == a else 2)
+    # the pieces tile the window: whole segments between up to two end pieces,
+    # none when both bounds are knots
+    assert len(plan.ends) <= 2 and len(plan.ends) + plan.m >= 1
+    assert len(plan.thetas) == len(plan.weights) == 4 * len(plan.ends) == 4 * len(plan.powers)
     assert plan.weights.sum() + plan.m * h == pytest.approx(b - a, rel=1e-12)
 
 
 def _scanned_cuts(n, h, shift, a, b):
     """(first, m, ends) of a window plan, by a scan over every knot: the cuts
-    are the knots strictly inside (a + tol, b - tol), and each end piece
-    reads the segment holding its midpoint (-1 for the overlay)."""
+    are the knots strictly inside (a + tol, b - tol) and a bound that equals a
+    knot (other than a stage view's knot 0), and each end piece reads the
+    segment holding its midpoint (-1 for the overlay)."""
     tol = _knot_tol(n * h)
     lo, hi = a + tol, b - tol
     if shift > 0.0:
         lo = max(lo, -(n * h) + tol)
     knots = [(j - n) * h - shift for j in range(n + 1)]
-    inside = [j for j, knot in enumerate(knots) if lo < knot < hi]
-    first = next((j for j, knot in enumerate(knots) if knot > lo), n + 1)
+    inside = [j for j, knot in enumerate(knots)
+              if lo < knot < hi or knot == b or knot == a and j >= (shift > 0.0)]
+    first = inside[0] if inside else next((j for j, knot in enumerate(knots) if knot > lo), n + 1)
 
     def segment(t_lo, t_hi):
         mid = 0.5 * (t_lo + t_hi)
@@ -511,8 +599,8 @@ def _scanned_cuts(n, h, shift, a, b):
 
     if not inside:
         return first, 0, (segment(a, b),)
-    pieces = (segment(a, knots[inside[0]]), segment(knots[inside[-1]], b))
-    return first, len(inside) - 1, pieces
+    edges = ((a, knots[inside[0]]), (knots[inside[-1]], b))
+    return first, len(inside) - 1, tuple(segment(*edge) for edge in edges if edge[0] < edge[1])
 
 
 @settings(deadline=None, max_examples=300)

@@ -836,6 +836,20 @@ def test_coupled_semigroup_composition_bitwise(name, per_unit, k, m):
     assert once[1].head.tobytes() == twice[1].head.tobytes()
 
 
+@settings(deadline=None, max_examples=25)
+@given(name=_METHOD, per_unit=_PER_UNIT, k=st.integers(0, 6), m=st.integers(0, 6))
+@example(name="expo3", per_unit=1, k=0, m=5)
+def test_window_semigroup_composition_bitwise(name, per_unit, k, m):
+    # the same law on quadratic_re's Pointwise window (-3, -1), on the mesh
+    # h = 1/per_unit: the second run branches off the first one's log, so its
+    # stored sums fill in other batches, and each slot's sum keeps its bits
+    prob, tab, h = quadratic_re(), builtin(name), 1.0 / per_unit
+    state0 = initial_state(prob, h)
+    once = _steps_from(prob, tab, state0, h, 0, k + m)
+    twice = _steps_from(prob, tab, _steps_from(prob, tab, state0, h, 0, k), h, k, m)
+    assert once.coefficients().tobytes() == twice.coefficients().tobytes()
+
+
 # ---------------------------------------------------------------------------
 # integration driver
 # ---------------------------------------------------------------------------
