@@ -258,7 +258,7 @@ class _Log:
         last, filled through at least slot ``need - 1``.  Only a read that needs a slot
         past the filled ones fills, and it fills every slot up to the written ``end``,
         ``need <= end``, by one call ``rule(buf[filled:end])``: a window that ends k
-        slots behind ``end`` fills once in k appends, and a fresh log on its first read."""
+        slots behind ``end`` fills about once in k appends, and a fresh log on its first read."""
         with self.lock:
             store, filled = self.sums.get(key, (None, 0))
             if filled < need:
