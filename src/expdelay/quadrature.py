@@ -25,9 +25,10 @@ Every integrand takes its whole segments by one rule (:func:`_segment_sums`):
 the segments share their local nodes, so their values at all nodes are one
 product of a fixed 4x4 power matrix with the contiguous slice of their
 coefficients, one call of the integrand takes them all, and the rule's sums
-h sum_k W_k f(theta_jk, p_j(X_k)) per segment p_j are elementwise sums over the
-4 nodes.  A segment's sum has the same bits in any slice.  A window is the end
-pieces' sum plus the numpy (pairwise) sum of its segment sums.
+h sum_k W_k f(theta_jk, p_j(X_k)) per segment p_j come out of one product with
+the weights.  Both products keep each segment's bits in any slice
+(:func:`_gemm`).  A window is the end pieces' sum plus the numpy (pairwise)
+sum of its segment sums.
 
 A :class:`Pointwise` integrand g(x) ignores theta, so its sum on a segment is
 fixed once the segment is written: the history log stores it per slot and
@@ -78,7 +79,10 @@ _X, _W = gauss_legendre(4)
 # (node, power): this matrix times a cubic's coefficients, lowest power
 # first, gives its values at the 4 nodes
 _POWERS = _X[:, None] ** np.arange(4.0)
+# the weights twice over, as numpy hands a product with one row to gemv (see _gemm)
+_WEIGHTS = np.array([_W, _W])
 _POWERS.setflags(write=False)
+_WEIGHTS.setflags(write=False)
 # a partial window piece's (s_lo, s_hi, t_lo, t_hi) times this matrix gives
 # its local nodes, its offset nodes and its weights
 _ENDS = np.zeros((4, 12))
@@ -185,22 +189,23 @@ def _checked(fv, m: int) -> np.ndarray:
     return fv
 
 
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for an ``a`` of two or more rows, by BLAS gemm, which computes a
+    column of the product the same way at any position among any number of
+    columns.  numpy hands a lone column (or a lone row) to gemv, which rounds
+    otherwise, so a lone column goes in twice."""
+    return (a @ b[:, [0, 0]])[:, :1] if b.shape[1] == 1 else a @ b
+
+
 def _segment_sums(g, h: float, coeffs: np.ndarray) -> np.ndarray:
     """h sum_k W_k g(p(X_k)) of each (dim, 4) cubic p of ``coeffs``, p last; g
     gets the values node-major, node k of cubic j at row k len(coeffs) + j.
-
-    A cubic's sum has the same bits in every batch it is computed in (for a g
-    that is elementwise too), so stored sums do not depend on when they were
-    filled.  Its node values are its own column of one matrix product, which
-    BLAS computes alike at any position in any number of columns; numpy hands
-    a lone column to a matrix-vector routine that rounds otherwise, so a lone
-    column goes in twice.  The weighted sums are elementwise."""
+    Both products go through :func:`_gemm`, so a cubic's sum has the same bits
+    in every batch it is computed in (for a g that is elementwise too): stored
+    sums do not depend on when they were filled."""
     k, dim = coeffs.shape[:2]
-    cols = coeffs.reshape(-1, 4).T
-    vals = _POWERS @ (cols if k * dim > 1 else cols[:, [0, 0]])
-    fv = _checked(g(vals[:, : k * dim].reshape(4 * k, dim)), 4 * k)
-    fv, hw = fv.reshape((4, k) + fv.shape[1:]), h * _W
-    return (hw[0] * fv[0] + hw[1] * fv[1] + hw[2] * fv[2] + hw[3] * fv[3]).T
+    fv = _checked(g(_gemm(_POWERS, coeffs.reshape(-1, 4).T).reshape(4 * k, dim)), 4 * k)
+    return _gemm(h * _WEIGHTS, fv.reshape(4, -1))[0].reshape((k,) + fv.shape[1:]).T
 
 
 def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
