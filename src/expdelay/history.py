@@ -38,9 +38,10 @@ append-only log of capacity 2n that the states stepped from one another
 share.  A log's maker writes its first window: the constructor copies the
 caller's coefficients, ``from_callable`` projects phi0 into it, and an advance
 that finds the log's next free slot taken, or the log full, copies the window
-into a fresh log.  The advance writes the (dim, 4) cubic of the newest
-interval [-h, 0] into that slot in O(1).  Written slots are never rewritten,
-so the log also keeps window quadrature's per-slot segment sums.
+into a fresh log.  An advance writes the newest (dim, 4) cubic on [-h, 0], once
+it passes :func:`_check_newest`, into that slot in O(1).  Written slots are never
+rewritten, so the log also keeps window quadrature's per-slot segment sums, which
+:meth:`HistoryState._stored_sums` alone fills, in batches, and slices.
 A Runge-Kutta stage value is a :class:`StageView`, which overlays a single
 polynomial on [-shift, 0] over a shifted base state instead of a new history.
 """
@@ -222,24 +223,32 @@ def _as_head(kind: str, dim: int, head):
     return head
 
 
-def _check_continuity(newest: np.ndarray, head: np.ndarray):
-    """Raise unless a DDE head and the newest (dim, 4) segment are finite and match at 0."""
-    rows, heads = newest.tolist(), head.tolist()
-    # the value at s = 1 is a sum of coefficients and rounds at their
-    # scale, which exceeds the head's when the segment decays steeply
-    tol = 1e-12 * (1.0 + max(map(abs, chain(heads, *rows))))
-    for (c0, c1, c2, c3), x in zip(rows, heads):
-        # the Horner row at s = 1; a NaN fails too, and so does an inf, which makes tol inf
-        if not abs(c3 + c2 + c1 + c0 - x) <= tol < math.inf:
-            if not all(map(math.isfinite, chain(heads, *rows))):
-                raise ValueError(f"DDE head {head} or newest segment {rows} is not finite")
-            # plain floats: a sum that overflows is inf, without numpy's warning
-            newest_at_0 = [c3 + c2 + c1 + c0 for c0, c1, c2, c3 in rows]
-            gap = max(abs(v - x) for v, x in zip(newest_at_0, heads))
-            raise ValueError(
-                f"DDE head {head} does not match the newest segment's value "
-                f"{np.array(newest_at_0)} at theta=0: |gap| = {gap:.3e} > {tol:.3e}"
-            )
+def _check_newest(newest: np.ndarray, head, match: bool):
+    """Raise unless the newest (dim, 4) segment and a head (None for RE) pass the append rule:
+    with ``match``, both finite and meeting at 0; else each row sum and the head finite."""
+    rows = newest.tolist()
+    if match:
+        heads = head.tolist()
+        # the value at s = 1 is a sum of coefficients and rounds at their
+        # scale, which exceeds the head's when the segment decays steeply
+        tol = 1e-12 * (1.0 + max(map(abs, chain(heads, *rows))))
+        for (c0, c1, c2, c3), x in zip(rows, heads):
+            # the Horner row at s = 1; a NaN fails too, and so does an inf, which makes tol inf
+            if not abs(c3 + c2 + c1 + c0 - x) <= tol < math.inf:
+                if not all(map(math.isfinite, chain(heads, *rows))):
+                    raise ValueError(f"DDE head {head} or newest segment {rows} is not finite")
+                # plain floats: a sum that overflows is inf, without numpy's warning
+                newest_at_0 = [c3 + c2 + c1 + c0 for c0, c1, c2, c3 in rows]
+                gap = max(abs(v - x) for v, x in zip(newest_at_0, heads))
+                raise ValueError(
+                    f"DDE head {head} does not match the newest segment's value "
+                    f"{np.array(newest_at_0)} at theta=0: |gap| = {gap:.3e} > {tol:.3e}"
+                )
+    elif not all(math.isfinite(c3 + c2 + c1 + c0) for c0, c1, c2, c3 in rows) or (
+        head is not None and not all(map(math.isfinite, head.tolist()))
+    ):
+        kind, at = ("RE", "") if head is None else ("DDE", f" or its head {head}")
+        raise ValueError(f"appended {kind} segment {rows}{at} is not finite at theta = 0")
 
 
 class _Log:
@@ -252,21 +261,6 @@ class _Log:
         self.end = n
         self.lock = threading.Lock()
         self.sums = weakref.WeakKeyDictionary()
-
-    def slot_sums(self, key, need: int, end: int, rule) -> np.ndarray:
-        """The segment sums ``sums`` holds for window integrand ``key`` (weakly), slot
-        last, filled through at least slot ``need - 1``.  Only a read that needs a slot
-        past the filled ones fills, and it fills every slot up to the written ``end``,
-        ``need <= end``, by one call ``rule(buf[filled:end])``: a window that ends k
-        slots behind ``end`` fills about once in k appends, and a fresh log on its first read."""
-        with self.lock:
-            store, filled = self.sums.get(key, (None, 0))
-            if filled < need:
-                new = rule(self.buf[filled:end])
-                store = np.empty(new.shape[:-1] + (len(self.buf),)) if store is None else store
-                store[..., filled:end] = new
-                self.sums[key] = store, end
-            return store
 
     def claim(self, end: int, segment: np.ndarray) -> bool:
         """Write ``segment`` to slot ``end`` if that slot is the next free one."""
@@ -315,7 +309,7 @@ class HistoryState:
                 f"history segment {i} on [{(i - n) * h}, {(i + 1 - n) * h}] is not finite"
             )
         if self.kind == "dde":
-            _check_continuity(coeffs[-1], self.head)
+            _check_newest(coeffs[-1], self.head, match=True)
         return self
 
     def __reduce__(self):  # pickle and copy rebuild through __init__: a fresh log
@@ -362,10 +356,19 @@ class HistoryState:
         return (np.arange(n + 1) - n) * self.h
 
     def _stored_sums(self, key, rule, first: int, stop: int) -> np.ndarray:
-        """Window integrand ``key``'s sums (:meth:`_Log.slot_sums`) on segments [first, stop),
-        which fill, when they must, up to this state's newest segment."""
-        lo = self._end - self.n_segments
-        return self._log.slot_sums(key, lo + stop, self._end, rule)[..., lo + first : lo + stop]
+        """Window integrand ``key``'s sums on segments [first, stop), sliced from those the
+        log keeps for ``key`` (weakly).  A read that needs a slot past the filled ones fills
+        every slot up to this state's newest by one call ``rule(buf[filled:end])``, so a window
+        k slots behind the newest fills about once in k appends, a fresh log on its first read."""
+        log, end, lo = self._log, self._end, self._end - self.n_segments
+        with log.lock:
+            store, filled = log.sums.get(key, (None, 0))
+            if filled < lo + stop:
+                new = rule(log.buf[filled:end])
+                store = np.empty(new.shape[:-1] + (len(log.buf),)) if store is None else store
+                store[..., filled:end] = new
+                log.sums[key] = store, end
+        return store[..., lo + first : lo + stop]
 
     def _locate(self, thetas: np.ndarray):
         """Segment index and local coordinate of range-checked offsets."""
@@ -403,36 +406,23 @@ class HistoryState:
         return _horner_point(self._coeffs[i], 0.0 if s < 0.0 else 1.0 if s > 1.0 else s)
 
     def shift_append(self, coeffs, head=None, *, _trusted=False) -> "HistoryState":
-        """Advance by one mesh width: drop the oldest segment and append
-        ``coeffs``, the (dim, 4) cubic on [-h, 0] in the local variable
-        s = (theta + h)/h, as the newest one, in O(1) (see the module notes).
-        It and a head are read at their shapes by :func:`_as_shaped`.
+        """Advance by one mesh width: drop the oldest segment and append ``coeffs``, the
+        (dim, 4) cubic on [-h, 0] in the local variable s = (theta + h)/h, as the newest
+        one, in O(1) (see the module notes).  It and a head (RE states take none) are read
+        at their shapes by :func:`_as_shaped` and pass :func:`_check_newest`: a DDE head must
+        be finite and match the segment's value at theta = 0, an RE segment's value be finite.
 
-        DDE states also replace the head, which must be finite and match the new
-        segment's value at theta = 0; RE states take no head, and that value, the
-        row sums in plain floats, must be finite.
-
-        The stepper passes the private ``_trusted=True`` for the segments its plan
-        built: a float (dim, 4) array and a fresh (dim,) head (None for RE kinds)
-        that match by construction.  Such an append keeps only the theta = 0 rule,
-        the step's update check: every row sum finite, and a DDE head finite too
-        (a row sum is finite only if every coefficient is).  It makes the head
-        read-only in place and skips the shape reading, the head's copy and the
-        continuity check.
+        The stepper passes the private ``_trusted=True`` for its plan's segments, a float
+        (dim, 4) array and a fresh (dim,) head (None for RE kinds) that match by construction:
+        such an append keeps only the theta = 0 rule, the step's update check, skips the shape
+        reading and the head's copy, and makes the head read-only in place.
         """
         if not _trusted:
             coeffs = _as_shaped(coeffs, (self.dim, _NCOEF), "coeffs holds")
             head = _as_head(self.kind, self.dim, head)
         elif head is not None:
             head.setflags(write=False)
-        if self.kind == "dde" and not _trusted:
-            _check_continuity(coeffs, head)
-        elif not all(math.isfinite(c3 + c2 + c1 + c0) for c0, c1, c2, c3 in coeffs.tolist()) or (
-            head is not None and not all(map(math.isfinite, head.tolist()))
-        ):
-            at = "" if head is None else f" or its head {head}"
-            raise ValueError(f"appended {self.kind.upper()} segment {coeffs.tolist()}{at} "
-                             "is not finite at theta = 0")
+        _check_newest(coeffs, head, match=self.kind == "dde" and not _trusted)
         log, end = self._log, self._end
         if not log.claim(end, coeffs):
             log, end = _Log(self.n_segments, self.dim), self.n_segments

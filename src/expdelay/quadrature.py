@@ -32,12 +32,13 @@ sum of its segment sums.
 
 A :class:`Pointwise` integrand g(x) ignores theta, so its sum on a segment is
 fixed once the segment is written: the history log stores it per slot and
-integrand (held weakly).  A read fills only when its window needs a slot past
-the filled ones, and then fills every written slot up to the state's newest
-in one call of g.  A window that ends k slots behind the newest segment thus
-calls g for its whole segments once in about k steps, on about 4k values; a
-window reaching 0 fills one slot a step.  A fresh log (a branch, a pickle)
-fills once, on its first read.
+integrand (held weakly), and one state method fills and slices that store
+(``HistoryState._stored_sums``).  A read fills only when its window needs a
+slot past the filled ones, and then fills every written slot up to the
+state's newest in one call of g.  A window that ends k slots behind the
+newest segment thus calls g for its whole segments once in about k steps, on
+about 4k values; a window reaching 0 fills one slot a step.  A fresh log (a
+branch, a pickle) fills once, on its first read.
 
 The Gauss-Legendre tables (:func:`gauss_legendre`) are kept here; the knot
 tolerance of the range check and of the cuts is the history module's.

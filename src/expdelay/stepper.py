@@ -285,8 +285,9 @@ def _step(problem, tab, states, t_n: float, plan) -> tuple:
     which it re-checks; returns the new components as a tuple.
     ``problem.rhs(t, *views)`` returns one value per component, or the bare
     value for a single component.  :class:`IntegrationDiverged` names the stage of a
-    non-finite stage value, or stage nu when ``shift_append`` refuses a new segment:
-    it appends each as trusted, which keeps only the theta = 0 rule.
+    non-finite stage value or of an overlay whose rule overflows under warnings as
+    errors, or stage nu when the update's rule does or ``shift_append`` refuses a new
+    segment: it appends each as trusted, which keeps only the theta = 0 rule.
     """
     h = states[0].h
     # per component: its state, its overlay rule and its stage values F
@@ -297,9 +298,13 @@ def _step(problem, tab, states, t_n: float, plan) -> tuple:
     for i, ci in enumerate(tab.c):
         # a row with c_i = 0 is empty (node scales equal c_i > 0): the stage
         # sees the current state itself
-        views = states if ci == 0.0 else [
-            StageView._of(state, ci * h, *rule(state, f, i)) for state, rule, f in parts
-        ]
+        try:  # numpy raises for a rule that overflows under warnings as errors or seterr
+            views = states if ci == 0.0 else [
+                StageView._of(state, ci * h, *rule(state, f, i)) for state, rule, f in parts
+            ]
+        except (RuntimeWarning, FloatingPointError) as exc:
+            msg = f"non-finite stage overlay at stage {i + 1}: {exc}"
+            raise IntegrationDiverged(msg, stage_index=i + 1) from exc
         raw = problem.rhs(t_n + ci * h, *views)
         if single:
             raw = (raw,)
@@ -313,10 +318,10 @@ def _step(problem, tab, states, t_n: float, plan) -> tuple:
             f[i] = value
     new = []
     for state, rule, f in parts:
-        coeffs, head = rule(state, f, tab.nu)
         try:  # the plan's own segment: shift_append keeps only its theta = 0 rule
+            coeffs, head = rule(state, f, tab.nu)
             new.append(state.shift_append(coeffs, head=head, _trusted=True))
-        except ValueError as exc:
+        except (ValueError, RuntimeWarning, FloatingPointError) as exc:
             msg = f"update refused at stage {tab.nu}: {exc}"
             raise IntegrationDiverged(msg, stage_index=tab.nu) from exc
     return tuple(new)

@@ -824,9 +824,9 @@ def test_norm_diff_memory_is_in_proportion_to_the_state(norm):
     assert peak < 8 * 2**20, f"norm_diff({norm!r}) peaked at {peak / 2**20:.1f} MB"
 
 
-def test_j_integrate_reads_stored_sums_bit_for_bit(rng):
-    # states that share one log read its stored integrals, in either order,
-    # and a state on a fresh log (a copy) fills its own
+def test_j_integrate_matches_the_recomputed_sums_bit_for_bit(rng):
+    # each state builds its suffix from its own window: states that share one
+    # log, in either order, and a state on a fresh log (a copy) alike
     state = HistoryState("re", 2, 3.0, 0.25, rng.normal(size=(12, 2, 4)))
     newer = state
     for _ in range(5):

@@ -83,17 +83,18 @@ def test_window_cuts_rules_and_norms_live_in_one_module_each():
 
 
 def test_log_sums_have_one_reader():
-    # one HistoryState method slices the log's stored sums, for windows and
-    # j_integrate alike, so the window offset is computed in one place
-    callers = [
-        module
+    # one HistoryState method fills and slices the log's stored sums, so the
+    # fill rule and the window offset live in one place; _Log only makes them
+    readers = [
+        (module, func.name)
         for module in SOURCES
-        for node in ast.walk(_tree(module))
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "slot_sums"
+        for func in ast.walk(_tree(module))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "sums"
+        and isinstance(node.ctx, ast.Load)
     ]
-    assert callers == ["history"]
+    assert set(readers) == {("history", "_stored_sums")}
     assert not any("_segment_sum" in _names(module)[0] for module in SOURCES)
 
 

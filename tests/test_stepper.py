@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import sys
@@ -1276,11 +1277,25 @@ def test_overflowing_update_names_its_stage(kind):
     # weighted sum, as the other plans do
     L = -np.eye(3) if kind == "semilinear_dde" else None
     prob = dataclasses.replace(_stage_values_problem(-1.5e308, 1.5e308), kind=kind, L=L)
-    # inf * 0 inside a semilinear row's matrix product is numpy's "invalid"
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationDiverged) as err:
+    with pytest.raises(IntegrationDiverged) as err:
         integrate(prob, builtin("heun"), 0.5, 0.5)
     assert err.value.step_index == 0
     assert err.value.stage_index == 2
+
+
+@pytest.mark.parametrize("raising", [False, True], ids=["warning", "seterr"])
+@pytest.mark.parametrize("kind", ["re", "dde", "semilinear_dde"])
+def test_overflowing_stage_overlay_names_its_stage(kind, raising):
+    # finite stage values whose expo3 stage-3 overlay overflows: numpy's
+    # RuntimeWarning (warnings are errors here) or, under seterr, its
+    # FloatingPointError inside the rule is a divergence at that stage
+    L = -np.eye(3) if kind == "semilinear_dde" else None
+    prob = dataclasses.replace(_stage_values_problem(-1.5e308, 1.5e308), kind=kind, L=L)
+    mode = np.errstate(all="raise") if raising else contextlib.nullcontext()
+    with mode, pytest.raises(IntegrationDiverged, match="overlay at stage 3") as err:
+        integrate(prob, builtin("expo3"), 0.5, 0.5)
+    assert err.value.step_index == 0
+    assert err.value.stage_index == 3
 
 
 @pytest.mark.parametrize("make", [belzen, quadratic_re, daphnia])
