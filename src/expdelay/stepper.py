@@ -28,12 +28,13 @@ in the overlay rule that turns u into the polynomial on the newest interval:
 Everything in these rules but the stage values depends only on the tableau
 and h (and L), so a step plan binds it to them: one rule per component, in
 state order, ``rule(state, F, i) -> (coeffs, head)`` for row i (head None
-for RE).  The DDE and RE rules, from a small cache keyed on (tableau, h),
-hold each row's W_i padded to four columns and the constants h/k! and
-c (k-1)!; the semilinear rule folds the matrix functions, h r^k and the
-interpolation into one matrix per row.  The checked entries, :func:`step`
-and :func:`integrate`, check a state against the declared components and
-build its plan from them once per call; the stage loop :func:`_step` trusts both.
+for RE).  Every rule comes from a small cache.  The DDE and RE rules, keyed
+on (tableau, h), hold each row's W_i padded to four columns and the
+constants h/k! and c (k-1)!; the semilinear rule, keyed on the bytes of L
+as well, folds the matrix functions, h r^k and the interpolation into one
+matrix per row.  The checked entries, :func:`step` and :func:`integrate`,
+check a state against the declared components and take its plan for them
+once per call; the stage loop :func:`_step` trusts both.
 
 Row i of ``a`` with c = c_i gives the stage views (a shift plus one overlay
 polynomial); row ``b`` with c = 1 gives the appended segment.  Every stage
@@ -263,13 +264,14 @@ def _step_plan(tab: Tableau, h: float):
 
 def _plan(components, tab, h: float) -> tuple:
     """The step plan of the :func:`_components` that :func:`_check_state` read:
-    one overlay rule per entry, in state order: a new :func:`_semilinear_plan`
-    for one with an L, else its kind's rule from the cached :func:`_step_plan`
-    of (tab, h).  Refuses an h at which a nonzero node's c h underflows to 0."""
+    one overlay rule per entry, in state order, each from a cache: the
+    :func:`_semilinear_plan` of (L's shape and bytes, tab, h) for one with
+    an L, else its kind's rule from the :func:`_step_plan` of (tab, h).  Refuses
+    an h at which a nonzero node's c h underflows to 0."""
     if any(0.0 < c and c * h == 0.0 for c in tab.c):
         raise ValueError(f"a stage shift c h underflows to 0 at h = {h}, nodes {tab.c}")
     return tuple(
-        _step_plan(tab, h)[kind] if L is None else _semilinear_plan(L, tab, h)
+        _step_plan(tab, h)[kind] if L is None else _semilinear_plan(L.shape, L.tobytes(), tab, h)
         for kind, *_, L in components
     )
 
@@ -365,10 +367,19 @@ _LOBATTO_FOLD = np.concatenate((_LOBATTO_VINV[:, 1:], [[0.0, 0.0, 1.0]])) * (
 )
 
 
-def _semilinear_plan(L, tab, h: float):
+@functools.lru_cache(maxsize=4)  # a run steps with one (L, tableau, h)
+def _semilinear_plan(shape: tuple, data: bytes, tab: Tableau, h: float):
     """The :func:`_semilinear_rule` of steps of width h of a semilinear
-    component with stiff linear part L, bound to its per-row matrices; the
-    rows at one node are column slices of one matrix.
+    component with stiff linear part L, the float64 matrix of this ``shape``
+    and C-order bytes ``data``, bound to its per-row matrices; the rows at
+    one node are column slices of one matrix.
+
+    L is keyed by content, not identity, so a repeat solve, a loop of bare
+    steps and an equal problem built afresh share one plan, and a plan
+    built cold has the bits of one found warm.  The cache keeps 4 plans.
+    With p_c the highest phi order of the rows at node c, one holds
+    5d * sum_c (p_c + 1) d floats: 128 KB for expo3 at d = 20, 21 MB at
+    d = 256.
 
     The continuous output of a row at node c is e^{r c h L} y + sum_k r^k
     phi_k(r c h L) h u_k.  Its samples at the Chebyshev-Lobatto nodes r = 0
@@ -386,7 +397,7 @@ def _semilinear_plan(L, tab, h: float):
             orders[c] = max(orders.get(c, 0), W.shape[1] - 1)
     fold = _LOBATTO_FOLD.copy()
     fold[1:] *= h
-    d = len(L)
+    L, d = np.frombuffer(data).reshape(shape), shape[0]
     matrices = {}
     for c, p in orders.items():
         # phis[k, j] = phi_k(r_j c h L), r_j = 1/4, 3/4, 1
@@ -489,14 +500,12 @@ def step(problem, tab, state, t_n: float):
     it by :meth:`~expdelay.history.HistoryState.j_integrate`, which
     reproduces the scheme's own recursion for it exactly.
 
-    Its plan is one overlay rule per component; every kind but the
-    semilinear one takes them from a cache keyed on (tab, h).  A semilinear
-    step builds its rule's matrices on every call, at one d x d exponential
-    per distinct nonzero node, so many semilinear steps belong in
-    :func:`integrate` (``state0`` starts it from any state, ``observer``
-    sees every step).  A semilinear step's heads are exact; its newest
-    segment is a cubic interpolant, which is not exact when hL is stiff
-    (README, "Semilinear problems and plans").
+    Its plan is one overlay rule per component, taken from a cache keyed on
+    (tab, h), and on L's contents for a semilinear component: a loop of
+    bare steps builds a semilinear rule's matrices once, at one d x d
+    exponential per distinct nonzero node.  A semilinear step's heads are
+    exact; its newest segment is a cubic interpolant, which is not exact
+    when hL is stiff (README, "Semilinear problems and plans").
 
     Every kind runs one function, which this module binds under four
     unexported names, ``step_dde``, ``step_re``, ``step_semilinear_dde`` and
@@ -527,9 +536,10 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
     callable or None (a TypeError before anything is built).  T, tau and
     any distributed-delay bounds must be integer multiples of h,
     and a given ``state0`` is held to :func:`step`'s layout and mesh rule
-    with this h, also when T = 0.  That check, the lookup of ``step_<kind>`` and the step
-    plan (a semilinear problem's matrix functions included) happen once per
-    call; the steps then run without re-checking the states they produce.
+    with this h, also when T = 0.  That check, the lookup of ``step_<kind>`` and the
+    step plan's cache lookup happen once per call (a semilinear problem's
+    matrix functions are built on the first call for its L, tab and h); the
+    steps then run without re-checking the states they produce.
     ``observer``, if given, is called exactly once per step, in order, as
     observer(t_{n+1}, values) with the observable of
     :func:`observed_values`.  Returns the final state (or pair).  A

@@ -586,13 +586,17 @@ def _counting_expm(monkeypatch):
 
 @pytest.mark.parametrize("name, nodes", [("expeuler", 1), ("heun", 1), ("expo3", 3)])
 def test_semilinear_solve_calls_expm_once_per_node(monkeypatch, name, nodes):
-    # matrix functions are built once per solve: one d x d exponential per
-    # distinct nonzero node, none per step
+    # matrix functions are built once per (L, tableau, h): one d x d
+    # exponential per distinct nonzero node on the first solve, none per step,
+    # and none on a second solve or on a solve of an equal problem built afresh
     calls = _counting_expm(monkeypatch)
-    for steps in (10, 100):
-        calls.clear()
-        integrate(_semilinear2(), builtin(name), 0.01, steps * 0.01)
-        assert calls == [(2, 2)] * nodes
+    stepper._semilinear_plan.cache_clear()
+    prob = _semilinear2()
+    integrate(prob, builtin(name), 0.01, 10 * 0.01)
+    assert calls == [(2, 2)] * nodes
+    integrate(prob, builtin(name), 0.01, 100 * 0.01)
+    integrate(_semilinear2(), builtin(name), 0.01, 10 * 0.01)
+    assert calls == [(2, 2)] * nodes
 
 
 @pytest.mark.parametrize(
@@ -618,6 +622,7 @@ def test_semilinear_step_refuses_a_state_before_building_its_plan(monkeypatch, m
         L=-np.eye(8),
     )
     calls = _counting_expm(monkeypatch)
+    stepper._semilinear_plan.cache_clear()
     with pytest.raises(error, match="state of a semilinear_dde problem must be"):
         step(prob, builtin("expo3"), make_state(prob), 0.0)
     assert calls == []
@@ -1629,6 +1634,49 @@ def test_cold_and_warm_step_plan_cache_give_the_same_run(make):
     for (c0, h0), (c1, h1) in zip(cold, warm):
         assert c0 == c1
         assert (h0 is None and h1 is None) or h0.tobytes() == h1.tobytes()
+
+
+@pytest.mark.parametrize("name", ["expeuler", "heun", "expo3"])
+def test_cold_and_warm_semilinear_plan_cache_give_the_same_run(name):
+    tab, h = builtin(name), 0.05
+    stepper._semilinear_plan.cache_clear()
+    cold = _run_states(_semilinear3, tab, h, 20)
+    # an equal problem and tableau that are other objects, on a warm cache
+    warm = _run_states(_semilinear3, dataclasses.replace(tab), h, 20)
+    assert stepper._semilinear_plan.cache_info()[:2] == (1, 1)  # hits, misses
+    for (c0, h0), (c1, h1) in zip(cold, warm):
+        assert c0 == c1 and h0.tobytes() == h1.tobytes()
+
+
+def test_semilinear_plan_cache_misses_another_L_tableau_or_h():
+    prob, tab, h = _semilinear2(), builtin("heun"), 0.1
+    other = prob.L.copy()
+    other[1, 0] = np.nextafter(other[1, 0], 0.0)  # one entry, one ulp
+    stepper._semilinear_plan.cache_clear()
+    for L, t, width in ((prob.L, tab, h), (other, tab, h), (prob.L, builtin("expo3"), h),
+                        (prob.L, tab, 0.05)):
+        step(dataclasses.replace(prob, L=L), t, initial_state(prob, width), 0.0)
+    assert stepper._semilinear_plan.cache_info()[:2] == (0, 4)  # hits, misses
+
+
+def test_semilinear_plan_cache_stays_within_its_bound():
+    prob, tab = _semilinear2(), builtin("heun")
+    bound = stepper._semilinear_plan.cache_info().maxsize
+    assert bound is not None
+    for k in range(1, bound + 4):
+        step(prob, tab, initial_state(prob, 1.0 / k), 0.0)
+    assert stepper._semilinear_plan.cache_info().currsize <= bound
+
+
+def test_bare_semilinear_steps_build_their_plan_once(monkeypatch):
+    calls = _counting_expm(monkeypatch)
+    prob, tab, h = _semilinear2(), builtin("expo3"), 0.1
+    stepper._semilinear_plan.cache_clear()
+    state = initial_state(prob, h)
+    for n in range(10):
+        state = step(prob, tab, state, n * h)
+    assert calls == [(2, 2)] * 3  # one exponential per distinct nonzero node
+    assert stepper._semilinear_plan.cache_info()[:2] == (9, 1)  # hits, misses
 
 
 def test_step_plan_cache_stays_within_its_bound():
