@@ -41,8 +41,7 @@ that finds the log's next free slot taken, or the log full, copies the window
 into a fresh log.  An advance writes the newest (dim, 4) cubic on [-h, 0], once
 it passes :func:`_check_newest`, into that slot in O(1).  Written slots are never
 rewritten, so the log also keeps window quadrature's per-slot segment sums, which
-:meth:`HistoryState._stored_sums` alone fills, in batches, and slices; a copy
-into a fresh log carries the sums of the window's filled slots.
+:meth:`HistoryState._stored_sums` alone fills, in batches, and slices.
 A Runge-Kutta stage value is a :class:`StageView`, which overlays a single
 polynomial on [-shift, 0] over a shifted base state instead of a new history.
 """
@@ -360,9 +359,7 @@ class HistoryState:
         """Window integrand ``key``'s sums on segments [first, stop), sliced from those the
         log keeps for ``key`` (weakly).  A read that needs a slot past the filled ones fills
         every slot up to this state's newest by one call ``rule(buf[filled:end])``, so a window
-        k slots behind the newest fills about once in k appends.  A log copied by an append
-        (:meth:`_copy_log`) starts filled where its source was; a pickled state's fresh log
-        fills on its first read."""
+        k slots behind the newest fills about once in k appends, a fresh log on its first read."""
         log, end, lo = self._log, self._end, self._end - self.n_segments
         with log.lock:
             store, filled = log.sums.get(key, (None, 0))
@@ -372,22 +369,6 @@ class HistoryState:
                 store[..., filled:end] = new
                 log.sums[key] = store, end
         return store[..., lo + first : lo + stop]
-
-    def _copy_log(self) -> _Log:
-        """A fresh log whose first n slots hold this state's window, and, for each integrand,
-        the stored sums of those slots that this state's log has filled, so the copy does
-        not fill them again (:meth:`_stored_sums` fills a slot with the same bits in any
-        batch).  Slots past this state's newest hold another branch's segments; none is carried."""
-        old, n, lo = self._log, self.n_segments, self._end - self.n_segments
-        log = _Log(n, self.dim)
-        log.buf[:n] = self._coeffs
-        with old.lock:
-            for key, (store, filled) in old.sums.items():
-                if (carried := min(filled, self._end) - lo) > 0:
-                    sums = np.empty_like(store)
-                    sums[..., :carried] = store[..., lo : lo + carried]
-                    log.sums[key] = sums, carried
-        return log
 
     def _locate(self, thetas: np.ndarray):
         """Segment index and local coordinate of range-checked offsets."""
@@ -444,7 +425,8 @@ class HistoryState:
         _check_newest(coeffs, head, match=self.kind == "dde" and not _trusted)
         log, end = self._log, self._end
         if not log.claim(end, coeffs):
-            log, end = self._copy_log(), self.n_segments
+            log, end = _Log(self.n_segments, self.dim), self.n_segments
+            log.buf[:end] = self._coeffs
             log.claim(end, coeffs)
         new = object.__new__(HistoryState)
         return new._set(self.kind, self.dim, self.n_segments, self.h, head, log, end + 1)

@@ -37,9 +37,8 @@ integrand (held weakly), and one state method fills and slices that store
 slot past the filled ones, and then fills every written slot up to the
 state's newest in one call of g.  A window that ends k slots behind the
 newest segment thus calls g for its whole segments once in about k steps, on
-about 4k values; a window reaching 0 fills one slot a step.  A branch that
-copies its window into a fresh log carries the filled sums along; a pickle's
-fresh log fills once, on its first read.
+about 4k values; a window reaching 0 fills one slot a step.  A fresh log (a
+branch, a pickle) fills once, on its first read.
 
 The Gauss-Legendre tables (:func:`gauss_legendre`) are kept here; the knot
 tolerance of the range check and of the cuts is the history module's.

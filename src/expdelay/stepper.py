@@ -367,7 +367,7 @@ _LOBATTO_FOLD = np.concatenate((_LOBATTO_VINV[:, 1:], [[0.0, 0.0, 1.0]])) * (
 )
 
 
-@functools.lru_cache(maxsize=4)  # a run steps with one (L, tableau, h)
+@functools.lru_cache(maxsize=1)  # a run steps with one (L, tableau, h)
 def _semilinear_plan(shape: tuple, data: bytes, tab: Tableau, h: float):
     """The :func:`_semilinear_rule` of steps of width h of a semilinear
     component with stiff linear part L, the float64 matrix of this ``shape``
@@ -376,10 +376,12 @@ def _semilinear_plan(shape: tuple, data: bytes, tab: Tableau, h: float):
 
     L is keyed by content, not identity, so a repeat solve, a loop of bare
     steps and an equal problem built afresh share one plan, and a plan
-    built cold has the bits of one found warm.  The cache keeps 4 plans.
-    With p_c the highest phi order of the rows at node c, one holds
-    5d * sum_c (p_c + 1) d floats: 128 KB for expo3 at d = 20, 21 MB at
-    d = 256.
+    built cold has the bits of one found warm.  The cache keeps the last
+    plan only, so it helps a process that repeats one (L, tableau, h), and
+    a first solve pays the build as before.  With p_c the highest phi order
+    of the rows at node c, the plan holds 5d * sum_c (p_c + 1) d floats and
+    its key d^2: for expo3 131 KB at d = 20, 21.5 MB at d = 256, 328 MB at
+    d = 1000.
 
     The continuous output of a row at node c is e^{r c h L} y + sum_k r^k
     phi_k(r c h L) h u_k.  Its samples at the Chebyshev-Lobatto nodes r = 0
@@ -538,7 +540,7 @@ def integrate(problem, tab, h: float, T: float, observer=None, state0=None):
     and a given ``state0`` is held to :func:`step`'s layout and mesh rule
     with this h, also when T = 0.  That check, the lookup of ``step_<kind>`` and the
     step plan's cache lookup happen once per call (a semilinear problem's
-    matrix functions are built on the first call for its L, tab and h); the
+    matrix functions are built unless the last plan was for its L, tab and h); the
     steps then run without re-checking the states they produce.
     ``observer``, if given, is called exactly once per step, in order, as
     observer(t_{n+1}, values) with the observable of

@@ -84,8 +84,7 @@ def test_window_cuts_rules_and_norms_live_in_one_module_each():
 
 def test_log_sums_have_one_reader():
     # one HistoryState method fills and slices the log's stored sums, so the
-    # fill rule and the window offset live in one place; a second one only
-    # carries a window's filled sums into a copied log; _Log only makes them
+    # fill rule and the window offset live in one place; _Log only makes them
     readers = [
         (module, func.name)
         for module in SOURCES
@@ -95,7 +94,7 @@ def test_log_sums_have_one_reader():
         if isinstance(node, ast.Attribute) and node.attr == "sums"
         and isinstance(node.ctx, ast.Load)
     ]
-    assert set(readers) == {("history", "_stored_sums"), ("history", "_copy_log")}
+    assert set(readers) == {("history", "_stored_sums")}
     assert not any("_segment_sum" in _names(module)[0] for module in SOURCES)
 
 

@@ -357,39 +357,6 @@ def test_pointwise_store_follows_the_log(dim):
     check(old)  # the store now reaches past old's window
 
 
-@pytest.mark.parametrize("reader", ["older", "state", "sibling"])
-@pytest.mark.parametrize("dim, g", [(1, _KERNELS[0]), (3, _KERNELS[1])], ids=["dim1", "dim3"])
-def test_branch_carries_the_filled_sums_of_its_window(monkeypatch, dim, g, reader):
-    # a branch from a state whose next slot is taken copies the window into a
-    # fresh log with the sums its source's log had filled for that window:
-    # through an older state's newest slot (part way), through the state's
-    # own, or past it on a sibling's slots (none of which are carried).  Its
-    # first on-knot read at c = 0 fills only the slots after the carried
-    # ones, and its windows have the bits of the same state on the shared log
-    rng = np.random.default_rng(dim)
-    kernel = Pointwise(g)
-    older = _append(_random_view("re", dim, 0.25, 12, None, dim), rng, 2)
-    state = _append(older, rng, 3)
-    segment = rng.uniform(-1.0, 1.0, (dim, 4))
-    unbranched = state.shift_append(segment)  # takes the state's next slot
-    sibling = _append(unbranched, rng, 3)
-    integrate_view({"older": older, "state": state, "sibling": sibling}[reader], -3.0, 0.0, kernel)
-    branch = state.shift_append(segment)
-    assert branch._log is not state._log
-    carried = {"older": 9, "state": 12, "sibling": 12}[reader]
-    assert branch._log.sums[kernel][1] == carried
-    calls, rule = [], quadrature._segment_sums
-    monkeypatch.setattr(quadrature, "_segment_sums", lambda *a: calls.append(a) or rule(*a))
-    got = integrate_view(branch, -3.0, 0.0, kernel)
-    assert len(calls) == 1 and np.array_equal(calls[0][2], branch.coefficients()[carried - 1 :])
-    assert np.array_equal(got, integrate_view(unbranched, -3.0, 0.0, kernel))
-    overlay = rng.uniform(-1.0, 1.0, (dim, 4))
-    for a, b in ((-3.0, -1.0), (-2.9, -0.1), (-1.3, 0.0)):
-        for x, y in ((branch, unbranched), (StageView(branch, 0.1, overlay),
-                                            StageView(unbranched, 0.1, overlay))):
-            assert np.array_equal(integrate_view(x, a, b, kernel), integrate_view(y, a, b, kernel))
-
-
 def test_threads_share_one_store():
     # threads read windows through one kernel on states that share one log,
     # each thread in its own order of older and newer states, while the
