@@ -40,8 +40,9 @@ caller's coefficients, ``from_callable`` projects phi0 into it, and an advance
 that finds the log's next free slot taken, or the log full, copies the window
 into a fresh log.  An advance writes the newest (dim, 4) cubic on [-h, 0], once
 it passes :func:`_check_newest`, into that slot in O(1).  Written slots are never
-rewritten, so the log also keeps window quadrature's per-slot segment sums, which
-:meth:`HistoryState._stored_sums` alone fills, in batches, and slices.
+rewritten, so the log also keeps window quadrature's per-slot sums of whole segments
+and of window end pieces, which :meth:`HistoryState._stored_sums` alone fills, in
+batches, and reads.
 A Runge-Kutta stage value is a :class:`StageView`, which overlays a single
 polynomial on [-shift, 0] over a shifted base state instead of a new history.
 """
@@ -68,6 +69,11 @@ _NCOEF = DEGREE + 1
 
 #: relative knot tolerance: closer mesh positions count as one
 _KNOT_RTOL = 1e-9
+
+#: log slots that one fill of a window end piece's stored sums covers at most
+_PIECE_BATCH = 64
+#: stores that the log keeps at most per window integrand, the whole-segment one included
+_STORES = 64
 
 # Chebyshev-Lobatto points on [0, 1]: (1 - cos(j*pi/3))/2.  They include the
 # endpoints, so neighbouring DDE cubics interpolate one shared sample at each
@@ -355,20 +361,43 @@ class HistoryState:
         n = self.n_segments
         return (np.arange(n + 1) - n) * self.h
 
-    def _stored_sums(self, key, rule, first: int, stop: int) -> np.ndarray:
-        """Window integrand ``key``'s sums on segments [first, stop), sliced from those the
-        log keeps for ``key`` (weakly).  A read that needs a slot past the filled ones fills
-        every slot up to this state's newest by one call ``rule(buf[filled:end])``, so a window
-        k slots behind the newest fills about once in k appends, a fresh log on its first read."""
+    def _stored_sums(self, key, rule, whole, first: int, stop: int, pieces: tuple):
+        """Window integrand ``key``'s sums, read from those the log keeps for it (weakly),
+        one store per rule's key: the sums of the rule ``whole`` on segments [first, stop),
+        or None for no segment, and a list of the sum of each (segment, rule) of ``pieces``;
+        ``rule(r, cubics)`` gives rule r's sums on a slice of the log.  A whole-segment read
+        that needs a slot past the filled ones fills every slot up to this state's newest
+        in one call, so a window k slots behind the newest fills about once in k appends, a
+        fresh log on its first read.  A piece's store keeps one batch of slots: a read
+        outside it fills from its slot through ``_PIECE_BATCH`` slots, capped at the newest,
+        so a piece on the oldest segment holds O(_PIECE_BATCH) sums, not O(n).  A new
+        piece's store past ``_STORES`` drops the oldest piece's, so that reads of ever new
+        bounds keep O(_STORES * _PIECE_BATCH) sums besides the whole-segment ones."""
         log, end, lo = self._log, self._end, self._end - self.n_segments
+        sums, parts = None, []
         with log.lock:
-            store, filled = log.sums.get(key, (None, 0))
-            if filled < lo + stop:
-                new = rule(log.buf[filled:end])
-                store = np.empty(new.shape[:-1] + (len(log.buf),)) if store is None else store
-                store[..., filled:end] = new
-                log.sums[key] = store, end
-        return store[..., lo + first : lo + stop]
+            stores = log.sums.get(key, {})
+            if first < stop:
+                store, filled = stores.get(whole.key, (None, 0))
+                if filled < lo + stop:
+                    new = rule(whole, log.buf[filled:end])
+                    store = np.empty(new.shape[:-1] + (len(log.buf),)) if store is None else store
+                    store[..., filled:end] = new
+                    stores[whole.key] = store, end
+                    log.sums[key] = stores
+                sums = store[..., lo + first : lo + stop]
+            for i, piece in pieces:
+                batch, start = stores.get(piece.key, ((), 0))
+                if not 0 <= lo + i - start < len(batch):
+                    start = lo + i
+                    # slot-major, so that a slot's sum reads as a scalar or a (q,) row
+                    batch = rule(piece, log.buf[start : min(start + _PIECE_BATCH, end)]).T
+                    if piece.key not in stores and len(stores) >= _STORES:
+                        del stores[next(k for k in stores if k != whole.key)]
+                    stores[piece.key] = batch, start
+                    log.sums[key] = stores
+                parts.append(batch[lo + i - start])
+        return sums, parts
 
     def _locate(self, thetas: np.ndarray):
         """Segment index and local coordinate of range-checked offsets."""

@@ -19,26 +19,37 @@ only on the mesh (tau/h and h), the view's stage shift and the bounds, which
 take a handful of values in a run.  They are computed once per such key, in
 one bounded cache, as a read-only window plan (:func:`_window_plan`); a call
 then reads only coefficients: it gathers the end polynomials, if any, and
-multiplies them by the plan's node powers.
+multiplies them by the plan's node powers.  The plan also holds the rule of a
+whole segment and of each end piece with a store (below) as a :class:`_Piece`:
+node powers, doubled weights and a key.
 
-Every integrand takes its whole segments by one rule (:func:`_segment_sums`):
-the segments share their local nodes, so their values at all nodes are one
-product of a fixed 4x4 power matrix with the contiguous slice of their
-coefficients, one call of the integrand takes them all, and the rule's sums
+Every integrand takes its whole segments, and a :class:`Pointwise` one also
+its end pieces on the log, by one rule (:func:`_segment_sums`): the segments
+share their local nodes, so their values at all nodes are one product of a
+fixed 4x4 power matrix with the contiguous slice of their coefficients, one
+call of the integrand takes them all, and the rule's sums
 h sum_k W_k f(theta_jk, p_j(X_k)) per segment p_j come out of one product with
-the weights.  Both products keep each segment's bits in any slice
-(:func:`_gemm`).  A window is the end pieces' sum plus the numpy (pairwise)
-sum of its segment sums.
+the weights (an end piece's own powers and weights in its place).  Both
+products keep each segment's bits in any slice (:func:`_gemm`).  A window is
+the end pieces' sum plus the numpy (pairwise) sum of its segment sums.
 
-A :class:`Pointwise` integrand g(x) ignores theta, so its sum on a segment is
-fixed once the segment is written: the history log stores it per slot and
-integrand (held weakly), and one state method fills and slices that store
-(``HistoryState._stored_sums``).  A read fills only when its window needs a
-slot past the filled ones, and then fills every written slot up to the
-state's newest in one call of g.  A window that ends k slots behind the
-newest segment thus calls g for its whole segments once in about k steps, on
-about 4k values; a window reaching 0 fills one slot a step.  A fresh log (a
-branch, a pickle) fills once, on its first read.
+A :class:`Pointwise` integrand g(x) ignores theta, so its sum on a segment, by
+the whole rule or by an end piece's rule, is fixed once the segment is
+written: the history log stores it per slot, integrand (held weakly) and rule
+key, and one state method fills those stores and reads all of a window's sums
+from them (``HistoryState._stored_sums``), each by the one rule above, so a
+sum has the same bits whenever it was filled.  The whole-segment store fills
+only when a window needs a slot past the filled ones, and then fills every
+written slot up to the state's newest in one call of g: a window that ends k
+slots behind the newest segment calls g for its whole segments once in about
+k steps, on about 4k values, and a window reaching 0 fills one slot a step.
+A piece's store keeps one batch of slots, filled from the slot a read needs
+through a fixed number of slots, capped at the newest, so a stage view's end
+pieces on the log call g once a batch, not at every stage.  Two pieces have
+no store and call g on every read: one in a stage overlay, which is not on
+the log, and one on the newest segment, whose batch would hold one slot and
+refill at every step.  A fresh log (a branch, a pickle) fills on its first
+read.
 
 The Gauss-Legendre tables (:func:`gauss_legendre`) are kept here; the knot
 tolerance of the range check and of the cuts is the history module's.
@@ -93,6 +104,15 @@ _ENDS[2, 8:], _ENDS[3, 8:] = -_W, _W
 _ENDS.setflags(write=False)
 
 
+class _Piece(NamedTuple):
+    """A Gauss-Legendre rule on fixed local nodes of a segment: whole, or a
+    window's end piece on the log (:func:`_segment_sums` applies it)."""
+
+    powers: np.ndarray  # (4, 4) local node powers, lowest first (read-only)
+    weights: np.ndarray  # (2, 4) the weights in theta, twice over (see _gemm; read-only)
+    key: object  # its store's key on the log: "whole", or a piece's powers and weights as bytes
+
+
 class _Plan(NamedTuple):
     """The geometry of a window on a view's mesh (:func:`_window_plan`)."""
 
@@ -103,6 +123,9 @@ class _Plan(NamedTuple):
     thetas: np.ndarray  # the end pieces' node offsets, 4 per piece (read-only)
     weights: np.ndarray  # their Gauss-Legendre weights (read-only)
     powers: np.ndarray  # (pieces, 4, 4) local node powers, lowest first (read-only)
+    whole: _Piece  # the rule on a whole segment
+    stored: tuple  # (segment, _Piece) of each end piece with a store (see _window_plan)
+    called: tuple  # the positions in ``ends`` of the others, which Pointwise reads per call
 
 
 @functools.lru_cache(maxsize=256)  # a run asks for a handful of windows, one per stage shift
@@ -121,8 +144,13 @@ def _window_plan(n: int, h: float, shift: float, a: float, b: float) -> _Plan:
     and none when both bounds are such knots; a piece right of knot n lies in
     the overlay, on [-shift, 0].  Each gets the 4-node Gauss-Legendre rule:
     node offsets, weights and the powers of its local nodes, which times the
-    piece's coefficients give its values.  The geometry depends on these
-    arguments only, so it is computed once and its arrays are shared, read-only.
+    piece's coefficients give its values.  A piece on a segment of the log
+    also gets its rule as a :class:`_Piece`, keyed by the bits of its powers and
+    weights, so that equal pieces of any plan share one store; not one on the
+    newest segment, n - 1, whose store would refill at every step, nor the
+    overlay's, which is not on the log.  The geometry
+    depends on these arguments only, so it is computed once and its arrays are
+    shared, read-only.
     """
     tol = _knot_tol(n * h)
     lo, hi = a + tol, b - tol
@@ -155,9 +183,17 @@ def _window_plan(n: int, h: float, shift: float, a: float, b: float) -> _Plan:
     nodes = np.array([bounds for _, *bounds in ends]).reshape(-1, 4) @ _ENDS
     thetas, weights = nodes[:, 4:8].ravel(), nodes[:, 8:].ravel()
     powers = nodes[:, :4, None] ** np.arange(4.0)
-    for arr in (thetas, weights, powers):
+    doubled = np.repeat(nodes[:, None, 8:], 2, axis=1)
+    whole = _Piece(_POWERS, h * _WEIGHTS, "whole")
+    for arr in (thetas, weights, powers, doubled, whole.weights):
         arr.setflags(write=False)
-    return _Plan(s, m, left, tuple(i for i, *_ in ends), thetas, weights, powers)
+    segments = tuple(i for i, *_ in ends)
+    stored = tuple(
+        (i, _Piece(p, w, p.tobytes() + w.tobytes()))
+        for i, p, w in zip(segments, powers, doubled) if 0 <= i < n - 1
+    )
+    called = tuple(k for k, i in enumerate(segments) if not 0 <= i < n - 1)
+    return _Plan(s, m, left, segments, thetas, weights, powers, whole, stored, called)
 
 
 def _pieces(view, a: float, b: float):
@@ -172,7 +208,8 @@ def _pieces(view, a: float, b: float):
 
 class Pointwise:
     """The integrand ``(theta, x) -> g(x)``, g vectorised from (m, dim) to (m,) or (m, q);
-    :func:`integrate_view` caches its segment sums, so build it once and reuse it."""
+    :func:`integrate_view` caches its sums on segments and end pieces, so build it once
+    and reuse it."""
 
     def __init__(self, g):
         if not callable(g):
@@ -198,15 +235,16 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ b[:, [0, 0]])[:, :1] if b.shape[1] == 1 else a @ b
 
 
-def _segment_sums(g, h: float, coeffs: np.ndarray) -> np.ndarray:
-    """h sum_k W_k g(p(X_k)) of each (dim, 4) cubic p of ``coeffs``, p last; g
-    gets the values node-major, node k of cubic j at row k len(coeffs) + j.
-    Both products go through :func:`_gemm`, so a cubic's sum has the same bits
-    in every batch it is computed in (for a g that is elementwise too): stored
-    sums do not depend on when they were filled."""
+def _segment_sums(g, piece: _Piece, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k w_k g(p(s_k)) of each (dim, 4) cubic p of ``coeffs``, p last, by the
+    rule ``piece`` (local nodes s_k, weights w_k); g gets the values node-major,
+    node k of cubic j at row k len(coeffs) + j.  Both products go through
+    :func:`_gemm`, so a cubic's sum has the same bits in every batch it is
+    computed in (for a g that is elementwise too): stored sums do not depend on
+    when they were filled."""
     k, dim = coeffs.shape[:2]
-    fv = _checked(g(_gemm(_POWERS, coeffs.reshape(-1, 4).T).reshape(4 * k, dim)), 4 * k)
-    return _gemm(h * _WEIGHTS, fv.reshape(4, -1))[0].reshape((k,) + fv.shape[1:]).T
+    fv = _checked(g(_gemm(piece.powers, coeffs.reshape(-1, 4).T).reshape(4 * k, dim)), 4 * k)
+    return _gemm(piece.weights, fv.reshape(4, -1))[0].reshape((k,) + fv.shape[1:]).T
 
 
 def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
@@ -219,8 +257,9 @@ def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
     (m, q).  The result has the integrand's trailing shape: () for scalar
     densities.  It is called once on the end pieces, if any (none when both
     bounds are knots), and, when the window holds whole segments, once on all
-    their nodes; a :class:`Pointwise` integrand takes those segments' sums
-    from the history log instead.
+    their nodes.  A :class:`Pointwise` integrand takes the sums of those
+    segments and of the end pieces with a store from the history log instead,
+    and is called only on a piece in a stage overlay or on the newest segment.
     """
     if type(a) is not float or type(b) is not float:  # Python floats need no check
         a, b = (float(_as_shaped(x, (), "window bound holds")) for x in (a, b))
@@ -231,18 +270,27 @@ def integrate_view(view, a: float, b: float, integrand) -> np.ndarray:
         raise ValueError(f"window [{a}, {b}] outside [-{view.tau}, 0]")
     plan, base, overlay = _pieces(view, a, b)
     m, h, first = plan.m, view.h, plan.first
+    if isinstance(integrand, Pointwise):
+        # a stage view's segments are its base's, and so are their sums
+        rule = functools.partial(_segment_sums, integrand.g)
+        whole, ends = base._stored_sums(integrand, rule, plan.whole, first, first + m, plan.stored)
+        for k in plan.called:
+            row = overlay if plan.ends[k] < 0 else base._coeffs[plan.ends[k]]
+            vals = _checked(integrand.g(plan.powers[k] @ row.T), 4)
+            ends.append(plan.weights[4 * k : 4 * k + 4] @ vals)
+        # the stored values are views of the store: the sum starts from a fresh array
+        total = whole.sum(axis=-1) if m else +ends.pop()
+        for end in ends:
+            total = total + end
+        return total
     if plan.ends:  # the end pieces' values: their polynomials times their node powers
         rows = np.array([overlay if i < 0 else base._coeffs[i] for i in plan.ends])
         end_vals = (plan.powers @ rows.transpose(0, 2, 1)).reshape(-1, view.dim)
         ends = plan.weights @ _checked(integrand(plan.thetas, end_vals), len(end_vals))
         if not m:
             return ends
-    if isinstance(integrand, Pointwise):
-        rule = lambda c: _segment_sums(integrand.g, h, c)  # noqa: E731
-        # a stage view's whole segments are its base's, and so are their sums
-        whole = base._stored_sums(integrand, rule, first, first + m)
-    else:  # node k of whole segment j at left + h X_k + h j, node-major as _segment_sums reads
-        thetas = np.add.outer(plan.left + h * _X, h * np.arange(m)).ravel()
-        g = functools.partial(integrand, thetas)
-        whole = _segment_sums(g, h, base._coeffs[first : first + m])
+    # node k of whole segment j at left + h X_k + h j, node-major as _segment_sums reads
+    thetas = np.add.outer(plan.left + h * _X, h * np.arange(m)).ravel()
+    g = functools.partial(integrand, thetas)
+    whole = _segment_sums(g, plan.whole, base._coeffs[first : first + m])
     return ends + whole.sum(axis=-1) if plan.ends else whole.sum(axis=-1)

@@ -30,7 +30,7 @@ and h (and L), so a step plan binds it to them: one rule per component, in
 state order, ``rule(state, F, i) -> (coeffs, head)`` for row i (head None
 for RE).  Every rule comes from a small cache.  The DDE and RE rules, keyed
 on (tableau, h), hold each row's W_i padded to four columns and the
-constants h/k! and c (k-1)!; the semilinear rule, keyed on the bytes of L
+constants h/k! and c (k-1)!; the semilinear rule, keyed on L's contents
 as well, folds the matrix functions, h r^k and the interpolation into one
 matrix per row.  The checked entries, :func:`step` and :func:`integrate`,
 check a state against the declared components and take its plan for them
@@ -50,7 +50,7 @@ import functools
 import math
 import operator
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -141,6 +141,25 @@ def _check_fields(problem, dim_fields, callables):
     object.__setattr__(problem, "distributed_limits", tuple(limits.tolist()))
 
 
+class _ByContent:
+    """A read-only float64 matrix as a cache key: equal to another key of the
+    same shape and bytes, and hashed from those once, when it is made.  It
+    holds the matrix itself, not a copy of its bytes."""
+
+    __slots__ = ("matrix", "_hash")
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix, self._hash = matrix, hash((matrix.shape, matrix.tobytes()))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return isinstance(other, _ByContent) and self.matrix.shape == other.matrix.shape and (
+            self.matrix.tobytes() == other.matrix.tobytes()
+        )
+
+
 @dataclass(frozen=True)
 class Problem:
     """A delay or renewal equation with right-hand side F(t, history).
@@ -151,7 +170,8 @@ class Problem:
     distributed-delay terms; :func:`initial_state`, :func:`step` and
     :func:`integrate` raise a MeshError for one off the mesh of width h.
     ``L`` is the stiff linear part of a semilinear DDE and is rejected for
-    every other kind.
+    every other kind; the problem keeps a read-only copy of it, and that
+    copy's content key for the step plan's cache.
     """
 
     kind: str
@@ -180,6 +200,7 @@ class Problem:
                 raise ValueError("L must be finite")
             L.setflags(write=False)
             object.__setattr__(self, "L", L)
+            object.__setattr__(self, "_L_key", _ByContent(L))
         elif self.L is not None:
             raise ValueError(f"L is only used by semilinear_dde, not {self.kind!r}")
         if not self.component_names:
@@ -187,6 +208,11 @@ class Problem:
                 f"x{i + 1}" for i in range(self.dim)
             )
             object.__setattr__(self, "component_names", names)
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __post_init__: a read-only L, and a key
+        # hashed in the process that reads it (a bytes hash differs between processes)
+        return Problem, tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -265,13 +291,13 @@ def _step_plan(tab: Tableau, h: float):
 def _plan(components, tab, h: float) -> tuple:
     """The step plan of the :func:`_components` that :func:`_check_state` read:
     one overlay rule per entry, in state order, each from a cache: the
-    :func:`_semilinear_plan` of (L's shape and bytes, tab, h) for one with
+    :func:`_semilinear_plan` of (L's content key, tab, h) for one with
     an L, else its kind's rule from the :func:`_step_plan` of (tab, h).  Refuses
     an h at which a nonzero node's c h underflows to 0."""
     if any(0.0 < c and c * h == 0.0 for c in tab.c):
         raise ValueError(f"a stage shift c h underflows to 0 at h = {h}, nodes {tab.c}")
     return tuple(
-        _step_plan(tab, h)[kind] if L is None else _semilinear_plan(L.shape, L.tobytes(), tab, h)
+        _step_plan(tab, h)[kind] if L is None else _semilinear_plan(L, tab, h)
         for kind, *_, L in components
     )
 
@@ -368,19 +394,21 @@ _LOBATTO_FOLD = np.concatenate((_LOBATTO_VINV[:, 1:], [[0.0, 0.0, 1.0]])) * (
 
 
 @functools.lru_cache(maxsize=1)  # a run steps with one (L, tableau, h)
-def _semilinear_plan(shape: tuple, data: bytes, tab: Tableau, h: float):
+def _semilinear_plan(key: _ByContent, tab: Tableau, h: float):
     """The :func:`_semilinear_rule` of steps of width h of a semilinear
-    component with stiff linear part L, the float64 matrix of this ``shape``
-    and C-order bytes ``data``, bound to its per-row matrices; the rows at
-    one node are column slices of one matrix.
+    component with stiff linear part L, the matrix of the problem's content
+    ``key``, bound to its per-row matrices; the rows at one node are column
+    slices of one matrix.
 
     L is keyed by content, not identity, so a repeat solve, a loop of bare
     steps and an equal problem built afresh share one plan, and a plan
-    built cold has the bits of one found warm.  The cache keeps the last
-    plan only, so it helps a process that repeats one (L, tableau, h), and
-    a first solve pays the build as before.  With p_c the highest phi order
-    of the rows at node c, the plan holds 5d * sum_c (p_c + 1) d floats and
-    its key d^2: for expo3 131 KB at d = 20, 21.5 MB at d = 256, 328 MB at
+    built cold has the bits of one found warm.  The key is made, and its
+    hash taken, once per problem, so a step's cache lookup reads no byte of
+    L.  The cache keeps the last plan only, so it helps a process that
+    repeats one (L, tableau, h), and a first solve pays the build as before.
+    With p_c the highest phi order of the rows at node c, the plan holds
+    5d * sum_c (p_c + 1) d floats, and its key keeps the problem's d^2 floats
+    of L alive: for expo3 131 KB at d = 20, 21.5 MB at d = 256, 328 MB at
     d = 1000.
 
     The continuous output of a row at node c is e^{r c h L} y + sum_k r^k
@@ -399,7 +427,7 @@ def _semilinear_plan(shape: tuple, data: bytes, tab: Tableau, h: float):
             orders[c] = max(orders.get(c, 0), W.shape[1] - 1)
     fold = _LOBATTO_FOLD.copy()
     fold[1:] *= h
-    L, d = np.frombuffer(data).reshape(shape), shape[0]
+    L, d = key.matrix, len(key.matrix)
     matrices = {}
     for c, p in orders.items():
         # phis[k, j] = phi_k(r_j c h L), r_j = 1/4, 3/4, 1
@@ -427,8 +455,9 @@ def _semilinear_plan(shape: tuple, data: bytes, tab: Tableau, h: float):
 def _components(problem, h) -> tuple:
     """The problem's state components in state order, one (kind, dim, n, h,
     phi0, L) each: n = tau/h segments of width h, the initial history phi0,
-    and L the stiff linear part or None.  Given h, each distributed bound and
-    then tau must be on its mesh (MeshError); with h None, n is None too."""
+    and L the :class:`_ByContent` key of the stiff linear part or None.
+    Given h, each distributed bound and then tau must be on its mesh
+    (MeshError); with h None, n is None too."""
     if h is not None:
         h = float(_as_shaped(h, (), "h holds"))
         for lim in problem.distributed_limits:
@@ -437,7 +466,8 @@ def _components(problem, h) -> tuple:
     if problem.kind == "coupled":
         return (("re", problem.dim_re, n, h, problem.phi0_re, None),
                 ("dde", problem.dim_dde, n, h, problem.phi0_dde, None))
-    return (("re" if problem.kind == "re" else "dde", problem.dim, n, h, problem.phi0, problem.L),)
+    L = None if problem.L is None else problem._L_key
+    return (("re" if problem.kind == "re" else "dde", problem.dim, n, h, problem.phi0, L),)
 
 
 def _boxed(states):

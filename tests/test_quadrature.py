@@ -2,6 +2,7 @@ import gc
 import pickle
 import sys
 import threading
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from expdelay import (
     quadratic_re,
     step,
 )
-from expdelay import problems, quadrature
+from expdelay import history, problems, quadrature
 from expdelay.history import _knot_tol
 from expdelay.quadrature import _pieces, _window_plan
 
@@ -262,11 +263,17 @@ _KERNELS = (
 @pytest.mark.parametrize("dim, g", [(1, _KERNELS[0]), (3, _KERNELS[1])], ids=["dim1", "dim3"])
 def test_segment_sums_keep_their_bits_in_any_batch(dim, g):
     # a fill computes the slots it reaches in one batch: each cubic's sum has
-    # the same bits alone as at any position of a longer slice
+    # the same bits alone as at any position of a longer slice, by the rule of
+    # a whole segment and by those of a stage view's two end pieces on the log
     coeffs = np.random.default_rng(dim).uniform(-1.0, 1.0, (70, dim, 4))
-    whole = quadrature._segment_sums(g, 0.1, coeffs)
-    for lo, hi in ((0, 1), (5, 6), (69, 70), (3, 5), (7, 40), (1, 70)):
-        assert np.array_equal(quadrature._segment_sums(g, 0.1, coeffs[lo:hi]), whole[..., lo:hi])
+    plan = _window_plan(70, 0.1, 0.03, -7.0, -0.95)
+    rules = [plan.whole] + [piece for _, piece in plan.stored]
+    assert len(rules) == 3
+    for rule in rules:
+        whole = quadrature._segment_sums(g, rule, coeffs)
+        for lo, hi in ((0, 1), (5, 6), (69, 70), (3, 5), (7, 40), (1, 70)):
+            assert np.array_equal(quadrature._segment_sums(g, rule, coeffs[lo:hi]),
+                                  whole[..., lo:hi])
 
 
 def _random_view(kind, dim, h, n, c, seed):
@@ -323,6 +330,107 @@ def _append(state, rng, k):
     for _ in range(k):
         state = state.shift_append(rng.uniform(-1.0, 1.0, (state.dim, 4)))
     return state
+
+
+#: a window bound near knot k of a view: on it, one ulp below or above it,
+#: or a fraction of the way to knot k + 1
+_near_knot = st.tuples(
+    st.integers(min_value=0, max_value=40),
+    st.one_of(st.sampled_from(["on", "below", "above"]),
+              st.floats(min_value=0.01, max_value=0.99)),
+)
+
+
+def _near(knots, k, where):
+    if where in ("on", "below", "above"):
+        knot = knots[k % len(knots)]
+        toward = {"on": knot, "below": -np.inf, "above": np.inf}[where]
+        return float(np.nextafter(knot, toward))
+    k %= len(knots) - 1
+    return float(knots[k] + where * (knots[k + 1] - knots[k]))
+
+
+def _newer(state, rng, k):
+    """``state`` and k states appended after it, oldest first."""
+    chain = [state]
+    for _ in range(k):
+        coeffs = rng.uniform(-1.0, 1.0, (state.dim, 4))
+        head = coeffs.sum(axis=1) if state.kind == "dde" else None
+        chain.append(chain[-1].shift_append(coeffs, head))
+    return chain
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from(["re", "dde"]),
+    dim=st.sampled_from([1, 3]),
+    h=st.sampled_from([0.25, 0.5, 0.1, 1.0 / 3.0]),
+    n=st.integers(min_value=1, max_value=10),
+    c=st.one_of(st.none(), st.just(1.0), st.floats(min_value=0.01, max_value=0.99)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    bounds=st.tuples(_near_knot, _near_knot),
+    appends=st.integers(min_value=1, max_value=12),
+    batch=st.sampled_from([1, 3, 64]),
+    g=st.sampled_from(_KERNELS),
+)
+@example(kind="re", dim=1, h=0.25, n=8, c=0.5, seed=0, bounds=((0, "on"), (4, "on")),
+         appends=12, batch=64, g=_KERNELS[0])
+@example(kind="dde", dim=3, h=0.1, n=10, c=None, seed=1, bounds=((2, "above"), (7, "below")),
+         appends=5, batch=3, g=_KERNELS[1])
+@example(kind="re", dim=3, h=0.5, n=4, c=0.3, seed=2, bounds=((1, 0.4), (1, 0.7)),
+         appends=8, batch=1, g=_KERNELS[1])
+@example(kind="dde", dim=1, h=1 / 3, n=6, c=1.0, seed=3, bounds=((0, "on"), (6, "on")),
+         appends=3, batch=3, g=_KERNELS[0])
+def test_stored_pieces_match_the_per_call_path(kind, dim, h, n, c, seed, bounds, appends, batch,
+                                               g):
+    # windows with bounds on knots, one ulp off them and inside segments, on
+    # states and stage views: the sums of the end pieces on the log, read from
+    # the store, agree with the per-call path within 1e-14 of scale.  The
+    # states of one log read oldest first, as a run does, so newer states read
+    # slots inside a piece's batch, then newest first, so older states read
+    # slots before it; each gives the same bits as its pickled copy, whose
+    # fresh log fills in one batch, and a branch from the next-to-newest state
+    # (a fresh log) agrees too
+    rng = np.random.default_rng(seed)
+    states = _newer(_random_view(kind, dim, h, n, None, seed), rng, appends)
+    branch = _newer(states[-2], rng, 1)[-1]
+    assert branch._log is not states[-2]._log
+
+    def on(state):
+        if c is None:
+            return state
+        overlay = rng.uniform(-1.0, 1.0, (dim, 4))
+        return StageView(state, c * h, overlay, overlay.sum(axis=1) if kind == "dde" else None)
+
+    views = [on(state) for state in states + states[::-1] + [branch]]
+    knots = views[0].breakpoints()
+    a, b = sorted(_near(knots, *bound) for bound in bounds)
+    if b - a < 1e-3 * h:
+        return
+    kernel = Pointwise(g)
+    with unittest.mock.patch.object(history, "_PIECE_BATCH", batch):
+        for view in views:
+            got = integrate_view(view, a, b, kernel)
+            _assert_matches_per_call_path(view, a, b, kernel, got)
+            copy = pickle.loads(pickle.dumps(view))
+            assert getattr(copy, "base", copy)._log is not getattr(view, "base", view)._log
+            assert np.array_equal(integrate_view(copy, a, b, kernel), got)
+
+
+def test_piece_stores_stay_within_their_bound(monkeypatch):
+    # reads of ever new bounds on one log add a piece store each: past the
+    # bound the oldest piece's store goes, never the whole-segment one, and
+    # every read still agrees with the per-call path
+    monkeypatch.setattr(history, "_STORES", 4)
+    state = _random_view("re", 1, 0.25, 8, None, 0)
+    view = StageView(state, 0.1, np.ones((1, 4)))
+    kernel = Pointwise(_KERNELS[0])
+    for b in np.linspace(-1.6, -0.5, 12):
+        got = integrate_view(view, -1.93, float(b), kernel)
+        _assert_matches_per_call_path(view, -1.93, float(b), kernel, got)
+        stores = state._log.sums[kernel]
+        assert "whole" in stores and len(stores) <= 4
+    assert len(stores) == 4
 
 
 @pytest.mark.parametrize("dim", [1, 3])
@@ -426,29 +534,34 @@ def test_window_cost_per_step_does_not_grow_with_tau_over_h(monkeypatch):
 
 def test_on_knot_window_reads_stored_sums_filled_in_batches(monkeypatch):
     # quadratic_re's window [-3, -1] has both bounds on the knots of h = 0.25:
-    # stage 1 (c = 0) reads the state's stored sums and calls g on no end
-    # piece, and the sums fill in batches, when the window's end, lag = 1/h
-    # slots behind the newest segment, passes the filled slots: not every step
-    fills, ends, views = [], [], []
+    # stage 1 (c = 0) reads the state's stored whole-segment sums, and the
+    # stage views of c > 0 read their two end pieces on the log from stored
+    # sums too, so no stage calls the integrand on an end piece.  The sums
+    # fill in batches: the whole segments' when the window's end, lag = 1/h
+    # slots behind the newest segment, passes the filled slots; each piece's
+    # when its slot leaves its batch, which is capped at the newest slot
+    fills, ends, views = {}, [], []
 
     class Counted(Pointwise):
-        def __init__(self, g):
-            super().__init__(lambda x: fills.append(len(x)) or g(x))
-            self.raw = g
-
-        def __call__(self, theta, x):  # the end pieces; fills call .g
+        def __call__(self, theta, x):  # the per-call path
             ends.append(type(views[-1]))
-            return self.raw(x)
+            return self.g(x)
 
-    real = problems.integrate_view
+    real, rule = problems.integrate_view, quadrature._segment_sums
     monkeypatch.setattr(problems, "Pointwise", Counted)
     monkeypatch.setattr(problems, "integrate_view",
                         lambda v, *args: views.append(v) or real(v, *args))
+    monkeypatch.setattr(quadrature, "_segment_sums", lambda g, piece, coeffs: fills.setdefault(
+        piece.key, []).append(len(coeffs)) or rule(g, piece, coeffs))
     h, steps, lag = 0.25, 40, 4
     final = integrate(problems.quadratic_re(), builtin("expo3"), h, steps * h)
     assert len(views) == 3 * steps
-    assert ends == [StageView] * (2 * steps)  # one end-piece call at each stage with c > 0
-    assert 0 < len(fills) <= steps / lag + 1
+    assert ends == []  # no end-piece call at any stage
+    assert 0 < len(fills.pop("whole")) <= steps / lag + 1
+    # a piece at each end of the window, at each of the two stages with c > 0
+    assert len(fills) == 4
+    for sizes in fills.values():
+        assert 0 < len(sizes) <= steps / lag + 1 and max(sizes) <= history._PIECE_BATCH
     # the same run, read through the per-call path, agrees to roundoff
     monkeypatch.setattr(problems, "Pointwise", lambda g: (lambda th, x: g(x)))
     per_call = integrate(problems.quadratic_re(), builtin("expo3"), h, steps * h)
@@ -565,9 +678,31 @@ def test_cached_window_plan_equals_a_fresh_one(kind, h, n, c, seed, ends):
     assert plan is _window_plan(*_plan_key(view, a, b))
     fresh = _window_plan.__wrapped__(*_plan_key(view, a, b))
     assert plan._fields == fresh._fields
-    for got, want in zip(plan, fresh):
+    for got, want in zip(plan[:7], fresh[:7]):
         assert _same_bits(got, want)
-    for arr in plan[4:]:
+    # the rules of a whole segment and of each end piece with a store, on a
+    # segment of the log but the newest: equal bits and keys, each piece's the
+    # plan's arrays of that piece, with its weights doubled, and its key made
+    # of their bits; the others, the overlay's and one on the newest segment,
+    # are read per call
+    newest = _plan_key(view, a, b)[0] - 1
+    assert [i for i, _ in plan.stored] == [i for i, _ in fresh.stored]
+    assert [i for i, _ in plan.stored] == [i for i in plan.ends if 0 <= i < newest]
+    assert plan.called == fresh.called
+    assert [plan.ends[k] for k in plan.called] == [i for i in plan.ends if not 0 <= i < newest]
+    rules = [plan.whole, *(piece for _, piece in plan.stored)]
+    fresh_rules = [fresh.whole, *(piece for _, piece in fresh.stored)]
+    for got, want in zip(rules, fresh_rules, strict=True):
+        assert got.key == want.key
+        assert _same_bits(got.powers, want.powers) and _same_bits(got.weights, want.weights)
+    assert plan.whole.key == "whole"
+    assert _same_bits(plan.whole.weights, np.array([h * quadrature._W] * 2))
+    logged = [k for k in range(len(plan.ends)) if k not in plan.called]
+    for k, (_, piece) in zip(logged, plan.stored, strict=True):
+        assert _same_bits(piece.powers, plan.powers[k])
+        assert _same_bits(piece.weights, np.array([plan.weights[4 * k : 4 * k + 4]] * 2))
+        assert piece.key == piece.powers.tobytes() + piece.weights.tobytes()
+    for arr in (*plan[4:7], *(arr for rule in rules for arr in rule[:2])):
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
     # the pieces tile the window: whole segments between up to two end pieces,

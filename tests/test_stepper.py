@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import dataclasses
 import math
 import sys
@@ -1677,6 +1678,50 @@ def test_bare_semilinear_steps_build_their_plan_once(monkeypatch):
         state = step(prob, tab, state, n * h)
     assert calls == [(2, 2)] * 3  # one exponential per distinct nonzero node
     assert stepper._semilinear_plan.cache_info()[:2] == (9, 1)  # hits, misses
+
+
+def test_bare_semilinear_steps_make_the_content_key_once(monkeypatch):
+    # L's content key is made with the problem, so a loop of bare steps copies
+    # and hashes no byte of L; an equal problem built afresh makes an equal
+    # key, which finds the cached plan
+    made = []
+
+    class Counted(stepper._ByContent):
+        __slots__ = ()
+
+        def __init__(self, matrix):
+            made.append(matrix.shape)
+            super().__init__(matrix)
+
+    monkeypatch.setattr(stepper, "_ByContent", Counted)
+    prob, tab, h = _semilinear2(), builtin("expo3"), 0.1
+    stepper._semilinear_plan.cache_clear()
+    state = initial_state(prob, h)
+    for n in range(10):
+        state = step(prob, tab, state, n * h)
+    assert made == [(2, 2)]
+    again = _semilinear2()
+    assert made == [(2, 2)] * 2
+    assert again._L_key is not prob._L_key and again._L_key == prob._L_key
+    assert hash(again._L_key) == hash(prob._L_key)
+    step(again, tab, initial_state(again, h), 0.0)
+    assert stepper._semilinear_plan.cache_info()[:2] == (10, 1)  # hits, misses
+
+
+def test_copied_semilinear_problem_keeps_a_read_only_keyed_L():
+    # a copy, like a pickle, rebuilds the problem: its L stays read-only, so the
+    # matrix that its content key holds cannot change under a cached plan, and
+    # the key is made afresh, with this process's hash
+    prob, tab, h = _semilinear2(), builtin("expo3"), 0.1
+    for again in (copy.copy(prob), copy.deepcopy(prob)):
+        assert again._L_key is not prob._L_key and again._L_key.matrix is again.L
+        assert again._L_key == prob._L_key and hash(again._L_key) == hash(prob._L_key)
+        with pytest.raises(ValueError, match="read-only"):
+            again.L[0, 0] = 0.0
+        state = initial_state(prob, h)
+        got, want = step(again, tab, state, 0.0), step(prob, tab, state, 0.0)
+        assert np.array_equal(got.coefficients(), want.coefficients())
+        assert np.array_equal(got.head, want.head)
 
 
 def test_step_plan_cache_stays_within_its_bound():
