@@ -380,7 +380,10 @@ class HistoryState:
             if first < stop:
                 store, filled = stores.get(whole.key, (None, 0))
                 if filled < lo + stop:
-                    new = rule(whole, log.buf[filled:end])
+                    # a lone slot is read with the written one before it: gemm gives the
+                    # second of two columns a lone fill's bits, without its padded copy
+                    pad = 1 if end - filled == 1 and filled else 0
+                    new = rule(whole, log.buf[filled - pad : end])[..., pad:]
                     store = np.empty(new.shape[:-1] + (len(log.buf),)) if store is None else store
                     store[..., filled:end] = new
                     stores[whole.key] = store, end

@@ -28,11 +28,15 @@ in the overlay rule that turns u into the polynomial on the newest interval:
 Everything in these rules but the stage values depends only on the tableau
 and h (and L), so a step plan binds it to them: one rule per component, in
 state order, ``rule(state, F, i) -> (coeffs, head)`` for row i (head None
-for RE).  Every rule comes from a small cache.  The DDE and RE rules, keyed
-on (tableau, h), hold each row's W_i padded to four columns and the
-constants h/k! and c (k-1)!; the semilinear rule, keyed on L's contents
-as well, folds the matrix functions, h r^k and the interpolation into one
-matrix per row.  The checked entries, :func:`step` and :func:`integrate`,
+for RE).  Every rule comes from a small cache.  The DDE and semilinear rules
+have one form: u = W_i^T F with u_0 set to the head y, then one product with
+a per-row matrix that maps [y; u] to the cubic and the new head.  The DDE
+rule's m_i, keyed on (tableau, h), is (5, p_i + 1) at every dim, with h/k!
+on the cubic's rows and in the head's; the semilinear rule's M_i, keyed on
+L's contents as well, folds the matrix functions, h r^k and the
+interpolation into (5d, (p_i + 1) d).  The RE rule, keyed on (tableau, h),
+holds W_i padded to four columns and divides by c (k-1)! after the sum.
+The checked entries, :func:`step` and :func:`integrate`,
 check a state against the declared components and take its plan for them
 once per call; the stage loop :func:`_step` trusts both.
 
@@ -245,12 +249,19 @@ class CoupledProblem:
             object.__setattr__(self, "component_names", names)
 
 
-def _dde_rule(weights, scale, state, f, i: int):
-    """The head y on r^0 and h u_k/k! on r^k, u = W_i^T f; and the value at r = 1."""
-    coeffs = f.T.dot(weights[i])  # .dot: less call overhead than @ at this size
-    coeffs *= scale
-    coeffs[:, 0] = state.head
-    return coeffs, coeffs.sum(axis=1)
+def _dde_rule(rows, state, f, i: int):
+    """The cubic and the head, m_i [y; u_1; ...; u_p] with u = W_i^T f.
+
+    ``rows[i]`` is (W_i, m_i).  m_i, read-only (5, p_i + 1) and the same at
+    every dim, puts y on r^0 and h u_k/k! on r^k (rows 0-3, the cubic) and
+    sums them into the value at r = 1 (row 4, the head).  Its h/k! act after
+    the unscaled sums, so one that overflows is not hidden by a small constant.
+    """
+    W, m = rows[i]
+    u = W.T.dot(f)  # .dot: less call overhead than @ at this size
+    u[0] = state.head
+    out = m.dot(u)
+    return out[:_NCOEF].T, out[_NCOEF]
 
 
 def _re_rule(weights, div, state, f, i: int):
@@ -265,25 +276,24 @@ def _step_plan(tab: Tableau, h: float):
     """The DDE and RE rules of steps with one (tab, h), bound to their
     read-only per-row constants, as a read-only mapping from kind to rule.
 
-    Row i is a row of ``a`` at c = c_i, or ``b`` (i = nu) at c = 1.  Both
-    rules read W_i padded with zero columns to (nu, 4), column k the order-k
-    weights (shifted one column left for RE), and scale the weighted sums
-    after they are formed, by h/k! or 1/(c k!), so a sum that overflows is
-    not hidden by a small constant.
+    Row i is a row of ``a`` at c = c_i, or ``b`` (i = nu) at c = 1.  The DDE
+    rule reads W_i and its (5, p_i + 1) matrix m_i (:func:`_dde_rule`); the
+    RE rule reads W_i padded with zero columns to (nu, 4), shifted one column
+    left so that column k - 1 holds the order-k weights, and divides by
+    c (k-1)! after the sum.  Neither scale enters the weights, so a sum that
+    overflows is not hidden by a small constant.
     """
     factorial = np.array([math.factorial(k) for k in range(_NCOEF)], dtype=float)
-    weights, re_weights, re_div = [], [], []
+    dde_rows, re_weights, re_div = [], [], []
     for c, W in zip((*tab.c, 1.0), tab.weights):
-        padded = np.zeros((tab.nu, _NCOEF))
-        padded[:, : W.shape[1]] = W
-        weights.append(padded)
-        re_weights.append(np.roll(padded, -1, axis=1))  # column 0 holds no weight
+        scale = np.append(1.0, h / factorial[1 : W.shape[1]])  # y itself, then h/k!
+        dde_rows.append((W, np.vstack((np.eye(_NCOEF, len(scale)) * scale, scale))))
+        re_weights.append(np.pad(W[:, 1:], ((0, 0), (0, _NCOEF + 1 - W.shape[1]))))
         re_div.append(c * factorial)
-    dde_scale = h / factorial
-    for arr in (dde_scale, *weights, *re_weights, *re_div):
+    for arr in (*(m for _, m in dde_rows), *re_weights, *re_div):
         arr.setflags(write=False)
     return types.MappingProxyType({
-        "dde": functools.partial(_dde_rule, tuple(weights), dde_scale),
+        "dde": functools.partial(_dde_rule, tuple(dde_rows)),
         "re": functools.partial(_re_rule, tuple(re_weights), tuple(re_div)),
     })
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from expdelay import (
     HistoryState,
     Pointwise,
+    Problem,
     StageView,
     builtin,
     daphnia,
@@ -566,6 +567,30 @@ def test_on_knot_window_reads_stored_sums_filled_in_batches(monkeypatch):
     monkeypatch.setattr(problems, "Pointwise", lambda g: (lambda th, x: g(x)))
     per_call = integrate(problems.quadratic_re(), builtin("expo3"), h, steps * h)
     assert np.allclose(final.coefficients(), per_call.coefficients(), rtol=0.0, atol=1e-14)
+
+
+def test_window_reaching_zero_fills_no_lone_slot(monkeypatch):
+    # the window [-1, 0] reaches the newest slot, so each step's first stage
+    # fills one new slot of its whole-segment sums: that fill reads the
+    # written slot before it too, two columns for gemm, and keeps the second,
+    # whose bits are those of the slot filled alone
+    kernel, fills = Pointwise(lambda x: x), []
+    rule = quadrature._segment_sums
+    monkeypatch.setattr(quadrature, "_segment_sums", lambda g, piece, coeffs: fills.append(
+        len(coeffs)) or rule(g, piece, coeffs))
+    prob = Problem(kind="dde", dim=1, tau=1.0, phi0=lambda th: np.cos(th),
+                   rhs=lambda t, v: -v.head + integrate_view(v, -1.0, 0.0, kernel),
+                   distributed_limits=(-1.0, 0.0))
+    h, steps = 0.1, 30
+    final = integrate(prob, builtin("expo3"), h, steps * h)
+    assert len(fills) > steps and min(fills) == 2
+    log = final._log
+    store, filled = log.sums[kernel]["whole"]
+    whole = _window_plan(10, h, 0.0, -1.0, 0.0).whole
+    assert filled == log.end - 1  # all but the final step's segment
+    for s in range(filled):
+        alone = rule(kernel.g, whole, log.buf[s : s + 1])
+        assert store[..., s].tobytes() == alone[..., 0].tobytes()
 
 
 @settings(deadline=None, max_examples=300)

@@ -61,7 +61,7 @@ PINNED = {
         0.5698737709791324, 2.647191683272067, 3.234433896747089, 0.8110700304817312
     ],
     ("belzen", "heun"): [
-        0.005236487005574497, 2.7145112748791145, 3.164939116003553, 0.287164722929871
+        0.005236487005571775, 2.7145112748791145, 3.164939116003553, 0.287164722929871
     ],
     ("belzen", "expo3"): [
         0.00019292638074458468, 2.7182776668037283, 3.1690693686221287,

@@ -1547,9 +1547,51 @@ def test_plan_overlays_match_the_unfolded_rules(make, name, rng):
             scale = np.max(np.abs(want))
             assert np.max(np.abs(coeffs - want)) <= 1e-15 * scale
             if state.kind == "dde":
-                assert np.array_equal(head, coeffs.sum(axis=1))
+                # the head is its own row of m_i: the cubic at r = 1, to its sum's roundoff
+                unit = np.finfo(float).eps / 2
+                bound = 4 * unit * np.abs(coeffs).sum(axis=1)
+                assert np.all(np.abs(head - coeffs.sum(axis=1)) <= bound)
             else:
                 assert head is None
+
+
+def _dde_plan_arrays(dim, tab, h):
+    """The arrays that the DDE rule of a dim-``dim`` problem's plan holds."""
+    prob = Problem(kind="dde", dim=dim, tau=1.0, rhs=lambda t, v: -v.head,
+                   phi0=lambda th: np.ones((np.size(th), dim)))
+    (rule,) = stepper._plan(stepper._components(prob, h), tab, h)
+    return [arr for row in rule.args[0] for arr in row]
+
+
+@pytest.mark.parametrize("name", ["expeuler", "heun", "expo3"])
+def test_dde_plan_is_the_same_at_every_dim(name):
+    # m_i maps [y; u] row by row, so it is (5, p_i + 1) at any dim: no
+    # Kronecker product with the identity, which would hold O(d^2) per row
+    tab, h = builtin(name), 0.05
+    small, wide = _dde_plan_arrays(1, tab, h), _dde_plan_arrays(64, tab, h)
+    assert [a.shape for a in small] == [a.shape for a in wide]
+    assert [a.tobytes() for a in small] == [a.tobytes() for a in wide]
+    for W, m in zip(small[::2], small[1::2]):
+        assert m.shape == (5, W.shape[1]) and not m.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["expeuler", "heun", "expo3"])
+def test_dde_row_at_dim_3_is_three_rows_at_dim_1(name, rng):
+    tab, h = builtin(name), 0.05
+    rule = stepper._step_plan(tab, h)["dde"]
+    coeffs, F = np.zeros((20, 3, 4)), rng.normal(size=(tab.nu, 3))
+    coeffs[-1, :, 0] = head = rng.normal(size=3)  # a constant newest segment
+    wide = HistoryState("dde", 3, 1.0, h, coeffs, head=head)
+    for i, c in enumerate((*tab.c, 1.0)):
+        if c == 0.0:
+            continue
+        cubic, got_head = rule(wide, F, i)
+        scale = np.max(np.abs(cubic))
+        for a in range(3):
+            one = HistoryState("dde", 1, 1.0, h, coeffs[:, a : a + 1], head=head[a : a + 1])
+            c1, h1 = rule(one, F[:, a : a + 1], i)
+            assert np.max(np.abs(cubic[a] - c1[0])) <= 1e-15 * scale
+            assert abs(got_head[a] - h1[0]) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize(
